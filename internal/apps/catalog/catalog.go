@@ -2,11 +2,18 @@
 // keyed by the names the CLIs and the advisory service accept. It exists so
 // cmd/advisor, cmd/advisord and the test suites resolve "shwfs" to the same
 // workload construction instead of each carrying its own switch.
+//
+// Building a workload can be expensive — orbslam runs the functional ORB
+// front-end over a synthetic frame to place its keypoints — so each
+// (name, scale) is built at most once per process and served from a memo
+// afterwards.
 package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"igpucomm/internal/apps/lanedet"
 	"igpucomm/internal/apps/orbslam"
@@ -65,8 +72,11 @@ var builders = map[string]func(Scale) (comm.Workload, error){
 			p.DescOps = 20
 			p.MatchComparisons = 5000
 		case Micro:
-			p.FrameW, p.FrameH = 32, 24
-			p.Frontend.Levels = 2
+			// 64x64 is the smallest frame orbslam accepts; with the
+			// default 16-pixel border only level 0 is usable, so one
+			// level gives one detect and one describe launch.
+			p.FrameW, p.FrameH = 64, 64
+			p.Frontend.Levels = 1
 			p.Frontend.MaxPerLevel = 8
 			p.PerPixelOps = 2
 			p.DescLoads = 2
@@ -84,7 +94,7 @@ var builders = map[string]func(Scale) (comm.Workload, error){
 			p.VoteOps = 2
 			p.TrackOps = 2
 		case Micro:
-			p.FrameW, p.FrameH = 16, 12
+			p.FrameW, p.FrameH = 32, 32 // lanedet's minimum frame
 			p.SobelOps = 1
 			p.VoteOps = 1
 			p.TrackOps = 1
@@ -103,11 +113,56 @@ func Names() []string {
 	return names
 }
 
-// ByName builds the named application's workload at the given scale.
+// memoKey names one memoized build.
+type memoKey struct {
+	name  string
+	scale Scale
+}
+
+// memoTable holds one build per (name, scale). Entries are created up
+// front — the key space is the catalog times the three scales — so a lookup
+// takes no lock, and each entry's sync.OnceValues makes concurrent first
+// callers share a single build. Builds are deterministic, so a memoized
+// error is the error a rebuild would return.
+type memoTable map[memoKey]func() (comm.Workload, error)
+
+func newMemo(bs map[string]func(Scale) (comm.Workload, error)) memoTable {
+	m := make(memoTable, len(bs)*3)
+	for name, b := range bs {
+		for _, sc := range []Scale{Full, Quick, Micro} {
+			m[memoKey{name, sc}] = sync.OnceValues(func() (comm.Workload, error) { return b(sc) })
+		}
+	}
+	return m
+}
+
+var memo = newMemo(builders)
+
+// ByName returns the named application's workload at the given scale. The
+// workload is built once per process per (name, scale); later calls return
+// the memoized build. The In, Out and Scratch slices of the result are the
+// caller's own, so editing a BufferSpec cannot reach other callers. The
+// task and kernel closures are shared and read-only.
 func ByName(name string, sc Scale) (comm.Workload, error) {
-	b, ok := builders[name]
-	if !ok {
+	if _, ok := builders[name]; !ok {
 		return comm.Workload{}, fmt.Errorf("catalog: unknown application %q (have %v)", name, Names())
 	}
-	return b(sc)
+	return memo.lookup(name, sc)
+}
+
+// lookup returns the memoized build of (name, scale) with fresh buffer
+// slices, building it on first use.
+func (m memoTable) lookup(name string, sc Scale) (comm.Workload, error) {
+	build, ok := m[memoKey{name, sc}]
+	if !ok {
+		return comm.Workload{}, fmt.Errorf("catalog: unknown scale %d", sc)
+	}
+	w, err := build()
+	if err != nil {
+		return comm.Workload{}, err
+	}
+	w.In = slices.Clone(w.In)
+	w.Out = slices.Clone(w.Out)
+	w.Scratch = slices.Clone(w.Scratch)
+	return w, nil
 }
