@@ -5,6 +5,7 @@ package gpu
 // sizing experiment scales.
 
 import (
+	"runtime"
 	"testing"
 
 	"igpucomm/internal/isa"
@@ -62,4 +63,42 @@ func BenchmarkLaunchPinnedKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCompilePinnedStream compiles an MB3-shaped zero-copy kernel — one
+// pinned load, a short FMA chain and one cached store per thread over 1<<20
+// threads, about 1.1 M transactions — into a fresh CompiledKernel each
+// iteration, the way a cold characterization fills its kernel cache. It
+// reports the compile cost per recorded transaction and the bytes allocated
+// per compile, which exposes any return to regrowing the stream.
+func BenchmarkCompilePinnedStream(b *testing.B) {
+	const threads = 1 << 20
+	const src, dst = int64(0), int64(1) << 24
+	g := benchGPU(b)
+	g.AddPinnedRange(src, src+threads*4)
+	k := Kernel{Name: "mb3-stream", Threads: threads, Program: func(tid int, p *isa.Program) {
+		off := int64(tid) * 4
+		p.Ld(src+off, 4)
+		p.Compute(isa.FMA, 4)
+		p.St(dst+off, 4)
+	}}
+	if _, err := g.Compile(k); err != nil { // warm the compile scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	var txns int64
+	for i := 0; i < b.N; i++ {
+		ck, err := g.Compile(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		txns += ck.Transactions()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(txns), "ns/txn")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "B/op")
 }

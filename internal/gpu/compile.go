@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"unsafe"
 
 	"igpucomm/internal/cache"
 	"igpucomm/internal/isa"
@@ -14,14 +15,22 @@ import (
 // Compile walks the kernel exactly the way the reference executor does —
 // SMs outer, resident batches, slot-major interleave across a batch's warps
 // — but instead of pushing each coalesced transaction through the cache
-// hierarchy it records the whole transaction stream into a flat
-// struct-of-arrays CompiledKernel. Everything that does not depend on cache
-// state is resolved at compile time: SIMT validation, coalescing, the
-// per-SM warp counts, issue-cycle totals, instruction and requested-byte
-// counts. What remains per launch — the only state-dependent part — is
-// driving the recorded transactions through the caches, which LaunchCompiled
-// does with the batch cache kernels (cache.DoBatch) instead of per-access
-// interface calls.
+// hierarchy it records the whole transaction stream into a CompiledKernel.
+// Everything that does not depend on cache state is resolved at compile
+// time: SIMT validation, coalescing, the per-SM warp counts, issue-cycle
+// totals, instruction and requested-byte counts. What remains per launch —
+// the only state-dependent part — is driving the recorded transactions
+// through the caches, which LaunchCompiled does with the batch cache kernels
+// (cache.DoBatch) instead of per-access interface calls.
+//
+// The stream is a sequence of fixed-size chunks of chunkLen transactions,
+// each a run of cache.Access records plus a parallel path byte, addressed by
+// global index. Growing the stream allocates the next chunk and never copies
+// what is already recorded, and a recompile reuses the chunks the kernel
+// owns. Replay hands each run of consecutive same-path transactions to the
+// batch kernels as a direct slice of one chunk, so a run crossing a chunk
+// boundary is serviced as two batches, and the replay's result scratch never
+// exceeds one chunk.
 //
 // Byte-identity argument, load-bearing for the differential suite:
 //
@@ -41,6 +50,10 @@ import (
 //   - Transactions on the cached path and the pinned path share no mutable
 //     state below except DRAM's integer counters, so servicing consecutive
 //     same-path groups together preserves every observable.
+//   - DoBatch is byte-identical to per-access Do in order, so splitting an
+//     ordered same-path group at a chunk boundary into two consecutive
+//     batches issues the same sequence of accesses, and the latencies are
+//     still summed in global order.
 type CompiledKernel struct {
 	name      string
 	warpCount int
@@ -51,13 +64,17 @@ type CompiledKernel struct {
 
 	smCompute []units.Cycles
 	smWarps   []int
-	smTxnEnd  []int32 // exclusive end index into the transaction arrays, per SM
+	smTxnEnd  []int32 // exclusive global end index into the transaction stream, per SM
 
-	// The transaction stream: ready-to-issue cache accesses plus a parallel
-	// path byte. Storing accesses directly lets the replay hand contiguous
-	// same-path groups to the batch cache kernels without copying.
-	accs  []cache.Access
-	paths []uint8
+	// The transaction stream, in global order, split into fixed-size chunks:
+	// transaction i lives in chunks[i/chunkLen] at offset i%chunkLen. Each
+	// chunk holds ready-to-issue cache accesses plus a parallel path byte,
+	// so the replay hands contiguous same-path groups to the batch cache
+	// kernels without copying. used counts the chunks in play (tail is the
+	// last of them); chunks past used are owned spares a recompile reuses.
+	chunks []*txnChunk
+	used   int
+	tail   *txnChunk
 
 	// progH1/progH2 fingerprint the emitted programs: the sum of every
 	// lane's digest (laneDigest), accumulated during compile emission when
@@ -76,6 +93,27 @@ const (
 	pathPinned              // down the pinned (zero-copy) path
 )
 
+// chunkLen is the transaction capacity of one stream chunk (a power of two,
+// so global indices split with a shift and a mask). It also bounds a replay
+// group, and with it the replay's per-access result scratch.
+const (
+	chunkShift = 13
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
+// firstChunkLen is the initial capacity of a kernel's first chunk, which
+// doubles up to chunkLen; small kernels do not pay for a whole chunk.
+const firstChunkLen = 256
+
+// txnChunk is one fixed-capacity slice of the transaction stream. Every
+// chunk but the last in use is full; only a kernel's first chunk may have
+// less than chunkLen capacity, and only while the stream fits in it.
+type txnChunk struct {
+	accs  []cache.Access
+	paths []uint8
+}
+
 // Epoch is the pinned-routing generation this kernel was compiled under; it
 // must match GPU.PinnedEpoch for LaunchCompiled to accept the kernel.
 func (ck *CompiledKernel) Epoch() uint64 { return ck.epoch }
@@ -84,7 +122,26 @@ func (ck *CompiledKernel) Epoch() uint64 { return ck.epoch }
 func (ck *CompiledKernel) Name() string { return ck.name }
 
 // Transactions returns the size of the compiled transaction stream.
-func (ck *CompiledKernel) Transactions() int64 { return int64(len(ck.accs)) }
+func (ck *CompiledKernel) Transactions() int64 { return int64(ck.txnCount()) }
+
+// txnCount is the number of recorded transactions: the global index the
+// next appended transaction receives.
+func (ck *CompiledKernel) txnCount() int {
+	if ck.used == 0 {
+		return 0
+	}
+	return (ck.used-1)<<chunkShift + len(ck.tail.accs)
+}
+
+// chunkBytes is the storage the kernel's chunks retain, in-use and spare:
+// one Access plus one path byte per slot of capacity.
+func (ck *CompiledKernel) chunkBytes() int64 {
+	var n int64
+	for _, c := range ck.chunks {
+		n += int64(cap(c.accs))*int64(unsafe.Sizeof(cache.Access{})) + int64(cap(c.paths))
+	}
+	return n
+}
 
 func (ck *CompiledKernel) reset(k Kernel, warpCount, sms int, epoch uint64) {
 	ck.name = k.Name
@@ -105,8 +162,12 @@ func (ck *CompiledKernel) reset(k Kernel, warpCount, sms int, epoch uint64) {
 		ck.smWarps[i] = 0
 		ck.smTxnEnd[i] = 0
 	}
-	ck.accs = ck.accs[:0]
-	ck.paths = ck.paths[:0]
+	for _, c := range ck.chunks[:ck.used] {
+		c.accs = c.accs[:0]
+		c.paths = c.paths[:0]
+	}
+	ck.used = 0
+	ck.tail = nil
 	ck.progH1 = 0
 	ck.progH2 = 0
 	ck.epoch = epoch
@@ -114,9 +175,39 @@ func (ck *CompiledKernel) reset(k Kernel, warpCount, sms int, epoch uint64) {
 }
 
 func (ck *CompiledKernel) appendTxn(path uint8, kind cache.Kind, addr, size int64) {
-	ck.accs = append(ck.accs, cache.Access{Addr: addr, Size: size, Kind: kind})
-	ck.paths = append(ck.paths, path)
+	c := ck.tail
+	if c == nil || len(c.accs) == cap(c.accs) {
+		c = ck.grow()
+	}
+	c.accs = append(c.accs, cache.Access{Addr: addr, Size: size, Kind: kind})
+	c.paths = append(c.paths, path)
 	ck.txnBytes += size
+}
+
+// grow makes room for one more transaction and returns the chunk it goes
+// in: a first chunk below chunkLen doubles in place; otherwise the stream
+// moves on to the next chunk, reusing one the kernel already owns. Nothing
+// already recorded is copied once it fills a whole chunk.
+func (ck *CompiledKernel) grow() *txnChunk {
+	if c := ck.tail; c != nil && cap(c.accs) < chunkLen {
+		n := min(2*cap(c.accs), chunkLen)
+		c.accs = append(make([]cache.Access, 0, n), c.accs...)
+		c.paths = append(make([]uint8, 0, n), c.paths...)
+		return c
+	}
+	if ck.used == len(ck.chunks) {
+		n := chunkLen
+		if ck.used == 0 {
+			n = firstChunkLen
+		}
+		ck.chunks = append(ck.chunks, &txnChunk{
+			accs:  make([]cache.Access, 0, n),
+			paths: make([]uint8, 0, n),
+		})
+	}
+	ck.tail = ck.chunks[ck.used]
+	ck.used++
+	return ck.tail
 }
 
 // laneCursor walks one lane's run-length-encoded program.
@@ -141,6 +232,7 @@ type memEvent struct {
 type compiler struct {
 	warps    []int
 	lanes    []int
+	lockstep []bool // per batch warp: every lane's run boundaries match lane 0's
 	cur      []laneCursor
 	laneRuns [][]isa.Run
 	events   []memEvent
@@ -214,7 +306,7 @@ func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 				return err
 			}
 		}
-		ck.smTxnEnd[smIdx] = int32(len(ck.accs))
+		ck.smTxnEnd[smIdx] = int32(ck.txnCount())
 	}
 	ck.valid = true
 	return nil
@@ -230,6 +322,7 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 	// Emission, validation and convergence, warp by warp in batch order —
 	// the same error-discovery order as the reference executor.
 	c.lanes = c.lanes[:0]
+	c.lockstep = c.lockstep[:0]
 	for bi, w := range c.warps {
 		lanes := ws
 		if last := k.Threads - w*ws; last < lanes {
@@ -253,18 +346,33 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 			}
 			idx += int(r.Count)
 		}
+		// Convergence and lockstep in one pass: a lane whose runs equal lane
+		// 0's in (Op, Count) is both convergent and run-aligned with it.
+		// Only lanes that differ — masked lanes, divergent ones — take the
+		// slot-exact checks, in the reference's lane order and with its
+		// error text.
 		ref := &g.laneProgs[bi*ws]
+		runs0 := ref.Runs()
+		lockstep := true
 		for l := 1; l < lanes; l++ {
 			other := &g.laneProgs[bi*ws+l]
+			rl := other.Runs()
+			if sameOpsAndCounts(runs0, rl) {
+				continue
+			}
 			if other.Len() != ref.Len() {
 				return fmt.Errorf("kernel %s: warp %d diverges: lane 0 has %d instrs, lane %d has %d",
 					k.Name, w, ref.Len(), l, other.Len())
 			}
-			if slot, opA, opB, ok := firstOpMismatch(ref.Runs(), other.Runs()); !ok {
+			if slot, opA, opB, ok := firstOpMismatch(runs0, rl); !ok {
 				return fmt.Errorf("kernel %s: warp %d instr %d diverges: lane 0 %s vs lane %d %s",
 					k.Name, w, slot, opA, l, opB)
 			}
+			if lockstep && !sameCounts(runs0, rl) {
+				lockstep = false
+			}
 		}
+		c.lockstep = append(c.lockstep, lockstep)
 		ck.smWarps[smIdx]++
 	}
 
@@ -293,21 +401,7 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 		// per-lane cursors; the segment decomposition, and with it every
 		// emitted quantity, is identical to the generic walk's.
 		runs0 := laneRuns[0]
-		lockstep := true
-		for l := 1; l < lanes && lockstep; l++ {
-			rl := laneRuns[l]
-			if len(rl) != len(runs0) {
-				lockstep = false
-				break
-			}
-			for ri := range rl {
-				if rl[ri].Count != runs0[ri].Count {
-					lockstep = false
-					break
-				}
-			}
-		}
-		if lockstep {
+		if c.lockstep[bi] {
 			slot := 0
 			for ri := range runs0 {
 				step := int(runs0[ri].Count)
@@ -441,6 +535,35 @@ func (g *GPU) emitTxns(ck *CompiledKernel, ev *memEvent) {
 	}
 }
 
+// sameOpsAndCounts reports whether two lanes have identical run structure:
+// the same opcode and count run for run. Such lanes converge (every slot's
+// opcodes match) and share run boundaries (lockstep).
+func sameOpsAndCounts(a, b []isa.Run) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Count != b[i].Count || a[i].In.Op != b[i].In.Op {
+			return false
+		}
+	}
+	return true
+}
+
+// sameCounts reports whether two lanes share run boundaries: the same
+// number of runs with equal counts, whatever the opcodes.
+func sameCounts(a, b []isa.Run) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Count != b[i].Count {
+			return false
+		}
+	}
+	return true
+}
+
 // firstOpMismatch scans two run-length-encoded lanes for the first slot
 // whose opcodes differ with neither masked off by a Nop. ok is true when the
 // lanes converge. Lengths must already be equal.
@@ -495,7 +618,7 @@ func (g *GPU) LaunchCompiled(ck *CompiledKernel) (Result, error) {
 	var res Result
 	res.Warps = ck.warpCount
 	res.Instructions = ck.instructions
-	res.Transactions = int64(len(ck.accs))
+	res.Transactions = int64(ck.txnCount())
 	res.TransactionBytes = ck.txnBytes
 	res.BytesRequested = ck.bytesRequested
 
@@ -505,33 +628,40 @@ func (g *GPU) LaunchCompiled(ck *CompiledKernel) (Result, error) {
 		s.memLatency = 0
 		s.warps = ck.smWarps[si]
 		end := int(ck.smTxnEnd[si])
-		for t := start; t < end; {
-			p := ck.paths[t]
-			r := t + 1
-			for r < end && ck.paths[r] == p {
-				r++
+		// Walk the SM's transactions chunk by chunk, so every same-path
+		// group handed to the batch kernels ends at a chunk boundary.
+		for start < end {
+			c := ck.chunks[start>>chunkShift]
+			lo := start & chunkMask
+			hi := min(len(c.accs), lo+end-start)
+			for t := lo; t < hi; {
+				p := c.paths[t]
+				r := t + 1
+				for r < hi && c.paths[r] == p {
+					r++
+				}
+				g.replayGroup(s, p, c.accs[t:r])
+				t = r
 			}
-			g.replayGroup(s, ck, p, t, r)
-			t = r
+			start += hi - lo
 		}
-		start = end
 	}
 
 	g.finishResult(&res, before, ck.warpCount, g.resident())
 	return res, nil
 }
 
-// replayGroup services the consecutive same-path transactions [lo, hi)
+// replayGroup services one run of consecutive same-path transactions
 // through the batch cache kernels and accumulates their latencies into the
-// SM in transaction order. The access group is a direct slice of the
-// compiled stream — no per-launch copying.
-func (g *GPU) replayGroup(s *sm, ck *CompiledKernel, path uint8, lo, hi int) {
+// SM in transaction order. The access group is a direct slice of one stream
+// chunk — no per-launch copying — so it, and the result scratch, never
+// exceed chunkLen.
+func (g *GPU) replayGroup(s *sm, path uint8, accs []cache.Access) {
 	rs := &g.replay
-	n := hi - lo
+	n := len(accs)
 	if cap(rs.outs) < n {
 		rs.outs = make([]cache.Result, n)
 	}
-	accs := ck.accs[lo:hi]
 	outs := rs.outs[:n]
 	if g.heat != nil && path == pathPinned {
 		// Pinned transactions bypass the caches, so the replay records them

@@ -65,9 +65,10 @@ type cachedKernel struct {
 	ranges  []addrRange
 }
 
-// bytes approximates the entry's retained storage, for the cache budget.
+// bytes approximates the entry's retained storage, for the cache budget:
+// the capacity of every transaction chunk it owns plus the per-SM arrays.
 func (e *cachedKernel) bytes() int64 {
-	return int64(cap(e.ck.accs))*25 + int64(cap(e.ck.smCompute))*20 + 64
+	return e.ck.chunkBytes() + int64(cap(e.ck.smCompute))*20 + 64
 }
 
 type kernelKey struct {
@@ -107,6 +108,7 @@ func (g *GPU) lookupKernel(scope string, idx int, k Kernel) (*cachedKernel, erro
 		e = &cachedKernel{}
 		g.kcache[key] = e
 		g.kcacheOrder = append(g.kcacheOrder, key)
+		g.kcacheBytes += e.bytes()
 	} else if e.ck.valid && e.threads == k.Threads {
 		if e.ck.epoch == g.pinnedEpoch {
 			return e, nil
@@ -128,6 +130,10 @@ func (g *GPU) lookupKernel(scope string, idx int, k Kernel) (*cachedKernel, erro
 	err := g.CompileInto(k, &e.ck)
 	e.hashed = g.hashCompile
 	g.hashCompile = false
+	// A failed compile leaves the entry resident with whatever chunks it
+	// grew, so it is accounted either way.
+	g.kcacheBytes += e.bytes()
+	g.evictKernels(key)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +141,6 @@ func (g *GPU) lookupKernel(scope string, idx int, k Kernel) (*cachedKernel, erro
 	e.h1, e.h2 = e.ck.progH1, e.ck.progH2
 	e.path = g.pinnedPath
 	e.ranges = append(e.ranges[:0], g.ranges...)
-	g.kcacheBytes += e.bytes()
-	g.evictKernels(key)
 	return e, nil
 }
 
