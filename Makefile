@@ -1,9 +1,11 @@
-# Developer entry points; `make ci` is exactly what .github/workflows/ci.yml
-# runs.
+# Developer entry points; `make ci` runs every job of
+# .github/workflows/ci.yml. The CI gate job also re-runs vet and -race on
+# the telemetry, heatmap and advisord packages and smokes the disabled-fault
+# overhead benchmark.
 
 GO ?= go
 
-.PHONY: all build test race fmt vet lint lint-sarif lint-baseline lint-docs docs-links hazardcheck cover fuzz bench perfgate perf-smoke baseline trace chaos fleet dst ci
+.PHONY: all build test race fmt vet lint lint-sarif lint-baseline lint-docs docs-links hazardcheck cover fuzz paperbench bench perfgate perf-smoke baseline trace fleet dst ci
 
 all: build
 
@@ -67,13 +69,20 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
 		{ echo "coverage below $(COVER_MIN)%"; exit 1; }
 
-# Short fuzz pass over the externally-facing parsers: the hazard-trace CSV
+# Short fuzz pass over the externally-facing parsers — the hazard-trace CSV
 # reader and the NDJSON warm-handoff export reader (a malicious or buggy
-# peer must quarantine, never panic its puller).
+# peer must quarantine, never panic its puller) — and over the batch
+# simulator core against the per-access reference executor.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzBatchVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzReadExport -fuzztime $(FUZZTIME)
+
+# The paper-scale benchmark is its own module, so `go test ./...` skips it;
+# its tests build the benchmark and check its reference answers.
+paperbench:
+	cd paperbench && $(GO) test .
 
 # One full iteration of every engine benchmark (the sweep pair is the
 # headline: serial vs memoized-parallel advisory sweep).
@@ -102,12 +111,6 @@ baseline:
 trace:
 	$(GO) run ./cmd/advisor -quick -sweep -trace trace.json
 
-# Chaos suite: the 45-combo sweep through the retrying client against an
-# advisord with fault injection active, under the race detector. Schedules
-# carry fixed seeds (internal/chaos), so runs are reproducible.
-chaos:
-	$(GO) test -race ./internal/chaos/
-
 # Fleet storm harness: a 3-shard advisord fleet under closed-loop load while
 # a cold shard joins (warm handoff) and another is killed mid-run, plus the
 # same load shape under the chaos suite's flaky-engine schedule — all under
@@ -129,4 +132,4 @@ DST_ARTIFACT ?= dst-repro.json
 dst:
 	DST_ARTIFACT=$(DST_ARTIFACT) $(GO) test -race -count=1 ./internal/dst -dst.seeds=$(DST_SEEDS)
 
-ci: fmt vet lint lint-docs docs-links build race cover fuzz hazardcheck trace chaos fleet dst perf-smoke
+ci: fmt vet lint lint-docs docs-links build race paperbench cover fuzz hazardcheck trace fleet dst perf-smoke

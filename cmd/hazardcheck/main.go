@@ -7,26 +7,21 @@
 // the CPU's accesses and the model's coherence protocol (RAW/WAR/WAW and
 // flush-ordering hazards).
 //
-// With -lint it runs the repo's Go-source gate as a thin alias over the
-// shared igpulint analyzer set (internal/analysis): the whole module is
-// type-checked and every registered rule runs — rawaddr, unitsmix,
-// validatewrap, ctxflow, spanend, faultpoint, lockdiscipline, allochot,
-// metricname — without the baseline comparison (cmd/igpulint owns that).
 // With -lint-docs it checks that every exported identifier in the contract
 // packages (DocPackages) carries a doc comment; with -links it checks that
 // every relative markdown link (and #anchor) in
-// README/DESIGN/EXPERIMENTS/ROADMAP and docs/ resolves.
+// README/DESIGN/EXPERIMENTS/ROADMAP and docs/ resolves. The Go-source gate
+// is cmd/igpulint.
 //
 // Usage:
 //
 //	hazardcheck                            # verify all combinations
 //	hazardcheck -device jetson-tx2 -app shwfs -model zc
 //	hazardcheck -no-trace                  # schedule + layout proofs only
-//	hazardcheck -lint ./...                # run the Go analysis gate
 //	hazardcheck -lint-docs                 # exported-doc-comment gate
 //	hazardcheck -links                     # markdown relative-link gate
 //
-// Exit status 1 when any hazard or lint finding is reported.
+// Exit status 1 when any hazard or documentation finding is reported.
 package main
 
 import (
@@ -60,7 +55,6 @@ func buildWorkload(app string) (comm.Workload, error) {
 }
 
 func main() {
-	lint := flag.String("lint", "", "run the Go analysis gate on this path (e.g. ./...) instead of verifying schedules")
 	lintDocs := flag.Bool("lint-docs", false, "check exported identifiers in the contract packages for doc comments")
 	links := flag.Bool("links", false, "check relative markdown links in the documentation set")
 	device := flag.String("device", "", "restrict to one platform (default: all)")
@@ -76,60 +70,10 @@ func main() {
 		return
 	}
 
-	if *lint != "" {
-		os.Exit(runLint(*lint))
-	}
 	if *lintDocs || *links {
 		os.Exit(runDocGates(*lintDocs, *links))
 	}
 	os.Exit(runVerify(*device, *app, *model, !*noTrace, *verbose))
-}
-
-// runLint is a thin alias over the shared igpulint analyzer set: it runs
-// the full type-aware suite (without the baseline comparison — use
-// cmd/igpulint for that) so `hazardcheck -lint` and `igpulint` can never
-// disagree about what a violation is.
-func runLint(path string) int {
-	// "./..." and friends mean "the tree from here"; a plain directory is
-	// linted as given.
-	sub := strings.TrimSuffix(path, "...")
-	sub = strings.TrimSuffix(sub, "/")
-	if sub == "" {
-		sub = "."
-	}
-	sub, err := filepath.Abs(sub)
-	fatalIf(err)
-	if _, err := os.Stat(sub); err != nil {
-		fatalIf(fmt.Errorf("lint path: %w", err))
-	}
-	// The scoping lists in the analysis config are module-root-relative, so
-	// always lint from the enclosing module and filter the findings down to
-	// the requested subtree.
-	root := moduleRoot(sub)
-	cfg := analysis.DefaultConfig()
-	findings, err := analysis.RunRepo(root, &cfg, nil)
-	fatalIf(err)
-	if sub != root {
-		rel, err := filepath.Rel(root, sub)
-		fatalIf(err)
-		prefix := filepath.ToSlash(rel)
-		kept := findings[:0]
-		for _, f := range findings {
-			if f.Pos.Filename == prefix || strings.HasPrefix(f.Pos.Filename, prefix+"/") {
-				kept = append(kept, f)
-			}
-		}
-		findings = kept
-	}
-	for _, f := range findings {
-		fmt.Println(f)
-	}
-	if n := len(findings); n > 0 {
-		fmt.Fprintf(os.Stderr, "hazardcheck: %d lint finding(s)\n", n)
-		return 1
-	}
-	fmt.Println("hazardcheck: lint clean")
-	return 0
 }
 
 // runDocGates runs the documentation gates from the module root: exported

@@ -359,7 +359,7 @@ type AdviseBody struct {
 	Requests []AdviseRequest `json:"requests"`
 }
 
-// AdviseResult mirrors engine.Result for the wire: either a recommendation
+// AdviseResult is one request's answer on the wire: either a recommendation
 // or a per-request error, never both. Degraded marks advice produced by the
 // threshold-only heuristic because the engine could not answer.
 type AdviseResult struct {

@@ -63,22 +63,15 @@
 //   - mdlink: relative links (including #anchors) in the markdown
 //     documentation set (MarkdownFiles) must resolve.
 //
-// The gate runs as `go run ./cmd/igpulint ./...` (make lint) and in CI;
-// `hazardcheck -lint ./...` is a thin alias over the same analyzer set
-// without the baseline comparison. The analyzers are themselves tested
-// against a golden fixture corpus under testdata/corpus (corpus_test.go).
-// Lint below is the legacy syntactic entry point, kept for callers that
-// need a parse-only pass without type information.
+// The gate runs as `go run ./cmd/igpulint ./...` (make lint) and in CI's
+// lint job. The analyzers are themselves tested against a golden fixture
+// corpus under testdata/corpus (corpus_test.go).
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -189,77 +182,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Lint walks root for non-test .go files (skipping .git, vendor and
-// testdata) and applies the three rules. Findings come back sorted by
-// position.
-func Lint(root string, cfg Config) ([]Finding, error) {
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", "vendor", "testdata":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			files = append(files, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(files)
-
-	fset := token.NewFileSet()
-	var out []Finding
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		dir := filepath.ToSlash(rel)
-		out = append(out, lintFile(fset, f, dir, cfg)...)
-	}
-	sortFindings(out)
-	return out, nil
-}
-
-func lintFile(fset *token.FileSet, f *ast.File, dir string, cfg Config) []Finding {
-	var out []Finding
-	rawAllowed := false
-	for _, p := range cfg.RawAddrAllowed {
-		if dir == p || strings.HasPrefix(dir, p+"/") {
-			rawAllowed = true
-			break
-		}
-	}
-
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.BinaryExpr:
-			if !rawAllowed {
-				out = append(out, checkRawAddr(fset, node)...)
-			}
-			out = append(out, checkUnitsMix(fset, node)...)
-		case *ast.FuncDecl:
-			if node.Name.Name == "Validate" && node.Recv != nil {
-				out = append(out, checkValidateWrap(fset, node, f.Name.Name)...)
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // rawAddrAnalyzer adapts the syntactic rawaddr rule to the analyzer
 // framework: raw .Addr arithmetic is allowed only in the memory system.
 func rawAddrAnalyzer() *Analyzer {
@@ -335,11 +257,12 @@ func checkRawAddr(fset *token.FileSet, b *ast.BinaryExpr) []Finding {
 	return out
 }
 
-// --- rule: unitsmix ---
+// --- rule: unitsmix (name fallback; the analyzer is in unitsmix.go) ---
 
 // unitClass classifies an expression by the unit its name advertises:
 // "latency" for durations, "bytes" for sizes and counts of bytes, "" when
-// the name says nothing either way.
+// the name says nothing either way. unitsmix falls back to it for operands
+// whose types carry no unit.
 func unitClass(e ast.Expr) string {
 	var name string
 	switch v := e.(type) {
@@ -368,26 +291,6 @@ func unitClass(e ast.Expr) string {
 		return "latency"
 	}
 	return "bytes"
-}
-
-// checkUnitsMix flags x+y / x-y where one side is latency-named and the
-// other bytes-named: a units error regardless of the Go types. Conversion
-// between the two domains must go through a rate (division), which the rule
-// deliberately leaves alone.
-func checkUnitsMix(fset *token.FileSet, b *ast.BinaryExpr) []Finding {
-	if b.Op != token.ADD && b.Op != token.SUB {
-		return nil
-	}
-	cx, cy := unitClass(b.X), unitClass(b.Y)
-	if cx == "" || cy == "" || cx == cy {
-		return nil
-	}
-	return []Finding{{
-		Pos:  fset.Position(b.Pos()),
-		Rule: "unitsmix",
-		Msg: fmt.Sprintf("adding %s to %s; convert through an explicit rate instead",
-			cx, cy),
-	}}
 }
 
 // --- rule: validatewrap ---

@@ -1,28 +1,29 @@
 package analysis
 
 import (
-	"os"
-	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// lintSource writes src as a single file in a temp tree under dir and lints
-// the tree with the default config.
-func lintSource(t *testing.T, dir, src string) []Finding {
+// lintTree writes files (slash-separated path -> source) into a temp module
+// and runs the one named rule over it with the default config.
+func lintTree(t *testing.T, rule string, files map[string]string) []Finding {
 	t.Helper()
-	root := t.TempDir()
-	full := filepath.Join(root, filepath.FromSlash(dir))
-	if err := os.MkdirAll(full, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(full, "x.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Lint(root, DefaultConfig())
+	files["go.mod"] = "module demo\n\ngo 1.22\n"
+	cfg := DefaultConfig()
+	got, err := RunRepo(writeTree(t, files), &cfg, []string{rule})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// lintSource writes src as a single file in package directory dir of a temp
+// module and runs the named rule over it.
+func lintSource(t *testing.T, rule, dir, src string) []Finding {
+	t.Helper()
+	return lintTree(t, rule, map[string]string{dir + "/x.go": src})
 }
 
 func kinds(fs []Finding) map[string]int {
@@ -37,8 +38,8 @@ func TestRawAddrFlaggedOutsideMemorySystem(t *testing.T) {
 	src := `package apps
 func f(b struct{ Addr, Size int64 }) int64 { return b.Addr + 64 }
 `
-	got := lintSource(t, "internal/apps/demo", src)
-	if kinds(got)["rawaddr"] != 1 {
+	got := lintSource(t, "rawaddr", "internal/apps/demo", src)
+	if len(got) != 1 || kinds(got)["rawaddr"] != 1 {
 		t.Fatalf("want 1 rawaddr finding, got %v", got)
 	}
 }
@@ -47,7 +48,7 @@ func TestRawAddrAllowedInMemorySystem(t *testing.T) {
 	src := `package mmu
 func f(b struct{ Addr, Size int64 }) int64 { return b.Addr + 64 }
 `
-	if got := lintSource(t, "internal/mmu", src); len(got) != 0 {
+	if got := lintSource(t, "rawaddr", "internal/mmu", src); len(got) != 0 {
 		t.Fatalf("memory system flagged: %v", got)
 	}
 }
@@ -58,7 +59,7 @@ type layout struct{}
 func (layout) Addr(string) int64 { return 0 }
 func f(lay layout, i int64) int64 { return lay.Addr("frame") + i*4 }
 `
-	if got := lintSource(t, "internal/apps/demo", src); len(got) != 0 {
+	if got := lintSource(t, "rawaddr", "internal/apps/demo", src); len(got) != 0 {
 		t.Fatalf("Layout accessor flagged: %v", got)
 	}
 }
@@ -67,8 +68,8 @@ func TestUnitsMixFlagged(t *testing.T) {
 	src := `package apps
 func f(copyTime, dramBytes int64) int64 { return copyTime + dramBytes }
 `
-	got := lintSource(t, "internal/apps/demo", src)
-	if kinds(got)["unitsmix"] != 1 {
+	got := lintSource(t, "unitsmix", "internal/apps/demo", src)
+	if len(got) != 1 || kinds(got)["unitsmix"] != 1 {
 		t.Fatalf("want 1 unitsmix finding, got %v", got)
 	}
 }
@@ -81,7 +82,7 @@ func f(copyTime, kernelTime, dramBytes, copyBytes int64) int64 {
 	return dramBytes / (copyTime + 1)  // conversion through a rate: fine
 }
 `
-	if got := lintSource(t, "internal/apps/demo", src); len(got) != 0 {
+	if got := lintSource(t, "unitsmix", "internal/apps/demo", src); len(got) != 0 {
 		t.Fatalf("legitimate arithmetic flagged: %v", got)
 	}
 }
@@ -92,8 +93,8 @@ import "fmt"
 type C struct{}
 func (C) Validate() error { return fmt.Errorf("bad value %d", 3) }
 `
-	got := lintSource(t, "internal/demo", src)
-	if kinds(got)["validatewrap"] != 1 {
+	got := lintSource(t, "validatewrap", "internal/demo", src)
+	if len(got) != 1 || kinds(got)["validatewrap"] != 1 {
 		t.Fatalf("want 1 validatewrap finding, got %v", got)
 	}
 }
@@ -109,44 +110,63 @@ func (C) Validate() error {
 }
 func helper() error { return fmt.Errorf("anything goes outside Validate") }
 `
-	if got := lintSource(t, "internal/demo", src); len(got) != 0 {
+	if got := lintSource(t, "validatewrap", "internal/demo", src); len(got) != 0 {
 		t.Fatalf("prefixed errors flagged: %v", got)
 	}
 }
 
 func TestTestFilesSkipped(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "internal", "apps")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	src := `package apps
 func f(b struct{ Addr int64 }) int64 { return b.Addr + 64 }
 `
-	if err := os.WriteFile(filepath.Join(dir, "x_test.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Lint(root, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := lintTree(t, "rawaddr", map[string]string{"internal/apps/x_test.go": src})
 	if len(got) != 0 {
 		t.Fatalf("test file linted: %v", got)
 	}
 }
 
 // TestRepositoryIsClean is the gate itself: the repo this analyzer ships in
-// must pass its own rules.
+// must pass the full type-aware rule set.
 func TestRepositoryIsClean(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Lint(root, DefaultConfig())
+	cfg := DefaultConfig()
+	got, err := RunRepo(repoRoot(t), &cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range got {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestNoOrphanInternalPackages keeps shadow implementations from growing
+// back: every internal package must be imported by at least one non-test
+// package of the module (a binary, an example, the facade, the benchmark or
+// another internal package). internal/dst is exempt because it is a test
+// harness by design: only its own tests drive it.
+func TestNoOrphanInternalPackages(t *testing.T) {
+	m, err := LoadModule(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exempt := map[string]bool{"internal/dst": true}
+	imported := map[string]bool{}
+	for _, pkg := range m.Packages {
+		for _, f := range pkg.Files {
+			for _, spec := range f.Imports {
+				path, err := strconv.Unquote(spec.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				imported[path] = true
+			}
+		}
+	}
+	for _, pkg := range m.Packages {
+		if !strings.HasPrefix(pkg.Dir, "internal/") || exempt[pkg.Dir] {
+			continue
+		}
+		if !imported[pkg.Path] {
+			t.Errorf("%s is imported by no non-test package: delete it or use it", pkg.Dir)
+		}
 	}
 }

@@ -22,7 +22,6 @@ func DocPackages() []string {
 	return []string{
 		"internal/advisord",
 		"internal/advisord/client",
-		"internal/chaos",
 		"internal/engine",
 		"internal/faults",
 		"internal/fleet",

@@ -7,11 +7,11 @@ import (
 	"go/types"
 )
 
-// unitsMixAnalyzer is the type-aware unitsmix rule. The syntactic version
-// only saw names ("copyTime + dramBytes"); this one additionally tracks the
-// named quantity types of internal/units (Latency, Cycles, Hertz,
-// BytesPerSecond) and time.Duration through conversions, so laundering a
-// latency through float64() no longer hides the mix. Adding or subtracting
+// unitsMixAnalyzer is the type-aware unitsmix rule. Beyond operand names
+// ("copyTime + dramBytes") it tracks the named quantity types of
+// internal/units (Latency, Cycles, Hertz, BytesPerSecond) and
+// time.Duration through conversions, so laundering a latency through
+// float64() does not hide the mix. Adding or subtracting
 // two different unit classes is a units error no matter what the Go types
 // say; conversions between domains must go through an explicit rate
 // (division), which the rule leaves alone.
@@ -49,7 +49,7 @@ func unitsMixAnalyzer() *Analyzer {
 // unitClassOf classifies an expression's physical unit: first by its static
 // type (the units.* named quantities and time.Duration), then by unwrapping
 // numeric conversions that would otherwise launder the type, and finally by
-// the name heuristic the syntactic rule used.
+// the name heuristic (unitClass).
 func unitClassOf(pass *Pass, e ast.Expr) string {
 	e = ast.Unparen(e)
 

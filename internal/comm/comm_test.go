@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -296,6 +297,89 @@ func TestMultiLaunchStripesCopies(t *testing.T) {
 	}
 	if got := rep.CopyTimePer() * 4; got != rep.CopyTime {
 		t.Errorf("CopyTimePer*4 = %v, want %v", got, rep.CopyTime)
+	}
+}
+
+// TestReductionIsCacheDependent: a kernel that re-reads an LLC-resident
+// buffer (32 KiB, eight passes) must lose at least half its speed under ZC
+// on TX2, whose pinned path bypasses the GPU caches.
+func TestReductionIsCacheDependent(t *testing.T) {
+	const n = 1 << 13
+	w := streamWorkload(n, false)
+	w.MakeKernel = func(lay Layout, launch int) gpu.Kernel {
+		in, out := lay.Addr("in"), lay.Addr("out")
+		return gpu.Kernel{Name: "reduce", Threads: n, Program: func(tid int, p *isa.Program) {
+			for pass := 0; pass < 8; pass++ {
+				p.Ld(in+int64(tid)*4, 4)
+				p.Compute(isa.AddS32, 1)
+			}
+			p.Compute(isa.FMA, 4)
+			p.St(out+int64(tid)*4, 4)
+		}}
+	}
+	s := soc.New(devices.TX2())
+	sc, err := SC{}.Run(s, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zc, err := ZC{}.Run(s, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zc.KernelTime < sc.KernelTime*2 {
+		t.Errorf("reduction under ZC (%v) should suffer vs SC (%v) on TX2", zc.KernelTime, sc.KernelTime)
+	}
+}
+
+// TestModelAccountingInvariants checks the cross-model accounting
+// invariants on every model, over single- and multi-launch, serialized and
+// overlappable workloads of several sizes:
+//   - ZC never copies or flushes;
+//   - SC's copy bytes equal the declared transfer volume;
+//   - every total is at least its longer CPU or kernel component;
+//   - energy activity mirrors the report.
+func TestModelAccountingInvariants(t *testing.T) {
+	s := soc.New(devices.TX2())
+	for _, n := range []int64{1024, 1 << 14} {
+		for _, launches := range []int{1, 4} {
+			for _, overlappable := range []bool{false, true} {
+				w := streamWorkload(n, overlappable)
+				w.Launches = launches
+				per := int(n) / launches
+				w.MakeKernel = func(lay Layout, launch int) gpu.Kernel {
+					in, out := lay.Addr("in"), lay.Addr("out")
+					return gpu.Kernel{Name: "stripe", Threads: per, Program: func(tid int, p *isa.Program) {
+						off := int64(launch*per+tid) * 4
+						p.Ld(in+off, 4)
+						p.Compute(isa.FMA, 2)
+						p.St(out+off, 4)
+					}}
+				}
+				for _, m := range AllModels() {
+					rep, err := m.Run(s, w)
+					if err != nil {
+						t.Fatalf("%s n=%d launches=%d: %v", m.Name(), n, launches, err)
+					}
+					where := fmt.Sprintf("%s n=%d launches=%d overlappable=%v", m.Name(), n, launches, overlappable)
+					switch m.Name() {
+					case "zc":
+						if rep.CopyTime != 0 || rep.CopyBytes != 0 || rep.FlushTime != 0 {
+							t.Errorf("%s: paid copy/flush costs: %+v", where, rep)
+						}
+					case "sc", "sc-async":
+						if rep.CopyBytes != w.BytesIn()+w.BytesOut() {
+							t.Errorf("%s: copy bytes %d, want %d", where, rep.CopyBytes, w.BytesIn()+w.BytesOut())
+						}
+					}
+					if rep.Total < rep.KernelTime || rep.Total < rep.CPUTime {
+						t.Errorf("%s: total %v below a component (cpu %v, kernel %v)", where, rep.Total, rep.CPUTime, rep.KernelTime)
+					}
+					if rep.Energy.Runtime != rep.Total || rep.Energy.CopyBytes != rep.CopyBytes {
+						t.Errorf("%s: energy activity inconsistent with the report", where)
+					}
+				}
+			}
+		}
 	}
 }
 

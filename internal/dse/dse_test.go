@@ -5,25 +5,38 @@ import (
 	"testing"
 
 	"igpucomm/internal/comm"
+	"igpucomm/internal/cpu"
 	"igpucomm/internal/devices"
-	"igpucomm/internal/workloadgen"
+	"igpucomm/internal/gpu"
+	"igpucomm/internal/isa"
 )
 
 // streamingWorkload is copy-dominated: the crossover stories below hinge on
-// transfer costs, exactly what the axes move.
-func streamingWorkload(t *testing.T) comm.Workload {
-	t.Helper()
-	w, err := workloadgen.Build(workloadgen.Spec{
-		Name:     "dse-streaming",
-		Elements: 1 << 16,
-		CPU:      workloadgen.CPUSpec{Shape: workloadgen.StreamPass, Iterations: 1024, ComputePerIteration: 2},
-		Kernel:   workloadgen.KernelSpec{Shape: workloadgen.Streaming, ComputePerThread: 8},
-		Warmup:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// transfer costs, exactly what the axes move. The CPU streams 1024 loads over
+// the input; the kernel reads and writes each element once, coalesced.
+func streamingWorkload() comm.Workload {
+	const elements = 1 << 16
+	return comm.Workload{
+		Name: "dse-streaming",
+		In:   []comm.BufferSpec{{Name: "in", Size: elements * 4}},
+		Out:  []comm.BufferSpec{{Name: "out", Size: elements * 4}},
+		CPUTask: func(c *cpu.CPU, lay comm.Layout) {
+			base := lay.Addr("in")
+			for i := int64(0); i < 1024; i++ {
+				c.Load(base+i*4, 4)
+				c.Work(isa.FMA, 2)
+			}
+		},
+		MakeKernel: func(lay comm.Layout, launch int) gpu.Kernel {
+			in, out := lay.Addr("in"), lay.Addr("out")
+			return gpu.Kernel{Name: "dse-streaming", Threads: elements, Program: func(tid int, p *isa.Program) {
+				p.Ld(in+int64(tid)*4, 4)
+				p.Compute(isa.FMA, 8)
+				p.St(out+int64(tid)*4, 4)
+			}}
+		},
+		Warmup: 1,
 	}
-	return w
 }
 
 func TestAxisByName(t *testing.T) {
@@ -58,7 +71,7 @@ func TestLinspaceAndGeomspace(t *testing.T) {
 }
 
 func TestSweepErrors(t *testing.T) {
-	w := streamingWorkload(t)
+	w := streamingWorkload()
 	base := devices.TX2()
 	if _, err := Sweep(base, Axis{}, []float64{1}, w, nil); err == nil {
 		t.Error("axis without Apply accepted")
@@ -76,7 +89,7 @@ func TestCopyBandwidthCrossover(t *testing.T) {
 	// from ZC-best (starved copy engine) to SC-best (fast copy engine)...
 	// or stays ZC if copies never dominate; either way the sweep is
 	// monotone: SC totals fall as the engine speeds up.
-	w := streamingWorkload(t)
+	w := streamingWorkload()
 	points, err := Sweep(devices.Xavier(), CopyBandwidth, []float64{0.5, 2, 8, 32}, w, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +119,7 @@ func TestIOBandwidthMakesZCViable(t *testing.T) {
 	// Sweep the coherence path on a TX2-like base: with a fast coherent
 	// path the board behaves like Xavier and ZC wins the copy-dominated
 	// workload; ZC totals fall monotonically along the axis.
-	w := streamingWorkload(t)
+	w := streamingWorkload()
 	points, err := Sweep(devices.TX2(), IOBandwidth, []float64{1, 4, 16, 64}, w, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -60,10 +60,8 @@ func BenchmarkSweepEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := New(Options{}) // cold cache every iteration
-		for _, res := range e.AdviseBatch(context.Background(), reqs) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
+		if _, err := adviseBatch(context.Background(), e, reqs); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -79,10 +77,8 @@ func BenchmarkAdviseBatchCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := New(Options{})
-		for _, res := range e.AdviseBatch(context.Background(), reqs) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
+		if _, err := adviseBatch(context.Background(), e, reqs); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -91,17 +87,13 @@ func BenchmarkAdviseBatchWarm(b *testing.B) {
 	p := microbench.DefaultParams()
 	reqs := sweepRequests(b, p)
 	e := New(Options{})
-	for _, res := range e.AdviseBatch(context.Background(), reqs) { // prime the cache
-		if res.Err != nil {
-			b.Fatal(res.Err)
-		}
+	if _, err := adviseBatch(context.Background(), e, reqs); err != nil { // prime the cache
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, res := range e.AdviseBatch(context.Background(), reqs) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
+		if _, err := adviseBatch(context.Background(), e, reqs); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

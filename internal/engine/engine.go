@@ -2,9 +2,9 @@
 // bounded worker pool that fans device characterization and model
 // exploration out across cloned platforms, an LRU+TTL memo cache (with
 // singleflight deduplication) for the expensive application-independent
-// characterizations, and a batch advisory API on top — the machinery that
-// turns the paper's one-shot tuning flow (Fig 2) into something that can
-// serve sustained advisory traffic.
+// characterizations, and the profile-and-decide step on top — the machinery
+// that turns the paper's one-shot tuning flow (Fig 2) into something that
+// can serve sustained advisory traffic.
 //
 // Correctness contract: every simulation task holds a private platform —
 // taken from a per-config pool (soc.ResetState restores fresh-equivalent
@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -263,36 +262,7 @@ func (e *Engine) MB1(ctx context.Context, cfg soc.Config, p microbench.Params) (
 // nil) concurrently, one clone per model, and returns the same ranking the
 // serial framework.Explore produces.
 func (e *Engine) Explore(ctx context.Context, cfg soc.Config, w comm.Workload, models []comm.Model) (framework.Exploration, error) {
-	if models == nil {
-		models = comm.Models()
-	}
-	if len(models) == 0 {
-		return framework.Exploration{}, fmt.Errorf("engine: no models to explore")
-	}
-	ctx, span := telemetry.Start(ctx, "engine.explore",
-		telemetry.String("device", cfg.Name), telemetry.String("workload", w.Name))
-	defer span.End()
-	if err := faults.Fire(faultExplore); err != nil {
-		return framework.Exploration{}, fmt.Errorf("engine: %w", err)
-	}
-	cands := make([]framework.Candidate, len(models))
-	err := fanOut(ctx, e.sem, len(models), func(i int) error {
-		_, mspan := telemetry.Start(ctx, "engine.explore.model",
-			telemetry.String("model", models[i].Name()))
-		defer mspan.End()
-		s, pk := e.pool.get(cfg)
-		rep, err := models[i].Run(s, w)
-		e.pool.put(pk, s, err)
-		if err != nil {
-			return fmt.Errorf("engine: explore %s: %w", models[i].Name(), err)
-		}
-		cands[i] = framework.Candidate{Model: models[i].Name(), Total: rep.Total, Report: rep}
-		return nil
-	})
-	if err != nil {
-		return framework.Exploration{}, err
-	}
-	return framework.NewExploration(cfg.Name, w.Name, cands), nil
+	return e.explore(ctx, cfg, w, models, false)
 }
 
 // ExploreHeat is Explore with per-buffer heat profiling enabled for the
@@ -303,13 +273,22 @@ func (e *Engine) Explore(ctx context.Context, cfg soc.Config, w comm.Workload, m
 // heat sweeps do not reallocate). Timings are byte-identical to Explore's —
 // heat recording never perturbs the simulation.
 func (e *Engine) ExploreHeat(ctx context.Context, cfg soc.Config, w comm.Workload, models []comm.Model) (framework.Exploration, error) {
+	return e.explore(ctx, cfg, w, models, true)
+}
+
+// explore is the fan-out behind Explore and ExploreHeat.
+func (e *Engine) explore(ctx context.Context, cfg soc.Config, w comm.Workload, models []comm.Model, heat bool) (framework.Exploration, error) {
 	if models == nil {
 		models = comm.Models()
 	}
 	if len(models) == 0 {
 		return framework.Exploration{}, fmt.Errorf("engine: no models to explore")
 	}
-	ctx, span := telemetry.Start(ctx, "engine.explore-heat",
+	spanName := "engine.explore"
+	if heat {
+		spanName = "engine.explore-heat"
+	}
+	ctx, span := telemetry.Start(ctx, spanName,
 		telemetry.String("device", cfg.Name), telemetry.String("workload", w.Name))
 	defer span.End()
 	if err := faults.Fire(faultExplore); err != nil {
@@ -317,14 +296,20 @@ func (e *Engine) ExploreHeat(ctx context.Context, cfg soc.Config, w comm.Workloa
 	}
 	cands := make([]framework.Candidate, len(models))
 	err := fanOut(ctx, e.sem, len(models), func(i int) error {
-		_, mspan := telemetry.Start(ctx, "engine.explore.model",
-			telemetry.String("model", models[i].Name()),
-			telemetry.String("heat", "on"))
+		attrs := []telemetry.Attr{telemetry.String("model", models[i].Name())}
+		if heat {
+			attrs = append(attrs, telemetry.String("heat", "on"))
+		}
+		_, mspan := telemetry.Start(ctx, "engine.explore.model", attrs...)
 		defer mspan.End()
 		s, pk := e.pool.get(cfg)
-		s.EnableHeat()
+		if heat {
+			s.EnableHeat()
+		}
 		rep, err := models[i].Run(s, w)
-		s.DisableHeat()
+		if heat {
+			s.DisableHeat()
+		}
 		e.pool.put(pk, s, err)
 		if err != nil {
 			return fmt.Errorf("engine: explore %s: %w", models[i].Name(), err)
@@ -347,34 +332,12 @@ type Request struct {
 	Current  string
 }
 
-// Result pairs a request's recommendation with its error; a batch reports
-// per-request failures instead of aborting the requests that can succeed.
-type Result struct {
-	Rec framework.Recommendation
-	Err error
-}
-
-// Advise answers one request: characterization from the cache (or one shared
-// cold run), profiling and the Fig-2 decision flow on a private clone.
-func (e *Engine) Advise(ctx context.Context, req Request) (framework.Recommendation, error) {
-	e.requests.Add(1)
-	ctx, span := telemetry.Start(ctx, "engine.advise",
-		telemetry.String("device", req.Config.Name),
-		telemetry.String("workload", req.Workload.Name),
-		telemetry.String("current", req.Current))
-	defer span.End()
-	char, err := e.Characterize(ctx, req.Config, req.Params)
-	if err != nil {
-		return framework.Recommendation{}, err
-	}
-	return e.adviseWith(ctx, char, req)
-}
-
 // AdviseWith answers a request against a characterization the caller already
-// holds: profiling and the Fig-2 decision flow on a private clone, under the
-// engine's worker bound. advisord's resilience layer uses it to separate
-// characterization failures (which feed the circuit breaker) from profiling
-// failures (which fall back to degraded-mode advice).
+// holds (from Characterize): profiling and the Fig-2 decision flow on a
+// private clone, under the engine's worker bound. advisord's resilience
+// layer calls the two separately so characterization failures (which feed
+// the circuit breaker) stay apart from profiling failures (which fall back
+// to degraded-mode advice).
 func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization, req Request) (framework.Recommendation, error) {
 	e.requests.Add(1)
 	ctx, span := telemetry.Start(ctx, "engine.advise",
@@ -382,11 +345,6 @@ func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization
 		telemetry.String("workload", req.Workload.Name),
 		telemetry.String("current", req.Current))
 	defer span.End()
-	return e.adviseWith(ctx, char, req)
-}
-
-// adviseWith is the shared profile-and-decide tail of Advise/AdviseWith.
-func (e *Engine) adviseWith(ctx context.Context, char framework.Characterization, req Request) (framework.Recommendation, error) {
 	var rec framework.Recommendation
 	err := fanOut(ctx, e.sem, 1, func(int) error {
 		s, pk := e.pool.get(req.Config)
@@ -398,34 +356,7 @@ func (e *Engine) adviseWith(ctx context.Context, char framework.Characterization
 	return rec, err
 }
 
-// NoteBatch counts one advisory batch answered outside AdviseBatch —
-// advisord's resilience layer drives requests individually through
-// Characterize/AdviseWith but each /v1/advise body is still one batch.
+// NoteBatch counts one advisory batch: advisord calls it once per
+// /v1/advise body, whose requests it answers individually through
+// Characterize and AdviseWith.
 func (e *Engine) NoteBatch() { e.batches.Add(1) }
-
-// AdviseBatch answers a batch of requests concurrently. Requests sharing a
-// (config, params) key share one characterization — under a cold cache a
-// 3-device batch of any size simulates exactly three characterizations —
-// and results come back in request order.
-func (e *Engine) AdviseBatch(ctx context.Context, reqs []Request) []Result {
-	e.batches.Add(1)
-	ctx, span := telemetry.Start(ctx, "engine.advise_batch",
-		telemetry.String("requests", fmt.Sprintf("%d", len(reqs))))
-	defer span.End()
-	out := make([]Result, len(reqs))
-	var wg sync.WaitGroup
-	wg.Add(len(reqs))
-	for i := range reqs {
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if err := recovered(recover()); err != nil {
-					out[i].Err = err
-				}
-			}()
-			out[i].Rec, out[i].Err = e.Advise(ctx, reqs[i])
-		}(i)
-	}
-	wg.Wait()
-	return out
-}

@@ -82,8 +82,8 @@ func TestGoldenExploreMatchesSerial(t *testing.T) {
 }
 
 // TestGoldenAdviseMatchesSerial checks the full advisory path end to end: the
-// engine's Advise must agree with the serial Characterize+AdviseWorkload
-// composition for every device x app pair.
+// engine's Characterize+AdviseWith must agree with the serial
+// Characterize+AdviseWorkload composition for every device x app pair.
 func TestGoldenAdviseMatchesSerial(t *testing.T) {
 	p := microbench.TestParams()
 	e := New(Options{Workers: 4})
@@ -103,7 +103,7 @@ func TestGoldenAdviseMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := e.Advise(context.Background(), Request{Config: cfg, Params: p, Workload: w, Current: "sc"})
+				par, err := advise(context.Background(), e, Request{Config: cfg, Params: p, Workload: w, Current: "sc"})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,13 +2,44 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
 	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/devices"
+	"igpucomm/internal/framework"
 	"igpucomm/internal/microbench"
 )
+
+// advise answers one request the way advisord and the DST harness do: the
+// memoized characterization, then profile-and-decide against it.
+func advise(ctx context.Context, e *Engine, req Request) (framework.Recommendation, error) {
+	char, err := e.Characterize(ctx, req.Config, req.Params)
+	if err != nil {
+		return framework.Recommendation{}, err
+	}
+	return e.AdviseWith(ctx, char, req)
+}
+
+// adviseBatch answers reqs concurrently as one batch, the way advisord
+// answers a /v1/advise body. Recommendations come back in request order;
+// the error joins every request's failure.
+func adviseBatch(ctx context.Context, e *Engine, reqs []Request) ([]framework.Recommendation, error) {
+	e.NoteBatch()
+	recs := make([]framework.Recommendation, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	wg.Add(len(reqs))
+	for i := range reqs {
+		go func(i int) {
+			defer wg.Done()
+			recs[i], errs[i] = advise(ctx, e, reqs[i])
+		}(i)
+	}
+	wg.Wait()
+	return recs, errors.Join(errs...)
+}
 
 // TestAdviseBatchStress hammers one engine from many goroutines with
 // overlapping (device, params) keys and checks the singleflight contract:
@@ -49,13 +80,14 @@ func TestAdviseBatchStress(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			defer wg.Done()
-			for i, res := range e.AdviseBatch(context.Background(), reqs) {
-				if res.Err != nil {
-					errs <- res.Err
-					continue
-				}
-				if res.Rec.Suggested == "" || res.Rec.Platform != reqs[i].Config.Name {
-					errs <- errMismatch(res.Rec.Platform, reqs[i].Config.Name)
+			recs, err := adviseBatch(context.Background(), e, reqs)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i, rec := range recs {
+				if rec.Suggested == "" || rec.Platform != reqs[i].Config.Name {
+					errs <- errMismatch(rec.Platform, reqs[i].Config.Name)
 				}
 			}
 		}()

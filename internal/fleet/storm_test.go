@@ -17,7 +17,6 @@ import (
 	"igpucomm/internal/advisord"
 	"igpucomm/internal/advisord/client"
 	"igpucomm/internal/apps/catalog"
-	"igpucomm/internal/chaos"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/engine"
 	"igpucomm/internal/faults"
@@ -428,9 +427,10 @@ func clientRouteKey(t *testing.T, ar advisord.AdviseRequest) string {
 }
 
 // TestFleetStormUnderChaosSchedule replays the storm's load shape with the
-// chaos suite's flaky-engine schedule active: injected engine errors must
-// surface as degraded advice or typed errors — the fleet layer must not
-// amplify them into invariant violations or corrupt cache entries.
+// chaos suite's flaky-engine schedule (seed 101, as in internal/advisord's
+// chaos_test.go) active: injected engine errors must surface as degraded
+// advice or typed errors — the fleet layer must not amplify them into
+// invariant violations or corrupt cache entries.
 func TestFleetStormUnderChaosSchedule(t *testing.T) {
 	a := startStormShard(t, "shard-a")
 	b := startStormShard(t, "shard-b")
@@ -449,8 +449,12 @@ func TestFleetStormUnderChaosSchedule(t *testing.T) {
 	// question is about the steady state anyway.
 	warmFleet(t, cl, reqs)
 
-	sched := chaos.Schedules()[0] // flaky-engine, seed 101
-	if err := faults.Activate(faults.NewPlan(sched.Seed, sched.Rules...)); err != nil {
+	flakyEngine := faults.NewPlan(101,
+		faults.Rule{Point: "engine.characterize", Mode: faults.ModeError, Prob: 0.3},
+		faults.Rule{Point: "engine.explore", Mode: faults.ModeError, Prob: 0.2},
+		faults.Rule{Point: "profile.collect", Mode: faults.ModeError, Prob: 0.2},
+	)
+	if err := faults.Activate(flakyEngine); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

@@ -42,6 +42,32 @@ func testWorkload() comm.Workload {
 	}
 }
 
+// TestStridedScanShowsCPUCacheUsage: a CPU routine that scans a 256 KiB
+// buffer one line at a time, three times over, misses L1 but is served by
+// the LLC, so its profile must show clearly positive CPU cache usage.
+func TestStridedScanShowsCPUCacheUsage(t *testing.T) {
+	const n = 1 << 16
+	w := testWorkload()
+	w.In = []comm.BufferSpec{{Name: "in", Size: n * 4}}
+	w.Out = []comm.BufferSpec{{Name: "out", Size: n * 4}}
+	w.CPUTask = func(c *cpu.CPU, lay comm.Layout) {
+		base := lay.Addr("in")
+		for pass := 0; pass < 3; pass++ {
+			for line := int64(0); line < n*4/64; line++ {
+				c.Load(base+line*64, 4)
+				c.Work(isa.FMA, 1)
+			}
+		}
+	}
+	p, err := Collect(context.Background(), soc.New(devices.TX2()), w, comm.SC{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.CPUCacheUsagePerInstr <= 0.02 {
+		t.Errorf("strided scan CPU cache usage = %v, want clearly positive", p.CPUCacheUsagePerInstr)
+	}
+}
+
 func TestCollectFillsEverything(t *testing.T) {
 	s := soc.New(devices.TX2())
 	p, err := Collect(context.Background(), s, testWorkload(), comm.SC{})
