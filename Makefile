@@ -55,9 +55,11 @@ lint-docs:
 docs-links:
 	$(GO) run ./cmd/hazardcheck -links
 
-# Verify every device × app × model schedule, placement and trace.
+# Verify every device × app × model schedule, placement and trace, then
+# smoke the transaction-trace export.
 hazardcheck:
 	$(GO) run ./cmd/hazardcheck
+	$(GO) run ./cmd/trace -device jetson-tx2 -app shwfs -model zc > /dev/null
 
 # Combined statement coverage of the execution engine and the framework it
 # must stay byte-equivalent to; fails under 80%.
@@ -69,8 +71,8 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
 		{ echo "coverage below $(COVER_MIN)%"; exit 1; }
 
-# Short fuzz pass over the externally-facing parsers — the hazard-trace CSV
-# reader and the NDJSON warm-handoff export reader (a malicious or buggy
+# Short fuzz pass over the externally-facing parsers — the hazard event-trace
+# parser (ParseEvents) and the NDJSON warm-handoff export reader (a malicious or buggy
 # peer must quarantine, never panic its puller) — and over the batch
 # simulator core against the per-access reference executor.
 FUZZTIME ?= 30s

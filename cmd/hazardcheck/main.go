@@ -33,26 +33,15 @@ import (
 	"strings"
 
 	"igpucomm/internal/analysis"
-	"igpucomm/internal/apps/lanedet"
-	"igpucomm/internal/apps/orbslam"
-	"igpucomm/internal/apps/shwfs"
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 )
 
-var appNames = []string{"shwfs", "orbslam", "lanedet"}
-
-func buildWorkload(app string) (comm.Workload, error) {
-	switch app {
-	case "shwfs":
-		return shwfs.Workload(shwfs.DefaultWorkloadParams())
-	case "orbslam":
-		return orbslam.Workload(orbslam.DefaultWorkloadParams())
-	case "lanedet":
-		return lanedet.Workload(lanedet.DefaultWorkloadParams())
-	}
-	return comm.Workload{}, fmt.Errorf("unknown app %q (have %s)", app, strings.Join(appNames, ", "))
-}
+// reportOrder is the order the report lists the catalog's applications in:
+// the paper's case studies, then the ADAS extension. main_test.go holds it
+// to catalog.Names().
+var reportOrder = []string{"shwfs", "orbslam", "lanedet"}
 
 func main() {
 	lintDocs := flag.Bool("lint-docs", false, "check exported identifiers in the contract packages for doc comments")
@@ -117,7 +106,7 @@ func runVerify(device, app, model string, trace, verbose bool) int {
 	if len(devs) == 0 {
 		fatalIf(fmt.Errorf("unknown device %q (have %s)", device, strings.Join(all, ", ")))
 	}
-	apps := appNames
+	apps := reportOrder
 	if app != "" {
 		apps = []string{app}
 	}
@@ -131,7 +120,7 @@ func runVerify(device, app, model string, trace, verbose bool) int {
 	combos, bad := 0, 0
 	for _, devName := range devs {
 		for _, appName := range apps {
-			w, err := buildWorkload(appName)
+			w, err := catalog.ByName(appName, catalog.Full)
 			fatalIf(err)
 			for _, m := range models {
 				s, err := devices.NewSoC(devName)

@@ -1,8 +1,8 @@
 // Command trace exports a kernel's coalesced memory-transaction trace as CSV
-// — one row per transaction with its path (cached / pinned / pinned-wc) —
-// for external analysis or plotting. The kernels come from the case-study
-// workloads; the communication model decides which path the transactions
-// take.
+// — one row per transaction, in the order a launch issues them, with its
+// path (cached / pinned / pinned-wc) — for external analysis or plotting.
+// The kernels come from the case-study workloads; the communication model
+// decides which path the transactions take.
 //
 // Usage:
 //
@@ -15,10 +15,9 @@ import (
 	"fmt"
 	"igpucomm/internal/buildinfo"
 	"os"
+	"strings"
 
-	"igpucomm/internal/apps/lanedet"
-	"igpucomm/internal/apps/orbslam"
-	"igpucomm/internal/apps/shwfs"
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/mmu"
@@ -26,7 +25,7 @@ import (
 
 func main() {
 	device := flag.String("device", devices.TX2Name, "platform name")
-	app := flag.String("app", "shwfs", "application: shwfs, orbslam, lanedet")
+	app := flag.String("app", "shwfs", "application: "+strings.Join(catalog.Names(), ", "))
 	model := flag.String("model", "sc", "buffer placement to trace under: sc or zc")
 	launch := flag.Int("launch", 0, "which kernel launch to trace")
 	out := flag.String("o", "", "output file (default stdout)")
@@ -38,20 +37,7 @@ func main() {
 		return
 	}
 
-	var (
-		w   comm.Workload
-		err error
-	)
-	switch *app {
-	case "shwfs":
-		w, err = shwfs.Workload(shwfs.DefaultWorkloadParams())
-	case "orbslam":
-		w, err = orbslam.Workload(orbslam.DefaultWorkloadParams())
-	case "lanedet":
-		w, err = lanedet.Workload(lanedet.DefaultWorkloadParams())
-	default:
-		err = fmt.Errorf("unknown app %q", *app)
-	}
+	w, err := catalog.ByName(*app, catalog.Full)
 	fatalIf(err)
 	if *launch < 0 || *launch >= w.LaunchCount() {
 		fatalIf(fmt.Errorf("launch %d out of range [0, %d)", *launch, w.LaunchCount()))

@@ -14,11 +14,9 @@ import (
 	"fmt"
 	"igpucomm/internal/buildinfo"
 	"os"
+	"strings"
 
-	"igpucomm/internal/apps/lanedet"
-	"igpucomm/internal/apps/orbslam"
-	"igpucomm/internal/apps/shwfs"
-	"igpucomm/internal/comm"
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/dse"
 )
@@ -29,7 +27,7 @@ func main() {
 	min := flag.Float64("min", 1, "axis minimum (GB/s)")
 	max := flag.Float64("max", 64, "axis maximum (GB/s)")
 	steps := flag.Int("steps", 7, "sweep points (geometric)")
-	app := flag.String("app", "shwfs", "application: shwfs, orbslam, lanedet")
+	app := flag.String("app", "shwfs", "application: "+strings.Join(catalog.Names(), ", "))
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
@@ -38,20 +36,7 @@ func main() {
 		return
 	}
 
-	var (
-		w   comm.Workload
-		err error
-	)
-	switch *app {
-	case "shwfs":
-		w, err = shwfs.Workload(shwfs.DefaultWorkloadParams())
-	case "orbslam":
-		w, err = orbslam.Workload(orbslam.DefaultWorkloadParams())
-	case "lanedet":
-		w, err = lanedet.Workload(lanedet.DefaultWorkloadParams())
-	default:
-		err = fmt.Errorf("unknown app %q", *app)
-	}
+	w, err := catalog.ByName(*app, catalog.Full)
 	fatalIf(err)
 
 	cfg, err := devices.ByName(*base)

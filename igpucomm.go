@@ -28,11 +28,8 @@ package igpucomm
 
 import (
 	"context"
-	"fmt"
 
-	"igpucomm/internal/apps/lanedet"
-	"igpucomm/internal/apps/orbslam"
-	"igpucomm/internal/apps/shwfs"
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/framework"
@@ -143,23 +140,9 @@ func CollectProfile(s *SoC, w Workload, m Model) (Profile, error) {
 // ModelByName resolves "sc", "um" or "zc".
 func ModelByName(name string) (Model, error) { return comm.ByName(name) }
 
-// caseStudy builds one of the case-study applications by name ("shwfs",
-// "orbslam", or the ADAS extension "lanedet") at evaluation scale.
-func caseStudy(name string) (Workload, error) {
-	switch name {
-	case "shwfs":
-		return shwfs.Workload(shwfs.DefaultWorkloadParams())
-	case "orbslam":
-		return orbslam.Workload(orbslam.DefaultWorkloadParams())
-	case "lanedet":
-		return lanedet.Workload(lanedet.DefaultWorkloadParams())
-	default:
-		return Workload{}, fmt.Errorf("igpucomm: unknown case study %q", name)
-	}
-}
-
-// CaseStudy builds one of the paper's evaluation applications by name.
-func CaseStudy(name string) (Workload, error) { return caseStudy(name) }
+// CaseStudy builds one of the paper's evaluation applications by name
+// ("shwfs", "orbslam", or the ADAS extension "lanedet") at evaluation scale.
+func CaseStudy(name string) (Workload, error) { return catalog.ByName(name, catalog.Full) }
 
 // Exploration is a measured ranking of models (see Explore).
 type Exploration = framework.Exploration

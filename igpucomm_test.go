@@ -139,7 +139,7 @@ func TestGoldenDecisions(t *testing.T) {
 			}
 			chars[tc.board] = char
 		}
-		w, err := caseStudy(tc.app)
+		w, err := CaseStudy(tc.app)
 		if err != nil {
 			t.Fatal(err)
 		}

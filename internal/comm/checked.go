@@ -1,10 +1,11 @@
 package comm
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
+	"igpucomm/internal/cache"
+	"igpucomm/internal/gpu"
 	"igpucomm/internal/hazard"
 	"igpucomm/internal/mmu"
 	"igpucomm/internal/soc"
@@ -121,8 +122,9 @@ func verifyGeometry(s *soc.SoC, w Workload) (tiling.Geometry, error) {
 }
 
 // TraceCheck replays one launch of the workload at transaction granularity:
-// it generates the kernel's coalesced trace under the model's placement
-// (the same dry run cmd/trace exports), wraps it with the CPU-side accesses
+// it takes the kernel's coalesced transactions under the model's placement
+// straight from the GPU compile pass (the stream Launch issues and cmd/trace
+// exports), wraps them with the CPU-side accesses
 // and the model's synchronization protocol — flushes for the software-
 // coherence models, migration writebacks for UM, barriers for all — and
 // runs the whole interleaving through the hazard trace checker.
@@ -148,16 +150,6 @@ func TraceCheck(s *soc.SoC, w Workload, m Model, launch int) (hazard.Report, err
 	defer freeAll(s, names)
 	cpuLay, gpuLay := planViews(plan, lays)
 
-	// The kernel's coalesced transactions, exactly as cmd/trace exports.
-	var csv bytes.Buffer
-	if err := s.GPU.TraceTransactions(w.MakeKernel(gpuLay, launch), &csv); err != nil {
-		return rep, fmt.Errorf("comm: trace check %s: %w", w.Name, err)
-	}
-	gpuEvents, err := hazard.ParseGPUTrace(&csv)
-	if err != nil {
-		return rep, err
-	}
-
 	flushes := modelFlushes(m)
 	var events []hazard.Event
 	seq := 0
@@ -179,11 +171,16 @@ func TraceCheck(s *soc.SoC, w Workload, m Model, launch int) (hazard.Report, err
 	}
 	emit(hazard.TraceCPU, hazard.OpBarrier, "", 0, 0) // the launch boundary
 
-	// Epoch 1: the kernel.
-	for _, e := range gpuEvents {
-		e.Seq = seq
-		seq++
-		events = append(events, e)
+	// Epoch 1: the kernel's coalesced transactions, in issue order.
+	err = s.GPU.VisitTransactions(w.MakeKernel(gpuLay, launch), func(t gpu.Txn) {
+		op := hazard.OpRead
+		if t.Kind == cache.Write {
+			op = hazard.OpWrite
+		}
+		emit(hazard.TraceGPU, op, t.Path(), t.Addr, t.Size)
+	})
+	if err != nil {
+		return rep, fmt.Errorf("comm: trace check %s: %w", w.Name, err)
 	}
 	if flushes {
 		for _, spec := range transferSpecs(w) {

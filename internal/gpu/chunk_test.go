@@ -199,6 +199,18 @@ func TestLaneCheckMatchesReference(t *testing.T) {
 				p.St(pinnedBase+int64(tid)*4, 4)
 			}
 		}, ""},
+		{"masked-lane0-div", func(tid int, p *isa.Program) {
+			// Lane 0 is masked, so the slot's opcode is lane 1's load; the
+			// even lanes' stores diverge from it.
+			switch {
+			case tid%32 == 0:
+				p.Compute(isa.Nop, 1)
+			case tid%2 == 1:
+				p.Ld(int64(tid)*4, 4)
+			default:
+				p.St(int64(tid)*4, 4)
+			}
+		}, "kernel masked-lane0-div: warp 0 instr 0 diverges: lane 1 ld.global vs lane 2 st.global"},
 	}
 	for _, tc := range cases {
 		ref, batch := twinGPUs()

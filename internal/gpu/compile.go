@@ -38,11 +38,12 @@ import (
 //     pinned ranges, never on cache contents, so recording it once and
 //     replaying is exact. Pinned routing is guarded by a generation counter
 //     (GPU.PinnedEpoch); a stale CompiledKernel refuses to replay.
-//   - Issue-cycle totals are float sums, but every in-tree cost model is
-//     integral (whole cycles), so bulk-charging a run of n identical ops as
-//     cost*n equals the reference's n sequential additions bit-for-bit
-//     (integer-valued partial sums are exact). Non-integral models make
-//     Launch fall back to the reference executor instead.
+//   - Issue-cycle totals are float sums, but Config.Validate rejects any
+//     cost model that is not integral (whole cycles), so bulk-charging a
+//     run of n identical ops as cost*n equals the reference's n sequential
+//     additions bit-for-bit (integer-valued partial sums are exact). The
+//     reference executor is reached only through SetReferenceMode, the
+//     differential tests' oracle switch.
 //   - Per-SM memory latency is summed per transaction in the original
 //     global order, reading the batch kernels' per-access results, so the
 //     float addition sequence matches the reference exactly — including the
@@ -162,16 +163,22 @@ func (ck *CompiledKernel) reset(k Kernel, warpCount, sms int, epoch uint64) {
 		ck.smWarps[i] = 0
 		ck.smTxnEnd[i] = 0
 	}
+	ck.clearStream()
+	ck.progH1 = 0
+	ck.progH2 = 0
+	ck.epoch = epoch
+	ck.valid = false
+}
+
+// clearStream empties the transaction stream, keeping every chunk as an
+// owned spare.
+func (ck *CompiledKernel) clearStream() {
 	for _, c := range ck.chunks[:ck.used] {
 		c.accs = c.accs[:0]
 		c.paths = c.paths[:0]
 	}
 	ck.used = 0
 	ck.tail = nil
-	ck.progH1 = 0
-	ck.progH2 = 0
-	ck.epoch = epoch
-	ck.valid = false
 }
 
 func (ck *CompiledKernel) appendTxn(path uint8, kind cache.Kind, addr, size int64) {
@@ -242,6 +249,11 @@ type compiler struct {
 	evCur    []int32
 	lineBuf  []int64
 	wcBuf    []int64
+
+	// onMem, when set, is called right after each memory warp-instruction's
+	// transactions are appended to the stream, with the issuing warp and
+	// its instruction slot. VisitTransactions sets it; Launch leaves it nil.
+	onMem func(warp, slot int)
 }
 
 func (c *compiler) ensure(ws, resident int) {
@@ -279,9 +291,6 @@ func (g *GPU) Compile(k Kernel) (*CompiledKernel, error) {
 // convergence) and reports the same errors; unlike the reference executor it
 // does so before any cache state is touched.
 func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
-	if !g.intCosts {
-		return fmt.Errorf("gpu %s: kernel %s: cost model has non-integral cycles; compiled replay unavailable", g.cfg.Name, k.Name)
-	}
 	if k.Threads <= 0 {
 		return fmt.Errorf("kernel %s: thread count %d must be positive", k.Name, k.Threads)
 	}
@@ -348,11 +357,12 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 		}
 		// Convergence and lockstep in one pass: a lane whose runs equal lane
 		// 0's in (Op, Count) is both convergent and run-aligned with it.
-		// Only lanes that differ — masked lanes, divergent ones — take the
-		// slot-exact checks, in the reference's lane order and with its
-		// error text.
+		// Only lanes that differ — masked lanes, divergent ones, which no
+		// catalog kernel has — are materialized and take the reference
+		// executor's own slot-exact check, in its lane order.
 		ref := &g.laneProgs[bi*ws]
 		runs0 := ref.Runs()
+		flat := 0 // lanes of this warp materialized into g.laneIn
 		lockstep := true
 		for l := 1; l < lanes; l++ {
 			other := &g.laneProgs[bi*ws+l]
@@ -364,9 +374,11 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 				return fmt.Errorf("kernel %s: warp %d diverges: lane 0 has %d instrs, lane %d has %d",
 					k.Name, w, ref.Len(), l, other.Len())
 			}
-			if slot, opA, opB, ok := firstOpMismatch(runs0, rl); !ok {
-				return fmt.Errorf("kernel %s: warp %d instr %d diverges: lane 0 %s vs lane %d %s",
-					k.Name, w, slot, opA, l, opB)
+			for ; flat <= l; flat++ {
+				g.laneIn[bi*ws+flat] = g.laneProgs[bi*ws+flat].Instrs()
+			}
+			if err := checkLane(k.Name, w, g.laneIn[bi*ws:bi*ws+l+1]); err != nil {
+				return err
 			}
 			if lockstep && !sameCounts(runs0, rl) {
 				lockstep = false
@@ -478,6 +490,9 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 			if c.evCur[bi] < c.evEnd[bi] && c.events[c.evCur[bi]].slot == int32(i) {
 				g.emitTxns(ck, &c.events[c.evCur[bi]])
 				c.evCur[bi]++
+				if c.onMem != nil {
+					c.onMem(c.warps[bi], i)
+				}
 			}
 		}
 	}
@@ -562,37 +577,6 @@ func sameCounts(a, b []isa.Run) bool {
 		}
 	}
 	return true
-}
-
-// firstOpMismatch scans two run-length-encoded lanes for the first slot
-// whose opcodes differ with neither masked off by a Nop. ok is true when the
-// lanes converge. Lengths must already be equal.
-func firstOpMismatch(a, b []isa.Run) (slot int, opA, opB isa.Op, ok bool) {
-	ai, bi := 0, 0
-	var ao, bo int32
-	at := 0
-	for ai < len(a) && bi < len(b) {
-		ra, rb := a[ai], b[bi]
-		if ra.In.Op != rb.In.Op && ra.In.Op != isa.Nop && rb.In.Op != isa.Nop {
-			return at, ra.In.Op, rb.In.Op, false
-		}
-		step := ra.Count - ao
-		if s := rb.Count - bo; s < step {
-			step = s
-		}
-		ao += step
-		bo += step
-		at += int(step)
-		if ao == ra.Count {
-			ai++
-			ao = 0
-		}
-		if bo == rb.Count {
-			bi++
-			bo = 0
-		}
-	}
-	return 0, 0, 0, true
 }
 
 // replayScratch holds the replay executor's reusable buffers.

@@ -34,11 +34,14 @@ func twinGPUs() (ref, batch *GPU) {
 	return ref, build()
 }
 
-// fuzzKernel decodes the fuzz payload into a convergent kernel: each 4-byte
-// group is one slot shared by every thread (SIMT), with per-thread addresses.
-// Byte 0 picks the slot kind (compute run, load, store, masked load), byte 1
-// the base region (cacheable or pinned), byte 2 the per-thread stride, byte 3
-// the access size. Returns at most 48 slots so fuzzing stays fast.
+// fuzzKernel decodes the fuzz payload into a kernel: each 4-byte group is
+// one slot shared by every thread (SIMT), with per-thread addresses. Byte 0
+// picks the slot kind (compute run, load, store, masked load, lane-0-masked
+// access), byte 1 the base region (cacheable or pinned), byte 2 the
+// per-thread stride, byte 3 the access size — and, for a lane-0-masked
+// slot, whether even lanes store while odd lanes load, a divergence both
+// executors must reject with the same error. Returns at most 48 slots so
+// fuzzing stays fast.
 func fuzzKernel(data []byte, threads int) Kernel {
 	slots := len(data) / 4
 	if slots > 48 {
@@ -57,7 +60,7 @@ func fuzzKernel(data []byte, threads int) Kernel {
 				stride := int64(b2 % 9 * 8)
 				size := int64(b3%32) + 1
 				addr := base + int64(tid)*stride
-				switch b0 % 4 {
+				switch b0 % 5 {
 				case 0:
 					p.Compute(isa.FMA, int(b2%5)+1)
 				case 1:
@@ -71,6 +74,17 @@ func fuzzKernel(data []byte, threads int) Kernel {
 					} else {
 						p.Ld(addr, size)
 					}
+				case 4:
+					// Lane 0 sits this one out; the slot's opcode comes
+					// from the first active lane.
+					switch {
+					case tid%32 == 0:
+						p.PadTo(p.Len() + 1)
+					case b3 >= 128 && tid%2 == 0:
+						p.St(addr, size)
+					default:
+						p.Ld(addr, size)
+					}
 				}
 			}
 		},
@@ -80,13 +94,14 @@ func fuzzKernel(data []byte, threads int) Kernel {
 // FuzzBatchVsReference is the batch-vs-reference differential fuzzer: any
 // decodable kernel must produce an identical Result — times, hit/miss
 // deltas, transaction (coalescing) counts, bytes — from the compiled batch
-// path and the per-access reference path, and identical errors when it is
-// invalid.
+// path and the per-access reference path, and the identical error when it
+// is invalid.
 func FuzzBatchVsReference(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 3, 0, 0, 0, 0, 2, 10, 2, 7}, uint8(64))
 	f.Add([]byte{1, 200, 0, 3, 2, 220, 1, 7}, uint8(33))  // pinned read + WC write
 	f.Add([]byte{3, 8, 4, 15, 1, 8, 4, 15}, uint8(90))    // masked + partial warp
 	f.Add([]byte{2, 63, 8, 31, 1, 63, 8, 31}, uint8(255)) // wide strides, many warps
+	f.Add([]byte{4, 0, 1, 131}, uint8(31))                // 32 threads: lane 0 masked, odd lanes load, even lanes store
 	f.Fuzz(func(t *testing.T, data []byte, nthreads uint8) {
 		threads := int(nthreads)%128 + 1
 		ref, batch := twinGPUs()
@@ -98,6 +113,9 @@ func FuzzBatchVsReference(f *testing.F) {
 			t.Fatalf("error divergence: reference %v, batch %v", errRef, errBatch)
 		}
 		if errRef != nil {
+			if errRef.Error() != errBatch.Error() {
+				t.Fatalf("error text divergence:\nreference: %v\nbatch:     %v", errRef, errBatch)
+			}
 			return
 		}
 		if got != want {
@@ -127,52 +145,19 @@ func TestBatchVsReferenceSeeds(t *testing.T) {
 		{[]byte{3, 8, 4, 15, 1, 8, 4, 15}, 90},
 		{[]byte{2, 63, 8, 31, 1, 63, 8, 31}, 255},
 		{[]byte{1, 5, 0, 0}, 1},
+		{[]byte{4, 0, 1, 131}, 32},
 	}
 	for i, s := range seeds {
 		ref, batch := twinGPUs()
 		k := fuzzKernel(s.data, s.threads)
 		want, errRef := ref.Launch(k)
 		got, errBatch := batch.Launch(k)
-		if (errRef == nil) != (errBatch == nil) {
+		if (errRef == nil) != (errBatch == nil) || (errRef != nil && errRef.Error() != errBatch.Error()) {
 			t.Fatalf("seed %d: error divergence: %v vs %v", i, errRef, errBatch)
 		}
 		if got != want {
 			t.Fatalf("seed %d: result divergence:\nreference: %+v\nbatch:     %+v", i, want, got)
 		}
-	}
-}
-
-// TestNonIntegralCostsFallBackIdentically pins the escape hatch: a cost
-// model with fractional cycles disables compiled replay (bulk-charging would
-// reorder float additions), and Launch must transparently produce the
-// reference executor's exact result.
-func TestNonIntegralCostsFallBackIdentically(t *testing.T) {
-	cfg := testConfig()
-	cfg.Costs.Issue[isa.FMA] = 1.5
-	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
-	g := New(cfg, d.NewPort("gpu-dram", -1))
-	if g.intCosts {
-		t.Fatal("fractional cost model classified integral")
-	}
-	k := Kernel{Name: "frac", Threads: 64, Program: func(tid int, p *isa.Program) {
-		p.Compute(isa.FMA, 3)
-		p.Ld(int64(tid)*64, 8)
-	}}
-	got, err := g.Launch(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
-	g2 := New(cfg, d2.NewPort("gpu-dram", -1))
-	want, err := g2.LaunchReference(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("fallback divergence:\nreference: %+v\nlaunch:    %+v", want, got)
-	}
-	if _, err := g.Compile(k); err == nil {
-		t.Fatal("Compile accepted a non-integral cost model")
 	}
 }
 

@@ -97,7 +97,16 @@ func (c Config) Validate() error {
 	if err := c.LLC.Validate(); err != nil {
 		return fmt.Errorf("gpu %s: %w", c.Name, err)
 	}
-	return c.Costs.Validate()
+	if err := c.Costs.Validate(); err != nil {
+		return err
+	}
+	// The compiled executor bulk-charges run-length-encoded compute
+	// stretches as cost*n, which equals n sequential additions only for
+	// whole-cycle costs (see isa.CostTable.Integral).
+	if t := c.Costs.Table(); !t.Integral() {
+		return fmt.Errorf("gpu %s: cost model has non-integral cycles", c.Name)
+	}
+	return nil
 }
 
 type addrRange struct{ lo, hi int64 }
@@ -120,13 +129,9 @@ type GPU struct {
 	pinnedBW   units.BytesPerSecond
 	ranges     []addrRange
 
-	// costs is cfg.Costs densified; intCosts says every cost is a whole
-	// number of cycles, which is what lets the compiled path bulk-charge
-	// run-length-encoded compute stretches bit-identically (see
-	// isa.CostTable.Integral). Non-integral models fall back to the
-	// reference executor.
-	costs    isa.CostTable
-	intCosts bool
+	// costs is cfg.Costs densified; Validate guarantees every cost is a
+	// whole number of cycles.
+	costs isa.CostTable
 
 	// lineShift is log2(cfg.L1.LineSize) — the line size is validated to
 	// be a power of two, so the compile pass maps addresses to lines with
@@ -182,7 +187,6 @@ func New(cfg Config, dram MemPath) *GPU {
 		laneProgs: make([]isa.Program, cfg.WarpSize),
 	}
 	g.costs = cfg.Costs.Table()
-	g.intCosts = g.costs.Integral()
 	for ls := cfg.L1.LineSize; ls > 1; ls >>= 1 {
 		g.lineShift++
 	}
@@ -234,8 +238,9 @@ func (g *GPU) SetHeat(h *heatmap.Accumulator) {
 
 // SetReferenceMode forces every Launch through the per-access reference
 // executor instead of the compiled batch path. The two are byte-identical by
-// contract; the differential suite runs twin platforms in each mode to prove
-// it. Reference mode is a testing facility and is slower.
+// contract; the differential suites run twin platforms in each mode to prove
+// it. Reference mode is the oracle switch for those tests and is slower; no
+// production configuration reaches the reference executor.
 func (g *GPU) SetReferenceMode(on bool) { g.refMode = on }
 
 // PinnedEpoch identifies the current pinned-routing generation. A

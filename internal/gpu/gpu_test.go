@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -51,6 +52,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LaunchOverhead = -1 },
 		func(c *Config) { c.L1.Size = 0 },
 		func(c *Config) { c.LLC.Ways = 0 },
+		func(c *Config) { c.Costs.Issue[isa.FMA] = 1.5 }, // fractional cycles
 	}
 	for i, mut := range mutations {
 		c := testConfig()
@@ -577,8 +579,8 @@ func TestPropertyLaunchAccounting(t *testing.T) {
 }
 
 func TestTraceMatchesLaunchTransactions(t *testing.T) {
-	// The trace exporter must agree with the launcher's coalescing: same
-	// transaction count for the same kernel, on both paths.
+	// The trace exporter is the compile pass's CSV writer: its rows, in
+	// order, are the transaction stream LaunchCompiled replays.
 	g, _ := testGPU(t)
 	g.AddPinnedRange(1<<20, 2<<20)
 	kernel := Kernel{Name: "mixed", Threads: 96, Program: func(tid int, p *isa.Program) {
@@ -593,31 +595,47 @@ func TestTraceMatchesLaunchTransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	traceTxns := len(lines) - 1 // header
-	res, err := g.Launch(kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(traceTxns) != res.Transactions {
-		t.Errorf("trace has %d transactions, launch counted %d", traceTxns, res.Transactions)
-	}
 	if lines[0] != "warp,instr,kind,path,addr,size" {
 		t.Errorf("header = %q", lines[0])
 	}
-	var sawPinned, sawWC, sawCached bool
-	for _, ln := range lines[1:] {
-		if strings.Contains(ln, ",pinned,") {
-			sawPinned = true
-		}
-		if strings.Contains(ln, ",pinned-wc,") {
-			sawWC = true
-		}
-		if strings.Contains(ln, ",cached,") {
-			sawCached = true
+	ck, err := g.Compile(kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, c := range ck.chunks[:ck.used] {
+		for i, a := range c.accs {
+			path := "cached"
+			if c.paths[i] == pathPinned {
+				path = "pinned"
+				if a.Kind == cache.Write {
+					path = "pinned-wc"
+				}
+			}
+			want = append(want, fmt.Sprintf("%s,%s,%d,%d", a.Kind, path, a.Addr, a.Size))
 		}
 	}
-	if !sawPinned || !sawWC || !sawCached {
-		t.Errorf("trace missing a path: pinned=%v wc=%v cached=%v", sawPinned, sawWC, sawCached)
+	rows := lines[1:]
+	if len(rows) != len(want) {
+		t.Fatalf("trace has %d rows, compiled stream %d transactions", len(rows), len(want))
+	}
+	paths := map[string]bool{}
+	for i, row := range rows {
+		f := strings.SplitN(row, ",", 3)
+		if f[2] != want[i] {
+			t.Fatalf("row %d = %q, compiled stream has %q", i, f[2], want[i])
+		}
+		paths[strings.Split(f[2], ",")[1]] = true
+	}
+	if !paths["pinned"] || !paths["pinned-wc"] || !paths["cached"] {
+		t.Errorf("trace missing a path: %v", paths)
+	}
+	res, err := g.LaunchCompiled(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Transactions != int64(len(rows)) {
+		t.Errorf("trace has %d transactions, launch counted %d", len(rows), res.Transactions)
 	}
 }
 
@@ -629,12 +647,14 @@ func TestTraceErrors(t *testing.T) {
 	if err := g.TraceTransactions(Kernel{Name: "nil", Threads: 4}, io.Discard); err == nil {
 		t.Error("nil program accepted")
 	}
-	err := g.TraceTransactions(Kernel{Name: "div", Threads: 32, Program: func(tid int, p *isa.Program) {
+	div := Kernel{Name: "div", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Compute(isa.FMA, 1+tid%2)
 		p.Ld(0, 4)
-	}}, io.Discard)
-	if err == nil {
-		t.Error("divergent kernel accepted")
+	}}
+	err := g.TraceTransactions(div, io.Discard)
+	_, launchErr := g.Launch(div)
+	if err == nil || launchErr == nil || err.Error() != launchErr.Error() {
+		t.Errorf("divergent kernel: trace error %v, want Launch's %v", err, launchErr)
 	}
 }
 

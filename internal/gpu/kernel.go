@@ -85,15 +85,15 @@ func (r Result) L1HitRate() float64 { return r.L1.HitRate() }
 // the warp-scheduler behaviour that makes per-warp working sets contend for
 // the SM's L1.
 //
-// Launch normally compiles the kernel's transaction trace and replays it
-// through the batch cache kernels (the compiled artifact is scratch-reused,
-// so a steady-state Launch allocates nothing). It falls back to the
-// per-access reference executor under SetReferenceMode or a non-integral
-// cost model; both paths produce byte-identical results, except that the
-// compiled path reports emission errors before touching any cache state
-// while the reference path may have executed earlier resident batches first.
+// Launch compiles the kernel's transaction trace and replays it through the
+// batch cache kernels (the compiled artifact is scratch-reused, so a
+// steady-state Launch allocates nothing). Under SetReferenceMode it runs the
+// per-access reference executor instead; both paths produce byte-identical
+// results, except that the compiled path reports emission errors before
+// touching any cache state while the reference path may have executed
+// earlier resident batches first.
 func (g *GPU) Launch(k Kernel) (Result, error) {
-	if g.refMode || !g.intCosts {
+	if g.refMode {
 		return g.LaunchReference(k)
 	}
 	if err := g.CompileInto(k, &g.compileScratch); err != nil {
@@ -289,11 +289,8 @@ func (g *GPU) runBatch(k Kernel, s *sm, b *batch, res *Result) error {
 				return fmt.Errorf("kernel %s: warp %d diverges: lane 0 has %d instrs, lane %d has %d",
 					k.Name, w, len(ref), l, len(other))
 			}
-			for i := range other {
-				if other[i].Op != ref[i].Op && other[i].Op != isa.Nop && ref[i].Op != isa.Nop {
-					return fmt.Errorf("kernel %s: warp %d instr %d diverges: lane 0 %s vs lane %d %s",
-						k.Name, w, i, ref[i].Op, l, other[i].Op)
-				}
+			if err := checkLane(k.Name, w, g.laneIn[bi*ws:bi*ws+l+1]); err != nil {
+				return err
 			}
 		}
 		s.warps++
@@ -402,6 +399,30 @@ func (g *GPU) runBatch(k Kernel, s *sm, b *batch, res *Result) error {
 				s.memLatency += r.Latency
 				res.Transactions++
 				res.TransactionBytes += lineSize
+			}
+		}
+	}
+	return nil
+}
+
+// checkLane checks the last of a warp's lanes against the lanes before it,
+// all of equal length: in every slot where it is active (not masked off
+// with a Nop), its opcode must equal the slot's effective opcode — that of
+// the first active lane. Checking lanes in order this way compares every
+// active lane against the effective opcode.
+func checkLane(kernel string, warp int, lanes [][]isa.Instr) error {
+	l := len(lanes) - 1
+	for i, in := range lanes[l] {
+		if in.Op == isa.Nop {
+			continue
+		}
+		for j, lane := range lanes[:l] {
+			if op := lane[i].Op; op != isa.Nop {
+				if op != in.Op {
+					return fmt.Errorf("kernel %s: warp %d instr %d diverges: lane %d %s vs lane %d %s",
+						kernel, warp, i, j, op, l, in.Op)
+				}
+				break
 			}
 		}
 	}

@@ -33,14 +33,11 @@ func NewLauncher(g *GPU, scope string) *Launcher {
 }
 
 // Launch executes launch number idx of the scope's sequence. Results are
-// byte-identical to g.Launch(k); reference mode and non-integral cost models
-// bypass the cache exactly the way g.Launch does, as does a negative idx.
+// byte-identical to g.Launch(k); reference mode and a negative idx bypass
+// the cache through g.Launch.
 func (l *Launcher) Launch(idx int, k Kernel) (Result, error) {
 	g := l.g
-	if g.refMode || !g.intCosts {
-		return g.LaunchReference(k)
-	}
-	if idx < 0 {
+	if g.refMode || idx < 0 {
 		return g.Launch(k)
 	}
 	e, err := g.lookupKernel(l.scope, idx, k)

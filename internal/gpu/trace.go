@@ -5,125 +5,70 @@ import (
 	"fmt"
 	"io"
 
-	"igpucomm/internal/isa"
+	"igpucomm/internal/cache"
 )
 
-// TraceTransactions dry-runs the kernel's memory behaviour and writes one
-// CSV row per coalesced transaction:
+// Txn is one coalesced memory transaction of a kernel, as
+// VisitTransactions reports it.
+type Txn struct {
+	Warp  int // issuing warp
+	Instr int // the warp's instruction slot
+	Kind  cache.Kind
+	// Pinned says the transaction goes down the pinned (zero-copy) path
+	// rather than through the issuing SM's L1.
+	Pinned     bool
+	Addr, Size int64
+}
+
+// Path names the transaction's route: "cached", "pinned" (an uncoalesced
+// pinned read) or "pinned-wc" (a write-combined pinned store).
+func (t Txn) Path() string {
+	switch {
+	case !t.Pinned:
+		return "cached"
+	case t.Kind == cache.Write:
+		return "pinned-wc"
+	default:
+		return "pinned"
+	}
+}
+
+// VisitTransactions runs the compile pass over the kernel — the same
+// validation, coalescing and issue order as Launch — and calls visit once
+// per transaction, in the order Launch issues them: SM by SM, resident batch
+// by batch, slot-major across a batch's warps. It touches no cache and no
+// clock, and keeps only one warp-instruction's transactions at a time.
+func (g *GPU) VisitTransactions(k Kernel, visit func(Txn)) error {
+	var ck CompiledKernel
+	g.comp.onMem = func(warp, slot int) {
+		for _, c := range ck.chunks[:ck.used] {
+			for i, a := range c.accs {
+				visit(Txn{Warp: warp, Instr: slot, Kind: a.Kind, Pinned: c.paths[i] == pathPinned, Addr: a.Addr, Size: a.Size})
+			}
+		}
+		ck.clearStream()
+	}
+	defer func() { g.comp.onMem = nil }()
+	return g.CompileInto(k, &ck)
+}
+
+// TraceTransactions writes the kernel's coalesced transactions as CSV, one
+// row per transaction in issue order (see VisitTransactions):
 //
 //	warp,instr,kind,path,addr,size
 //
 // without touching the caches or the clock — a tool for exporting access
-// traces to external analyzers. The coalescing rules are exactly Launch's
-// (the test suite cross-checks the transaction counts against a real
-// launch).
+// traces to external analyzers.
 func (g *GPU) TraceTransactions(k Kernel, w io.Writer) error {
-	if k.Threads <= 0 {
-		return fmt.Errorf("kernel %s: thread count %d must be positive", k.Name, k.Threads)
-	}
-	if k.Program == nil {
-		return fmt.Errorf("kernel %s: nil program", k.Name)
-	}
+	// bufio.Writer errors are sticky, so the row writes drop theirs and
+	// Flush reports the first.
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "warp,instr,kind,path,addr,size"); err != nil {
+	fmt.Fprintln(bw, "warp,instr,kind,path,addr,size")
+	err := g.VisitTransactions(k, func(t Txn) {
+		fmt.Fprintf(bw, "%d,%d,%s,%s,%d,%d\n", t.Warp, t.Instr, t.Kind, t.Path(), t.Addr, t.Size)
+	})
+	if err != nil {
 		return err
-	}
-
-	ws := g.cfg.WarpSize
-	warpCount := (k.Threads + ws - 1) / ws
-	lineSize := g.cfg.L1.LineSize
-	progs := make([]isa.Program, ws)
-	laneIn := make([][]isa.Instr, ws) // materialized flat views, per warp
-	// Coalescing scratch, reused across warp-instructions exactly as in
-	// Launch (two lines per lane worst case, one WC line per lane).
-	lineBuf := make([]int64, 0, 2*ws)
-	wcBuf := make([]int64, 0, ws)
-
-	emit := func(warp, instr int, kind, path string, addr, size int64) error {
-		_, err := fmt.Fprintf(bw, "%d,%d,%s,%s,%d,%d\n", warp, instr, kind, path, addr, size)
-		return err
-	}
-
-	for warp := 0; warp < warpCount; warp++ {
-		lanes := ws
-		if last := k.Threads - warp*ws; last < lanes {
-			lanes = last
-		}
-		for l := 0; l < lanes; l++ {
-			progs[l].Reset()
-			k.Program(warp*ws+l, &progs[l])
-			laneIn[l] = progs[l].Instrs()
-		}
-		ref := laneIn[0]
-		for i, in := range ref {
-			if err := in.Validate(); err != nil {
-				return fmt.Errorf("kernel %s: warp %d instr %d: %w", k.Name, warp, i, err)
-			}
-			// Slot opcode: first non-Nop among lanes (masking).
-			if in.Op == isa.Nop {
-				for l := 1; l < lanes; l++ {
-					lane := laneIn[l]
-					if i < len(lane) && lane[i].Op != isa.Nop {
-						in = lane[i]
-						break
-					}
-				}
-			}
-			if !in.Op.IsMemory() {
-				continue
-			}
-			kind := "read"
-			if in.Op == isa.StGlobal {
-				kind = "write"
-			}
-			lineBuf, wcBuf = lineBuf[:0], wcBuf[:0]
-			var wcBytes int64
-			for l := 0; l < lanes; l++ {
-				lane := laneIn[l]
-				if i >= len(lane) || (lane[i].Op != in.Op && lane[i].Op != isa.Nop) {
-					return fmt.Errorf("kernel %s: warp %d diverges at instr %d", k.Name, warp, i)
-				}
-				la := lane[i]
-				if la.Op == isa.Nop {
-					continue
-				}
-				if g.pinned(la.Addr) {
-					if in.Op == isa.StGlobal {
-						wcLine := la.Addr / 64
-						if !containsInt64(wcBuf, wcLine) {
-							wcBuf = append(wcBuf, wcLine)
-							wcBytes += la.Size
-						}
-						continue
-					}
-					if err := emit(warp, i, kind, "pinned", la.Addr, la.Size); err != nil {
-						return err
-					}
-					continue
-				}
-				first := la.Addr / lineSize
-				last := (la.Addr + la.Size - 1) / lineSize
-				for ln := first; ln <= last; ln++ {
-					if !containsInt64(lineBuf, ln) {
-						lineBuf = append(lineBuf, ln)
-					}
-				}
-			}
-			for _, wcLine := range wcBuf {
-				size := wcBytes / int64(len(wcBuf))
-				if size <= 0 {
-					size = 4
-				}
-				if err := emit(warp, i, kind, "pinned-wc", wcLine*64, size); err != nil {
-					return err
-				}
-			}
-			for _, ln := range lineBuf {
-				if err := emit(warp, i, kind, "cached", ln*lineSize, lineSize); err != nil {
-					return err
-				}
-			}
-		}
 	}
 	return bw.Flush()
 }

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// FuzzParseTrace throws arbitrary bytes at both CSV parsers and holds them to
-// three properties:
+// FuzzParseTrace throws arbitrary bytes at the event-trace parser
+// ParseEvents and holds it to three properties:
 //
-//  1. They never panic or hang — any input either parses or returns an error.
-//  2. Every event they accept has a span CheckTrace can safely walk
+//  1. It never panics or hangs — any input either parses or returns an error.
+//  2. Every event it accepts has a span CheckTrace can safely walk
 //     (validateSpan), so a parsed trace can never drive the checker's
 //     per-line loops into effectively unbounded iteration.
 //  3. ParseEvents round-trips: re-serializing accepted events and reparsing
@@ -40,16 +40,11 @@ func FuzzParseTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := string(data)
 
-		gpuEvents, gpuErr := ParseGPUTrace(strings.NewReader(in))
-		if gpuErr == nil {
-			checkAccepted(t, "ParseGPUTrace", gpuEvents)
-		}
-
 		events, err := ParseEvents(strings.NewReader(in))
 		if err != nil {
 			return
 		}
-		checkAccepted(t, "ParseEvents", events)
+		checkAccepted(t, events)
 
 		// Round-trip: what ParseEvents accepted must reparse identically.
 		var sb strings.Builder
@@ -83,11 +78,11 @@ func FuzzParseTrace(f *testing.F) {
 }
 
 // checkAccepted asserts property 2: every parsed event is safe to replay.
-func checkAccepted(t *testing.T, parser string, events []Event) {
+func checkAccepted(t *testing.T, events []Event) {
 	t.Helper()
 	for i, e := range events {
 		if err := validateSpan(e.Addr, e.Size); err != nil {
-			t.Fatalf("%s accepted event %d with unsafe span: %v", parser, i, err)
+			t.Fatalf("ParseEvents accepted event %d with unsafe span: %v", i, err)
 		}
 	}
 }

@@ -6,20 +6,21 @@ package hazard_test
 // dependency order).
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"igpucomm/internal/apps/shwfs"
+	"igpucomm/internal/cache"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
+	"igpucomm/internal/gpu"
 	"igpucomm/internal/hazard"
 )
 
-// TestGoldenShwfsZCTraceOnTX2 replays exactly what `cmd/trace -device
-// jetson-tx2 -app shwfs -model zc` exports — the kernel's coalesced
-// transactions on pinned buffers — wrapped with the CPU's producer writes
+// TestGoldenShwfsZCTraceOnTX2 replays exactly the transactions `cmd/trace
+// -device jetson-tx2 -app shwfs -model zc` exports — the kernel's coalesced
+// transactions on pinned buffers, taken from the GPU compile pass — wrapped with the CPU's producer writes
 // and consumer reads under the zero-copy protocol (no flushes; barriers at
 // the launch boundaries). The seed schedule must come out hazard-free.
 func TestGoldenShwfsZCTraceOnTX2(t *testing.T) {
@@ -43,11 +44,14 @@ func TestGoldenShwfsZCTraceOnTX2(t *testing.T) {
 		lay[spec.Name] = b
 	}
 
-	var csv bytes.Buffer
-	if err := s.GPU.TraceTransactions(w.MakeKernel(lay, 0), &csv); err != nil {
-		t.Fatal(err)
-	}
-	gpuEvents, err := hazard.ParseGPUTrace(&csv)
+	var gpuEvents []hazard.Event
+	err = s.GPU.VisitTransactions(w.MakeKernel(lay, 0), func(tx gpu.Txn) {
+		op := hazard.OpRead
+		if tx.Kind == cache.Write {
+			op = hazard.OpWrite
+		}
+		gpuEvents = append(gpuEvents, hazard.Event{Agent: hazard.TraceGPU, Op: op, Path: tx.Path(), Addr: tx.Addr, Size: tx.Size})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,10 @@ import (
 )
 
 // faultTraceParse mangles trace bytes before parsing — the stand-in for a
-// truncated or bit-rotted profiler trace file. The parsers' validation must
-// reject whatever survives mangling; the fuzz suite holds them to that.
+// truncated or bit-rotted trace file. The parser's validation must reject
+// whatever survives mangling; the fuzz suite holds it to that.
 var faultTraceParse = faults.Register("hazard.trace.parse",
-	"trace CSV bytes entering the parsers",
+	"trace CSV bytes entering the parser",
 	faults.CanError|faults.CanCorrupt|faults.CanTruncate)
 
 // faultTraceReader applies the trace-parse fault point to a reader's bytes.
@@ -275,54 +275,6 @@ func validateSpan(addr, size int64) error {
 		return fmt.Errorf("span [%d, %d+%d) exceeds %d", addr, addr, size, maxTraceSpan)
 	}
 	return nil
-}
-
-// ParseGPUTrace reads the CSV cmd/trace (gpu.TraceTransactions) emits —
-// header "warp,instr,kind,path,addr,size" — into GPU-agent events, in file
-// order. The caller composes these with CPU-side events and barriers before
-// checking.
-func ParseGPUTrace(r io.Reader) ([]Event, error) {
-	r, err := faultTraceReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("hazard: gpu trace: %w", err)
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var events []Event
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if lineNo == 1 && strings.HasPrefix(text, "warp,") {
-			continue
-		}
-		f := strings.Split(text, ",")
-		if len(f) != 6 {
-			return nil, fmt.Errorf("hazard: gpu trace line %d: want 6 fields, got %d", lineNo, len(f))
-		}
-		op, err := parseOp(f[2])
-		if err != nil {
-			return nil, fmt.Errorf("hazard: gpu trace line %d: %w", lineNo, err)
-		}
-		addr, err1 := strconv.ParseInt(f[4], 10, 64)
-		size, err2 := strconv.ParseInt(f[5], 10, 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("hazard: gpu trace line %d: bad addr/size %q/%q", lineNo, f[4], f[5])
-		}
-		if err := validateSpan(addr, size); err != nil {
-			return nil, fmt.Errorf("hazard: gpu trace line %d: %w", lineNo, err)
-		}
-		events = append(events, Event{
-			Seq: len(events), Agent: TraceGPU, Op: op, Path: f[3], Addr: addr, Size: size,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("hazard: gpu trace: %w", err)
-	}
-	return events, nil
 }
 
 // ParseEvents reads the checker's own event CSV — header

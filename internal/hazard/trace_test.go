@@ -126,29 +126,6 @@ func TestCheckTraceFlushAll(t *testing.T) {
 	}
 }
 
-func TestParseGPUTrace(t *testing.T) {
-	csv := "warp,instr,kind,path,addr,size\n" +
-		"0,0,read,cached,4096,64\n" +
-		"0,3,write,pinned-wc,8192,32\n"
-	events, err := ParseGPUTrace(strings.NewReader(csv))
-	if err != nil {
-		t.Fatalf("ParseGPUTrace: %v", err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("want 2 events, got %d", len(events))
-	}
-	if events[0].Agent != TraceGPU || events[0].Op != OpRead || events[0].Addr != 4096 {
-		t.Fatalf("event 0 wrong: %+v", events[0])
-	}
-	if events[1].Op != OpWrite || events[1].Path != "pinned-wc" || events[1].Size != 32 {
-		t.Fatalf("event 1 wrong: %+v", events[1])
-	}
-
-	if _, err := ParseGPUTrace(strings.NewReader("warp,instr,kind,path,addr,size\n0,0,bogus,cached,0,4\n")); err == nil {
-		t.Fatalf("bad op must error")
-	}
-}
-
 func TestParseEvents(t *testing.T) {
 	csv := "seq,agent,op,path,addr,size\n" +
 		"# comment lines are skipped\n" +

@@ -73,6 +73,7 @@ func TestConfigValidateMutations(t *testing.T) {
 		func(c *Config) { c.PageSize = 1000 },
 		func(c *Config) { c.UMKernelFactor = 0 },
 		func(c *Config) { c.Power.StaticWatts = -1 },
+		func(c *Config) { c.GPU.Costs.Issue[isa.FMA] = 1.5 }, // fractional GPU cycles
 	}
 	for i, m := range muts {
 		c := smallConfig(false)
