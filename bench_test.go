@@ -152,7 +152,7 @@ func BenchmarkAblationIOCoherence(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s := soc.New(cfg)
-			res, err := microbench.RunMB1(context.Background(), s, microbench.TestParams())
+			res, err := microbench.MB1(context.Background(), cfg.Name, microbench.TestParams(), microbench.Serial(s))
 			if err != nil {
 				b.Fatal(err)
 			}

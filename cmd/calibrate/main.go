@@ -21,7 +21,6 @@ import (
 	"igpucomm/internal/devices"
 	"igpucomm/internal/engine"
 	"igpucomm/internal/microbench"
-	"igpucomm/internal/soc"
 	"igpucomm/internal/units"
 )
 
@@ -56,19 +55,17 @@ func main() {
 	// re-measures the fitted config for free).
 	eng := engine.New(engine.Options{Workers: *workers})
 	ctx := context.Background()
-	runMB1 := calibrate.MB1Runner(func(ctx context.Context, cfg soc.Config, p microbench.Params) (microbench.MB1Result, error) {
-		return eng.MB1(ctx, cfg, p)
-	})
+	runMB1 := calibrate.MB1Runner(eng.MB1)
 
 	if *sc > 0 {
 		fmt.Printf("fitting GPU LLC bandwidth to SC throughput %.2f GB/s ...\n", *sc)
-		cfg, err = calibrate.TuneLLCBandwidthWith(ctx, runMB1, cfg, params, units.BytesPerSecond(*sc)*units.GBps, *tol)
+		cfg, err = calibrate.TuneLLCBandwidth(ctx, runMB1, cfg, params, units.BytesPerSecond(*sc)*units.GBps, *tol)
 		fatalIf(err)
 		fmt.Printf("  -> LLCBandwidth = %.2f GB/s\n", cfg.GPU.LLCBandwidth.GB())
 	}
 	if *zc > 0 {
 		fmt.Printf("fitting zero-copy path to ZC throughput %.2f GB/s ...\n", *zc)
-		cfg, err = calibrate.TunePinnedBandwidthWith(ctx, runMB1, cfg, params, units.BytesPerSecond(*zc)*units.GBps, *tol)
+		cfg, err = calibrate.TunePinnedBandwidth(ctx, runMB1, cfg, params, units.BytesPerSecond(*zc)*units.GBps, *tol)
 		fatalIf(err)
 		if cfg.IOCoherent {
 			fmt.Printf("  -> IOBandwidth = %.2f GB/s\n", cfg.IOBandwidth.GB())
@@ -77,7 +74,7 @@ func main() {
 		}
 	}
 
-	err = calibrate.VerifyWith(ctx, runMB1, cfg, params, calibrate.Target{
+	err = calibrate.Verify(ctx, runMB1, cfg, params, calibrate.Target{
 		SCThroughput: units.BytesPerSecond(*sc) * units.GBps,
 		ZCThroughput: units.BytesPerSecond(*zc) * units.GBps,
 		Tolerance:    *tol,

@@ -43,15 +43,15 @@ func main() {
 	// runs the first micro-benchmark repeatedly — expect ~20s.
 	fmt.Println("calibrating (runs the first micro-benchmark repeatedly)...")
 	params := microbench.DefaultParams()
-	fitted, err := calibrate.TuneLLCBandwidth(ctx, cfg, params, 310*units.GBps, 0.05)
+	fitted, err := calibrate.TuneLLCBandwidth(ctx, calibrate.SerialMB1, cfg, params, 310*units.GBps, 0.05)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fitted, err = calibrate.TunePinnedBandwidth(ctx, fitted, params, 40*units.GBps, 0.05)
+	fitted, err = calibrate.TunePinnedBandwidth(ctx, calibrate.SerialMB1, fitted, params, 40*units.GBps, 0.05)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := calibrate.Verify(ctx, fitted, params, calibrate.Target{
+	if err := calibrate.Verify(ctx, calibrate.SerialMB1, fitted, params, calibrate.Target{
 		SCThroughput: 310 * units.GBps,
 		ZCThroughput: 40 * units.GBps,
 		Tolerance:    0.06,

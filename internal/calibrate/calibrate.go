@@ -37,34 +37,16 @@ func (t Target) Validate() error {
 }
 
 // MB1Runner measures the first micro-benchmark for a candidate
-// configuration. The default, SerialMB1, builds a fresh platform and runs the
-// benchmark inline; callers with an execution engine inject its memoized
-// runner instead, so re-measuring the same candidate (the Verify step after a
-// fit, or fitting -sc and -zc against one config) costs one simulation, not
-// two.
+// configuration. SerialMB1 builds a fresh platform and runs the benchmark
+// inline; callers with an execution engine pass its memoized Engine.MB1
+// instead, so re-measuring the same candidate (the Verify step after a fit,
+// or fitting -sc and -zc against one config) costs one simulation, not two.
 type MB1Runner func(ctx context.Context, cfg soc.Config, p microbench.Params) (microbench.MB1Result, error)
 
-// SerialMB1 is the default, uncached MB1Runner.
+// SerialMB1 is the uncached MB1Runner: MB1 on a fresh platform, one model
+// after another.
 func SerialMB1(ctx context.Context, cfg soc.Config, p microbench.Params) (microbench.MB1Result, error) {
-	return microbench.RunMB1(ctx, soc.New(cfg), p)
-}
-
-// measureSC runs MB1 and returns the SC-row throughput.
-func measureSC(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params) (units.BytesPerSecond, error) {
-	res, err := run(ctx, cfg, p)
-	if err != nil {
-		return 0, err
-	}
-	return res.PeakThroughput(), nil
-}
-
-// measureZC runs MB1 and returns the ZC-row throughput.
-func measureZC(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params) (units.BytesPerSecond, error) {
-	res, err := run(ctx, cfg, p)
-	if err != nil {
-		return 0, err
-	}
-	return res.PinnedThroughput(), nil
+	return microbench.MB1(ctx, cfg.Name, p, microbench.Serial(soc.New(cfg)))
 }
 
 // maxBisectIters bounds the search; 40 halvings of any sane bracket reach
@@ -122,20 +104,17 @@ func bisect(lo, hi float64, target units.BytesPerSecond, tol float64,
 }
 
 // TuneLLCBandwidth fits cfg.GPU.LLCBandwidth so the first micro-benchmark's
-// SC throughput matches the target. Returns the fitted config.
-func TuneLLCBandwidth(ctx context.Context, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
-	return TuneLLCBandwidthWith(ctx, SerialMB1, cfg, p, target, tol)
-}
-
-// TuneLLCBandwidthWith is TuneLLCBandwidth with an injected MB1 runner.
-func TuneLLCBandwidthWith(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
+// SC throughput, as run measures it, matches the target. Returns the fitted
+// config.
+func TuneLLCBandwidth(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
 	if target <= 0 || tol <= 0 {
 		return soc.Config{}, fmt.Errorf("calibrate: invalid LLC target")
 	}
 	v, err := bisect(float64(target)/8, float64(target)*8, target, tol, func(v float64) (units.BytesPerSecond, error) {
 		c := cfg
 		c.GPU.LLCBandwidth = units.BytesPerSecond(v)
-		return measureSC(ctx, run, c, p)
+		res, err := run(ctx, c, p)
+		return res.PeakThroughput(), err
 	})
 	if err != nil {
 		return soc.Config{}, err
@@ -147,13 +126,8 @@ func TuneLLCBandwidthWith(ctx context.Context, run MB1Runner, cfg soc.Config, p 
 
 // TunePinnedBandwidth fits the zero-copy path bandwidth (the uncached pinned
 // port on non-coherent platforms, the I/O-coherent port otherwise) so MB1's
-// ZC throughput matches the target.
-func TunePinnedBandwidth(ctx context.Context, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
-	return TunePinnedBandwidthWith(ctx, SerialMB1, cfg, p, target, tol)
-}
-
-// TunePinnedBandwidthWith is TunePinnedBandwidth with an injected MB1 runner.
-func TunePinnedBandwidthWith(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
+// ZC throughput, as run measures it, matches the target.
+func TunePinnedBandwidth(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
 	if target <= 0 || tol <= 0 {
 		return soc.Config{}, fmt.Errorf("calibrate: invalid pinned target")
 	}
@@ -167,7 +141,8 @@ func TunePinnedBandwidthWith(ctx context.Context, run MB1Runner, cfg soc.Config,
 	v, err := bisect(float64(target)/8, float64(target)*8, target, tol, func(v float64) (units.BytesPerSecond, error) {
 		c := cfg
 		apply(&c, v)
-		return measureZC(ctx, run, c, p)
+		res, err := run(ctx, c, p)
+		return res.PinnedThroughput(), err
 	})
 	if err != nil {
 		return soc.Config{}, err
@@ -177,13 +152,9 @@ func TunePinnedBandwidthWith(ctx context.Context, run MB1Runner, cfg soc.Config,
 	return out, nil
 }
 
-// Verify runs MB1 on the config and checks it against the target.
-func Verify(ctx context.Context, cfg soc.Config, p microbench.Params, target Target) error {
-	return VerifyWith(ctx, SerialMB1, cfg, p, target)
-}
-
-// VerifyWith is Verify with an injected MB1 runner.
-func VerifyWith(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target Target) error {
+// Verify measures MB1 on the config with run and checks it against the
+// target.
+func Verify(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target Target) error {
 	if err := target.Validate(); err != nil {
 		return err
 	}

@@ -16,7 +16,7 @@ func reference(t *testing.T) (soc.Config, units.BytesPerSecond, units.BytesPerSe
 	t.Helper()
 	cfg := devices.TX2()
 	p := microbench.TestParams()
-	res, err := microbench.RunMB1(context.Background(), soc.New(cfg), p)
+	res, err := SerialMB1(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,15 @@ func TestTuneLLCBandwidthRecoversPerturbation(t *testing.T) {
 
 	perturbed := cfg
 	perturbed.GPU.LLCBandwidth = cfg.GPU.LLCBandwidth * 2.5
-	fitted, err := TuneLLCBandwidth(context.Background(), perturbed, p, scRef, 0.04)
+	fitted, err := TuneLLCBandwidth(context.Background(), SerialMB1, perturbed, p, scRef, 0.04)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := measureSC(context.Background(), SerialMB1, fitted, p)
+	res, err := SerialMB1(context.Background(), fitted, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.PeakThroughput()
 	rel := (float64(got) - float64(scRef)) / float64(scRef)
 	if rel < -0.04 || rel > 0.04 {
 		t.Errorf("fitted SC throughput %.2f GB/s misses reference %.2f GB/s by %.1f%%",
@@ -66,14 +67,15 @@ func TestTunePinnedBandwidthRecoversPerturbation(t *testing.T) {
 
 	perturbed := cfg
 	perturbed.PinnedBandwidth = cfg.PinnedBandwidth * 3
-	fitted, err := TunePinnedBandwidth(context.Background(), perturbed, p, zcRef, 0.04)
+	fitted, err := TunePinnedBandwidth(context.Background(), SerialMB1, perturbed, p, zcRef, 0.04)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := measureZC(context.Background(), SerialMB1, fitted, p)
+	res, err := SerialMB1(context.Background(), fitted, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.PinnedThroughput()
 	rel := (float64(got) - float64(zcRef)) / float64(zcRef)
 	if rel < -0.04 || rel > 0.04 {
 		t.Errorf("fitted ZC throughput %.2f GB/s misses reference %.2f GB/s by %.1f%%",
@@ -86,13 +88,13 @@ func TestTuneRejectsUnreachableTarget(t *testing.T) {
 	p := microbench.TestParams()
 	// At test scale the kernel cannot possibly reach 10 TB/s no matter how
 	// fast the LLC is (compute binds first).
-	if _, err := TuneLLCBandwidth(context.Background(), cfg, p, 10000*units.GBps, 0.05); err == nil {
+	if _, err := TuneLLCBandwidth(context.Background(), SerialMB1, cfg, p, 10000*units.GBps, 0.05); err == nil {
 		t.Error("unreachable target accepted")
 	}
-	if _, err := TuneLLCBandwidth(context.Background(), cfg, p, 0, 0.05); err == nil {
+	if _, err := TuneLLCBandwidth(context.Background(), SerialMB1, cfg, p, 0, 0.05); err == nil {
 		t.Error("zero target accepted")
 	}
-	if _, err := TunePinnedBandwidth(context.Background(), cfg, p, 0, 0.05); err == nil {
+	if _, err := TunePinnedBandwidth(context.Background(), SerialMB1, cfg, p, 0, 0.05); err == nil {
 		t.Error("zero pinned target accepted")
 	}
 }
@@ -100,13 +102,13 @@ func TestTuneRejectsUnreachableTarget(t *testing.T) {
 func TestVerify(t *testing.T) {
 	cfg, scRef, zcRef := reference(t)
 	p := microbench.TestParams()
-	if err := Verify(context.Background(), cfg, p, Target{SCThroughput: scRef, ZCThroughput: zcRef, Tolerance: 0.02}); err != nil {
+	if err := Verify(context.Background(), SerialMB1, cfg, p, Target{SCThroughput: scRef, ZCThroughput: zcRef, Tolerance: 0.02}); err != nil {
 		t.Errorf("stock config fails its own reference: %v", err)
 	}
-	if err := Verify(context.Background(), cfg, p, Target{SCThroughput: scRef * 2, Tolerance: 0.02}); err == nil {
+	if err := Verify(context.Background(), SerialMB1, cfg, p, Target{SCThroughput: scRef * 2, Tolerance: 0.02}); err == nil {
 		t.Error("doubled target verified")
 	}
-	if err := Verify(context.Background(), cfg, p, Target{}); err == nil {
+	if err := Verify(context.Background(), SerialMB1, cfg, p, Target{}); err == nil {
 		t.Error("invalid target verified")
 	}
 }
@@ -117,7 +119,7 @@ func TestVerifyCoherentPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale calibration check")
 	}
-	err := Verify(context.Background(), devices.Xavier(), microbench.DefaultParams(), Target{
+	err := Verify(context.Background(), SerialMB1, devices.Xavier(), microbench.DefaultParams(), Target{
 		SCThroughput: 214.64 * units.GBps,
 		ZCThroughput: 32.29 * units.GBps,
 		Tolerance:    0.07,
@@ -131,7 +133,7 @@ func TestVerifyTX2FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale calibration check")
 	}
-	err := Verify(context.Background(), devices.TX2(), microbench.DefaultParams(), Target{
+	err := Verify(context.Background(), SerialMB1, devices.TX2(), microbench.DefaultParams(), Target{
 		SCThroughput: 97.34 * units.GBps,
 		ZCThroughput: 1.28 * units.GBps,
 		Tolerance:    0.07,

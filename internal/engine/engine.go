@@ -6,13 +6,14 @@
 // that turns the paper's one-shot tuning flow (Fig 2) into something that
 // can serve sustained advisory traffic.
 //
-// Correctness contract: every simulation task holds a private platform —
-// taken from a per-config pool (soc.ResetState restores fresh-equivalent
-// state between runs) or freshly built — and results are assembled in the
-// same order the serial paths produce them, so the engine's Characterize and
-// Explore outputs are byte-identical to framework.Characterize and
-// framework.Explore (the golden equivalence test holds the engine to this
-// for every device x app x model combination).
+// Correctness contract: the engine runs the same plans as the serial paths
+// and only swaps the executor. Characterization is microbench.Characterize
+// with onClones as its Runner instead of microbench.Serial, and exploration
+// assembles its candidates with framework.NewExploration. onClones gives
+// every job a private platform from a per-config pool (each job resets it
+// to fresh-equivalent state), so the outputs are byte-identical to
+// framework.Characterize and framework.Explore; the golden equivalence tests
+// check this for every device x app x model combination.
 package engine
 
 import (
@@ -175,59 +176,31 @@ func (e *Engine) Characterize(ctx context.Context, cfg soc.Config, p microbench.
 	})
 }
 
-// characterize is the cold path: the parallel equivalent of
-// framework.Characterize.
+// characterize is the cold path: the characterization plan on pooled
+// clones.
 func (e *Engine) characterize(ctx context.Context, cfg soc.Config, p microbench.Params) (framework.Characterization, error) {
 	if err := faults.Fire(faultCharacterize); err != nil {
 		return framework.Characterization{}, fmt.Errorf("engine: %w", err)
 	}
-	// Stage 1: the MB1 rows and MB3 have no mutual dependencies — run the
-	// three model rows and the third micro-benchmark concurrently, each on
-	// its own clone.
-	models := comm.Models()
-	rows := make([]microbench.MB1Row, len(models))
-	var mb3 microbench.MB3Result
-	err := fanOut(ctx, e.sem, len(models)+1, func(i int) error {
-		s, pk := e.pool.get(cfg)
-		var err error
-		if i == len(models) {
-			mb3, err = microbench.RunMB3(ctx, s, p)
-		} else {
-			rows[i], err = microbench.RunMB1Model(ctx, s, p, models[i])
-		}
-		e.pool.put(pk, s, err)
-		return err
-	})
+	res, err := microbench.Characterize(ctx, cfg.Name, cfg.IOCoherent, p, e.onClones(cfg))
 	if err != nil {
 		return framework.Characterization{}, fmt.Errorf("engine: %w", err)
 	}
-	mb1 := microbench.MB1Result{Platform: cfg.Name, Rows: rows}
+	return framework.NewCharacterization(res), nil
+}
 
-	// Stage 2: MB2 needs MB1's peak throughput; its sweep points are then
-	// independent of each other.
-	peak := mb1.PeakThroughput()
-	nf := len(p.MB2Fractions)
-	gpuPts := make([]microbench.MB2GPUPoint, nf)
-	cpuPts := make([]microbench.MB2CPUPoint, nf)
-	err = fanOut(ctx, e.sem, 2*nf, func(i int) error {
-		s, pk := e.pool.get(cfg)
-		var err error
-		if i < nf {
-			gpuPts[i], err = microbench.RunMB2GPUPoint(ctx, s, p, p.MB2Fractions[i], peak)
-		} else {
-			cpuPts[i-nf], err = microbench.RunMB2CPUPoint(ctx, s, p, p.MB2Fractions[i-nf])
-		}
-		e.pool.put(pk, s, err)
-		return err
-	})
-	if err != nil {
-		return framework.Characterization{}, fmt.Errorf("engine: %w", err)
+// onClones is the engine's microbench.Runner: it runs a stage's jobs
+// concurrently under the worker bound, each on its own pooled platform for
+// cfg, and reports the lowest-index error.
+func (e *Engine) onClones(cfg soc.Config) microbench.Runner {
+	return func(ctx context.Context, jobs []microbench.Job) error {
+		return fanOut(ctx, e.sem, len(jobs), func(i int) error {
+			s, pk := e.pool.get(cfg)
+			err := jobs[i](ctx, s)
+			e.pool.put(pk, s, err)
+			return err
+		})
 	}
-	mb2, err := microbench.BuildMB2Result(cfg.Name, cfg.IOCoherent, gpuPts, cpuPts)
-	if err != nil {
-		return framework.Characterization{}, fmt.Errorf("engine: %w", err)
-	}
-	return framework.NewCharacterization(cfg.Name, cfg.IOCoherent, mb1, mb2, mb3), nil
 }
 
 // MB1 returns just the first micro-benchmark's result, memoized under the
@@ -242,19 +215,11 @@ func (e *Engine) MB1(ctx context.Context, cfg soc.Config, p microbench.Params) (
 	ctx, span := telemetry.Start(ctx, "engine.mb1", telemetry.String("device", cfg.Name))
 	defer span.End()
 	return e.mb1s.do(ctx, key, func() (microbench.MB1Result, error) {
-		models := comm.Models()
-		rows := make([]microbench.MB1Row, len(models))
-		err := fanOut(ctx, e.sem, len(models), func(i int) error {
-			s, pk := e.pool.get(cfg)
-			row, err := microbench.RunMB1Model(ctx, s, p, models[i])
-			e.pool.put(pk, s, err)
-			rows[i] = row
-			return err
-		})
+		res, err := microbench.MB1(ctx, cfg.Name, p, e.onClones(cfg))
 		if err != nil {
 			return microbench.MB1Result{}, fmt.Errorf("engine: %w", err)
 		}
-		return microbench.MB1Result{Platform: cfg.Name, Rows: rows}, nil
+		return res, nil
 	})
 }
 
@@ -295,29 +260,26 @@ func (e *Engine) explore(ctx context.Context, cfg soc.Config, w comm.Workload, m
 		return framework.Exploration{}, fmt.Errorf("engine: %w", err)
 	}
 	cands := make([]framework.Candidate, len(models))
-	err := fanOut(ctx, e.sem, len(models), func(i int) error {
-		attrs := []telemetry.Attr{telemetry.String("model", models[i].Name())}
-		if heat {
-			attrs = append(attrs, telemetry.String("heat", "on"))
+	jobs := make([]microbench.Job, len(models))
+	for i, m := range models {
+		jobs[i] = func(ctx context.Context, s *soc.SoC) error {
+			attrs := []telemetry.Attr{telemetry.String("model", m.Name())}
+			if heat {
+				attrs = append(attrs, telemetry.String("heat", "on"))
+				s.EnableHeat()
+				defer s.DisableHeat() // before onClones pools s again
+			}
+			_, mspan := telemetry.Start(ctx, "engine.explore.model", attrs...)
+			defer mspan.End()
+			rep, err := m.Run(s, w)
+			if err != nil {
+				return fmt.Errorf("engine: explore %s: %w", m.Name(), err)
+			}
+			cands[i] = framework.Candidate{Model: m.Name(), Total: rep.Total, Report: rep}
+			return nil
 		}
-		_, mspan := telemetry.Start(ctx, "engine.explore.model", attrs...)
-		defer mspan.End()
-		s, pk := e.pool.get(cfg)
-		if heat {
-			s.EnableHeat()
-		}
-		rep, err := models[i].Run(s, w)
-		if heat {
-			s.DisableHeat()
-		}
-		e.pool.put(pk, s, err)
-		if err != nil {
-			return fmt.Errorf("engine: explore %s: %w", models[i].Name(), err)
-		}
-		cands[i] = framework.Candidate{Model: models[i].Name(), Total: rep.Total, Report: rep}
-		return nil
-	})
-	if err != nil {
+	}
+	if err := e.onClones(cfg)(ctx, jobs); err != nil {
 		return framework.Exploration{}, err
 	}
 	return framework.NewExploration(cfg.Name, w.Name, cands), nil
@@ -346,13 +308,10 @@ func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization
 		telemetry.String("current", req.Current))
 	defer span.End()
 	var rec framework.Recommendation
-	err := fanOut(ctx, e.sem, 1, func(int) error {
-		s, pk := e.pool.get(req.Config)
-		var err error
+	err := e.onClones(req.Config)(ctx, []microbench.Job{func(ctx context.Context, s *soc.SoC) (err error) {
 		rec, err = framework.AdviseWorkload(ctx, char, s, req.Workload, req.Current)
-		e.pool.put(pk, s, err)
 		return err
-	})
+	}})
 	return rec, err
 }
 

@@ -41,46 +41,36 @@ type Characterization struct {
 	SCZCMaxSpeedup float64
 }
 
-// Characterize runs the three micro-benchmarks on the platform, serially.
-// The execution engine (internal/engine) produces the identical result by
-// fanning the sweep points out across cloned platforms and assembling them
-// with NewCharacterization.
+// Characterize runs the micro-benchmarks' characterization plan
+// (microbench.Characterize) serially on the platform. The execution engine
+// (internal/engine) runs the same plan with a Runner that fans each stage
+// out across pooled platforms.
 func Characterize(ctx context.Context, s *soc.SoC, p microbench.Params) (Characterization, error) {
 	ctx, span := telemetry.Start(ctx, "framework.characterize",
 		telemetry.String("platform", s.Name()))
 	defer span.End()
-	mb1, err := microbench.RunMB1(ctx, s, p)
+	res, err := microbench.Characterize(ctx, s.Name(), s.IOCoherent(), p, microbench.Serial(s))
 	if err != nil {
 		return Characterization{}, fmt.Errorf("framework: %w", err)
 	}
-	mb2, err := microbench.RunMB2(ctx, s, p, mb1.PeakThroughput())
-	if err != nil {
-		return Characterization{}, fmt.Errorf("framework: %w", err)
-	}
-	mb3, err := microbench.RunMB3(ctx, s, p)
-	if err != nil {
-		return Characterization{}, fmt.Errorf("framework: %w", err)
-	}
-	return NewCharacterization(s.Name(), s.IOCoherent(), mb1, mb2, mb3), nil
+	return NewCharacterization(res), nil
 }
 
 // NewCharacterization assembles micro-benchmark results into the framework's
 // device characterization. It is the single place the derived quantities
-// (thresholds, peaks, speedup caps) are computed, so serial and parallel
-// characterization paths cannot diverge.
-func NewCharacterization(platform string, ioCoherent bool,
-	mb1 microbench.MB1Result, mb2 microbench.MB2Result, mb3 microbench.MB3Result) Characterization {
+// (thresholds, peaks, speedup caps) are computed.
+func NewCharacterization(r microbench.Results) Characterization {
 	return Characterization{
-		Platform:            platform,
-		IOCoherent:          ioCoherent,
-		MB1:                 mb1,
-		MB2:                 mb2,
-		MB3:                 mb3,
-		Thresholds:          mb2.Thresholds,
-		PeakGPUThroughput:   mb1.PeakThroughput(),
-		PinnedGPUThroughput: mb1.PinnedThroughput(),
-		ZCSCMaxSpeedup:      mb1.ZCSCMaxSpeedup(),
-		SCZCMaxSpeedup:      mb3.SCZCMaxSpeedup(),
+		Platform:            r.Platform,
+		IOCoherent:          r.IOCoherent,
+		MB1:                 r.MB1,
+		MB2:                 r.MB2,
+		MB3:                 r.MB3,
+		Thresholds:          r.MB2.Thresholds,
+		PeakGPUThroughput:   r.MB1.PeakThroughput(),
+		PinnedGPUThroughput: r.MB1.PinnedThroughput(),
+		ZCSCMaxSpeedup:      r.MB1.ZCSCMaxSpeedup(),
+		SCZCMaxSpeedup:      r.MB3.SCZCMaxSpeedup(),
 	}
 }
 

@@ -67,28 +67,34 @@ func (r MB1Result) ZCSCMaxSpeedup() float64 {
 	return ratio
 }
 
-// RunMB1 executes the first micro-benchmark on the platform.
-func RunMB1(ctx context.Context, s *soc.SoC, p Params) (MB1Result, error) {
-	ctx, span := telemetry.Start(ctx, "mb1", telemetry.String("platform", s.Name()))
-	defer span.End()
-	res := MB1Result{Platform: s.Name()}
-	for _, m := range comm.Models() {
-		row, err := RunMB1Model(ctx, s, p, m)
-		if err != nil {
-			return MB1Result{}, err
-		}
-		res.Rows = append(res.Rows, row)
+// MB1 runs the first micro-benchmark alone: one job per communication
+// model.
+func MB1(ctx context.Context, platform string, p Params, run Runner) (MB1Result, error) {
+	var res MB1Result
+	if err := run(ctx, mb1Jobs(platform, p, &res)); err != nil {
+		return MB1Result{}, err
 	}
 	return res, nil
 }
 
-// RunMB1Model runs the first micro-benchmark under a single communication
-// model and returns its row. Every model run resets the platform state at
-// entry and frees its buffers on exit, so rows measured on separate clones of
-// the same configuration are identical to rows measured back-to-back on one
-// instance — which is what lets the execution engine fan the models out
-// across workers.
-func RunMB1Model(ctx context.Context, s *soc.SoC, p Params, m comm.Model) (MB1Row, error) {
+// mb1Jobs sets up res for the platform and returns one job per
+// communication model; job i fills res.Rows[i].
+func mb1Jobs(platform string, p Params, res *MB1Result) []Job {
+	models := comm.Models()
+	*res = MB1Result{Platform: platform, Rows: make([]MB1Row, len(models))}
+	jobs := make([]Job, len(models))
+	for i, m := range models {
+		jobs[i] = func(ctx context.Context, s *soc.SoC) (err error) {
+			res.Rows[i], err = mb1Model(ctx, s, p, m)
+			return err
+		}
+	}
+	return jobs
+}
+
+// mb1Model runs the first micro-benchmark under a single communication
+// model and returns its row.
+func mb1Model(ctx context.Context, s *soc.SoC, p Params, m comm.Model) (MB1Row, error) {
 	_, span := telemetry.Start(ctx, "mb1.model", telemetry.String("model", m.Name()))
 	defer span.End()
 	rep, err := m.Run(s, mb1Workload(p))

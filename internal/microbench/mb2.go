@@ -49,64 +49,38 @@ type MB2Result struct {
 	Thresholds perfmodel.Thresholds
 }
 
-// RunMB2 executes the second micro-benchmark. peak is the device's cached
-// GPU LL-L1 peak throughput from RunMB1, used to express the thresholds as
-// cache-usage percentages.
-func RunMB2(ctx context.Context, s *soc.SoC, p Params, peak units.BytesPerSecond) (MB2Result, error) {
-	ctx, span := telemetry.Start(ctx, "mb2", telemetry.String("platform", s.Name()))
-	defer span.End()
-	var gpu []MB2GPUPoint
-	var cpu []MB2CPUPoint
-	for _, f := range p.MB2Fractions {
-		pt, err := RunMB2GPUPoint(ctx, s, p, f, peak)
-		if err != nil {
-			return MB2Result{}, err
-		}
-		gpu = append(gpu, pt)
-	}
-	for _, f := range p.MB2Fractions {
-		pt, err := RunMB2CPUPoint(ctx, s, p, f)
-		if err != nil {
-			return MB2Result{}, err
-		}
-		cpu = append(cpu, pt)
-	}
-	return BuildMB2Result(s.Name(), s.IOCoherent(), gpu, cpu)
-}
-
-// RunMB2GPUPoint measures one density step of the GPU sweep. Each point
-// resets the platform state, so points measured on separate clones equal
-// points measured sequentially on one instance — the execution engine relies
-// on this to run the sweep in parallel.
-func RunMB2GPUPoint(ctx context.Context, s *soc.SoC, p Params, f float64, peak units.BytesPerSecond) (MB2GPUPoint, error) {
+// MB2 runs the second micro-benchmark: the GPU sweep points, then the CPU
+// sweep points, one job each. peak is the device's cached GPU LL-L1 peak
+// throughput from MB1, which expresses the thresholds as cache-usage
+// percentages; ioCoherent decides whether a CPU knee exists at all.
+func MB2(ctx context.Context, platform string, ioCoherent bool, p Params, peak units.BytesPerSecond, run Runner) (MB2Result, error) {
 	if peak <= 0 {
-		return MB2GPUPoint{}, fmt.Errorf("mb2: need a positive peak throughput from mb1")
+		return MB2Result{}, fmt.Errorf("mb2: need a positive peak throughput from mb1")
 	}
-	if f <= 0 || f > 1 {
-		return MB2GPUPoint{}, fmt.Errorf("mb2: fraction %v out of (0,1]", f)
+	nf := len(p.MB2Fractions)
+	res := MB2Result{Platform: platform, GPU: make([]MB2GPUPoint, nf), CPU: make([]MB2CPUPoint, nf)}
+	jobs := make([]Job, 2*nf)
+	for i, f := range p.MB2Fractions {
+		if f <= 0 || f > 1 {
+			return MB2Result{}, fmt.Errorf("mb2: fraction %v out of (0,1]", f)
+		}
+		attr := telemetry.String("fraction", strconv.FormatFloat(f, 'g', -1, 64))
+		jobs[i] = func(ctx context.Context, s *soc.SoC) (err error) {
+			_, span := telemetry.Start(ctx, "mb2.gpu.point", attr)
+			defer span.End()
+			res.GPU[i], err = mb2GPUPoint(s, p, f, peak)
+			return err
+		}
+		jobs[nf+i] = func(ctx context.Context, s *soc.SoC) error {
+			_, span := telemetry.Start(ctx, "mb2.cpu.point", attr)
+			defer span.End()
+			res.CPU[i] = mb2CPUPoint(s, p, f)
+			return nil
+		}
 	}
-	_, span := telemetry.Start(ctx, "mb2.gpu.point",
-		telemetry.String("fraction", strconv.FormatFloat(f, 'g', -1, 64)))
-	defer span.End()
-	return mb2GPUPoint(s, p, f, peak)
-}
-
-// RunMB2CPUPoint measures one density step of the CPU sweep.
-func RunMB2CPUPoint(ctx context.Context, s *soc.SoC, p Params, f float64) (MB2CPUPoint, error) {
-	if f <= 0 || f > 1 {
-		return MB2CPUPoint{}, fmt.Errorf("mb2: fraction %v out of (0,1]", f)
+	if err := run(ctx, jobs); err != nil {
+		return MB2Result{}, err
 	}
-	_, span := telemetry.Start(ctx, "mb2.cpu.point",
-		telemetry.String("fraction", strconv.FormatFloat(f, 'g', -1, 64)))
-	defer span.End()
-	return mb2CPUPoint(s, p, f), nil
-}
-
-// BuildMB2Result assembles sweep points (in sweep order) into an MB2Result,
-// extracting and validating the thresholds. ioCoherent is the platform's
-// coherence capability (it decides whether a CPU knee exists at all).
-func BuildMB2Result(platform string, ioCoherent bool, gpu []MB2GPUPoint, cpu []MB2CPUPoint) (MB2Result, error) {
-	res := MB2Result{Platform: platform, GPU: gpu, CPU: cpu}
 	res.Thresholds = extractThresholds(ioCoherent, res)
 	if err := res.Thresholds.Validate(); err != nil {
 		return MB2Result{}, fmt.Errorf("mb2: %w", err)

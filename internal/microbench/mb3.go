@@ -92,36 +92,48 @@ func mb3Workload(p Params) comm.Workload {
 	}
 }
 
-// RunMB3 executes the third micro-benchmark.
-func RunMB3(ctx context.Context, s *soc.SoC, p Params) (MB3Result, error) {
-	if p.MB3Floats < 1024 {
-		return MB3Result{}, fmt.Errorf("mb3: data set %d too small to be meaningful", p.MB3Floats)
+// MB3 runs the third micro-benchmark alone, as one job.
+func MB3(ctx context.Context, platform string, p Params, run Runner) (MB3Result, error) {
+	var res MB3Result
+	if err := run(ctx, []Job{mb3Job(platform, p, &res)}); err != nil {
+		return MB3Result{}, err
 	}
-	_, span := telemetry.Start(ctx, "mb3", telemetry.String("platform", s.Name()))
-	defer span.End()
-	w := mb3Workload(p)
-	res := MB3Result{Platform: s.Name(), Floats: p.MB3Floats}
-
-	sc, err := comm.SC{}.Run(s, w)
-	if err != nil {
-		return MB3Result{}, fmt.Errorf("mb3 under sc: %w", err)
-	}
-	res.SCTotal = sc.Total
-
-	um, err := comm.UM{}.Run(s, w)
-	if err != nil {
-		return MB3Result{}, fmt.Errorf("mb3 under um: %w", err)
-	}
-	res.UMTotal = um.Total
-
-	zc, err := comm.ZC{}.Run(s, w)
-	if err != nil {
-		return MB3Result{}, fmt.Errorf("mb3 under zc: %w", err)
-	}
-	res.ZCTotal = zc.Total
-	res.ZCCPUTime = zc.CPUTime
-	res.ZCKernelTime = zc.KernelTime
 	return res, nil
+}
+
+// mb3Job returns the job that measures the third micro-benchmark under all
+// three models on one platform and fills res.
+func mb3Job(platform string, p Params, res *MB3Result) Job {
+	return func(ctx context.Context, s *soc.SoC) error {
+		if p.MB3Floats < 1024 {
+			return fmt.Errorf("mb3: data set %d too small to be meaningful", p.MB3Floats)
+		}
+		_, span := telemetry.Start(ctx, "mb3", telemetry.String("platform", platform))
+		defer span.End()
+		w := mb3Workload(p)
+		*res = MB3Result{Platform: platform, Floats: p.MB3Floats}
+
+		sc, err := comm.SC{}.Run(s, w)
+		if err != nil {
+			return fmt.Errorf("mb3 under sc: %w", err)
+		}
+		res.SCTotal = sc.Total
+
+		um, err := comm.UM{}.Run(s, w)
+		if err != nil {
+			return fmt.Errorf("mb3 under um: %w", err)
+		}
+		res.UMTotal = um.Total
+
+		zc, err := comm.ZC{}.Run(s, w)
+		if err != nil {
+			return fmt.Errorf("mb3 under zc: %w", err)
+		}
+		res.ZCTotal = zc.Total
+		res.ZCCPUTime = zc.CPUTime
+		res.ZCKernelTime = zc.KernelTime
+		return nil
+	}
 }
 
 // MB3WorkloadForAblation exposes the third micro-benchmark's workload so

@@ -2,16 +2,92 @@ package microbench
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"igpucomm/internal/devices"
 	"igpucomm/internal/soc"
+	"igpucomm/internal/telemetry"
 	"igpucomm/internal/units"
 )
 
+// mb1On, mb2On and mb3On run one benchmark of the plan serially on s.
+func mb1On(s *soc.SoC, p Params) (MB1Result, error) {
+	return MB1(context.Background(), s.Name(), p, Serial(s))
+}
+
+func mb2On(s *soc.SoC, p Params, peak units.BytesPerSecond) (MB2Result, error) {
+	return MB2(context.Background(), s.Name(), s.IOCoherent(), p, peak, Serial(s))
+}
+
+func mb3On(s *soc.SoC, p Params) (MB3Result, error) {
+	return MB3(context.Background(), s.Name(), p, Serial(s))
+}
+
+// TestCharacterizeStages pins the plan's work: stage 1 is the three MB1
+// model rows plus one MB3 job, stage 2 is every GPU sweep point then every
+// CPU sweep point, each in sweep order. A job is identified by the first
+// span it opens.
+func TestCharacterizeStages(t *testing.T) {
+	p := TestParams()
+	s := soc.New(devices.TX2())
+	tr := telemetry.NewTracer(telemetry.TracerOptions{})
+	ctx := telemetry.WithTracer(context.Background(), tr)
+	var stages [][]string
+	record := func(ctx context.Context, jobs []Job) error {
+		var names []string
+		for _, job := range jobs {
+			first := tr.Len()
+			if err := job(ctx, s); err != nil {
+				return err
+			}
+			sp := tr.Spans()[first]
+			names = append(names, sp.Name+" "+sp.Attrs()[0].Value)
+		}
+		stages = append(stages, names)
+		return nil
+	}
+	res, err := Characterize(ctx, s.Name(), s.IOCoherent(), p, record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{"mb1.model sc", "mb1.model um", "mb1.model zc", "mb3 " + devices.TX2Name}, nil}
+	for _, pt := range []string{"mb2.gpu.point", "mb2.cpu.point"} {
+		for _, f := range p.MB2Fractions {
+			want[1] = append(want[1], fmt.Sprintf("%s %g", pt, f))
+		}
+	}
+	if !reflect.DeepEqual(stages, want) {
+		t.Errorf("stages = %q\nwant     %q", stages, want)
+	}
+	if res.Platform != devices.TX2Name || res.MB1.Platform != devices.TX2Name ||
+		res.MB2.Platform != devices.TX2Name || res.MB3.Platform != devices.TX2Name {
+		t.Errorf("platform names not threaded through: %+v", res)
+	}
+}
+
+// TestSerialStopsAtFirstError: the serial runner reports the lowest-index
+// error and runs nothing after it.
+func TestSerialStopsAtFirstError(t *testing.T) {
+	var ran []int
+	job := func(i int, err error) Job {
+		return func(context.Context, *soc.SoC) error {
+			ran = append(ran, i)
+			return err
+		}
+	}
+	first, second := errors.New("first"), errors.New("second")
+	err := Serial(nil)(context.Background(), []Job{job(0, nil), job(1, first), job(2, second)})
+	if !errors.Is(err, first) || !reflect.DeepEqual(ran, []int{0, 1}) {
+		t.Errorf("err = %v, ran = %v; want first, [0 1]", err, ran)
+	}
+}
+
 func TestMB1RowsAndAccessors(t *testing.T) {
 	s := soc.New(devices.TX2())
-	res, err := RunMB1(context.Background(), s, TestParams())
+	res, err := mb1On(s, TestParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +117,7 @@ func TestMB1ZeroCopyStarvesCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunMB1(context.Background(), s, TestParams())
+		res, err := mb1On(s, TestParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,11 +138,11 @@ func TestMB1Table1Shape(t *testing.T) {
 		t.Skip("full-scale characterization")
 	}
 	p := DefaultParams()
-	tx2, err := RunMB1(context.Background(), soc.New(devices.TX2()), p)
+	tx2, err := mb1On(soc.New(devices.TX2()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xavier, err := RunMB1(context.Background(), soc.New(devices.Xavier()), p)
+	xavier, err := mb1On(soc.New(devices.Xavier()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +171,7 @@ func TestMB1Fig5CPUShape(t *testing.T) {
 		t.Skip("full-scale characterization")
 	}
 	p := DefaultParams()
-	tx2, err := RunMB1(context.Background(), soc.New(devices.TX2()), p)
+	tx2, err := mb1On(soc.New(devices.TX2()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +183,7 @@ func TestMB1Fig5CPUShape(t *testing.T) {
 	if penalty < 1.3 || penalty > 2.5 {
 		t.Errorf("TX2 ZC CPU penalty = %.2fx, want ~1.7x", penalty)
 	}
-	xavier, err := RunMB1(context.Background(), soc.New(devices.Xavier()), p)
+	xavier, err := mb1On(soc.New(devices.Xavier()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +199,11 @@ func TestMB1Fig5CPUShape(t *testing.T) {
 func TestMB2ThresholdsStructure(t *testing.T) {
 	s := soc.New(devices.TX2())
 	p := TestParams()
-	mb1, err := RunMB1(context.Background(), s, p)
+	mb1, err := mb1On(s, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMB2(context.Background(), s, p, mb1.PeakThroughput())
+	res, err := mb2On(s, p, mb1.PeakThroughput())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +239,11 @@ func TestMB2XavierHasWiderZCZone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mb1, err := RunMB1(context.Background(), s, p)
+		mb1, err := mb1On(s, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mb2, err := RunMB2(context.Background(), s, p, mb1.PeakThroughput())
+		mb2, err := mb2On(s, p, mb1.PeakThroughput())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +264,11 @@ func TestMB2XavierHasWiderZCZone(t *testing.T) {
 func TestMB2XavierCPUThresholdIs100(t *testing.T) {
 	s := soc.New(devices.Xavier())
 	p := TestParams()
-	mb1, err := RunMB1(context.Background(), s, p)
+	mb1, err := mb1On(s, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMB2(context.Background(), s, p, mb1.PeakThroughput())
+	res, err := mb2On(s, p, mb1.PeakThroughput())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,22 +285,22 @@ func TestMB2XavierCPUThresholdIs100(t *testing.T) {
 func TestMB2RejectsBadInputs(t *testing.T) {
 	s := soc.New(devices.TX2())
 	p := TestParams()
-	if _, err := RunMB2(context.Background(), s, p, 0); err == nil {
+	if _, err := mb2On(s, p, 0); err == nil {
 		t.Error("zero peak accepted")
 	}
 	p.MB2Fractions = []float64{0}
-	if _, err := RunMB2(context.Background(), s, p, units.GBps); err == nil {
+	if _, err := mb2On(s, p, units.GBps); err == nil {
 		t.Error("zero fraction accepted")
 	}
 	p.MB2Fractions = []float64{1.5}
-	if _, err := RunMB2(context.Background(), s, p, units.GBps); err == nil {
+	if _, err := mb2On(s, p, units.GBps); err == nil {
 		t.Error("fraction above 1 accepted")
 	}
 }
 
 func TestMB3BalancedAndOverlapped(t *testing.T) {
 	s := soc.New(devices.Xavier())
-	res, err := RunMB3(context.Background(), s, TestParams())
+	res, err := mb3On(s, TestParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +316,7 @@ func TestMB3XavierZCWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale characterization")
 	}
-	res, err := RunMB3(context.Background(), soc.New(devices.Xavier()), DefaultParams())
+	res, err := mb3On(soc.New(devices.Xavier()), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +333,7 @@ func TestMB3TX2ZCLosesOnUncachedPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale characterization")
 	}
-	res, err := RunMB3(context.Background(), soc.New(devices.TX2()), DefaultParams())
+	res, err := mb3On(soc.New(devices.TX2()), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +347,7 @@ func TestMB3TX2ZCLosesOnUncachedPath(t *testing.T) {
 func TestMB3RejectsTinyDataset(t *testing.T) {
 	p := TestParams()
 	p.MB3Floats = 16
-	if _, err := RunMB3(context.Background(), soc.New(devices.TX2()), p); err == nil {
+	if _, err := mb3On(soc.New(devices.TX2()), p); err == nil {
 		t.Error("tiny dataset accepted")
 	}
 }

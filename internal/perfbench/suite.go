@@ -211,7 +211,7 @@ func DefaultSuite(opt SuiteOptions) ([]Scenario, error) {
 			Doc:       "MB1 cache-throughput phase on the TX2 catalog entry",
 			Prepare: func(context.Context) (func(context.Context) error, func(), error) {
 				return func(ctx context.Context) error {
-					_, err := microbench.RunMB1(ctx, soc.New(tx2), params)
+					_, err := microbench.MB1(ctx, tx2.Name, params, microbench.Serial(soc.New(tx2)))
 					return err
 				}, nil, nil
 			},
@@ -221,13 +221,13 @@ func DefaultSuite(opt SuiteOptions) ([]Scenario, error) {
 			Component: "microbench",
 			Doc:       "MB2 density-sweep phase on the TX2 catalog entry",
 			Prepare: func(ctx context.Context) (func(context.Context) error, func(), error) {
-				mb1, err := microbench.RunMB1(ctx, soc.New(tx2), params)
+				mb1, err := microbench.MB1(ctx, tx2.Name, params, microbench.Serial(soc.New(tx2)))
 				if err != nil {
 					return nil, nil, err
 				}
 				peak := mb1.PeakThroughput()
 				return func(ctx context.Context) error {
-					_, err := microbench.RunMB2(ctx, soc.New(tx2), params, peak)
+					_, err := microbench.MB2(ctx, tx2.Name, tx2.IOCoherent, params, peak, microbench.Serial(soc.New(tx2)))
 					return err
 				}, nil, nil
 			},
@@ -237,17 +237,17 @@ func DefaultSuite(opt SuiteOptions) ([]Scenario, error) {
 			Component: "microbench",
 			Doc:       "MB2 density sweep on one persistent platform (compiled-kernel replay steady state)",
 			Prepare: func(ctx context.Context) (func(context.Context) error, func(), error) {
-				s := soc.New(tx2)
-				mb1, err := microbench.RunMB1(ctx, s, params)
+				run := microbench.Serial(soc.New(tx2))
+				mb1, err := microbench.MB1(ctx, tx2.Name, params, run)
 				if err != nil {
 					return nil, nil, err
 				}
 				peak := mb1.PeakThroughput()
-				if _, err := microbench.RunMB2(ctx, s, params, peak); err != nil {
+				if _, err := microbench.MB2(ctx, tx2.Name, tx2.IOCoherent, params, peak, run); err != nil {
 					return nil, nil, err
 				}
 				return func(ctx context.Context) error {
-					_, err := microbench.RunMB2(ctx, s, params, peak)
+					_, err := microbench.MB2(ctx, tx2.Name, tx2.IOCoherent, params, peak, run)
 					return err
 				}, nil, nil
 			},
@@ -258,7 +258,7 @@ func DefaultSuite(opt SuiteOptions) ([]Scenario, error) {
 			Doc:       "MB3 overlap phase on the TX2 catalog entry",
 			Prepare: func(context.Context) (func(context.Context) error, func(), error) {
 				return func(ctx context.Context) error {
-					_, err := microbench.RunMB3(ctx, soc.New(tx2), params)
+					_, err := microbench.MB3(ctx, tx2.Name, params, microbench.Serial(soc.New(tx2)))
 					return err
 				}, nil, nil
 			},
