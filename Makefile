@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt vet lint lint-sarif lint-baseline lint-docs docs-links hazardcheck cover fuzz paperbench bench perfgate perf-smoke baseline trace fleet dst ci
+.PHONY: all build test race declared-full fmt vet lint lint-sarif lint-baseline lint-docs docs-links hazardcheck cover fuzz paperbench bench perfgate perf-smoke baseline trace fleet dst ci
 
 all: build
 
@@ -17,6 +17,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The declared-kernel differential at paper scale (DefaultParams and
+# catalog.Full; 4 M threads per MB3 stream): every kernel declaring an
+# affine stride must compile and replay exactly like its undeclared twin.
+# The race detector skips this test, so it runs here without -race.
+declared-full:
+	$(GO) test -count=1 -run '^TestDeclaredKernelsFullScale$$' ./internal/microbench
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -135,4 +142,4 @@ DST_ARTIFACT ?= dst-repro.json
 dst:
 	DST_ARTIFACT=$(DST_ARTIFACT) $(GO) test -race -count=1 ./internal/dst -dst.seeds=$(DST_SEEDS)
 
-ci: fmt vet lint lint-docs docs-links build race paperbench cover fuzz hazardcheck trace fleet dst perf-smoke
+ci: fmt vet lint lint-docs docs-links build race declared-full paperbench cover fuzz hazardcheck trace fleet dst perf-smoke

@@ -191,6 +191,7 @@ func detectKernel(p WorkloadParams, lay comm.Layout, lvls []levelGeometry, level
 			prog.Compute(isa.FMA, p.PerPixelOps)   // segment test, NMS, orientation
 			prog.St(scores+int64(tid)*4, 4)        // score map, coalesced
 		},
+		Stride: 4,
 	}
 }
 

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"igpucomm/internal/cache"
@@ -55,6 +56,26 @@ import (
 //     ordered same-path group at a chunk boundary into two consecutive
 //     batches issues the same sequence of accesses, and the latencies are
 //     still summed in global order.
+//   - A kernel declaring Stride (see Kernel) compiles warp 0 the normal way
+//     into a template and derives each other full warp w by shifting every
+//     template transaction's address by D = w*WarpSize*Stride. Under the
+//     declaration, lane l of warp w runs lane l of warp 0's program with
+//     every address plus D, so its opcodes, sizes, lane masks, compute and
+//     counts are warp 0's. The shift is exact when D is a multiple of the
+//     L1 line and of the 64 B write-combining granule — the whole kernel
+//     compiles the normal way unless WarpSize*Stride is a positive multiple
+//     of both. Then every lane's line and WC-line indices move by the same
+//     whole number, so coalescing merges the same lanes in the same
+//     first-seen order and yields the template's transactions plus D.
+//     Pinned routing, decided per lane start address, must move with them:
+//     warp w derives only if, for every memory slot, warp 0's lanes share
+//     one route and the slot's lane-address envelope plus D lies wholly in
+//     one pinned range (pinned) or clear of all of them (cached). A partial
+//     last warp, and any full warp failing that test, compiles the normal
+//     way. Derived warps keep their place in the slot-major batch
+//     interleave, so the stream order and the (warp, slot) tags
+//     VisitTransactions reports are unchanged; their compute is charged as
+//     warp 0's whole-cycle total, exact by the integral-cost argument above.
 type CompiledKernel struct {
 	name      string
 	warpCount int
@@ -124,6 +145,52 @@ func (ck *CompiledKernel) Name() string { return ck.name }
 
 // Transactions returns the size of the compiled transaction stream.
 func (ck *CompiledKernel) Transactions() int64 { return int64(ck.txnCount()) }
+
+// Diff reports the first way ck and o would replay differently, or nil when
+// they would not: the name, warp count, instruction, requested-byte and
+// transaction totals, per-SM compute, warp counts and stream bounds, and
+// every transaction in order. Chunk capacity, spare chunks, the pinned epoch
+// and the recorded fingerprint are bookkeeping, not content. The declared-
+// kernel differential tests use it to prove that a kernel compiled from a
+// warp template is the kernel its undeclared twin compiles to.
+func (ck *CompiledKernel) Diff(o *CompiledKernel) error {
+	switch {
+	case ck.valid != o.valid:
+		return fmt.Errorf("valid %v vs %v", ck.valid, o.valid)
+	case ck.name != o.name:
+		return fmt.Errorf("name %q vs %q", ck.name, o.name)
+	case ck.warpCount != o.warpCount:
+		return fmt.Errorf("warps %d vs %d", ck.warpCount, o.warpCount)
+	case ck.instructions != o.instructions:
+		return fmt.Errorf("instructions %d vs %d", ck.instructions, o.instructions)
+	case ck.bytesRequested != o.bytesRequested:
+		return fmt.Errorf("requested bytes %d vs %d", ck.bytesRequested, o.bytesRequested)
+	case ck.txnBytes != o.txnBytes:
+		return fmt.Errorf("transaction bytes %d vs %d", ck.txnBytes, o.txnBytes)
+	case ck.txnCount() != o.txnCount():
+		return fmt.Errorf("transactions %d vs %d", ck.txnCount(), o.txnCount())
+	case len(ck.smCompute) != len(o.smCompute):
+		return fmt.Errorf("SMs %d vs %d", len(ck.smCompute), len(o.smCompute))
+	}
+	for i := range ck.smCompute {
+		switch {
+		case ck.smCompute[i] != o.smCompute[i]:
+			return fmt.Errorf("SM %d compute %v vs %v", i, ck.smCompute[i], o.smCompute[i])
+		case ck.smWarps[i] != o.smWarps[i]:
+			return fmt.Errorf("SM %d warps %d vs %d", i, ck.smWarps[i], o.smWarps[i])
+		case ck.smTxnEnd[i] != o.smTxnEnd[i]:
+			return fmt.Errorf("SM %d stream end %d vs %d", i, ck.smTxnEnd[i], o.smTxnEnd[i])
+		}
+	}
+	for i := 0; i < ck.txnCount(); i++ {
+		a, b := ck.chunks[i>>chunkShift], o.chunks[i>>chunkShift]
+		j := i & chunkMask
+		if a.accs[j] != b.accs[j] || a.paths[j] != b.paths[j] {
+			return fmt.Errorf("transaction %d: %+v path %d vs %+v path %d", i, a.accs[j], a.paths[j], b.accs[j], b.paths[j])
+		}
+	}
+	return nil
+}
 
 // txnCount is the number of recorded transactions: the global index the
 // next appended transaction receives.
@@ -225,12 +292,47 @@ type laneCursor struct {
 }
 
 // memEvent is one memory warp-instruction discovered during the per-warp
-// walk: its slot index and the captured per-lane instructions.
+// walk: its slot index and the captured per-lane instructions. txnEnd is the
+// stream length right after its transactions were appended.
 type memEvent struct {
 	slot      int32
 	laneStart int32
 	laneCount int32
 	op        isa.Op
+	txnEnd    int32
+}
+
+// wcGranule is the pinned write-combining buffer's line size in bytes.
+const wcGranule = 64
+
+// warpTemplate is warp 0 of a declared affine kernel, compiled the normal
+// way into its own one-warp stream, plus what deriving another full warp
+// from it takes: warp 0's compute charge and counts, and per memory slot
+// its transactions and the envelope and route of its lanes' addresses.
+type warpTemplate struct {
+	ok    bool  // the kernel being compiled derives its full warps from this
+	span  int64 // WarpSize*Stride: the address shift from one warp to the next
+	slots int   // warp 0's program length
+
+	compute        units.Cycles
+	instructions   int64
+	bytesRequested int64
+
+	events []tmplEvent
+	accs   []cache.Access
+	paths  []uint8
+
+	ck CompiledKernel // warp 0's one-warp compile; storage reused
+}
+
+// tmplEvent is one memory slot of the template. Its transactions are
+// accs[start:end]; lo and hi bound its active lanes' start addresses — the
+// addresses pinned routing is decided on — which all take one route.
+type tmplEvent struct {
+	slot       int32
+	start, end int32
+	lo, hi     int64
+	pinned     bool
 }
 
 // compiler is the reusable compile-pass scratch. Everything grows once and
@@ -249,6 +351,9 @@ type compiler struct {
 	evCur    []int32
 	lineBuf  []int64
 	wcBuf    []int64
+
+	derived []bool // per batch warp, parallel to warps: compiled from tmpl
+	tmpl    warpTemplate
 
 	// onMem, when set, is called right after each memory warp-instruction's
 	// transactions are appended to the stream, with the issuing warp and
@@ -303,6 +408,13 @@ func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 	g.ensureLaneBuffers(resident)
 	g.comp.ensure(ws, resident)
 	ck.reset(k, warpCount, len(g.sms), g.pinnedEpoch)
+	g.work.KernelsCompiled++
+	if err := g.buildTemplate(k); err != nil {
+		return err
+	}
+	if g.hashCompile && k.Stride != 0 {
+		ck.progH1, ck.progH2 = g.declaredDigest(k)
+	}
 
 	c := &g.comp
 	for smIdx := range g.sms {
@@ -321,33 +433,156 @@ func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 	return nil
 }
 
+// buildTemplate prepares the warp template for kernel k. It leaves
+// tmpl.ok false, so every warp compiles the normal way, unless k declares a
+// stride whose warp span is a positive multiple of both the L1 line size and
+// the write-combining granule, k has a full warp besides warp 0, and every
+// memory slot of warp 0 keeps all its lanes on one route. An error is one of
+// warp 0's emission errors — the first the normal path reports too, since
+// warp 0 opens SM 0's first batch.
+func (g *GPU) buildTemplate(k Kernel) error {
+	c := &g.comp
+	t := &c.tmpl
+	t.ok = false
+	ws := int64(g.cfg.WarpSize)
+	if k.Stride <= 0 || k.Stride > math.MaxInt64/ws || int64(k.Threads) < 2*ws {
+		return nil
+	}
+	span := ws * k.Stride
+	if span%g.cfg.L1.LineSize != 0 || span%wcGranule != 0 {
+		return nil
+	}
+
+	// Compile warp 0 alone. The visitor hook stays off: warp 0's
+	// transactions are reported when the main pass derives it (shift 0).
+	onMem := c.onMem
+	c.onMem = nil
+	c.warps = append(c.warps[:0], 0)
+	t.ck.reset(k, 1, 1, g.pinnedEpoch)
+	err := g.compileBatch(k, 0, &t.ck)
+	c.onMem = onMem
+	if err != nil {
+		return err
+	}
+
+	t.events = t.events[:0]
+	var start int32
+	for i := range c.events {
+		ev := &c.events[i]
+		te := tmplEvent{slot: ev.slot, start: start, end: ev.txnEnd}
+		start = ev.txnEnd
+		active := false
+		for _, la := range c.evLanes[ev.laneStart : ev.laneStart+ev.laneCount] {
+			if la.Op == isa.Nop {
+				continue
+			}
+			pinned := g.pinned(la.Addr)
+			if !active {
+				te.lo, te.hi, te.pinned, active = la.Addr, la.Addr, pinned, true
+				continue
+			}
+			if pinned != te.pinned {
+				return nil // a mixed-route slot: compile every warp the normal way
+			}
+			te.lo = min(te.lo, la.Addr)
+			te.hi = max(te.hi, la.Addr)
+		}
+		t.events = append(t.events, te)
+	}
+	t.accs, t.paths = t.accs[:0], t.paths[:0]
+	for _, ch := range t.ck.chunks[:t.ck.used] {
+		t.accs = append(t.accs, ch.accs...)
+		t.paths = append(t.paths, ch.paths...)
+	}
+	t.span = span
+	t.slots = g.laneProgs[0].Len()
+	t.compute = t.ck.smCompute[0]
+	t.instructions = t.ck.instructions
+	t.bytesRequested = t.ck.bytesRequested
+	t.ok = true
+	return nil
+}
+
+// deriveWarp reports whether warp w, with the given lane count, compiles
+// from the template. A partial warp never does; a full warp does when, for
+// every memory slot, the template's lane envelope shifted by w*span lies
+// wholly on the route warp 0's lanes took — inside one pinned range, or
+// clear of every range.
+func (g *GPU) deriveWarp(w, lanes int) bool {
+	t := &g.comp.tmpl
+	if !t.ok || lanes < g.cfg.WarpSize {
+		return false
+	}
+	shift := int64(w) * t.span
+	for i := range t.events {
+		te := &t.events[i]
+		if pinned, uniform := g.route(te.lo+shift, te.hi+shift); !uniform || pinned != te.pinned {
+			return false
+		}
+	}
+	return true
+}
+
+// route classifies the addresses lo..hi (inclusive): pinned when one pinned
+// range holds them all, cached when no range holds any; uniform is false
+// when a range boundary falls between them.
+func (g *GPU) route(lo, hi int64) (pinned, uniform bool) {
+	for _, r := range g.ranges {
+		if hi < r.lo || lo >= r.hi {
+			continue
+		}
+		return true, lo >= r.lo && hi < r.hi
+	}
+	return false, true
+}
+
 // compileBatch compiles one resident batch: emit lanes, validate, charge
 // compute in bulk per run segment, then emit the batch's memory transactions
-// in the reference executor's slot-major interleaved order.
+// in the reference executor's slot-major interleaved order. A warp derived
+// from the template skips all of that: it is charged warp 0's compute and
+// counts, and appends warp 0's transactions shifted, in the same interleave.
 func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 	c := &g.comp
+	t := &c.tmpl
 	ws := g.cfg.WarpSize
+	// A declared kernel is fingerprinted by thread 0 alone (declaredDigest).
+	hashLanes := g.hashCompile && k.Stride == 0
 
 	// Emission, validation and convergence, warp by warp in batch order —
 	// the same error-discovery order as the reference executor.
 	c.lanes = c.lanes[:0]
 	c.lockstep = c.lockstep[:0]
+	c.derived = c.derived[:0]
 	for bi, w := range c.warps {
 		lanes := ws
 		if last := k.Threads - w*ws; last < lanes {
 			lanes = last
 		}
 		c.lanes = append(c.lanes, lanes)
+		derived := g.deriveWarp(w, lanes)
+		c.derived = append(c.derived, derived)
+		if derived {
+			c.lockstep = append(c.lockstep, true)
+			ck.smWarps[smIdx]++
+			ck.smCompute[smIdx] += t.compute
+			ck.instructions += t.instructions
+			ck.bytesRequested += t.bytesRequested
+			if w != 0 {
+				g.work.WarpsDerived++
+			}
+			continue
+		}
 		for l := 0; l < lanes; l++ {
 			p := &g.laneProgs[bi*ws+l]
 			p.Reset()
 			k.Program(w*ws+l, p)
-			if g.hashCompile {
+			if hashLanes {
 				d1, d2 := laneDigest(w*ws+l, p.Runs())
 				ck.progH1 += d1
 				ck.progH2 += d2
 			}
 		}
+		g.work.ProgramsEmitted += int64(lanes)
 		idx := 0
 		for _, r := range g.laneProgs[bi*ws].Runs() {
 			if err := r.In.Validate(); err != nil {
@@ -396,6 +631,12 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 	c.evLanes = c.evLanes[:0]
 	maxLen := 0
 	for bi := range c.warps {
+		if c.derived[bi] {
+			c.evStart[bi] = 0
+			c.evEnd[bi] = int32(len(t.events))
+			maxLen = max(maxLen, t.slots)
+			continue
+		}
 		c.evStart[bi] = int32(len(c.events))
 		lanes := c.lanes[bi]
 		total := g.laneProgs[bi*ws].Len()
@@ -487,16 +728,42 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 	copy(c.evCur[:len(c.warps)], c.evStart[:len(c.warps)])
 	for i := 0; i < maxLen; i++ {
 		for bi := range c.warps {
-			if c.evCur[bi] < c.evEnd[bi] && c.events[c.evCur[bi]].slot == int32(i) {
-				g.emitTxns(ck, &c.events[c.evCur[bi]])
-				c.evCur[bi]++
-				if c.onMem != nil {
-					c.onMem(c.warps[bi], i)
+			cur := c.evCur[bi]
+			if cur >= c.evEnd[bi] {
+				continue
+			}
+			if c.derived[bi] {
+				te := &t.events[cur]
+				if te.slot != int32(i) {
+					continue
 				}
+				g.appendShifted(ck, te, int64(c.warps[bi])*t.span)
+			} else {
+				ev := &c.events[cur]
+				if ev.slot != int32(i) {
+					continue
+				}
+				g.emitTxns(ck, ev)
+				ev.txnEnd = int32(ck.txnCount())
+			}
+			c.evCur[bi]++
+			if c.onMem != nil {
+				c.onMem(c.warps[bi], i)
 			}
 		}
 	}
 	return nil
+}
+
+// appendShifted appends one template slot's transactions to ck, every
+// address plus shift.
+func (g *GPU) appendShifted(ck *CompiledKernel, te *tmplEvent, shift int64) {
+	t := &g.comp.tmpl
+	for j := te.start; j < te.end; j++ {
+		a := &t.accs[j]
+		ck.appendTxn(t.paths[j], a.Kind, a.Addr+shift, a.Size)
+	}
+	g.work.TxnsRecorded += int64(te.end - te.start)
 }
 
 // emitTxns coalesces one memory warp-instruction into transactions, exactly
@@ -512,6 +779,7 @@ func (g *GPU) emitTxns(ck *CompiledKernel, ev *memEvent) {
 	lineSize := g.cfg.L1.LineSize
 	c.lineBuf = c.lineBuf[:0]
 	c.wcBuf = c.wcBuf[:0]
+	start := ck.txnCount()
 	var wcBytes int64
 	for _, la := range c.evLanes[ev.laneStart : ev.laneStart+ev.laneCount] {
 		if la.Op == isa.Nop {
@@ -520,7 +788,7 @@ func (g *GPU) emitTxns(ck *CompiledKernel, ev *memEvent) {
 		ck.bytesRequested += la.Size
 		if g.pinned(la.Addr) {
 			if kind == cache.Write {
-				wcLine := la.Addr >> 6 // 64B write-combining lines
+				wcLine := la.Addr / wcGranule
 				if !containsInt64(c.wcBuf, wcLine) {
 					c.wcBuf = append(c.wcBuf, wcLine)
 					wcBytes += la.Size
@@ -543,11 +811,12 @@ func (g *GPU) emitTxns(ck *CompiledKernel, ev *memEvent) {
 		if size <= 0 {
 			size = 4
 		}
-		ck.appendTxn(pathPinned, cache.Write, wcLine*64, size)
+		ck.appendTxn(pathPinned, cache.Write, wcLine*wcGranule, size)
 	}
 	for _, ln := range c.lineBuf {
 		ck.appendTxn(pathCached, kind, ln*lineSize, lineSize)
 	}
+	g.work.TxnsRecorded += int64(ck.txnCount() - start)
 }
 
 // sameOpsAndCounts reports whether two lanes have identical run structure:

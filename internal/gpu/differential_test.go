@@ -5,7 +5,9 @@ package gpu
 // per-access reference executor for EVERY expressible kernel, and its steady
 // state must not allocate. The fuzzer generates kernels from raw bytes —
 // mixed strides, sizes, pinned and cached lanes, masked slots, partial
-// warps — and fails on the first observable divergence.
+// warps — and fails on the first observable divergence. A decoded kernel
+// whose memory slots all share one per-thread stride is declared affine, so
+// the warp-template compile path is fuzzed against the same oracle.
 
 import (
 	"testing"
@@ -38,18 +40,33 @@ func twinGPUs() (ref, batch *GPU) {
 // one slot shared by every thread (SIMT), with per-thread addresses. Byte 0
 // picks the slot kind (compute run, load, store, masked load, lane-0-masked
 // access), byte 1 the base region (cacheable or pinned), byte 2 the
-// per-thread stride, byte 3 the access size — and, for a lane-0-masked
-// slot, whether even lanes store while odd lanes load, a divergence both
-// executors must reject with the same error. Returns at most 48 slots so
-// fuzzing stays fast.
+// per-thread stride (see fuzzStride), byte 3 the access size — and, for a
+// lane-0-masked slot, whether even lanes store while odd lanes load, a
+// divergence both executors must reject with the same error. Returns at
+// most 48 slots so fuzzing stays fast. The kernel declares its stride when
+// every memory slot is an unmasked load or store with one shared nonzero
+// stride; the reference executor ignores the declaration.
 func fuzzKernel(data []byte, threads int) Kernel {
 	slots := len(data) / 4
 	if slots > 48 {
 		slots = 48
 	}
+	var declared int64
+	for s := 0; s < slots; s++ {
+		kind, stride := data[4*s]%5, fuzzStride(data[4*s+2])
+		if kind == 0 {
+			continue
+		}
+		if kind > 2 || stride == 0 || (declared != 0 && stride != declared) {
+			declared = 0
+			break
+		}
+		declared = stride
+	}
 	return Kernel{
 		Name:    "fuzz",
 		Threads: threads,
+		Stride:  declared,
 		Program: func(tid int, p *isa.Program) {
 			for s := 0; s < slots; s++ {
 				b0, b1, b2, b3 := data[4*s], data[4*s+1], data[4*s+2], data[4*s+3]
@@ -57,7 +74,7 @@ func fuzzKernel(data []byte, threads int) Kernel {
 				if b1 >= 192 {
 					base = pinnedBase + int64(b1%32)*64
 				}
-				stride := int64(b2 % 9 * 8)
+				stride := fuzzStride(b2)
 				size := int64(b3%32) + 1
 				addr := base + int64(tid)*stride
 				switch b0 % 5 {
@@ -91,21 +108,77 @@ func fuzzKernel(data []byte, threads int) Kernel {
 	}
 }
 
+// fuzzStride decodes a memory slot's per-thread stride byte: a multiple
+// of 8 up to 64 bytes, or, for the top bytes 248..255, 1 to 8 bytes — odd
+// strides give warp spans that are not a multiple of the line size.
+func fuzzStride(b byte) int64 {
+	if b >= 248 {
+		return int64(b - 247)
+	}
+	return int64(b % 9 * 8)
+}
+
+// declaredSeeds are seeds whose kernels declare a stride, each aimed at one
+// of the warp-template path's fallbacks; derived is how many warps the
+// declared compile derives from warp 0.
+var declaredSeeds = []struct {
+	data    []byte
+	threads int
+	derived int64
+}{
+	{[]byte{1, 0, 1, 3, 0, 0, 0, 0, 2, 10, 1, 7}, 90, 1},        // partial last warp 2 compiles the normal way
+	{[]byte{1, 200, 8, 3, 2, 200, 8, 3}, 128, 2},                // warp 3 straddles the pinned window's end
+	{[]byte{1, 0, 250, 3, 2, 10, 250, 7, 1, 0, 250, 9}, 100, 0}, // stride 3: warp span 96 B, not a line multiple
+	{[]byte{1, 0, 249, 5, 2, 40, 249, 2}, 128, 3},               // stride 2: warp span of exactly one line
+}
+
+// checkDeclared compiles a declared kernel with and without its declaration
+// and requires the identical compiled kernel: the warp template must be
+// invisible in the stream, the per-SM accounting and the counts. It returns
+// how many warps the declared compile derived.
+func checkDeclared(t *testing.T, g *GPU, k Kernel) int64 {
+	t.Helper()
+	if k.Stride == 0 {
+		return 0
+	}
+	undeclared := k
+	undeclared.Stride = 0
+	want, errWant := g.Compile(undeclared)
+	before := g.Work().WarpsDerived
+	got, errGot := g.Compile(k)
+	derived := g.Work().WarpsDerived - before
+	if (errWant == nil) != (errGot == nil) || (errWant != nil && errWant.Error() != errGot.Error()) {
+		t.Fatalf("declared compile error divergence: undeclared %v, declared %v", errWant, errGot)
+	}
+	if errWant != nil {
+		return derived
+	}
+	if err := got.Diff(want); err != nil {
+		t.Fatalf("declared stride %d compiles differently: %v", k.Stride, err)
+	}
+	return derived
+}
+
 // FuzzBatchVsReference is the batch-vs-reference differential fuzzer: any
 // decodable kernel must produce an identical Result — times, hit/miss
 // deltas, transaction (coalescing) counts, bytes — from the compiled batch
 // path and the per-access reference path, and the identical error when it
-// is invalid.
+// is invalid. A declared kernel must also compile identically with its
+// declaration dropped.
 func FuzzBatchVsReference(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 3, 0, 0, 0, 0, 2, 10, 2, 7}, uint8(64))
 	f.Add([]byte{1, 200, 0, 3, 2, 220, 1, 7}, uint8(33))  // pinned read + WC write
 	f.Add([]byte{3, 8, 4, 15, 1, 8, 4, 15}, uint8(90))    // masked + partial warp
 	f.Add([]byte{2, 63, 8, 31, 1, 63, 8, 31}, uint8(255)) // wide strides, many warps
 	f.Add([]byte{4, 0, 1, 131}, uint8(31))                // 32 threads: lane 0 masked, odd lanes load, even lanes store
+	for _, s := range declaredSeeds {
+		f.Add(s.data, uint8(s.threads-1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, nthreads uint8) {
 		threads := int(nthreads)%128 + 1
 		ref, batch := twinGPUs()
 		k := fuzzKernel(data, threads)
+		checkDeclared(t, batch, k)
 
 		want, errRef := ref.Launch(k)
 		got, errBatch := batch.Launch(k)
@@ -139,17 +212,22 @@ func TestBatchVsReferenceSeeds(t *testing.T) {
 	seeds := []struct {
 		data    []byte
 		threads int
+		derived int64
 	}{
-		{[]byte{1, 0, 1, 3, 0, 0, 0, 0, 2, 10, 2, 7}, 64},
-		{[]byte{1, 200, 0, 3, 2, 220, 1, 7}, 33},
-		{[]byte{3, 8, 4, 15, 1, 8, 4, 15}, 90},
-		{[]byte{2, 63, 8, 31, 1, 63, 8, 31}, 255},
-		{[]byte{1, 5, 0, 0}, 1},
-		{[]byte{4, 0, 1, 131}, 32},
+		{[]byte{1, 0, 1, 3, 0, 0, 0, 0, 2, 10, 2, 7}, 64, 0},
+		{[]byte{1, 200, 0, 3, 2, 220, 1, 7}, 33, 0},
+		{[]byte{3, 8, 4, 15, 1, 8, 4, 15}, 90, 0},
+		{[]byte{2, 63, 8, 31, 1, 63, 8, 31}, 255, 6},
+		{[]byte{1, 5, 0, 0}, 1, 0},
+		{[]byte{4, 0, 1, 131}, 32, 0},
 	}
+	seeds = append(seeds, declaredSeeds...)
 	for i, s := range seeds {
 		ref, batch := twinGPUs()
 		k := fuzzKernel(s.data, s.threads)
+		if derived := checkDeclared(t, batch, k); derived != s.derived {
+			t.Fatalf("seed %d: declared stride %d derived %d warps, want %d", i, k.Stride, derived, s.derived)
+		}
 		want, errRef := ref.Launch(k)
 		got, errBatch := batch.Launch(k)
 		if (errRef == nil) != (errBatch == nil) || (errRef != nil && errRef.Error() != errBatch.Error()) {
@@ -166,19 +244,23 @@ func TestBatchVsReferenceSeeds(t *testing.T) {
 // batch cache replay — must not allocate at all.
 func TestLaunchSteadyStateZeroAlloc(t *testing.T) {
 	_, g := twinGPUs()
-	k := fuzzKernel([]byte{1, 0, 1, 3, 0, 0, 0, 0, 2, 10, 2, 7, 1, 200, 0, 3}, 128)
-	for i := 0; i < 3; i++ { // warm scratch to steady-state capacity
-		if _, err := g.Launch(k); err != nil {
-			t.Fatal(err)
+	for _, k := range []Kernel{
+		fuzzKernel([]byte{1, 0, 1, 3, 0, 0, 0, 0, 2, 10, 2, 7, 1, 200, 0, 3}, 128),
+		fuzzKernel(declaredSeeds[1].data, declaredSeeds[1].threads), // warp-template path
+	} {
+		for i := 0; i < 3; i++ { // warm scratch to steady-state capacity
+			if _, err := g.Launch(k); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := g.Launch(k); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := g.Launch(k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Launch of stride-%d kernel allocates %v times per run, want 0", k.Stride, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Launch allocates %v times per run, want 0", allocs)
 	}
 }
 
@@ -261,6 +343,57 @@ func TestLauncherCrossRunReplay(t *testing.T) {
 	}
 	if got := len(e.ranges); got != 1 || e.ranges[0].hi != pinnedBase+4096 {
 		t.Fatalf("entry not recompiled against new routing: ranges %+v", e.ranges)
+	}
+}
+
+// TestLauncherDeclaredFingerprint pins the kernel cache's fingerprint for a
+// declared affine kernel — (thread 0's program, stride, threads) — across
+// pinned-routing rebuilds like soc.ResetState's: an unchanged kernel
+// replays after emitting one program, not one per thread, while a moved
+// buffer or a changed stride recompiles.
+func TestLauncherDeclaredFingerprint(t *testing.T) {
+	_, g := twinGPUs()
+	lch := NewLauncher(g, "xrun/declared")
+	mk := func(base, stride int64) Kernel {
+		return Kernel{Name: "affine", Threads: 256, Stride: stride, Program: func(tid int, p *isa.Program) {
+			p.Ld(base+int64(tid)*stride, 4)
+			p.Compute(isa.FMA, 3)
+			p.St(base+4096+int64(tid)*stride, 4)
+		}}
+	}
+	// launch runs k in a new run and returns the compile work it took.
+	launch := func(k Kernel) Work {
+		t.Helper()
+		g.ClearPinnedRanges()
+		g.AddPinnedRange(pinnedBase, pinnedBase+8192)
+		before := g.Work()
+		if _, err := lch.Launch(0, k); err != nil {
+			t.Fatal(err)
+		}
+		w := g.Work()
+		return Work{
+			KernelsCompiled: w.KernelsCompiled - before.KernelsCompiled,
+			ProgramsEmitted: w.ProgramsEmitted - before.ProgramsEmitted,
+		}
+	}
+	steps := []struct {
+		name string
+		k    Kernel
+		want Work
+	}{
+		// Compile: warp 0's 32 lanes; the other 7 warps are derived.
+		{"first compile", mk(0, 4), Work{KernelsCompiled: 1, ProgramsEmitted: 32}},
+		// Second compile of the key also digests thread 0.
+		{"recompile, fingerprinted", mk(0, 4), Work{KernelsCompiled: 1, ProgramsEmitted: 33}},
+		{"unchanged replays", mk(0, 4), Work{ProgramsEmitted: 1}},
+		{"moved buffer recompiles", mk(64, 4), Work{KernelsCompiled: 1, ProgramsEmitted: 34}},
+		{"changed stride recompiles", mk(64, 8), Work{KernelsCompiled: 1, ProgramsEmitted: 34}},
+		{"unchanged again replays", mk(64, 8), Work{ProgramsEmitted: 1}},
+	}
+	for _, st := range steps {
+		if got := launch(st.k); got != st.want {
+			t.Fatalf("%s: work %+v, want %+v", st.name, got, st.want)
+		}
 	}
 }
 

@@ -163,6 +163,8 @@ type GPU struct {
 	vprog       isa.Program // revalidation emission scratch
 	hashCompile bool        // make CompileInto record the program fingerprint
 
+	work Work // compile-work counters, see Work
+
 	// heat receives records for pinned-path transactions (which bypass the
 	// caches entirely); the per-SM L1s record cacheable traffic through
 	// their own sinks. nil when heat profiling is off.
@@ -215,6 +217,29 @@ func (g *GPU) L1Stats() cache.Stats {
 	}
 	return total
 }
+
+// Work counts the compile work a GPU has done since New. The counters are
+// plain integers, deterministic for a given launch sequence, so tests pin
+// them exactly where a wall-clock time would be noise. ResetStats leaves
+// them alone: they measure the simulator's own work, not the simulated
+// traffic.
+type Work struct {
+	// KernelsCompiled counts compile passes (CompileInto calls that get
+	// past the thread-count and program checks).
+	KernelsCompiled int64
+	// ProgramsEmitted counts thread programs emitted, by the compile pass
+	// and by the kernel cache's fingerprinting.
+	ProgramsEmitted int64
+	// WarpsDerived counts full warps of declared affine kernels compiled
+	// by shifting warp 0's template instead of emitting their lanes.
+	WarpsDerived int64
+	// TxnsRecorded counts transactions appended to compiled streams,
+	// including warp 0's own template.
+	TxnsRecorded int64
+}
+
+// Work returns the GPU's compile-work counters.
+func (g *GPU) Work() Work { return g.work }
 
 // SetPinnedPath wires the route pinned-range accesses take, with the
 // sustained bandwidth of that route.

@@ -18,10 +18,21 @@ import (
 // emit the same instructions. The batch executor compiles the emitted trace
 // once and replays it, so a non-deterministic emitter would silently
 // desynchronize from what a per-access execution would have done.
+//
+// Stride optionally declares the kernel affine: thread tid's program is
+// thread 0's with every memory address plus tid*Stride — the same opcodes,
+// sizes and run structure, no lane masked off. Zero means undeclared. The
+// compile pass then emits and coalesces warp 0 only and derives every other
+// full warp by a uniform address shift (see compile.go), and the kernel
+// cache fingerprints thread 0's program instead of every thread's. The
+// declaration is a promise the compiler does not re-check: declare it only
+// where it holds for every thread, and prove it with the declared-vs-
+// undeclared differential tests. The reference executor ignores it.
 type Kernel struct {
 	Name    string
 	Threads int
 	Program func(tid int, p *isa.Program)
+	Stride  int64
 }
 
 // Result reports the timing and traffic of one kernel launch.

@@ -174,8 +174,12 @@ func laneDigest(tid int, runs []isa.Run) (uint64, uint64) {
 
 // hashPrograms emits every thread's program and sums the lane digests into
 // the kernel's 128-bit content fingerprint (same value CompileInto records
-// in CompiledKernel as it emits).
+// in CompiledKernel as it emits). A declared affine kernel is fingerprinted
+// by declaredDigest instead.
 func (g *GPU) hashPrograms(k Kernel) (uint64, uint64) {
+	if k.Stride != 0 {
+		return g.declaredDigest(k)
+	}
 	var h1, h2 uint64
 	p := &g.vprog
 	for tid := 0; tid < k.Threads; tid++ {
@@ -185,7 +189,24 @@ func (g *GPU) hashPrograms(k Kernel) (uint64, uint64) {
 		h1 += d1
 		h2 += d2
 	}
+	g.work.ProgramsEmitted += int64(k.Threads)
 	return h1, h2
+}
+
+// declaredDigest fingerprints a declared affine kernel as (thread 0's
+// program, stride, threads): under the declaration those three determine
+// every thread's program, so only thread 0 is emitted. A moved buffer moves
+// thread 0's addresses; a changed stride or thread count is mixed in.
+func (g *GPU) declaredDigest(k Kernel) (uint64, uint64) {
+	p := &g.vprog
+	p.Reset()
+	k.Program(0, p)
+	g.work.ProgramsEmitted++
+	h1, h2 := laneDigest(0, p.Runs())
+	// The declaration, digested as a zero-count run (no emitted program
+	// has one) under the thread count's seed.
+	s1, s2 := laneDigest(k.Threads, []isa.Run{{In: isa.Instr{Addr: k.Stride}}})
+	return h1 ^ s1, h2 ^ s2
 }
 
 // evictKernels drops oldest entries until the cache fits its byte budget,

@@ -114,6 +114,13 @@ func mb2GPUWorkload(p Params, f float64) comm.Workload {
 			threads := p.MB2Threads
 			perEvent := fmas / events
 			extra := fmas - perEvent*events
+			// Affine only when threads divides elems: then k*threads mod
+			// elems is a multiple of threads, and adding tid < threads
+			// never wraps, so every address is thread 0's plus tid*4.
+			var stride int64
+			if elems%int64(threads) == 0 {
+				stride = 4
+			}
 			return gpu.Kernel{
 				Name:    "mb2-sweep",
 				Threads: threads,
@@ -126,6 +133,7 @@ func mb2GPUWorkload(p Params, f float64) comm.Workload {
 					}
 					prog.Compute(isa.FMA, extra)
 				},
+				Stride: stride,
 			}
 		},
 		Warmup: p.Warmup,

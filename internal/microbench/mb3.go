@@ -85,6 +85,7 @@ func mb3Workload(p Params) comm.Workload {
 					prog.Compute(isa.FMA, 4)
 					prog.St(dst+off, 4)
 				},
+				Stride: 4,
 			}
 		},
 		Overlappable: true,

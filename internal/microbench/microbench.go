@@ -142,6 +142,9 @@ func mb1Workload(p Params) comm.Workload {
 						prog.St(sums+int64(tid)*4, 4)
 					}
 				},
+				// Affine: e*threads + tid < 16*threads <= n, so the
+				// modulo never wraps.
+				Stride: 4,
 			}
 		},
 		Warmup: p.Warmup,
