@@ -18,12 +18,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The declared-kernel differential at paper scale (DefaultParams and
-# catalog.Full; 4 M threads per MB3 stream): every kernel declaring an
-# affine stride must compile and replay exactly like its undeclared twin.
-# The race detector skips this test, so it runs here without -race.
+# The paper-scale (DefaultParams and catalog.Full) tests the race detector
+# skips, run here without -race: every kernel declaring an affine stride
+# must compile and replay exactly like its undeclared twin (4 M threads per
+# MB3 stream), and a primed engine's third 45-combo sweep must replay every
+# kernel from the shared kernel caches with no compile and no eviction.
 declared-full:
 	$(GO) test -count=1 -run '^TestDeclaredKernelsFullScale$$' ./internal/microbench
+	$(GO) test -count=1 -run '^TestPrimedSweepReplaysFullScale$$' ./internal/engine
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"sync"
 
+	"igpucomm/internal/gpu"
 	"igpucomm/internal/soc"
 )
 
@@ -46,32 +47,42 @@ func recovered(r any) error {
 }
 
 // socPool recycles simulated platforms across engine tasks. Building a
-// platform allocates every cache level's line arrays and throws away the
-// GPU's compiled-kernel cache, so a fan-out that did soc.New per task paid
-// both on every model run. Reuse is safe because every model Run begins with
-// soc.ResetState, which restores a fresh-platform-equivalent state by
-// contract (the engine's golden equivalence test holds it to that), and
-// stale compiled kernels are revalidated by content before replay.
+// platform allocates every cache level's line arrays, so a fan-out that did
+// soc.New per task paid that on every model run. Reuse is safe because every
+// model Run begins with soc.ResetState, which restores a
+// fresh-platform-equivalent state by contract (the engine's golden
+// equivalence test holds it to that).
+//
+// Every platform the pool builds for one config shares that config's
+// gpu.KernelCache, so a kernel compiled on one clone replays on all of them;
+// each GPU revalidates a shared entry by content before replaying it. The
+// shared cache's budget is perKey private budgets, the most the clones'
+// caches could retain if each kept its own.
 //
 // Platforms are keyed by a content hash of their config: a renamed or
-// retuned config can never receive another config's platform. A task that
-// fails drops its platform instead of recycling it — an aborted run can
-// leave buffers allocated, and a fresh build is cheaper than reasoning about
-// partially torn-down state.
+// retuned config can never receive another config's platform or kernels. A
+// task that fails drops its platform instead of recycling it — an aborted
+// run can leave buffers allocated, and a fresh build is cheaper than
+// reasoning about partially torn-down state.
 type socPool struct {
 	mu     sync.Mutex
 	perKey int
 	socs   map[string][]*soc.SoC
+	caches map[string]*gpu.KernelCache
 	order  []string // keys, oldest first; bounded by maxPoolKeys
 }
 
 // maxPoolKeys bounds how many distinct configs the pool retains platforms
-// for; the oldest config's platforms are dropped past it. Sized for the
-// in-tree device catalog with headroom for retuned variants.
+// and a kernel cache for; the oldest config's are dropped past it. Sized
+// for the in-tree device catalog with headroom for retuned variants.
 const maxPoolKeys = 16
 
 func newSocPool(perKey int) *socPool {
-	return &socPool{perKey: perKey, socs: make(map[string][]*soc.SoC)}
+	return &socPool{
+		perKey: perKey,
+		socs:   make(map[string][]*soc.SoC),
+		caches: make(map[string]*gpu.KernelCache),
+	}
 }
 
 // configKey content-hashes a platform config (CacheKey's scheme, without
@@ -86,44 +97,54 @@ func configKey(cfg soc.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// get returns an idle pooled platform for cfg, or builds one. The returned
-// key recycles the platform via put.
+// get returns an idle pooled platform for cfg, or builds one attached to
+// the config's shared kernel cache. The returned key recycles the platform
+// via put.
 func (p *socPool) get(cfg soc.Config) (*soc.SoC, string) {
 	key := configKey(cfg)
-	if key != "" {
-		p.mu.Lock()
-		if idle := p.socs[key]; len(idle) > 0 {
-			s := idle[len(idle)-1]
-			p.socs[key] = idle[:len(idle)-1]
-			p.mu.Unlock()
-			return s, key
-		}
-		p.mu.Unlock()
+	if key == "" {
+		return soc.New(cfg), key
 	}
-	return soc.New(cfg), key
+	p.mu.Lock()
+	if idle := p.socs[key]; len(idle) > 0 {
+		s := idle[len(idle)-1]
+		p.socs[key] = idle[:len(idle)-1]
+		p.mu.Unlock()
+		return s, key
+	}
+	kc := p.caches[key]
+	if kc == nil {
+		kc = gpu.NewKernelCache(cfg.GPU, p.perKey)
+		if len(p.order) >= maxPoolKeys {
+			oldest := p.order[0]
+			p.order = p.order[1:]
+			delete(p.socs, oldest)
+			delete(p.caches, oldest)
+		}
+		p.order = append(p.order, key)
+		p.caches[key] = kc
+	}
+	p.mu.Unlock()
+	s := soc.New(cfg)
+	s.GPU.SetKernelCache(kc)
+	return s, key
 }
 
 // put returns a platform to the pool. A failed task passes its error so the
-// platform is dropped rather than recycled.
+// platform is dropped rather than recycled, as is one whose config was
+// evicted (or evicted and rebuilt with a new cache) while it was out.
 func (p *socPool) put(key string, s *soc.SoC, err error) {
 	if key == "" || s == nil || err != nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	idle, known := p.socs[key]
-	if len(idle) >= p.perKey {
+	if kc := p.caches[key]; kc == nil || kc != s.GPU.KernelCache() {
 		return
 	}
-	if !known {
-		if len(p.order) >= maxPoolKeys {
-			oldest := p.order[0]
-			p.order = p.order[1:]
-			delete(p.socs, oldest)
-		}
-		p.order = append(p.order, key)
+	if idle := p.socs[key]; len(idle) < p.perKey {
+		p.socs[key] = append(idle, s)
 	}
-	p.socs[key] = append(idle, s)
 }
 
 // fanOut runs task(0..n-1) concurrently, each under a semaphore slot, and

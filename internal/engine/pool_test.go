@@ -8,9 +8,11 @@ import (
 )
 
 // TestSocPoolRecyclesPerKey pins the pool's core behavior: a returned
-// platform is handed back for the same config (same instance, warm kernel
-// caches and all), a different config never receives it, and the idle list
-// never grows past perKey.
+// platform is handed back for the same config (same instance, warm caches
+// and all), a different config never receives it, and the idle list never
+// grows past perKey. Every platform built for one config shares one kernel
+// cache, another config gets its own, and evicting a config's key drops its
+// cache.
 func TestSocPoolRecyclesPerKey(t *testing.T) {
 	all := devices.All()
 	p := newSocPool(2)
@@ -41,6 +43,31 @@ func TestSocPoolRecyclesPerKey(t *testing.T) {
 	p.put(k1, s4, nil)
 	if got := len(p.socs[k1]); got != 2 {
 		t.Errorf("idle list holds %d platforms, perKey cap is 2", got)
+	}
+
+	kc := s1.GPU.KernelCache()
+	if s3.GPU.KernelCache() != kc || s4.GPU.KernelCache() != kc {
+		t.Error("platforms built for one config do not share its kernel cache")
+	}
+	if sOther.GPU.KernelCache() == kc {
+		t.Error("a different config shares another config's kernel cache")
+	}
+
+	// Push all[0]'s key out with maxPoolKeys newer configs.
+	for i := 0; i < maxPoolKeys; i++ {
+		cfg := all[1]
+		cfg.Name += string(rune('a' + i))
+		p.get(cfg)
+	}
+	if _, ok := p.caches[k1]; ok {
+		t.Error("evicted key kept its kernel cache")
+	}
+	p.put(k1, s2, nil)
+	if got := len(p.socs[k1]); got != 0 {
+		t.Errorf("a platform of the evicted key was pooled (%d idle)", got)
+	}
+	if s5, _ := p.get(all[0]); s5.GPU.KernelCache() == kc {
+		t.Error("a rebuilt key reused the evicted kernel cache")
 	}
 }
 
@@ -86,6 +113,9 @@ func TestSocPoolEvictsOldestKey(t *testing.T) {
 	}
 	if got := len(p.order); got != maxPoolKeys {
 		t.Errorf("eviction order tracks %d keys, want %d", got, maxPoolKeys)
+	}
+	if got := len(p.caches); got != maxPoolKeys {
+		t.Errorf("pool retains %d kernel caches, want %d", got, maxPoolKeys)
 	}
 	for _, k := range keys[1:] {
 		if _, ok := p.socs[k]; !ok {

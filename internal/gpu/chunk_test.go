@@ -251,23 +251,24 @@ func TestKernelCacheAccountsChunks(t *testing.T) {
 		p.Ld(int64(tid)*64, 4)
 		p.St(pinnedBase+int64(tid)*4, 4)
 	}}
+	c := g.KernelCache()
 	check := func(step int, newest kernelKey) {
 		t.Helper()
 		var sum int64
-		for _, e := range g.kcache {
+		for _, e := range c.entries {
 			sum += e.bytes()
 		}
-		if g.kcacheBytes != sum {
-			t.Fatalf("step %d: kcacheBytes %d, live entries hold %d", step, g.kcacheBytes, sum)
+		if c.bytes != sum {
+			t.Fatalf("step %d: cache bytes %d, live entries hold %d", step, c.bytes, sum)
 		}
-		if g.kcache[newest] == nil {
+		if c.entries[newest] == nil {
 			t.Fatalf("step %d: newest entry evicted", step)
 		}
-		if rest := sum - g.kcache[newest].bytes(); rest > kernelCacheBudget {
+		if rest := sum - c.entries[newest].bytes(); rest > kernelCacheBudget {
 			t.Fatalf("step %d: entries besides the newest hold %d bytes, over budget %d", step, rest, kernelCacheBudget)
 		}
-		if len(g.kcache) != len(g.kcacheOrder) {
-			t.Fatalf("step %d: cache map (%d) and order list (%d) out of sync", step, len(g.kcache), len(g.kcacheOrder))
+		if len(c.entries) != len(c.order) {
+			t.Fatalf("step %d: cache map (%d) and order list (%d) out of sync", step, len(c.entries), len(c.order))
 		}
 	}
 
@@ -290,12 +291,12 @@ func TestKernelCacheAccountsChunks(t *testing.T) {
 		}
 		check(i, key)
 	}
-	if g.kcache[bigKey] != nil {
+	if c.entries[bigKey] != nil {
 		t.Fatal("over-budget entry survived once newer entries arrived")
 	}
 
-	// A failed compile leaves its entry resident, and accounted, until a
-	// later compile of the same key succeeds.
+	// A failed compile leaves the key's published entry resident, and
+	// accounted, until a later compile of the same key succeeds.
 	bad := Kernel{Name: "bad", Threads: 64, Program: func(tid int, p *isa.Program) {
 		p.Ld(int64(tid)*64, 4)
 		p.Compute(isa.FMA, 1+tid%2)

@@ -867,6 +867,17 @@ func (g *GPU) LaunchCompiled(ck *CompiledKernel) (Result, error) {
 	if ck.epoch != g.pinnedEpoch {
 		return Result{}, fmt.Errorf("gpu %s: compiled kernel %s is stale: pinned routing changed since compile", g.cfg.Name, ck.name)
 	}
+	return g.replayKernel(ck), nil
+}
+
+// replayKernel is LaunchCompiled without its checks. The caller vouches
+// that ck is valid and matches this GPU's pinned routing: LaunchCompiled by
+// the epoch, the Launcher by its per-GPU validation of a cache entry (which
+// may have been compiled on another GPU, under that GPU's epoch). ck is
+// only read, so GPUs sharing a cache may replay one entry concurrently.
+func (g *GPU) replayKernel(ck *CompiledKernel) Result {
+	g.work.KernelsReplayed++
+	g.work.TxnsReplayed += int64(ck.txnCount())
 	before := g.snapStats()
 	var res Result
 	res.Warps = ck.warpCount
@@ -901,7 +912,7 @@ func (g *GPU) LaunchCompiled(ck *CompiledKernel) (Result, error) {
 	}
 
 	g.finishResult(&res, before, ck.warpCount, g.resident())
-	return res, nil
+	return res
 }
 
 // replayGroup services one run of consecutive same-path transactions

@@ -268,21 +268,26 @@ func TestLaunchSteadyStateZeroAlloc(t *testing.T) {
 // path model runs actually use: a warm Launcher.Launch validates the cache
 // entry and replays without allocating.
 func TestLauncherSteadyStateZeroAlloc(t *testing.T) {
-	_, g := twinGPUs()
-	lch := NewLauncher(g, "alloc-test/fuzz")
-	k := fuzzKernel([]byte{1, 0, 1, 3, 2, 10, 2, 7}, 128)
-	for i := 0; i < 3; i++ {
-		if _, err := lch.Launch(0, k); err != nil {
-			t.Fatal(err)
+	for _, shared := range []bool{false, true} {
+		_, g := twinGPUs()
+		if shared {
+			g.SetKernelCache(NewKernelCache(testConfig(), 2))
 		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := lch.Launch(0, k); err != nil {
-			t.Fatal(err)
+		lch := NewLauncher(g, "alloc-test/fuzz")
+		k := fuzzKernel([]byte{1, 0, 1, 3, 2, 10, 2, 7}, 128)
+		for i := 0; i < 3; i++ {
+			if _, err := lch.Launch(0, k); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Launcher.Launch allocates %v times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := lch.Launch(0, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Launcher.Launch (shared cache: %v) allocates %v times per run, want 0", shared, allocs)
+		}
 	}
 }
 
@@ -305,7 +310,9 @@ func TestLauncherCrossRunReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := g.kcache[kernelKey{scope: "xrun/fuzz", idx: 0}]
+	key := kernelKey{scope: "xrun/fuzz", idx: 0}
+	c := g.KernelCache()
+	e := c.entries[key]
 	if e == nil {
 		t.Fatal("no cache entry after first launch")
 	}
@@ -316,16 +323,19 @@ func TestLauncherCrossRunReplay(t *testing.T) {
 	if _, err := lch.Launch(0, k); err != nil {
 		t.Fatal(err)
 	}
-	if !e.hashed {
+	// A recompile publishes a fresh entry; the first stays untouched.
+	if e = c.entries[key]; !e.hashed {
 		t.Fatal("second compile did not record the program fingerprint")
 	}
-	epochAfterSecond := e.ck.epoch
 	newRun()
 	got, err := lch.Launch(0, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ck.epoch == epochAfterSecond {
+	if c.entries[key] != e {
+		t.Fatal("third launch recompiled instead of replaying")
+	}
+	if g.validated[key] != e || g.validatedEpoch != g.PinnedEpoch() {
 		t.Fatal("third launch did not revalidate against the new epoch")
 	}
 	if got.Transactions != want.Transactions || got.Instructions != want.Instructions {
@@ -338,7 +348,7 @@ func TestLauncherCrossRunReplay(t *testing.T) {
 	if _, err := lch.Launch(0, k); err != nil {
 		t.Fatal(err)
 	}
-	if e.path == nil {
+	if e = c.entries[key]; e.route == "" {
 		t.Fatal("entry lost its routing evidence after recompile")
 	}
 	if got := len(e.ranges); got != 1 || e.ranges[0].hi != pinnedBase+4096 {
@@ -420,7 +430,7 @@ func TestLauncherBypassesMatchLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.kcache) != 0 {
+	if g.KernelCache().Stats().Entries != 0 {
 		t.Fatal("reference mode populated the kernel cache")
 	}
 	g.SetReferenceMode(false)
@@ -455,13 +465,17 @@ func TestKernelCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.kcacheBytes > kernelCacheBudget {
-		t.Fatalf("kernel cache %d bytes exceeds budget %d", g.kcacheBytes, kernelCacheBudget)
+	c := g.KernelCache()
+	if c.bytes > kernelCacheBudget {
+		t.Fatalf("kernel cache %d bytes exceeds budget %d", c.bytes, kernelCacheBudget)
 	}
-	if len(g.kcache) >= 2000 {
-		t.Fatalf("no eviction happened: %d entries resident", len(g.kcache))
+	if len(c.entries) >= 2000 {
+		t.Fatalf("no eviction happened: %d entries resident", len(c.entries))
 	}
-	if len(g.kcache) != len(g.kcacheOrder) {
-		t.Fatalf("cache map (%d) and order list (%d) out of sync", len(g.kcache), len(g.kcacheOrder))
+	if len(c.entries) != len(c.order) {
+		t.Fatalf("cache map (%d) and order list (%d) out of sync", len(c.entries), len(c.order))
+	}
+	if st := c.Stats(); st.Evictions != int64(2000-st.Entries) {
+		t.Fatalf("%d evictions counted, %d of 2000 entries resident", st.Evictions, st.Entries)
 	}
 }

@@ -28,6 +28,7 @@ package gpu
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 
 	"igpucomm/internal/cache"
@@ -154,14 +155,18 @@ type GPU struct {
 	comp           compiler       // reusable compile-pass scratch
 	replay         replayScratch  // reusable replay buffers
 
-	// The compiled-kernel cache behind Launcher: entries keyed by
-	// (scope, launch index), validated by program comparison before every
-	// replay, evicted oldest-first past a byte budget.
-	kcache      map[kernelKey]*cachedKernel
-	kcacheOrder []kernelKey
-	kcacheBytes int64
-	vprog       isa.Program // revalidation emission scratch
-	hashCompile bool        // make CompileInto record the program fingerprint
+	// The compiled-kernel cache behind Launcher, private or shared with
+	// other GPUs of the same Config, and the entries this GPU validated
+	// under pinned epoch validatedEpoch, per key (see lookupKernel).
+	// firsts lists the keys whose unfingerprinted first compile this GPU
+	// published under that epoch (see dropRecords).
+	kc             *KernelCache
+	validated      map[kernelKey]*cachedKernel
+	validatedEpoch uint64
+	firsts         []kernelKey
+	pinnedRoute    string      // pinnedPath.Name(), compared by the kernel cache
+	vprog          isa.Program // revalidation emission scratch
+	hashCompile    bool        // make CompileInto record the program fingerprint
 
 	work Work // compile-work counters, see Work
 
@@ -187,6 +192,8 @@ func New(cfg Config, dram MemPath) *GPU {
 		llc:       llc,
 		dramPath:  dram,
 		laneProgs: make([]isa.Program, cfg.WarpSize),
+		kc:        NewKernelCache(cfg, 1),
+		validated: make(map[kernelKey]*cachedKernel),
 	}
 	g.costs = cfg.Costs.Table()
 	for ls := cfg.L1.LineSize; ls > 1; ls >>= 1 {
@@ -218,11 +225,25 @@ func (g *GPU) L1Stats() cache.Stats {
 	return total
 }
 
-// Work counts the compile work a GPU has done since New. The counters are
-// plain integers, deterministic for a given launch sequence, so tests pin
-// them exactly where a wall-clock time would be noise. ResetStats leaves
-// them alone: they measure the simulator's own work, not the simulated
-// traffic.
+// KernelCache returns the compiled-kernel cache the GPU's launchers use.
+func (g *GPU) KernelCache() *KernelCache { return g.kc }
+
+// SetKernelCache attaches the GPU to c, replacing its current cache; GPUs
+// attached to one cache replay each other's compiled kernels. Panics if c
+// was made for a different Config.
+func (g *GPU) SetKernelCache(c *KernelCache) {
+	if !reflect.DeepEqual(c.cfg, g.cfg) {
+		panic(fmt.Sprintf("gpu %s: kernel cache belongs to a different config (%s)", g.cfg.Name, c.cfg.Name))
+	}
+	g.dropRecords()
+	g.kc = c
+}
+
+// Work counts the compile and replay work a GPU has done since New. The
+// counters are plain integers, deterministic for a given launch sequence, so
+// tests pin them exactly where a wall-clock time would be noise. ResetStats
+// leaves them alone: they measure the simulator's own work, not the
+// simulated traffic.
 type Work struct {
 	// KernelsCompiled counts compile passes (CompileInto calls that get
 	// past the thread-count and program checks).
@@ -236,9 +257,15 @@ type Work struct {
 	// TxnsRecorded counts transactions appended to compiled streams,
 	// including warp 0's own template.
 	TxnsRecorded int64
+	// KernelsReplayed counts compiled kernels driven through the caches:
+	// every Launch, LaunchCompiled and Launcher launch outside reference
+	// mode.
+	KernelsReplayed int64
+	// TxnsReplayed counts the transactions those replays issued.
+	TxnsReplayed int64
 }
 
-// Work returns the GPU's compile-work counters.
+// Work returns the GPU's compile- and replay-work counters.
 func (g *GPU) Work() Work { return g.work }
 
 // SetPinnedPath wires the route pinned-range accesses take, with the
@@ -246,6 +273,7 @@ func (g *GPU) Work() Work { return g.work }
 func (g *GPU) SetPinnedPath(p MemPath, bw units.BytesPerSecond) {
 	g.pinnedPath = p
 	g.pinnedBW = bw
+	g.pinnedRoute = p.Name()
 	g.pinnedEpoch++
 }
 

@@ -2,24 +2,27 @@ package gpu
 
 import (
 	"fmt"
+	"sync"
 
 	"igpucomm/internal/isa"
 )
 
-// Launcher front-ends the compiled-kernel cache the GPU keeps across model
-// runs. A model run creates one with a scope naming its launch sequence
-// (typically "model/workload"); Launch(idx, k) then compiles on first use
-// and replays the cached artifact on every later launch of the same kernel —
-// across iterations of one run and across whole runs when the platform is
-// reused.
+// Launcher front-ends the compiled-kernel cache (KernelCache) the GPU keeps
+// across model runs. A model run creates one with a scope naming its launch
+// sequence (typically "model/workload"); Launch(idx, k) then compiles on
+// first use and replays the cached artifact on every later launch of the
+// same kernel — across iterations of one run, across whole runs when the
+// platform is reused, and across every GPU sharing the cache.
 //
-// Cross-run reuse is verified, not assumed: when an entry's pinned epoch is
-// stale (a ResetState happened since compile), its programs are re-emitted
-// and their 128-bit content hash compared against the hash taken at compile
-// time, and the pinned routing is checked by content. A mismatch recompiles,
-// so a stale entry costs time, never correctness. Within one run the epoch
-// cannot move after allocation, so replays validate on the epoch alone —
-// kernels are deterministic per layout by the Kernel contract.
+// Cache entries are shared and immutable once published; validation is per
+// GPU. Each GPU records which entry it last validated for a key, and under
+// which pinned epoch. Within one run the epoch cannot move after
+// allocation, so an epoch-current record replays on the record alone —
+// kernels are deterministic per layout by the Kernel contract. Otherwise
+// (a new run, or no record for the key yet) the GPU re-emits the programs,
+// compares their 128-bit content hash against the hash taken at compile
+// time, and checks the pinned routing by content. A mismatch recompiles
+// into a fresh entry, so a stale entry costs time, never correctness.
 type Launcher struct {
 	g     *GPU
 	scope string
@@ -44,7 +47,9 @@ func (l *Launcher) Launch(idx int, k Kernel) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return g.LaunchCompiled(&e.ck)
+	// lookupKernel validated e for this GPU's current routing; e.ck.epoch
+	// is the compiling GPU's, so LaunchCompiled's epoch check does not apply.
+	return g.replayKernel(&e.ck), nil
 }
 
 // cachedKernel is one kernel-cache entry: the compiled artifact plus the
@@ -52,13 +57,16 @@ func (l *Launcher) Launch(idx int, k Kernel) (Result, error) {
 // pinned routing the compile saw. hashed reports whether the fingerprint was
 // recorded: hashing costs a pass over every emitted run, so it is deferred
 // until a key's second compile proves the key sees cross-run reuse;
-// single-use kernels never pay for it.
+// single-use kernels never pay for it. An entry is never written once
+// published, so a GPU may keep replaying it after another GPU replaced it
+// or the cache evicted it. A marker (see KernelCache.demote) is an entry
+// with no compiled kernel and zero threads, which no lookup replays.
 type cachedKernel struct {
 	ck      CompiledKernel
 	threads int
 	hashed  bool
 	h1, h2  uint64
-	path    MemPath
+	route   string // the pinned route's Name()
 	ranges  []addrRange
 }
 
@@ -74,21 +82,129 @@ type kernelKey struct {
 }
 
 // kernelCacheBudget bounds the bytes the compiled-kernel cache retains per
-// GPU; oldest entries are evicted first. Large enough for every in-tree
-// sweep's working set, small enough that a long-lived engine cannot grow
-// without bound.
+// GPU sharing it; oldest entries are evicted first. Large enough for every
+// in-tree sweep's working set, small enough that a long-lived engine cannot
+// grow without bound.
 const kernelCacheBudget = 64 << 20
 
-// lookupKernel returns a valid, current compiled kernel for (scope, idx),
-// revalidating a cached entry or (re)compiling into it.
+// KernelCache holds compiled kernels, keyed by (scope, launch index), for
+// every GPU of one Config that shares it. New gives each GPU a private
+// cache; SetKernelCache attaches several GPUs to one, so a kernel compiled
+// on one replays on all. Entries are evicted oldest-first past a byte
+// budget. Safe for concurrent use.
+type KernelCache struct {
+	cfg    Config
+	budget int64
+
+	mu        sync.Mutex
+	entries   map[kernelKey]*cachedKernel
+	order     []kernelKey // keys, oldest first
+	bytes     int64
+	evictions int64
+}
+
+// NewKernelCache returns an empty cache for GPUs of cfg, sized for gpus
+// GPUs sharing it: its budget is gpus times the per-GPU budget a private
+// cache gets.
+func NewKernelCache(cfg Config, gpus int) *KernelCache {
+	return &KernelCache{cfg: cfg, budget: int64(gpus) * kernelCacheBudget}
+}
+
+// KernelCacheStats is a snapshot of a KernelCache.
+type KernelCacheStats struct {
+	// Entries is the number of resident compiled kernels.
+	Entries int
+	// Bytes is their accounted storage.
+	Bytes int64
+	// Evictions counts entries dropped to fit the budget since creation.
+	Evictions int64
+}
+
+// Stats returns the cache's current size and eviction count.
+func (c *KernelCache) Stats() KernelCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return KernelCacheStats{Entries: len(c.entries), Bytes: c.bytes, Evictions: c.evictions}
+}
+
+// get returns the entry published for key, or nil.
+func (c *KernelCache) get(key kernelKey) *cachedKernel {
+	c.mu.Lock()
+	e := c.entries[key]
+	c.mu.Unlock()
+	return e
+}
+
+// publish makes e the entry for key, replacing any older one, and evicts
+// past the budget. e must not be written afterwards. own is the publishing
+// GPU's validation record; an evicted entry is dropped from it, so a GPU
+// that compiles many kernels in one run retains no more than the budget.
+func (c *KernelCache) publish(key kernelKey, e *cachedKernel, own map[kernelKey]*cachedKernel) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.entries[key]; old != nil {
+		c.bytes -= old.bytes()
+	} else {
+		if c.entries == nil {
+			c.entries = make(map[kernelKey]*cachedKernel)
+		}
+		c.order = append(c.order, key)
+	}
+	c.entries[key] = e
+	c.bytes += e.bytes()
+	// Drop oldest entries until the cache fits, never evicting key (the
+	// entry just published).
+	for c.bytes > c.budget && len(c.order) > 1 {
+		victim := c.order[0]
+		if victim == key {
+			// Rotate the protected entry to the back.
+			c.order = append(c.order[1:], victim)
+			continue
+		}
+		c.order = c.order[1:]
+		if v := c.entries[victim]; v != nil {
+			c.bytes -= v.bytes()
+			delete(c.entries, victim)
+			c.evictions++
+			if own[victim] == v {
+				delete(own, victim)
+			}
+		}
+	}
+}
+
+// demote replaces e, if it is still key's entry, with a marker that holds
+// no compiled kernel: a key's first compile records no fingerprint, so it
+// can only be replayed through the validation record of the GPU that
+// compiled it. The marker keeps the key known, so its next compile records
+// the fingerprint and publishes a replayable entry, while the unreplayable
+// stream stops counting against the budget and is freed once that GPU's
+// record lets go of it.
+func (c *KernelCache) demote(key kernelKey, e *cachedKernel) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e != nil && c.entries[key] == e {
+		m := &cachedKernel{}
+		c.bytes += m.bytes() - e.bytes()
+		c.entries[key] = m
+	}
+}
+
+// lookupKernel returns a compiled kernel for (scope, idx) that is valid for
+// this GPU's current routing: one this GPU already validated in the current
+// pinned epoch, the shared entry once validated, or a fresh compile
+// published in its place.
 //
-// Validation is tiered by how much could have changed. Within one run the
-// pinned epoch is constant after allocation, so an epoch-current entry is
-// replayed with no further checks — kernels are deterministic per layout by
-// the Kernel contract, and the layout cannot have moved without the epoch
-// moving. Across runs (the epoch bumped at ResetState) the entry is only
-// reused after the freshly emitted programs hash to the compile-time
-// fingerprint and the pinned routing matches by content.
+// Validation is tiered by how much could have changed. g.validated records,
+// per key, the entry this GPU validated under the current pinned epoch;
+// such an entry replays with no further checks, even if another GPU has
+// since replaced it — within one run the layout cannot move without the
+// epoch moving, and kernels are deterministic per layout by the Kernel
+// contract. The record is dropped when the epoch moves (see dropRecords).
+// Any other entry (a new run, or one another GPU published) is only reused
+// after the freshly emitted programs hash to its compile-time fingerprint
+// and the pinned routing matches by content: the same route name and the
+// same ranges.
 func (g *GPU) lookupKernel(scope string, idx int, k Kernel) (*cachedKernel, error) {
 	if k.Threads <= 0 {
 		return nil, fmt.Errorf("kernel %s: thread count %d must be positive", k.Name, k.Threads)
@@ -96,49 +212,57 @@ func (g *GPU) lookupKernel(scope string, idx int, k Kernel) (*cachedKernel, erro
 	if k.Program == nil {
 		return nil, fmt.Errorf("kernel %s: nil program", k.Name)
 	}
+	if g.validatedEpoch != g.pinnedEpoch {
+		g.dropRecords()
+		g.validatedEpoch = g.pinnedEpoch
+	}
 	key := kernelKey{scope: scope, idx: idx}
-	e := g.kcache[key]
-	if e == nil {
-		if g.kcache == nil {
-			g.kcache = make(map[kernelKey]*cachedKernel)
-		}
-		e = &cachedKernel{}
-		g.kcache[key] = e
-		g.kcacheOrder = append(g.kcacheOrder, key)
-		g.kcacheBytes += e.bytes()
-	} else if e.ck.valid && e.threads == k.Threads {
-		if e.ck.epoch == g.pinnedEpoch {
+	if e := g.validated[key]; e != nil && e.threads == k.Threads {
+		return e, nil
+	}
+	e := g.kc.get(key)
+	if e != nil && e.threads == k.Threads && e.hashed {
+		h1, h2 := g.hashPrograms(k)
+		if e.h1 == h1 && e.h2 == h2 &&
+			e.route == g.pinnedRoute && rangesEqual(e.ranges, g.ranges) {
+			g.validated[key] = e
 			return e, nil
 		}
-		if e.hashed {
-			h1, h2 := g.hashPrograms(k)
-			if e.h1 == h1 && e.h2 == h2 &&
-				e.path == g.pinnedPath && rangesEqual(e.ranges, g.ranges) {
-				e.ck.epoch = g.pinnedEpoch
-				return e, nil
-			}
-		}
 	}
-	g.kcacheBytes -= e.bytes()
 	// A second compile of the same key means the key sees cross-run reuse;
 	// record the fingerprint this time so the next reuse can validate and
-	// replay instead of compiling again.
-	g.hashCompile = e.ck.valid
-	err := g.CompileInto(k, &e.ck)
-	e.hashed = g.hashCompile
+	// replay instead of compiling again. Published entries are immutable,
+	// so the compile goes into a fresh one.
+	n := &cachedKernel{hashed: e != nil}
+	g.hashCompile = n.hashed
+	err := g.CompileInto(k, &n.ck)
 	g.hashCompile = false
-	// A failed compile leaves the entry resident with whatever chunks it
-	// grew, so it is accounted either way.
-	g.kcacheBytes += e.bytes()
-	g.evictKernels(key)
 	if err != nil {
+		// The key's published entry, if any, stays for a later lookup.
 		return nil, err
 	}
-	e.threads = k.Threads
-	e.h1, e.h2 = e.ck.progH1, e.ck.progH2
-	e.path = g.pinnedPath
-	e.ranges = append(e.ranges[:0], g.ranges...)
-	return e, nil
+	n.threads = k.Threads
+	n.h1, n.h2 = n.ck.progH1, n.ck.progH2
+	n.route = g.pinnedRoute
+	n.ranges = append([]addrRange(nil), g.ranges...)
+	g.kc.publish(key, n, g.validated)
+	g.validated[key] = n
+	if !n.hashed {
+		g.firsts = append(g.firsts, key)
+	}
+	return n, nil
+}
+
+// dropRecords clears the GPU's validation record, first demoting the
+// unfingerprinted entries it published under the record's epoch: no later
+// lookup can validate such an entry, so only the fact that its key was
+// compiled is worth keeping (see KernelCache.demote).
+func (g *GPU) dropRecords() {
+	for _, key := range g.firsts {
+		g.kc.demote(key, g.validated[key])
+	}
+	g.firsts = g.firsts[:0]
+	clear(g.validated)
 }
 
 // laneDigest hashes one thread's emitted program into a 128-bit value (two
@@ -207,24 +331,6 @@ func (g *GPU) declaredDigest(k Kernel) (uint64, uint64) {
 	// has one) under the thread count's seed.
 	s1, s2 := laneDigest(k.Threads, []isa.Run{{In: isa.Instr{Addr: k.Stride}}})
 	return h1 ^ s1, h2 ^ s2
-}
-
-// evictKernels drops oldest entries until the cache fits its byte budget,
-// never evicting keep (the entry just produced).
-func (g *GPU) evictKernels(keep kernelKey) {
-	for g.kcacheBytes > kernelCacheBudget && len(g.kcacheOrder) > 1 {
-		victim := g.kcacheOrder[0]
-		if victim == keep {
-			// Rotate the protected entry to the back.
-			g.kcacheOrder = append(g.kcacheOrder[1:], victim)
-			continue
-		}
-		g.kcacheOrder = g.kcacheOrder[1:]
-		if e := g.kcache[victim]; e != nil {
-			g.kcacheBytes -= e.bytes()
-			delete(g.kcache, victim)
-		}
-	}
 }
 
 func rangesEqual(a, b []addrRange) bool {

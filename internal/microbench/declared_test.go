@@ -259,11 +259,14 @@ func TestMB2UndividedStaysUndeclared(t *testing.T) {
 	}
 }
 
-// TestCharacterizeWork pins the GPU compile work of one serial jetson-tx2
-// characterization at TestParams. Every kernel the plan compiles declares a
-// stride, so each compile emits warp 0's 32 programs and derives the rest.
-// Before warp-template compilation the same run emitted 104960 thread
-// programs over the same 16 compiles (184224 transactions recorded).
+// TestCharacterizeWork pins the GPU compile and replay work of one serial
+// jetson-tx2 characterization at TestParams. Every kernel the plan compiles
+// declares a stride, so each compile emits warp 0's 32 programs and derives
+// the rest. Every one of the 29 launches replays a compiled kernel; the 13
+// beyond the 16 compiles are later iterations of a model run served by its
+// kernel cache. Before warp-template
+// compilation the same run emitted 104960 thread programs over the same 16
+// compiles (184224 transactions recorded).
 func TestCharacterizeWork(t *testing.T) {
 	s, err := devices.NewSoC(devices.TX2Name)
 	if err != nil {
@@ -272,7 +275,8 @@ func TestCharacterizeWork(t *testing.T) {
 	if _, err := Characterize(context.Background(), s.Name(), s.IOCoherent(), TestParams(), Serial(s)); err != nil {
 		t.Fatal(err)
 	}
-	want := gpu.Work{KernelsCompiled: 16, ProgramsEmitted: 512, WarpsDerived: 3264, TxnsRecorded: 193092}
+	want := gpu.Work{KernelsCompiled: 16, ProgramsEmitted: 512, WarpsDerived: 3264, TxnsRecorded: 193092,
+		KernelsReplayed: 29, TxnsReplayed: 325440}
 	got := s.GPU.Work()
 	if got != want {
 		t.Fatalf("characterization work %+v, want %+v", got, want)

@@ -127,8 +127,9 @@ func DefaultSuite(opt SuiteOptions) ([]Scenario, error) {
 			Prepare: func(ctx context.Context) (func(context.Context) error, func(), error) {
 				eng := engine.New(engine.Options{Workers: opt.Workers})
 				// One priming sweep: fills the platform pool and, through
-				// it, each GPU's compiled-kernel cache, so the measured
-				// iterations are the advisory service's steady state.
+				// it, each config's shared compiled-kernel cache, so the
+				// measured iterations are the advisory service's steady
+				// state.
 				for _, c := range combos {
 					if _, err := eng.Explore(ctx, c.cfg, c.w, comm.AllModels()); err != nil {
 						return nil, nil, err
