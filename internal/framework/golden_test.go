@@ -3,10 +3,13 @@ package framework
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"igpucomm/internal/apps/catalog"
+	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/microbench"
 	"igpucomm/internal/soc"
@@ -90,6 +93,49 @@ func TestCharacterizeOrderIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkCharGolden(t, cfg.Name, saveChar(t, NewCharacterization(res)))
+		})
+	}
+}
+
+// TestGoldenExplore pins the full Exploration — every model's Report,
+// energy and DRAM/copy traffic included, and the ranking — of every catalog
+// application under every communication model on every catalog device at
+// catalog.Micro. Refresh with GOLDEN_UPDATE=1 only after an intentional
+// simulator or model change.
+func TestGoldenExplore(t *testing.T) {
+	for _, cfg := range devices.All() {
+		t.Run(cfg.Name, func(t *testing.T) {
+			var exps []Exploration
+			for _, app := range catalog.Names() {
+				w, err := catalog.ByName(app, catalog.Micro)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp, err := Explore(soc.New(cfg), w, comm.AllModels())
+				if err != nil {
+					t.Fatal(err)
+				}
+				exps = append(exps, exp)
+			}
+			got, err := json.MarshalIndent(exps, "", "\t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
+			path := filepath.Join("testdata", "explore_"+cfg.Name+".json")
+			if os.Getenv("GOLDEN_UPDATE") == "1" {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden (run TestGoldenExplore with GOLDEN_UPDATE=1 to create): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("exploration on %s diverges from golden %s:\ngot:  %s\nwant: %s", cfg.Name, path, got, want)
+			}
 		})
 	}
 }
