@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race declared-full fmt vet lint lint-sarif lint-baseline lint-docs docs-links hazardcheck cover fuzz paperbench bench perfgate perf-smoke baseline trace fleet dst ci
+.PHONY: all build test race declared-full fmt vet lint lint-sarif lint-baseline lint-docs docs-links hazardcheck cover fuzz paperbench bench perfgate perf-smoke trace fleet dst ci
 
 all: build
 
@@ -71,13 +71,14 @@ hazardcheck:
 	$(GO) run ./cmd/trace -device jetson-tx2 -app shwfs -model zc > /dev/null
 
 # Combined statement coverage of the execution engine, the framework it
-# must stay byte-equivalent to, and the micro-benchmark characterization
-# plan both of them run; fails under 80%.
+# must stay byte-equivalent to, the micro-benchmark characterization plan
+# both of them run, and the communication models' shared run skeleton;
+# fails under 80%.
 COVER_MIN ?= 80.0
 cover:
-	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/engine,./internal/framework,./internal/microbench ./internal/engine ./internal/framework ./internal/microbench
+	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/engine,./internal/framework,./internal/microbench,./internal/comm ./internal/engine ./internal/framework ./internal/microbench ./internal/comm
 	@total="$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}')"; \
-	echo "engine+framework+microbench coverage: $$total% (minimum $(COVER_MIN)%)"; \
+	echo "engine+framework+microbench+comm coverage: $$total% (minimum $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
 		{ echo "coverage below $(COVER_MIN)%"; exit 1; }
 
@@ -106,16 +107,11 @@ bench:
 perfgate:
 	$(GO) run ./cmd/perfgate -run -quick
 
-# The CI perf job: run the quick suite, then compare against the committed
-# baseline in warn-only mode (absolute medians are host-dependent, so a
-# shared-runner comparison informs but never fails the build).
+# The CI perf job: run the quick suite into BENCH_ci.json; fails when a
+# cross-scenario Relation is violated. Absolute medians are host-dependent,
+# so they are kept as a trajectory artifact, not compared.
 perf-smoke:
 	$(GO) run ./cmd/perfgate -run -quick -out BENCH_ci.json
-	$(GO) run ./cmd/perfgate -baseline bench/baseline.json -candidate BENCH_ci.json -warn-only
-
-# Refresh the committed quick-scale baseline (run on a quiet machine).
-baseline:
-	$(GO) run ./cmd/perfgate -update-baseline
 
 # Observability smoke: the quick-scale 45-combo sweep (3 devices x 3 apps x
 # 5 models) recorded as a Chrome trace_event file — open trace.json in

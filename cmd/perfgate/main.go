@@ -1,26 +1,19 @@
-// Command perfgate is the performance-regression gate: it runs the declared
-// perfbench suite into a schema-versioned BENCH_<timestamp>.json artifact,
-// and compares two such artifacts under a noise-aware threshold (a scenario
-// regresses only when its median slowdown exceeds both a relative percentage
-// and an absolute floor).
+// Command perfgate is the performance gate: it runs the declared perfbench
+// suite into a schema-versioned BENCH_<timestamp>.json artifact, prints the
+// per-scenario table, and checks the artifact against the declared
+// cross-scenario Relations (perfbench.DefaultRelations): ordering invariants
+// like "sweep/engine beats sweep/serial" and the batch core's absolute
+// 5x-vs-seed cap on sweep/engine-batch. Wall-clock medians are host-
+// dependent, so they are recorded as a trajectory, not gated; the exact
+// work counts are pinned by the engine and framework tests.
 //
 // Usage:
 //
 //	perfgate -run -quick                       # run the quick suite, write BENCH_<ts>.json
 //	perfgate -run -iterations 10 -out my.json  # full scale, explicit artifact path
-//	perfgate -update-baseline                  # run the quick suite into bench/baseline.json
-//	perfgate -baseline bench/baseline.json -candidate BENCH_x.json
-//	perfgate -baseline A -candidate B -rel 5 -abs-floor 1ms
-//	perfgate -baseline A -candidate B -warn-only
 //
-// Beyond the baseline comparison, every run or candidate artifact is checked
-// against the declared cross-scenario Relations (perfbench.DefaultRelations):
-// ordering invariants like "sweep/engine beats sweep/serial" and the batch
-// core's absolute 5x-vs-seed cap on sweep/engine-batch.
-//
-// Exit status: 0 on success (or regressions under -warn-only), 1 when the
-// comparison finds a regression beyond the noise gate or a relation is
-// violated, 2 on usage or I/O errors.
+// Exit status: 0 on success, 1 when a relation is violated, 2 on usage or
+// I/O errors.
 package main
 
 import (
@@ -34,10 +27,6 @@ import (
 	"igpucomm/internal/perfbench"
 )
 
-// defaultBaseline is the committed trajectory anchor -update-baseline
-// refreshes and CI compares against.
-const defaultBaseline = "bench/baseline.json"
-
 func main() {
 	run := flag.Bool("run", false, "run the benchmark suite and write an artifact")
 	quick := flag.Bool("quick", false, "reduced micro-benchmark and workload scale")
@@ -45,12 +34,6 @@ func main() {
 	warmup := flag.Int("warmup", 1, "untimed warmup rounds before measurement")
 	workers := flag.Int("workers", 0, "engine simulation parallelism (0 = GOMAXPROCS)")
 	out := flag.String("out", "", "artifact path for -run (default BENCH_<timestamp>.json)")
-	baseline := flag.String("baseline", "", "baseline artifact for comparison")
-	candidate := flag.String("candidate", "", "candidate artifact for comparison")
-	rel := flag.Float64("rel", perfbench.DefaultThresholds().RelPct, "relative regression threshold, percent")
-	absFloor := flag.Duration("abs-floor", perfbench.DefaultThresholds().AbsFloor, "absolute regression floor")
-	warnOnly := flag.Bool("warn-only", false, "report regressions but exit 0")
-	updateBaseline := flag.Bool("update-baseline", false, "run the quick suite and refresh "+defaultBaseline)
 	verbose := flag.Bool("v", false, "print per-round progress while running")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
@@ -59,34 +42,19 @@ func main() {
 		fmt.Println(buildinfo.Get())
 		return
 	}
-
-	switch {
-	case *updateBaseline:
-		// The committed baseline is always quick-scale: it must be cheap
-		// enough for CI and for every contributor to regenerate.
-		os.Exit(runSuite(true, *iterations, *warmup, *workers, defaultBaseline, *verbose, *warnOnly))
-	case *run:
-		path := *out
-		if path == "" {
-			path = perfbench.ArtifactName(time.Now())
-		}
-		os.Exit(runSuite(*quick, *iterations, *warmup, *workers, path, *verbose, *warnOnly))
-	case *baseline != "" || *candidate != "":
-		if *baseline == "" || *candidate == "" {
-			fatal(fmt.Errorf("comparison needs both -baseline and -candidate"))
-		}
-		os.Exit(compare(*baseline, *candidate, perfbench.Thresholds{
-			RelPct:   *rel,
-			AbsFloor: *absFloor,
-		}, *warnOnly))
-	default:
-		fmt.Fprintln(os.Stderr, "perfgate: nothing to do; pass -run, -update-baseline, or -baseline/-candidate")
+	if !*run {
+		fmt.Fprintln(os.Stderr, "perfgate: nothing to do; pass -run")
 		flag.Usage()
 		os.Exit(2)
 	}
+	path := *out
+	if path == "" {
+		path = perfbench.ArtifactName(time.Now())
+	}
+	os.Exit(runSuite(*quick, *iterations, *warmup, *workers, path, *verbose))
 }
 
-func runSuite(quick bool, iterations, warmup, workers int, path string, verbose, warnOnly bool) int {
+func runSuite(quick bool, iterations, warmup, workers int, path string, verbose bool) int {
 	suite, err := perfbench.DefaultSuite(perfbench.SuiteOptions{Quick: quick, Workers: workers})
 	if err != nil {
 		fatal(err)
@@ -110,29 +78,7 @@ func runSuite(quick bool, iterations, warmup, workers int, path string, verbose,
 	results, violations := perfbench.CheckRelations(artifact, perfbench.DefaultRelations())
 	fmt.Print(perfbench.FormatRelations(results, violations))
 	fmt.Printf("wrote %s\n", path)
-	if violations > 0 && !warnOnly {
-		return 1
-	}
-	return 0
-}
-
-func compare(basePath, candPath string, th perfbench.Thresholds, warnOnly bool) int {
-	base, err := perfbench.ReadArtifactFile(basePath)
-	if err != nil {
-		fatal(fmt.Errorf("baseline %s: %w", basePath, err))
-	}
-	cand, err := perfbench.ReadArtifactFile(candPath)
-	if err != nil {
-		fatal(fmt.Errorf("candidate %s: %w", candPath, err))
-	}
-	cmp, err := perfbench.Compare(base, cand, th)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(perfbench.FormatComparison(cmp))
-	results, violations := perfbench.CheckRelations(cand, perfbench.DefaultRelations())
-	fmt.Print(perfbench.FormatRelations(results, violations))
-	if (cmp.Regressions > 0 || violations > 0) && !warnOnly {
+	if violations > 0 {
 		return 1
 	}
 	return 0

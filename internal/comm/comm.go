@@ -10,9 +10,11 @@
 //     pointers; no copies; cache behaviour depends on the platform's
 //     coherence hardware (see internal/soc); CPU and GPU tasks may overlap.
 //
-// Each model runs the same Workload on a soc.SoC and produces a Report with
-// identical structure, so the framework and the experiments can compare them
-// directly.
+// SCAsync and Hybrid extend the paper's three. Every model is a placement
+// plan plus one iteration body; one shared skeleton runs each of them on a
+// soc.SoC — allocation, warm-up, measurement — and produces a Report with
+// identical structure, so the framework and the experiments compare the
+// models on equal terms.
 package comm
 
 import (
@@ -259,7 +261,9 @@ type Model interface {
 	Name() string
 	// Run executes the workload on the platform and reports timings. The
 	// platform's state is reset at entry; buffers the model allocates are
-	// freed before returning.
+	// freed before returning. Every built-in model's Run delegates to one
+	// run skeleton, the only place a model's AllocPlan is allocated for
+	// execution, so all models are measured on equal terms.
 	Run(s *soc.SoC, w Workload) (Report, error)
 }
 
@@ -283,9 +287,10 @@ func ByName(name string) (Model, error) {
 
 // AllocGroup is one allocation batch in a model's placement plan: which
 // buffer specs it places, with what kind, and which side's view of the
-// workload the resulting layout backs. Every model's Run allocates exactly
-// its AllocPlan, so the verifier reasons about the same placement the
-// execution uses.
+// workload the resulting layout backs. The run skeleton every model's Run
+// delegates to is the only place a plan is allocated for execution, so each
+// run allocates exactly its model's AllocPlan by construction and the
+// verifier reasons about the same placement the execution uses.
 type AllocGroup struct {
 	// Prefix distinguishes the group's buffer names ("host-", "dev-", ...).
 	Prefix string
@@ -302,6 +307,67 @@ type AllocGroup struct {
 // hazard verifier mirrors. Every communication model implements it.
 type Planner interface {
 	AllocPlan(w Workload) []AllocGroup
+}
+
+// iterator is a built-in model as the run skeleton drives it: a placement
+// plan plus the body of one iteration over that plan's CPU-side and
+// GPU-side views.
+type iterator interface {
+	Model
+	Planner
+	// iterate runs one iteration and fills the model's share of the
+	// Report: the CPU, flush, copy, kernel and launch times, the launch
+	// count and GPU counters, Overlapped, Total and CopyBytes.
+	iterate(s *soc.SoC, w Workload, cpuLay, gpuLay Layout, lch *gpu.Launcher) (Report, error)
+}
+
+// run is the skeleton every built-in model's Run delegates to, and the only
+// place a model's AllocPlan is allocated for execution. It validates the
+// workload, resets the platform, allocates the plan (freed on return) and
+// runs Warmup untimed iterations plus the measured one on one launcher
+// scoped "<model>/<workload>" (the kernel-cache scope). Around the measured
+// iteration it records what every model reports alike: the DRAM traffic,
+// the energy activity, the buffer heat and the identifying fields.
+func run(m iterator, s *soc.SoC, w Workload) (Report, error) {
+	if err := w.Validate(); err != nil {
+		return Report{}, err
+	}
+	s.ResetState()
+	plan := m.AllocPlan(w)
+	lays, names, err := allocPlan(s, w.Name, plan)
+	if err != nil {
+		return Report{}, err
+	}
+	defer freeAll(s, names)
+	cpuLay, gpuLay := planViews(plan, lays)
+
+	var rep Report
+	lch := gpu.NewLauncher(s.GPU, m.Name()+"/"+w.Name)
+	for i := 0; i <= w.Warmup; i++ {
+		resetHeat(s)
+		dramBefore := s.DRAM.Stats().Bytes()
+		if rep, err = m.iterate(s, w, cpuLay, gpuLay, lch); err != nil {
+			return Report{}, err
+		}
+		rep.DRAMBytes = s.DRAM.Stats().Bytes() - dramBefore
+	}
+	captureHeat(s, &rep)
+	// FlushTime is zero under the models without software coherence, so
+	// one formula prices every model's busy time.
+	rep.Energy = energy.Activity{
+		Runtime:   rep.Total,
+		CPUBusy:   rep.CPUTime + rep.FlushTime + rep.LaunchTime,
+		GPUBusy:   rep.KernelTime,
+		DRAMBytes: rep.DRAMBytes,
+		CopyBytes: rep.CopyBytes,
+	}
+	rep.Model = m.Name()
+	rep.Platform = s.Name()
+	rep.Workload = w.Name
+	rep.DeclaredBytesIn = w.BytesIn()
+	rep.DeclaredBytesOut = w.BytesOut()
+	rep.OverlapCapable = w.Overlappable
+	return rep, nil
 }
 
 // allocPlan materializes a placement plan group by group. It returns one
@@ -436,40 +502,32 @@ func mergeGPU(a *gpu.Result, b gpu.Result) {
 	a.Bound = b.Bound
 }
 
-// cpuTaskStats profiles one CPU task execution.
-type cpuTaskStats struct {
-	elapsed    units.Latency
-	l1MissRate float64
-	llcMiss    float64
-	l1Misses   int64
-	instrs     int64
-}
-
-// timeCPU runs f against the CPU model and returns its elapsed time along
-// with the cache counters the performance model consumes.
-func timeCPU(s *soc.SoC, f func(c *cpu.CPU, lay Layout), lay Layout) cpuTaskStats {
+// timeCPU runs f against the CPU model and returns a Report holding its
+// profile: the elapsed time as CPUTime plus the cache counters the
+// performance model consumes. Each model's iteration starts its Report from
+// the CPU task's; the CPUPost run only adds its CPUTime.
+func timeCPU(s *soc.SoC, f func(c *cpu.CPU, lay Layout), lay Layout) Report {
+	var rep Report
 	if f == nil {
-		return cpuTaskStats{}
+		return rep
 	}
 	c := s.CPU
 	l1Before, llcBefore := c.L1().Stats(), c.LLC().Stats()
 	instrBefore := c.Instructions()
 	start := c.Elapsed()
 	f(c, lay)
-	out := cpuTaskStats{
-		elapsed: c.Elapsed() - start,
-		instrs:  c.Instructions() - instrBefore,
-	}
+	rep.CPUTime = c.Elapsed() - start
+	rep.CPUInstrs = c.Instructions() - instrBefore
 	l1 := c.L1().Stats()
 	llc := c.LLC().Stats()
-	out.l1Misses = l1.Misses() - l1Before.Misses()
+	rep.CPUL1Misses = l1.Misses() - l1Before.Misses()
 	if d := l1.Accesses() - l1Before.Accesses(); d > 0 {
-		out.l1MissRate = float64(out.l1Misses) / float64(d)
+		rep.CPUL1MissRate = float64(rep.CPUL1Misses) / float64(d)
 	}
 	if d := llc.Accesses() - llcBefore.Accesses(); d > 0 {
-		out.llcMiss = float64(llc.Misses()-llcBefore.Misses()) / float64(d)
+		rep.CPULLCMissRate = float64(llc.Misses()-llcBefore.Misses()) / float64(d)
 	}
-	return out
+	return rep
 }
 
 // String summarizes the run for logs and CLIs.

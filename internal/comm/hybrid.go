@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"igpucomm/internal/energy"
 	"igpucomm/internal/gpu"
 	"igpucomm/internal/mmu"
 	"igpucomm/internal/soc"
@@ -30,58 +29,14 @@ func (Hybrid) AllocPlan(w Workload) []AllocGroup {
 }
 
 // Run executes the workload under the hybrid model.
-func (Hybrid) Run(s *soc.SoC, w Workload) (Report, error) {
-	if err := w.Validate(); err != nil {
-		return Report{}, err
-	}
-	s.ResetState()
+func (m Hybrid) Run(s *soc.SoC, w Workload) (Report, error) { return run(m, s, w) }
 
-	plan := Hybrid{}.AllocPlan(w)
-	lays, names, err := allocPlan(s, w.Name, plan)
-	if err != nil {
-		return Report{}, err
-	}
-	defer freeAll(s, names)
-	hostLay, devLay := lays[0], lays[1]
-
-	// The CPU sees host inputs + pinned outputs; the GPU sees device
-	// inputs/scratch + the same pinned outputs.
-	cpuLay, gpuLay := planViews(plan, lays)
-
-	var rep Report
-	lch := gpu.NewLauncher(s.GPU, "hybrid/"+w.Name)
-	for i := 0; i <= w.Warmup; i++ {
-		measured := i == w.Warmup
-		resetHeat(s)
-		r, err := hybridIteration(s, w, cpuLay, gpuLay, hostLay, devLay, lch)
-		if err != nil {
-			return Report{}, err
-		}
-		if measured {
-			rep = r
-		}
-	}
-	captureHeat(s, &rep)
-	rep.Model = Hybrid{}.Name()
-	rep.Platform = s.Name()
-	rep.Workload = w.Name
-	rep.DeclaredBytesIn = w.BytesIn()
-	rep.DeclaredBytesOut = w.BytesOut()
-	rep.OverlapCapable = w.Overlappable
-	return rep, nil
-}
-
-func hybridIteration(s *soc.SoC, w Workload, cpuLay, gpuLay, hostLay, devLay Layout, lch *gpu.Launcher) (Report, error) {
-	dramBefore := s.DRAM.Stats()
+// iterate runs one hybrid iteration. The CPU view holds the host inputs and
+// the pinned outputs; the GPU view holds the device inputs and scratch and
+// the same pinned outputs. Only the inputs are flushed and copied.
+func (Hybrid) iterate(s *soc.SoC, w Workload, cpuLay, gpuLay Layout, lch *gpu.Launcher) (Report, error) {
 	copyBefore := s.CopyBytes()
-
-	var rep Report
-	task := timeCPU(s, w.CPUTask, cpuLay)
-	rep.CPUTime = task.elapsed
-	rep.CPUL1MissRate = task.l1MissRate
-	rep.CPULLCMissRate = task.llcMiss
-	rep.CPUL1Misses = task.l1Misses
-	rep.CPUInstrs = task.instrs
+	rep := timeCPU(s, w.CPUTask, cpuLay)
 
 	launches := w.LaunchCount()
 	rep.Launches = launches
@@ -90,13 +45,13 @@ func hybridIteration(s *soc.SoC, w Workload, cpuLay, gpuLay, hostLay, devLay Lay
 		// need none.
 		flushStart := s.CPU.Elapsed()
 		for _, spec := range w.In {
-			b := hostLay.Buffer(spec.Name)
+			b := cpuLay.Buffer(spec.Name)
 			s.CPU.FlushRange(b.Addr, b.End())
 		}
 		rep.FlushTime += s.CPU.Elapsed() - flushStart
 
 		for _, spec := range w.In {
-			_, size := stripe(hostLay.Buffer(spec.Name), l, launches)
+			_, size := stripe(cpuLay.Buffer(spec.Name), l, launches)
 			rep.CopyTime += s.Copy(size)
 		}
 
@@ -109,24 +64,16 @@ func hybridIteration(s *soc.SoC, w Workload, cpuLay, gpuLay, hostLay, devLay Lay
 		rep.LaunchTime += res.LaunchOverhead
 
 		for _, spec := range w.In {
-			b := devLay.Buffer(spec.Name)
+			b := gpuLay.Buffer(spec.Name)
 			_, cost := s.GPU.FlushRange(b.Addr, b.End(), GPUFlushLineCost)
 			rep.FlushTime += cost
 		}
 	}
 
 	post := timeCPU(s, w.CPUPost, cpuLay)
-	rep.CPUTime += post.elapsed
+	rep.CPUTime += post.CPUTime
 
 	rep.Total = rep.CPUTime + rep.FlushTime + rep.CopyTime + rep.KernelTime + rep.LaunchTime
-	rep.DRAMBytes = s.DRAM.Stats().Bytes() - dramBefore.Bytes()
 	rep.CopyBytes = s.CopyBytes() - copyBefore
-	rep.Energy = energy.Activity{
-		Runtime:   rep.Total,
-		CPUBusy:   rep.CPUTime + rep.FlushTime + rep.LaunchTime,
-		GPUBusy:   rep.KernelTime,
-		DRAMBytes: rep.DRAMBytes,
-		CopyBytes: rep.CopyBytes,
-	}
 	return rep, nil
 }

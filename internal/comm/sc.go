@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"igpucomm/internal/energy"
 	"igpucomm/internal/gpu"
 	"igpucomm/internal/mmu"
 	"igpucomm/internal/soc"
@@ -32,54 +31,15 @@ func (SC) AllocPlan(w Workload) []AllocGroup {
 }
 
 // Run executes the workload under standard copy.
-func (SC) Run(s *soc.SoC, w Workload) (Report, error) {
-	if err := w.Validate(); err != nil {
-		return Report{}, err
-	}
-	s.ResetState()
-	lays, names, err := allocPlan(s, w.Name, SC{}.AllocPlan(w))
-	if err != nil {
-		return Report{}, err
-	}
-	defer freeAll(s, names)
-	hostLay, devLay := lays[0], lays[1]
+func (m SC) Run(s *soc.SoC, w Workload) (Report, error) { return run(m, s, w) }
 
-	var rep Report
-	lch := gpu.NewLauncher(s.GPU, "sc/"+w.Name)
-	for i := 0; i <= w.Warmup; i++ {
-		measured := i == w.Warmup
-		resetHeat(s)
-		r, err := scIteration(s, w, hostLay, devLay, lch)
-		if err != nil {
-			return Report{}, err
-		}
-		if measured {
-			rep = r
-		}
-	}
-	captureHeat(s, &rep)
-	rep.Model = SC{}.Name()
-	rep.Platform = s.Name()
-	rep.Workload = w.Name
-	rep.DeclaredBytesIn = w.BytesIn()
-	rep.DeclaredBytesOut = w.BytesOut()
-	rep.OverlapCapable = w.Overlappable
-	return rep, nil
-}
-
-func scIteration(s *soc.SoC, w Workload, hostLay, devLay Layout, lch *gpu.Launcher) (Report, error) {
-	dramBefore := s.DRAM.Stats()
+// iterate runs one SC iteration: the CPU task, then one striped
+// copy-kernel-copy round per launch, then the optional CPU consumer.
+func (SC) iterate(s *soc.SoC, w Workload, hostLay, devLay Layout, lch *gpu.Launcher) (Report, error) {
 	copyBefore := s.CopyBytes()
 
-	var rep Report
-
 	// 1. CPU produces the inputs in its own partition.
-	task := timeCPU(s, w.CPUTask, hostLay)
-	rep.CPUTime = task.elapsed
-	rep.CPUL1MissRate = task.l1MissRate
-	rep.CPULLCMissRate = task.llcMiss
-	rep.CPUL1Misses = task.l1Misses
-	rep.CPUInstrs = task.instrs
+	rep := timeCPU(s, w.CPUTask, hostLay)
 
 	// 2-6. One striped copy-kernel-copy round per launch, with software
 	// coherence flushes around every kernel (the SC protocol).
@@ -128,17 +88,9 @@ func scIteration(s *soc.SoC, w Workload, hostLay, devLay Layout, lch *gpu.Launch
 
 	// 7. Optional CPU consumer work.
 	post := timeCPU(s, w.CPUPost, hostLay)
-	rep.CPUTime += post.elapsed
+	rep.CPUTime += post.CPUTime
 
 	rep.Total = rep.CPUTime + rep.FlushTime + rep.CopyTime + rep.KernelTime + rep.LaunchTime
-	rep.DRAMBytes = s.DRAM.Stats().Bytes() - dramBefore.Bytes()
 	rep.CopyBytes = s.CopyBytes() - copyBefore
-	rep.Energy = energy.Activity{
-		Runtime:   rep.Total,
-		CPUBusy:   rep.CPUTime + rep.FlushTime + rep.LaunchTime,
-		GPUBusy:   rep.KernelTime,
-		DRAMBytes: rep.DRAMBytes,
-		CopyBytes: rep.CopyBytes,
-	}
 	return rep, nil
 }

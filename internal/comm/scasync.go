@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"igpucomm/internal/energy"
 	"igpucomm/internal/gpu"
 	"igpucomm/internal/mmu"
 	"igpucomm/internal/soc"
@@ -34,53 +33,14 @@ func (SCAsync) AllocPlan(w Workload) []AllocGroup {
 }
 
 // Run executes the workload under double-buffered standard copy.
-func (SCAsync) Run(s *soc.SoC, w Workload) (Report, error) {
-	if err := w.Validate(); err != nil {
-		return Report{}, err
-	}
-	s.ResetState()
-	lays, names, err := allocPlan(s, w.Name, SCAsync{}.AllocPlan(w))
-	if err != nil {
-		return Report{}, err
-	}
-	defer freeAll(s, names)
-	hostLay, devLay := lays[0], lays[1]
+func (m SCAsync) Run(s *soc.SoC, w Workload) (Report, error) { return run(m, s, w) }
 
-	var rep Report
-	lch := gpu.NewLauncher(s.GPU, "sc-async/"+w.Name)
-	for i := 0; i <= w.Warmup; i++ {
-		measured := i == w.Warmup
-		resetHeat(s)
-		r, err := scAsyncIteration(s, w, hostLay, devLay, lch)
-		if err != nil {
-			return Report{}, err
-		}
-		if measured {
-			rep = r
-		}
-	}
-	captureHeat(s, &rep)
-	rep.Model = SCAsync{}.Name()
-	rep.Platform = s.Name()
-	rep.Workload = w.Name
-	rep.DeclaredBytesIn = w.BytesIn()
-	rep.DeclaredBytesOut = w.BytesOut()
-	rep.OverlapCapable = w.Overlappable
-	return rep, nil
-}
-
-func scAsyncIteration(s *soc.SoC, w Workload, hostLay, devLay Layout, lch *gpu.Launcher) (Report, error) {
-	dramBefore := s.DRAM.Stats()
+// iterate runs one sc-async iteration: the CPU task, the per-launch copy
+// and kernel stages composed as a two-resource pipeline, then the optional
+// CPU consumer.
+func (SCAsync) iterate(s *soc.SoC, w Workload, hostLay, devLay Layout, lch *gpu.Launcher) (Report, error) {
 	copyBefore := s.CopyBytes()
-
-	var rep Report
-
-	task := timeCPU(s, w.CPUTask, hostLay)
-	rep.CPUTime = task.elapsed
-	rep.CPUL1MissRate = task.l1MissRate
-	rep.CPULLCMissRate = task.llcMiss
-	rep.CPUL1Misses = task.l1Misses
-	rep.CPUInstrs = task.instrs
+	rep := timeCPU(s, w.CPUTask, hostLay)
 
 	// One producer-side flush: the CPU is done with the inputs before the
 	// pipeline starts (output stripes are flushed per launch below).
@@ -155,17 +115,8 @@ func scAsyncIteration(s *soc.SoC, w Workload, hostLay, devLay Layout, lch *gpu.L
 	rep.Total = rep.CPUTime + rep.FlushTime + pipeline + rep.LaunchTime
 
 	post := timeCPU(s, w.CPUPost, hostLay)
-	rep.CPUTime += post.elapsed
-	rep.Total += post.elapsed
-
-	rep.DRAMBytes = s.DRAM.Stats().Bytes() - dramBefore.Bytes()
+	rep.CPUTime += post.CPUTime
+	rep.Total += post.CPUTime
 	rep.CopyBytes = s.CopyBytes() - copyBefore
-	rep.Energy = energy.Activity{
-		Runtime:   rep.Total,
-		CPUBusy:   rep.CPUTime + rep.FlushTime + rep.LaunchTime,
-		GPUBusy:   rep.KernelTime,
-		DRAMBytes: rep.DRAMBytes,
-		CopyBytes: rep.CopyBytes,
-	}
 	return rep, nil
 }

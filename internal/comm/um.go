@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"igpucomm/internal/energy"
 	"igpucomm/internal/gpu"
 	"igpucomm/internal/mmu"
 	"igpucomm/internal/soc"
@@ -38,50 +37,12 @@ func (UM) AllocPlan(w Workload) []AllocGroup {
 }
 
 // Run executes the workload under unified memory.
-func (UM) Run(s *soc.SoC, w Workload) (Report, error) {
-	if err := w.Validate(); err != nil {
-		return Report{}, err
-	}
-	s.ResetState()
-	lays, names, err := allocPlan(s, w.Name, UM{}.AllocPlan(w))
-	if err != nil {
-		return Report{}, err
-	}
-	defer freeAll(s, names)
-	lay := lays[0]
+func (m UM) Run(s *soc.SoC, w Workload) (Report, error) { return run(m, s, w) }
 
-	var rep Report
-	lch := gpu.NewLauncher(s.GPU, "um/"+w.Name)
-	for i := 0; i <= w.Warmup; i++ {
-		measured := i == w.Warmup
-		resetHeat(s)
-		r := umIteration(s, w, lay, lch)
-		if r.err != nil {
-			return Report{}, r.err
-		}
-		if measured {
-			rep = r.Report
-		}
-	}
-	captureHeat(s, &rep)
-	rep.Model = UM{}.Name()
-	rep.Platform = s.Name()
-	rep.Workload = w.Name
-	rep.DeclaredBytesIn = w.BytesIn()
-	rep.DeclaredBytesOut = w.BytesOut()
-	rep.OverlapCapable = w.Overlappable
-	return rep, nil
-}
-
-type umResult struct {
-	Report
-	err error
-}
-
-func umIteration(s *soc.SoC, w Workload, lay Layout, lch *gpu.Launcher) umResult {
-	dramBefore := s.DRAM.Stats()
+// iterate runs one UM iteration over the managed layout (both views are the
+// one managed allocation); CopyBytes counts the migrated bytes.
+func (UM) iterate(s *soc.SoC, w Workload, lay, _ Layout, lch *gpu.Launcher) (Report, error) {
 	migBefore := s.Migrator.Stats().BytesMigrated
-	var rep Report
 
 	// 1. The CPU faults its working buffers back (no-ops on first touch)
 	// and produces the inputs.
@@ -91,15 +52,11 @@ func umIteration(s *soc.SoC, w Workload, lay Layout, lch *gpu.Launcher) umResult
 		f, by := umTouch(s, w, b.Addr, b.Size, mmu.OwnerCPU)
 		faults, migBytes = faults+f, migBytes+by
 	}
-	rep.CopyTime += s.MigrationCost(faults, migBytes)
+	copyIn := s.MigrationCost(faults, migBytes)
 	chargeMigrationTraffic(s, migBytes)
 
-	task := timeCPU(s, w.CPUTask, lay)
-	rep.CPUTime = task.elapsed
-	rep.CPUL1MissRate = task.l1MissRate
-	rep.CPULLCMissRate = task.llcMiss
-	rep.CPUL1Misses = task.l1Misses
-	rep.CPUInstrs = task.instrs
+	rep := timeCPU(s, w.CPUTask, lay)
+	rep.CopyTime = copyIn
 
 	// 2. Per launch, the kernel faults the pages of its stripe over to the
 	// GPU side, then executes.
@@ -124,7 +81,7 @@ func umIteration(s *soc.SoC, w Workload, lay Layout, lch *gpu.Launcher) umResult
 
 		res, err := lch.Launch(l, w.MakeKernel(lay, l))
 		if err != nil {
-			return umResult{err: err}
+			return Report{}, err
 		}
 		mergeGPU(&rep.GPU, res)
 		// The UM driver's placement differs slightly from SC's explicit
@@ -144,19 +101,11 @@ func umIteration(s *soc.SoC, w Workload, lay Layout, lch *gpu.Launcher) umResult
 	chargeMigrationTraffic(s, migBytes)
 
 	post := timeCPU(s, w.CPUPost, lay)
-	rep.CPUTime += post.elapsed
+	rep.CPUTime += post.CPUTime
 
 	rep.Total = rep.CPUTime + rep.CopyTime + rep.KernelTime + rep.LaunchTime
-	rep.DRAMBytes = s.DRAM.Stats().Bytes() - dramBefore.Bytes()
 	rep.CopyBytes = s.Migrator.Stats().BytesMigrated - migBefore
-	rep.Energy = energy.Activity{
-		Runtime:   rep.Total,
-		CPUBusy:   rep.CPUTime + rep.LaunchTime,
-		GPUBusy:   rep.KernelTime,
-		DRAMBytes: rep.DRAMBytes,
-		CopyBytes: rep.CopyBytes,
-	}
-	return umResult{Report: rep}
+	return rep, nil
 }
 
 // chargeMigrationTraffic accounts a migration's DRAM round trip the same way

@@ -1,9 +1,7 @@
 package comm
 
 import (
-	"igpucomm/internal/energy"
 	"igpucomm/internal/gpu"
-	"igpucomm/internal/memdev"
 	"igpucomm/internal/mmu"
 	"igpucomm/internal/soc"
 )
@@ -33,54 +31,17 @@ func (ZC) AllocPlan(w Workload) []AllocGroup {
 }
 
 // Run executes the workload under zero-copy.
-func (ZC) Run(s *soc.SoC, w Workload) (Report, error) {
-	if err := w.Validate(); err != nil {
-		return Report{}, err
-	}
-	s.ResetState()
-	lays, names, err := allocPlan(s, w.Name, ZC{}.AllocPlan(w))
-	if err != nil {
-		return Report{}, err
-	}
-	defer freeAll(s, names)
-	lay := lays[0]
+func (m ZC) Run(s *soc.SoC, w Workload) (Report, error) { return run(m, s, w) }
 
-	var rep Report
-	lch := gpu.NewLauncher(s.GPU, "zc/"+w.Name)
-	for i := 0; i <= w.Warmup; i++ {
-		measured := i == w.Warmup
-		resetHeat(s)
-		r, err := zcIteration(s, w, lay, lch)
-		if err != nil {
-			return Report{}, err
-		}
-		if measured {
-			rep = r
-		}
-	}
-	captureHeat(s, &rep)
-	rep.Model = ZC{}.Name()
-	rep.Platform = s.Name()
-	rep.Workload = w.Name
-	rep.DeclaredBytesIn = w.BytesIn()
-	rep.DeclaredBytesOut = w.BytesOut()
-	rep.OverlapCapable = w.Overlappable
-	return rep, nil
-}
-
-func zcIteration(s *soc.SoC, w Workload, lay Layout, lch *gpu.Launcher) (Report, error) {
-	dramBefore := s.DRAM.Stats()
-	var rep Report
-
+// iterate runs one ZC iteration: the CPU task and the kernels on the pinned
+// buffers, overlapped when the workload allows it. Both views are the one
+// pinned layout; nothing is copied, so CopyBytes stays zero.
+func (ZC) iterate(s *soc.SoC, w Workload, lay, _ Layout, lch *gpu.Launcher) (Report, error) {
 	// CPU task, with its DRAM-side traffic attributed for the arbiter.
-	cpuTrafficBefore := s.CPUTraffic()
-	task := timeCPU(s, w.CPUTask, lay)
-	cpuBytes := delta(s.CPUTraffic(), cpuTrafficBefore)
-	rep.CPUTime = task.elapsed
-	rep.CPUL1MissRate = task.l1MissRate
-	rep.CPULLCMissRate = task.llcMiss
-	rep.CPUL1Misses = task.l1Misses
-	rep.CPUInstrs = task.instrs
+	cpuTrafficBefore := s.CPUTraffic().Bytes()
+	rep := timeCPU(s, w.CPUTask, lay)
+	cpuBytes := s.CPUTraffic().Bytes() - cpuTrafficBefore
+	taskTime := rep.CPUTime
 
 	// Kernels straight onto the pinned buffers.
 	launches := w.LaunchCount()
@@ -98,33 +59,20 @@ func zcIteration(s *soc.SoC, w Workload, lay Layout, lch *gpu.Launcher) (Report,
 	}
 
 	post := timeCPU(s, w.CPUPost, lay)
-	rep.CPUTime += post.elapsed
+	rep.CPUTime += post.CPUTime
 
 	if w.Overlappable {
 		// §III-C pattern: producer/consumer phases alternate over tiles,
 		// so the CPU task and the kernel execute concurrently, sharing
 		// DRAM bandwidth.
 		makespan, _ := s.Overlap(
-			soc.Stream{Name: "cpu", Solo: task.elapsed, Bytes: cpuBytes},
+			soc.Stream{Name: "cpu", Solo: taskTime, Bytes: cpuBytes},
 			soc.Stream{Name: "gpu", Solo: rep.KernelTime, Bytes: gpuBytes},
 		)
-		rep.Total = makespan + rep.LaunchTime + post.elapsed
+		rep.Total = makespan + rep.LaunchTime + post.CPUTime
 		rep.Overlapped = true
 	} else {
 		rep.Total = rep.CPUTime + rep.KernelTime + rep.LaunchTime
 	}
-
-	rep.DRAMBytes = s.DRAM.Stats().Bytes() - dramBefore.Bytes()
-	rep.Energy = energy.Activity{
-		Runtime:   rep.Total,
-		CPUBusy:   rep.CPUTime + rep.LaunchTime,
-		GPUBusy:   rep.KernelTime,
-		DRAMBytes: rep.DRAMBytes,
-		CopyBytes: 0,
-	}
 	return rep, nil
-}
-
-func delta(now, before memdev.Stats) int64 {
-	return now.Bytes() - before.Bytes()
 }

@@ -126,7 +126,7 @@ func Table3(ctx context.Context, c *Context) (report.Table, Table3Data, error) {
 		Note: "paper: Nano ZC -67%, TX2 ZC -5%, Xavier ZC +38%; UM within ±5% of SC; energy saving ~0.12 J/s (Xavier), ~0.09 J/s (TX2)",
 	}
 	for _, board := range []string{devices.NanoName, devices.TX2Name, devices.XavierName} {
-		reps, err := c.runModels(board, w)
+		reps, err := c.runModels(board, w, comm.Models())
 		if err != nil {
 			return report.Table{}, Table3Data{}, err
 		}
@@ -207,40 +207,30 @@ func Table5(ctx context.Context, c *Context) (report.Table, Table5Data, error) {
 		Note:    "paper: TX2 ZC -744% total / -880% kernel; Xavier ZC 0% total / -10% kernel, 0.17 J/s energy saving at 30 Hz",
 	}
 	for _, board := range []string{devices.TX2Name, devices.XavierName} {
+		reps, err := c.runModels(board, w, []comm.Model{comm.SC{}, comm.ZC{}})
+		if err != nil {
+			return report.Table{}, Table5Data{}, err
+		}
 		s, err := c.SoC(board)
 		if err != nil {
 			return report.Table{}, Table5Data{}, err
 		}
 		data.Runs[board] = map[string]ModelRun{}
-		var scRep, zcRep comm.Report
-		for _, m := range []comm.Model{comm.SC{}, comm.ZC{}} {
-			rep, err := m.Run(s, w)
-			if err != nil {
-				return report.Table{}, Table5Data{}, err
-			}
-			if m.Name() == "sc" {
-				scRep = rep
-			} else {
-				zcRep = rep
-			}
-			data.Runs[board][m.Name()] = ModelRun{
+		sc := reps["sc"]
+		for _, model := range []string{"sc", "zc"} {
+			rep := reps[model]
+			run := ModelRun{
 				TotalUS:     rep.Total.Seconds() * 1e6,
 				KernelPerUS: rep.KernelTimePer().Seconds() * 1e6,
 				EnergyJ:     s.Config().Power.Joules(rep.Energy),
 			}
-		}
-		for _, model := range []string{"sc", "zc"} {
-			run := data.Runs[board][model]
-			rep := scRep
-			if model == "zc" {
-				rep = zcRep
-			}
+			data.Runs[board][model] = run
 			t.AddRow(board, model, run.TotalUS, run.KernelPerUS,
-				speedupPct(scRep.Total.Seconds(), rep.Total.Seconds()),
-				speedupPct(scRep.KernelTimePer().Seconds(), rep.KernelTimePer().Seconds()))
+				speedupPct(sc.Total.Seconds(), rep.Total.Seconds()),
+				speedupPct(sc.KernelTimePer().Seconds(), rep.KernelTimePer().Seconds()))
 		}
 		data.EnergySavingJPerS[board] = s.Config().Power.SavingPerSecond(
-			scRep.Energy, zcRep.Energy, Table3IterationRate)
+			sc.Energy, reps["zc"].Energy, Table3IterationRate)
 	}
 	return t, data, nil
 }

@@ -45,23 +45,16 @@ func TableEnergy(ctx context.Context, c *Context) (report.Table, EnergyData, err
 			if err != nil {
 				return report.Table{}, EnergyData{}, err
 			}
+			reps, err := c.runModels(board, w, comm.Models())
+			if err != nil {
+				return report.Table{}, EnergyData{}, err
+			}
 			frames := map[string]float64{}
-			var scRep, zcRep comm.Report
-			for _, m := range comm.Models() {
-				rep, err := m.Run(s, w)
-				if err != nil {
-					return report.Table{}, EnergyData{}, err
-				}
-				frames[m.Name()] = s.Config().Power.Joules(rep.Energy)
-				switch m.Name() {
-				case "sc":
-					scRep = rep
-				case "zc":
-					zcRep = rep
-				}
+			for model, rep := range reps {
+				frames[model] = s.Config().Power.Joules(rep.Energy)
 			}
 			data.JoulesPerFrame[board][app] = frames
-			saving := s.Config().Power.SavingPerSecond(scRep.Energy, zcRep.Energy, Table3IterationRate)
+			saving := s.Config().Power.SavingPerSecond(reps["sc"].Energy, reps["zc"].Energy, Table3IterationRate)
 			data.BestModelSavingJPerS[board][app] = saving
 			t.AddRow(board, app,
 				frames["sc"]*1e3, frames["um"]*1e3, frames["zc"]*1e3, saving)

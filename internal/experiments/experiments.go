@@ -67,14 +67,15 @@ func (c *Context) Char(ctx context.Context, name string) (framework.Characteriza
 	return ch, nil
 }
 
-// runModels executes a workload under the three models on one platform.
-func (c *Context) runModels(name string, w comm.Workload) (map[string]comm.Report, error) {
+// runModels executes a workload under each of the given models, in order,
+// on one platform and returns the Reports by model name.
+func (c *Context) runModels(name string, w comm.Workload, models []comm.Model) (map[string]comm.Report, error) {
 	s, err := c.SoC(name)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]comm.Report, 3)
-	for _, m := range comm.Models() {
+	out := make(map[string]comm.Report, len(models))
+	for _, m := range models {
 		rep, err := m.Run(s, w)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s under %s on %s: %w", w.Name, m.Name(), name, err)

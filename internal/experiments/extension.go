@@ -31,23 +31,19 @@ func TableAsync(ctx context.Context, c *Context) (report.Table, AsyncData, error
 		"orbslam": orbWorkload,
 	}
 	for _, board := range []string{devices.TX2Name, devices.XavierName} {
-		s, err := c.SoC(board)
-		if err != nil {
-			return report.Table{}, AsyncData{}, err
-		}
 		data.Totals[board] = map[string]map[string]float64{}
 		for _, app := range []string{"shwfs", "orbslam"} {
 			w, err := apps[app]()
 			if err != nil {
 				return report.Table{}, AsyncData{}, err
 			}
+			reps, err := c.runModels(board, w, []comm.Model{comm.SC{}, comm.SCAsync{}, comm.Hybrid{}, comm.ZC{}})
+			if err != nil {
+				return report.Table{}, AsyncData{}, err
+			}
 			totals := map[string]float64{}
-			for _, m := range []comm.Model{comm.SC{}, comm.SCAsync{}, comm.Hybrid{}, comm.ZC{}} {
-				rep, err := m.Run(s, w)
-				if err != nil {
-					return report.Table{}, AsyncData{}, err
-				}
-				totals[m.Name()] = rep.Total.Seconds() * 1e6
+			for model, rep := range reps {
+				totals[model] = rep.Total.Seconds() * 1e6
 			}
 			data.Totals[board][app] = totals
 			t.AddRow(board, app, totals["sc"], totals["sc-async"], totals["hybrid"], totals["zc"],

@@ -1,5 +1,5 @@
-// Package perfbench is the repo's performance-regression harness: a declared
-// suite of scenarios covering every hot path the ROADMAP cares about (the
+// Package perfbench is the repo's performance harness: a declared suite of
+// scenarios covering every hot path the ROADMAP cares about (the
 // serial-vs-parallel advisory sweep, the engine's memo cache warm and cold,
 // the three device-characterization micro-benchmarks, advisord request
 // latency over real HTTP, and checked-mode overhead), executed with repeated
@@ -7,11 +7,10 @@
 // min, p95).
 //
 // A run emits a schema-versioned BENCH_<timestamp>.json artifact — the
-// machine-readable perf trajectory cmd/perfgate compares across commits —
-// annotated with build identity, host facts and iteration metadata. The
-// comparison is noise-aware: a scenario only counts as a regression when its
-// median slowdown exceeds both a relative percentage and an absolute floor,
-// so micro-scenarios cannot flap on scheduler jitter.
+// machine-readable perf trajectory — annotated with build identity, host
+// facts and iteration metadata. cmd/perfgate gates each artifact on its
+// cross-scenario Relations, ratios and caps that hold on any host; absolute
+// medians are host-dependent and are not compared across runs.
 //
 // Timing capture goes through internal/telemetry: every timed iteration is
 // recorded into a per-run histogram vec and wrapped in a span, so a traced
@@ -22,7 +21,7 @@ import "context"
 
 // Scenario is one named, repeatable measurement.
 type Scenario struct {
-	// Name identifies the scenario in artifacts and comparisons; it must
+	// Name identifies the scenario in artifacts and relations; it must
 	// be unique within a suite and stable across commits (renaming one
 	// breaks its trajectory).
 	Name string

@@ -7,11 +7,9 @@ import (
 )
 
 // Relation is a cross-scenario performance invariant checked within ONE
-// artifact, complementing the baseline comparison: Compare catches drift
-// between runs, a Relation pins an ordering the design promises regardless
-// of drift — "the pooled engine sweep beats the serial sweep", "the
-// steady-state batch sweep stays 5x under the seed". Violations gate CI
-// exactly like regressions.
+// artifact: it pins an ordering the design promises on any host — "the
+// pooled engine sweep beats the serial sweep", "the steady-state batch sweep
+// stays 5x under the seed". A violation fails perfgate and CI.
 type Relation struct {
 	// Name identifies the invariant in reports.
 	Name string `json:"name"`

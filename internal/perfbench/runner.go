@@ -18,8 +18,8 @@ type RunOptions struct {
 	// (<0: 1). Warmup runs bring caches, the page allocator and the
 	// branch predictors to steady state.
 	Warmup int
-	// Quick is recorded in the artifact so baselines at different scales
-	// are never compared silently.
+	// Quick is recorded in the artifact so runs at different scales are
+	// never compared silently.
 	Quick bool
 	// Now overrides the artifact timestamp clock (tests). Iteration
 	// timing always uses the monotonic runtime clock.
