@@ -68,7 +68,7 @@ docs-links:
 # smoke the transaction-trace export.
 hazardcheck:
 	$(GO) run ./cmd/hazardcheck
-	$(GO) run ./cmd/trace -device jetson-tx2 -app shwfs -model zc > /dev/null
+	$(GO) run ./cmd/advisor trace -device jetson-tx2 -app shwfs -model zc > /dev/null
 
 # Combined statement coverage of the execution engine, the framework it
 # must stay byte-equivalent to, the micro-benchmark characterization plan
@@ -83,14 +83,18 @@ cover:
 		{ echo "coverage below $(COVER_MIN)%"; exit 1; }
 
 # Short fuzz pass over the externally-facing parsers — the hazard event-trace
-# parser (ParseEvents) and the NDJSON warm-handoff export reader (a malicious or buggy
-# peer must quarantine, never panic its puller) — and over the batch
-# simulator core against the per-access reference executor.
+# parser (ParseEvents), the NDJSON warm-handoff export reader (a malicious or buggy
+# peer must quarantine, never panic its puller) and the saved-characterization
+# loader behind `advisor advise -char` — and over the batch simulator core
+# against the per-access reference executor. The characterization seeds are
+# ~3 KB files, and minimizing each new coverage input byte by byte can take
+# the default 60 s, so that target caps minimization at 2 s.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzBatchVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzReadExport -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/framework -run '^$$' -fuzz FuzzLoadCharacterization -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 
 # The paper-scale benchmark is its own module, so `go test ./...` skips it;
 # its tests build the benchmark and check its reference answers.
@@ -117,7 +121,7 @@ perf-smoke:
 # 5 models) recorded as a Chrome trace_event file — open trace.json in
 # chrome://tracing or https://ui.perfetto.dev.
 trace:
-	$(GO) run ./cmd/advisor -quick -sweep -trace trace.json
+	$(GO) run ./cmd/advisor sweep -quick -trace trace.json
 
 # Fleet storm harness: a 3-shard advisord fleet under closed-loop load while
 # a cold shard joins (warm handoff) and another is killed mid-run, plus the

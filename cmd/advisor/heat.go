@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"igpucomm/internal/framework"
 	"igpucomm/internal/telemetry"
@@ -10,15 +10,8 @@ import (
 
 // writeHeatArtifact writes the per-buffer heat artifact as schema-versioned
 // JSON to path.
-func writeHeatArtifact(path string, art framework.HeatArtifact) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = framework.SaveHeatArtifact(f, art)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+func writeHeatArtifact(out io.Writer, path string, art framework.HeatArtifact) error {
+	err := createWith(path, func(w io.Writer) error { return framework.SaveHeatArtifact(w, art) })
 	if err != nil {
 		return err
 	}
@@ -26,14 +19,14 @@ func writeHeatArtifact(path string, art framework.HeatArtifact) error {
 	for _, e := range art.Entries {
 		buffers += len(e.Buffers)
 	}
-	fmt.Printf("heat map written to %s (%d entries, %d buffer rows)\n",
+	fmt.Fprintf(out, "heat map written to %s (%d entries, %d buffer rows)\n",
 		path, len(art.Entries), buffers)
 	return nil
 }
 
 // emitHeatCounters records each heat entry as a Chrome counter sample — one
 // counter track per device/app/model point, buffer heat scores as its series
-// — so `advisor -trace -heatmap` renders heat next to the span timeline.
+// — so `-trace` with `-heatmap` renders heat next to the span timeline.
 // No-ops without a tracer.
 func emitHeatCounters(tracer *telemetry.Tracer, entries []framework.HeatEntry) {
 	for _, e := range entries {

@@ -1,183 +1,145 @@
-// Command advisor runs the paper's full tuning flow (Fig 2) for one of the
-// case-study applications on one platform: characterize the device, profile
-// the application, classify its cache dependence, and print the recommended
-// communication model with the estimated speedup.
-//
-// With -trace, every phase of the run (characterization, sweep points,
-// profiling, advisory) is recorded as a span and written as a Chrome
-// trace_event JSON file loadable in chrome://tracing or Perfetto. With
-// -sweep, the advisor instead explores every device × app × model
-// combination and prints the measured ranking table.
+// Command advisor is the paper's tool flow as one CLI: characterize the
+// device (MB1–MB3), profile the application, walk the Fig 2 decision, and
+// check the advice against the measured ranking — plus the tools around
+// that flow. `advisor -h` lists the commands, `advisor <command> -h` their
+// flags; docs/CLI.md is the reference.
 //
 // Usage:
 //
-//	advisor -device jetson-agx-xavier -app shwfs -current sc
-//	advisor -device jetson-tx2 -app orbslam -current zc -quick
-//	advisor -quick -sweep -trace trace.json
+//	advisor advise -device jetson-agx-xavier -app shwfs -current sc
+//	advisor sweep -quick -trace trace.json
+//	advisor characterize -device jetson-tx2 -save tx2.json
+//	advisor trace -device jetson-tx2 -app shwfs -model zc > trace.csv
+//	advisor repro -exp table1 -quick
+//
+// Exit status 0 on success, 1 when a command fails, 2 on a usage error
+// (no or unknown command, bad flag, unknown repro experiment).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/buildinfo"
-	"igpucomm/internal/comm"
-	"igpucomm/internal/devices"
-	"igpucomm/internal/engine"
-	"igpucomm/internal/framework"
 	"igpucomm/internal/microbench"
-	"igpucomm/internal/soc"
-	"igpucomm/internal/telemetry"
 )
 
-func main() {
-	device := flag.String("device", devices.XavierName, "platform name")
-	app := flag.String("app", "shwfs", "application: shwfs, orbslam or lanedet")
-	current := flag.String("current", "sc", "currently implemented model: sc, um, zc")
-	quick := flag.Bool("quick", false, "reduced micro-benchmark scale")
-	verify := flag.Bool("verify", false, "also measure every model and report the true ranking")
-	charFile := flag.String("char", "", "load a saved characterization instead of re-running the micro-benchmarks")
-	workers := flag.Int("workers", 0, "simulation parallelism (0 = GOMAXPROCS)")
-	sweep := flag.Bool("sweep", false, "explore every device x app x model combination instead of advising one")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path")
-	heatOut := flag.String("heatmap", "", "run heat-enabled and write the per-buffer heat artifact (JSON) to this path")
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
+// runFunc runs one parsed command, writing its report to stdout.
+type runFunc func(ctx context.Context, stdout, stderr io.Writer) error
 
-	if *version {
-		fmt.Println(buildinfo.Get())
-		return
-	}
-
-	ctx := context.Background()
-	var tracer *telemetry.Tracer
-	if *traceOut != "" {
-		tracer = telemetry.NewTracer(telemetry.TracerOptions{})
-		ctx = telemetry.WithTracer(ctx, tracer)
-		ctx = telemetry.WithTraceID(ctx, tracer.TraceID())
-	}
-
-	eng := engine.New(engine.Options{Workers: *workers})
-	params := microbench.DefaultParams()
-	scale := catalog.Full
-	if *quick {
-		params = microbench.TestParams()
-		scale = catalog.Quick
-	}
-
-	if *sweep {
-		err := runSweep(ctx, eng, params, scale, os.Stdout, *heatOut, tracer)
-		fatalIf(err)
-		writeTrace(tracer, *traceOut)
-		return
-	}
-
-	w, err := catalog.ByName(*app, scale)
-	fatalIf(err)
-
-	cfg, err := devices.ByName(*device)
-	fatalIf(err)
-	s := soc.New(cfg)
-
-	var char framework.Characterization
-	if *charFile != "" {
-		f, err := os.Open(*charFile)
-		fatalIf(err)
-		char, err = framework.LoadCharacterization(f)
-		f.Close()
-		fatalIf(err)
-		if char.Platform != *device {
-			fatalIf(fmt.Errorf("characterization is for %q, not %q", char.Platform, *device))
-		}
-		fmt.Printf("loaded characterization of %s from %s\n", char.Platform, *charFile)
-	} else {
-		fmt.Printf("characterizing %s ...\n", *device)
-		char, err = eng.Characterize(ctx, cfg, params)
-		fatalIf(err)
-	}
-
-	fmt.Printf("profiling %s under %s ...\n", *app, *current)
-	rec, err := framework.AdviseWorkload(ctx, char, s, w, *current)
-	fatalIf(err)
-
-	fmt.Println()
-	fmt.Printf("application:        %s on %s (currently %s)\n", rec.Workload, rec.Platform, rec.CurrentModel)
-	fmt.Printf("CPU cache usage:    %.2f%% (threshold %.2f%%, dependent: %v)\n",
-		rec.CPUUsage*100, char.Thresholds.CPUCache*100, rec.CPUDependent)
-	fmt.Printf("GPU cache usage:    %.1f%% (zone: %v, thresholds %.1f%%/%.1f%%)\n",
-		rec.GPUUsage*100, rec.Zone, char.Thresholds.GPUCacheLow*100, char.Thresholds.GPUCacheHigh*100)
-	fmt.Printf("recommendation:     %s\n", rec.Suggested)
-	fmt.Printf("estimated speedup:  %.1f%%\n", rec.SpeedupPercent())
-	if rec.EnergyAdvantage {
-		fmt.Println("energy:             eliminating the copies also saves transfer energy")
-	}
-	fmt.Printf("rationale:          %s\n", rec.Rationale)
-
-	// How robust is the verdict to profiler noise?
-	classify, err := framework.ClassificationProfile(ctx, s, w)
-	fatalIf(err)
-	currentProf := classify
-	if *current != "sc" {
-		m, err := comm.ByName(*current)
-		fatalIf(err)
-		currentProf, err = framework.CurrentProfile(ctx, s, w, m)
-		fatalIf(err)
-	}
-	st, err := framework.DecisionStability(char, classify, currentProf, *current, 0.10)
-	fatalIf(err)
-	fmt.Printf("stability:          %.0f%% of ±10%%-perturbed profiles agree", st.Agreement*100)
-	if len(st.Flips) > 0 {
-		fmt.Printf(" (flips to %v)", st.Flips)
-	}
-	fmt.Println()
-
-	if *verify {
-		fmt.Println()
-		fmt.Println("measured ranking (brute force):")
-		exp, err := eng.Explore(ctx, cfg, w, nil)
-		fatalIf(err)
-		for i, cand := range exp.Ranked {
-			fmt.Printf("  %d. %-3s %v\n", i+1, cand.Model, cand.Total.Duration())
-		}
-		regret, ok, err := exp.Validate(rec, 0.10)
-		fatalIf(err)
-		fmt.Printf("recommendation regret: %.2fx (within 10%%: %v)\n", regret, ok)
-	}
-
-	if *heatOut != "" {
-		fmt.Println()
-		exp, err := eng.ExploreHeat(ctx, cfg, w, comm.AllModels())
-		fatalIf(err)
-		art := framework.HeatArtifact{Entries: framework.HeatEntriesFromExploration(exp)}
-		emitHeatCounters(tracer, art.Entries)
-		fatalIf(writeHeatArtifact(*heatOut, art))
-	}
-
-	writeTrace(tracer, *traceOut)
+// command is one `advisor <name>` subcommand. setup declares the command's
+// flags on fs and returns the function that runs it once fs is parsed.
+type command struct {
+	name, summary string
+	setup         func(fs *flag.FlagSet) runFunc
 }
 
-// writeTrace exports the run's span tree as a Chrome trace_event file.
-func writeTrace(tracer *telemetry.Tracer, path string) {
-	if tracer == nil || path == "" {
-		return
+var commands = []command{
+	{"advise", "run the tuning flow (Fig 2) for one app on one device", adviseCmd},
+	{"sweep", "print the measured ranking of every device x app x model combination", sweepCmd},
+	{"characterize", "run the micro-benchmarks MB1-MB3 on one device and print its profile", characterizeCmd},
+	{"calibrate", "fit a platform's bandwidths to measured MB1 throughputs", calibrateCmd},
+	{"whatif", "sweep one device parameter and find where the best model flips", whatifCmd},
+	{"trace", "export one kernel launch's coalesced transactions as CSV", traceCmd},
+	{"repro", "regenerate the paper's tables and figures", reproCmd},
+}
+
+// usageError marks a command-line mistake a command finds after parsing:
+// it exits 2, like a bad flag.
+type usageError struct{ error }
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main minus the process exit, so tests drive it directly.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("advisor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	version := fs.Bool("version", false, "print build information and exit")
+	fs.Usage = func() { usage(stderr, fs) }
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
 	}
+	if *version {
+		fmt.Fprintln(stdout, buildinfo.Get())
+		return 0
+	}
+	if fs.NArg() == 0 {
+		usage(stderr, fs)
+		return 2
+	}
+	var cmd *command
+	for i := range commands {
+		if commands[i].name == fs.Arg(0) {
+			cmd = &commands[i]
+		}
+	}
+	if cmd == nil {
+		fmt.Fprintf(stderr, "advisor: unknown command %q\n", fs.Arg(0))
+		usage(stderr, fs)
+		return 2
+	}
+
+	cfs := flag.NewFlagSet("advisor "+cmd.name, flag.ContinueOnError)
+	cfs.SetOutput(stderr)
+	exec := cmd.setup(cfs)
+	if err := cfs.Parse(fs.Args()[1:]); err != nil {
+		return parseExit(err)
+	}
+	if err := exec(context.Background(), stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "advisor %s: %v\n", cmd.name, err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
+		return 1
+	}
+	return 0
+}
+
+// parseExit is flag.ExitOnError's status for a failed parse: 0 for -h, 2
+// for anything else.
+func parseExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
+}
+
+func usage(w io.Writer, fs *flag.FlagSet) {
+	fmt.Fprintln(w, "usage: advisor [-version] <command> [flags]  (advisor <command> -h lists its flags)")
+	fmt.Fprintln(w, "\ncommands:")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-13s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintln(w)
+	fs.PrintDefaults()
+}
+
+// scaleFor is the one -quick decision: the micro-benchmark parameters and
+// the case-study workload scale a command runs at.
+func scaleFor(quick bool) (microbench.Params, catalog.Scale) {
+	if quick {
+		return microbench.TestParams(), catalog.Quick
+	}
+	return microbench.DefaultParams(), catalog.Full
+}
+
+// createWith creates path, hands it to write and closes it, reporting the
+// first error.
+func createWith(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
-	fatalIf(err)
-	err = tracer.WriteChromeTrace(f)
+	if err != nil {
+		return err
+	}
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	fatalIf(err)
-	fmt.Printf("\ntrace written to %s (%d spans) — open in chrome://tracing or ui.perfetto.dev\n",
-		path, tracer.Len())
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "advisor:", err)
-		os.Exit(1)
-	}
+	return err
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 
@@ -10,18 +11,35 @@ import (
 	"igpucomm/internal/devices"
 	"igpucomm/internal/engine"
 	"igpucomm/internal/framework"
-	"igpucomm/internal/microbench"
 	"igpucomm/internal/telemetry"
 )
 
-// runSweep explores every device x app x model combination (3 x 3 x 5 = 45
+// sweepCmd explores every device x app x model combination (3 x 3 x 5 = 45
 // measurement points with the extended model set) through the engine and
-// prints the measured ranking per combination. Under a tracer, every point
+// prints the measured ranking per combination. Under -trace, every point
 // shows up as an engine.explore.model span, which makes the sweep the
-// canonical workload for `advisor -trace` / `make trace`. With heatPath set
-// the sweep runs heat-enabled and additionally writes the per-buffer heat
-// artifact (plus Chrome counter samples when tracing).
-func runSweep(ctx context.Context, eng *engine.Engine, params microbench.Params, scale catalog.Scale, out io.Writer, heatPath string, tracer *telemetry.Tracer) error {
+// canonical workload for `make trace`. With -heatmap the sweep runs
+// heat-enabled and also writes the per-buffer heat artifact (plus Chrome
+// counter samples when tracing).
+func sweepCmd(fs *flag.FlagSet) runFunc {
+	quick := fs.Bool("quick", false, "reduced micro-benchmark scale")
+	workers := fs.Int("workers", 0, "simulation parallelism (0 = GOMAXPROCS)")
+	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file of the run to this path")
+	heatOut := fs.String("heatmap", "", "run heat-enabled and write the per-buffer heat artifact (JSON) to this path")
+	return func(ctx context.Context, out, _ io.Writer) error {
+		ctx, tracer := startTrace(ctx, *traceOut)
+		eng := engine.New(engine.Options{Workers: *workers})
+		_, scale := scaleFor(*quick)
+		if err := runSweep(ctx, eng, scale, out, *heatOut, tracer); err != nil {
+			return err
+		}
+		return writeTrace(out, tracer, *traceOut)
+	}
+}
+
+// runSweep explores and prints the 45 points; with heatPath set it runs
+// heat-enabled and writes the heat artifact there.
+func runSweep(ctx context.Context, eng *engine.Engine, scale catalog.Scale, out io.Writer, heatPath string, tracer *telemetry.Tracer) error {
 	ctx, sweep := telemetry.Start(ctx, "advisor.sweep")
 	defer sweep.End()
 
@@ -61,7 +79,7 @@ func runSweep(ctx context.Context, eng *engine.Engine, params microbench.Params,
 	sweep.SetAttr("points", fmt.Sprintf("%d", combos))
 	fmt.Fprintf(out, "\nswept %d device x app x model points\n", combos)
 	if heatPath != "" {
-		return writeHeatArtifact(heatPath, heat)
+		return writeHeatArtifact(out, heatPath, heat)
 	}
 	return nil
 }

@@ -1,52 +1,43 @@
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"igpucomm/internal/apps/catalog"
-	"igpucomm/internal/engine"
 	"igpucomm/internal/framework"
-	"igpucomm/internal/microbench"
-	"igpucomm/internal/telemetry"
 )
 
-// TestSweepTraceCoversAllCombinations is the acceptance check for
-// `advisor -sweep -trace`: the quick-scale 3 devices x 3 apps x 5 models
-// sweep must record at least 45 spans — one engine.explore.model span per
-// measured point — and export them as a loadable Chrome trace.
-func TestSweepTraceCoversAllCombinations(t *testing.T) {
+// runSweepCmd runs `advisor sweep -quick` with extra flags and returns its
+// stdout.
+func runSweepCmd(t *testing.T, extra ...string) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("sweep runs the full quick-scale simulation")
 	}
-	tracer := telemetry.NewTracer(telemetry.TracerOptions{})
-	ctx := telemetry.WithTracer(context.Background(), tracer)
-	eng := engine.New(engine.Options{Workers: 4})
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{"sweep", "-quick", "-workers", "4"}, extra...), &stdout, &stderr); code != 0 {
+		t.Fatalf("advisor sweep exited %d: %s", code, stderr.String())
+	}
+	return stdout.String()
+}
 
-	if err := runSweep(ctx, eng, microbench.TestParams(), catalog.Quick, io.Discard, "", tracer); err != nil {
-		t.Fatal(err)
-	}
-
-	if tracer.Len() < 45 {
-		t.Fatalf("sweep recorded %d spans, want >= 45", tracer.Len())
-	}
-	points := 0
-	for _, s := range tracer.Spans() {
-		if s.Name == "engine.explore.model" {
-			points++
-		}
-	}
-	if points != 45 {
-		t.Fatalf("got %d engine.explore.model spans, want 45 (3 devices x 3 apps x 5 models)", points)
+// TestSweepTraceCoversAllCombinations is the acceptance check for
+// `advisor sweep -trace`: the quick-scale 3 devices x 3 apps x 5 models
+// sweep must export a loadable Chrome trace with at least 45 span events —
+// one engine.explore.model span per measured point.
+func TestSweepTraceCoversAllCombinations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	out := runSweepCmd(t, "-trace", path)
+	if !strings.Contains(out, "trace written to "+path) {
+		t.Fatalf("sweep did not report the trace:\n%s", out)
 	}
 
-	var b strings.Builder
-	if err := tracer.WriteChromeTrace(&b); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -55,33 +46,36 @@ func TestSweepTraceCoversAllCombinations(t *testing.T) {
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	spanEvents := 0
+	spanEvents, points := 0, 0
 	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "X" {
-			spanEvents++
+		if ev.Ph != "X" {
+			continue
+		}
+		spanEvents++
+		if ev.Name == "engine.explore.model" {
+			points++
 		}
 	}
 	if spanEvents < 45 {
 		t.Fatalf("exported trace has %d span events, want >= 45", spanEvents)
+	}
+	if points != 45 {
+		t.Fatalf("got %d engine.explore.model spans, want 45 (3 devices x 3 apps x 5 models)", points)
 	}
 }
 
 // TestSweepWithoutTracerStillRuns guards the nil-span path: the sweep must
 // work untraced, paying only context lookups.
 func TestSweepWithoutTracerStillRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs the full quick-scale simulation")
+	out := runSweepCmd(t)
+	if !strings.Contains(out, "swept 45 device x app x model points") {
+		t.Fatalf("unexpected sweep summary:\n%s", out)
 	}
-	eng := engine.New(engine.Options{Workers: 4})
-	var out strings.Builder
-	if err := runSweep(context.Background(), eng, microbench.TestParams(), catalog.Quick, &out, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "swept 45 device x app x model points") {
-		t.Fatalf("unexpected sweep summary:\n%s", out.String())
+	if strings.Contains(out, "trace written") {
+		t.Fatalf("untraced sweep wrote a trace:\n%s", out)
 	}
 }
 
@@ -89,14 +83,8 @@ func TestSweepWithoutTracerStillRuns(t *testing.T) {
 // artifact: schema-versioned, loadable, one entry per measured combination,
 // every entry carrying buffer rows and hints.
 func TestSweepHeatArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs the full quick-scale simulation")
-	}
-	eng := engine.New(engine.Options{Workers: 4})
 	path := filepath.Join(t.TempDir(), "heat.json")
-	if err := runSweep(context.Background(), eng, microbench.TestParams(), catalog.Quick, io.Discard, path, nil); err != nil {
-		t.Fatal(err)
-	}
+	runSweepCmd(t, "-heatmap", path)
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)

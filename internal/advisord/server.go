@@ -529,8 +529,8 @@ func (s *Server) toEngineRequest(ar AdviseRequest) (engine.Request, error) {
 }
 
 // handleCharacterize serves the (cached) device characterization in the
-// framework persist format, so the response body is directly usable as
-// cmd/advisor's -char file. Unlike /v1/advise it has no degraded fallback —
+// framework persist format, so the response body is directly usable as an
+// `advisor advise -char` file. Unlike /v1/advise it has no degraded fallback —
 // a characterization either exists or it does not — so an open breaker
 // answers 503 with a Retry-After hint.
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
@@ -570,7 +570,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 
 // handleHeatmap runs a heat-enabled exploration of one device x app point and
 // serves the per-buffer heat artifact in the same schema-versioned format
-// `advisor -heatmap` writes, so the response body is directly loadable with
+// `advisor advise -heatmap` writes, so the response body is directly loadable with
 // framework.LoadHeatArtifact. Heat runs are never cached (heat is an
 // observability overlay, not part of the engine's memoized results), so like
 // /v1/characterize an open breaker answers 503 with a Retry-After hint.

@@ -178,7 +178,8 @@ func TestAdviseRejectsBadRequests(t *testing.T) {
 }
 
 // The /v1/characterize body must round-trip through the framework's persist
-// loader — it is documented as directly usable as cmd/advisor's -char file.
+// loader — it is documented as directly usable as an `advisor advise -char`
+// file.
 func TestCharacterizeEndpointRoundTrips(t *testing.T) {
 	srv, ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/v1/characterize?device=" + devices.TX2Name)
@@ -270,7 +271,7 @@ func testLogger() *slog.Logger {
 
 // TestHeatmapEndpointServesArtifact is the /v1/heatmap golden check: the
 // endpoint's body must be byte-identical to the schema-versioned artifact a
-// direct heat-enabled exploration produces — the same data `advisor -heatmap`
+// direct heat-enabled exploration produces — the same data `advisor advise -heatmap`
 // writes, served over HTTP.
 func TestHeatmapEndpointServesArtifact(t *testing.T) {
 	srv, ts := testServer(t)

@@ -123,11 +123,11 @@ func verifyGeometry(s *soc.SoC, w Workload) (tiling.Geometry, error) {
 
 // TraceCheck replays one launch of the workload at transaction granularity:
 // it takes the kernel's coalesced transactions under the model's placement
-// straight from the GPU compile pass (the stream Launch issues and cmd/trace
-// exports), wraps them with the CPU-side accesses
-// and the model's synchronization protocol — flushes for the software-
-// coherence models, migration writebacks for UM, barriers for all — and
-// runs the whole interleaving through the hazard trace checker.
+// (Place) straight from the GPU compile pass — the stream Launch issues and
+// `advisor trace` exports — wraps them with the CPU-side accesses and the
+// model's synchronization protocol — flushes for the software-coherence
+// models, migration writebacks for UM, barriers for all — and runs the
+// whole interleaving through the hazard trace checker.
 func TraceCheck(s *soc.SoC, w Workload, m Model, launch int) (hazard.Report, error) {
 	subject := fmt.Sprintf("%s/%s/%s launch %d", s.Name(), w.Name, m.Name(), launch)
 	rep := hazard.Report{Subject: subject}
@@ -137,18 +137,12 @@ func TraceCheck(s *soc.SoC, w Workload, m Model, launch int) (hazard.Report, err
 	if launch < 0 || launch >= w.LaunchCount() {
 		return rep, fmt.Errorf("comm: trace check %s: launch %d out of range [0,%d)", w.Name, launch, w.LaunchCount())
 	}
-	planner, ok := m.(Planner)
-	if !ok {
-		return rep, fmt.Errorf("comm: model %s exposes no allocation plan to verify", m.Name())
-	}
-
-	plan := planner.AllocPlan(w)
-	lays, names, err := allocPlan(s, "tracecheck-"+w.Name, plan)
+	pl, release, err := Place(s, "tracecheck-"+w.Name, w, m)
 	if err != nil {
 		return rep, err
 	}
-	defer freeAll(s, names)
-	cpuLay, gpuLay := planViews(plan, lays)
+	defer release()
+	cpuLay, gpuLay := pl.CPU, pl.GPU
 
 	flushes := modelFlushes(m)
 	var events []hazard.Event
@@ -199,11 +193,9 @@ func TraceCheck(s *soc.SoC, w Workload, m Model, launch int) (hazard.Report, err
 	// Hazard scope: the genuinely shared allocations (pinned windows and
 	// managed memory); partitioned host/device buffers cannot alias.
 	var shared []hazard.Range
-	for _, lay := range lays {
-		for _, b := range lay {
-			if b.Kind == mmu.Pinned || b.Kind == mmu.Managed {
-				shared = append(shared, hazard.Range{Addr: b.Addr, Size: b.Size})
-			}
+	for _, b := range pl.Buffers {
+		if b.Kind == mmu.Pinned || b.Kind == mmu.Managed {
+			shared = append(shared, hazard.Range{Addr: b.Addr, Size: b.Size})
 		}
 	}
 

@@ -333,20 +333,18 @@ func run(m iterator, s *soc.SoC, w Workload) (Report, error) {
 		return Report{}, err
 	}
 	s.ResetState()
-	plan := m.AllocPlan(w)
-	lays, names, err := allocPlan(s, w.Name, plan)
+	pl, release, err := Place(s, w.Name, w, m)
 	if err != nil {
 		return Report{}, err
 	}
-	defer freeAll(s, names)
-	cpuLay, gpuLay := planViews(plan, lays)
+	defer release()
 
 	var rep Report
 	lch := gpu.NewLauncher(s.GPU, m.Name()+"/"+w.Name)
 	for i := 0; i <= w.Warmup; i++ {
 		resetHeat(s)
 		dramBefore := s.DRAM.Stats().Bytes()
-		if rep, err = m.iterate(s, w, cpuLay, gpuLay, lch); err != nil {
+		if rep, err = m.iterate(s, w, pl.CPU, pl.GPU, lch); err != nil {
 			return Report{}, err
 		}
 		rep.DRAMBytes = s.DRAM.Stats().Bytes() - dramBefore
@@ -370,61 +368,70 @@ func run(m iterator, s *soc.SoC, w Workload) (Report, error) {
 	return rep, nil
 }
 
-// allocPlan materializes a placement plan group by group. It returns one
-// Layout per group, in plan order, plus the allocated names for cleanup.
-func allocPlan(s *soc.SoC, wName string, plan []AllocGroup) ([]Layout, []string, error) {
-	lays := make([]Layout, 0, len(plan))
-	var all []string
-	for _, g := range plan {
-		lay, names, err := allocAll(s, wName, g.Specs, g.Kind, g.Prefix)
-		if err != nil {
-			freeAll(s, all)
-			return nil, nil, err
-		}
-		lays = append(lays, lay)
-		all = append(all, names...)
-	}
-	return lays, all, nil
+// Placement is a model's AllocPlan placed in a platform's address space:
+// the CPU task's and the kernels' views of the workload's buffers, and
+// every buffer the plan allocated, in plan order.
+type Placement struct {
+	CPU, GPU Layout
+	Buffers  []mmu.Buffer
 }
 
-// planViews merges a plan's layouts into the CPU-side and GPU-side views of
-// the workload's buffers (later groups win on name collisions, matching the
-// hybrid model's host+pinned / device+pinned composition).
-func planViews(plan []AllocGroup, lays []Layout) (cpuLay, gpuLay Layout) {
-	cpuLay, gpuLay = Layout{}, Layout{}
-	for i, g := range plan {
-		for name, b := range lays[i] {
+// Place allocates m's AllocPlan for w on s, naming each buffer
+// "<scope>/<group prefix><spec name>", and returns the placement with a
+// function that frees it. The run skeleton executes on it, TraceCheck
+// replays on it and `advisor trace` dumps it, so all three see the
+// addresses the model's kernels issue. In the views, later groups win on
+// name collisions, matching the hybrid model's host+pinned /
+// device+pinned composition.
+func Place(s *soc.SoC, scope string, w Workload, m Model) (Placement, func(), error) {
+	planner, ok := m.(Planner)
+	if !ok {
+		return Placement{}, nil, fmt.Errorf("comm: model %s exposes no allocation plan", m.Name())
+	}
+	pl := Placement{CPU: Layout{}, GPU: Layout{}}
+	var names []string
+	release := func() { freeAll(s, names) }
+	for _, g := range planner.AllocPlan(w) {
+		lay, gnames, err := allocAll(s, scope, g.Specs, g.Kind, g.Prefix)
+		if err != nil {
+			release()
+			return Placement{}, nil, err
+		}
+		names = append(names, gnames...)
+		for _, spec := range g.Specs {
+			b := lay[spec.Name]
 			if g.CPUVisible {
-				cpuLay[name] = b
+				pl.CPU[spec.Name] = b
 			}
 			if g.GPUVisible {
-				gpuLay[name] = b
+				pl.GPU[spec.Name] = b
 			}
+			pl.Buffers = append(pl.Buffers, b)
 		}
 	}
-	return cpuLay, gpuLay
+	return pl, release, nil
 }
 
 // allocAll places the given buffers with one kind, returning the layout.
-// Buffer names are prefixed with the workload name to stay unique. Zero- or
+// Buffer names are prefixed with scope to stay unique. Zero- or
 // negative-sized and duplicate specs are rejected here — before any space
 // is carved — so a malformed spec list cannot corrupt the layout.
-func allocAll(s *soc.SoC, wName string, specs []BufferSpec, kind mmu.Kind, prefix string) (Layout, []string, error) {
+func allocAll(s *soc.SoC, scope string, specs []BufferSpec, kind mmu.Kind, prefix string) (Layout, []string, error) {
 	seen := make(map[string]bool, len(specs))
 	for _, spec := range specs {
 		if spec.Size <= 0 {
 			return nil, nil, fmt.Errorf("comm: alloc %s/%s%s: buffer size %d must be positive",
-				wName, prefix, spec.Name, spec.Size)
+				scope, prefix, spec.Name, spec.Size)
 		}
 		if seen[spec.Name] {
-			return nil, nil, fmt.Errorf("comm: alloc %s/%s%s: duplicate buffer spec", wName, prefix, spec.Name)
+			return nil, nil, fmt.Errorf("comm: alloc %s/%s%s: duplicate buffer spec", scope, prefix, spec.Name)
 		}
 		seen[spec.Name] = true
 	}
 	lay := make(Layout, len(specs))
 	var names []string
 	for _, spec := range specs {
-		full := wName + "/" + prefix + spec.Name
+		full := scope + "/" + prefix + spec.Name
 		var (
 			b   mmu.Buffer
 			err error
@@ -451,7 +458,7 @@ func allocAll(s *soc.SoC, wName string, specs []BufferSpec, kind mmu.Kind, prefi
 	// allocator bug surfaces here instead of as silent layout corruption.
 	if err := s.Space.Validate(); err != nil {
 		freeAll(s, names)
-		return nil, nil, fmt.Errorf("comm: alloc %s: %w", wName, err)
+		return nil, nil, fmt.Errorf("comm: alloc %s: %w", scope, err)
 	}
 	return lay, names, nil
 }

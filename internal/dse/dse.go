@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"igpucomm/internal/comm"
+	"igpucomm/internal/framework"
 	"igpucomm/internal/soc"
 	"igpucomm/internal/units"
 )
@@ -98,18 +99,15 @@ type Point struct {
 	Best string
 }
 
-// Sweep evaluates the workload under the given models (the paper's three
-// when nil) at each axis value, on a fresh platform built from the modified
-// base config.
+// Sweep ranks the workload under the given models (the paper's three when
+// nil) with framework.Explore at each axis value, on a fresh platform built
+// from the modified base config. Ties go to the first model in order.
 func Sweep(base soc.Config, axis Axis, values []float64, w comm.Workload, models []comm.Model) ([]Point, error) {
 	if axis.Apply == nil {
 		return nil, fmt.Errorf("dse: axis has no Apply")
 	}
 	if len(values) == 0 {
 		return nil, fmt.Errorf("dse: no axis values")
-	}
-	if models == nil {
-		models = comm.Models()
 	}
 	out := make([]Point, 0, len(values))
 	for _, v := range values {
@@ -119,19 +117,13 @@ func Sweep(base soc.Config, axis Axis, values []float64, w comm.Workload, models
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("dse: %s=%g: %w", axis.Name, v, err)
 		}
-		s := soc.New(cfg)
-		pt := Point{Value: v, Totals: map[string]units.Latency{}}
-		best := units.Latency(0)
-		for _, m := range models {
-			rep, err := m.Run(s, w)
-			if err != nil {
-				return nil, fmt.Errorf("dse: %s=%g under %s: %w", axis.Name, v, m.Name(), err)
-			}
-			pt.Totals[m.Name()] = rep.Total
-			if pt.Best == "" || rep.Total < best {
-				pt.Best = m.Name()
-				best = rep.Total
-			}
+		exp, err := framework.Explore(soc.New(cfg), w, models)
+		if err != nil {
+			return nil, fmt.Errorf("dse: %s=%g: %w", axis.Name, v, err)
+		}
+		pt := Point{Value: v, Totals: map[string]units.Latency{}, Best: exp.Best().Model}
+		for _, c := range exp.Ranked {
+			pt.Totals[c.Model] = c.Total
 		}
 		out = append(out, pt)
 	}

@@ -16,7 +16,7 @@ import (
 
 // Cache persistence: each cached characterization is written as one file,
 // named by its cache key, in the exact format framework.SaveCharacterization
-// defines — so the files are interchangeable with cmd/advisor's -char files
+// defines — so the files are interchangeable with `advisor advise -char` files
 // and inherit the persist format's versioning (a stale cache fails loudly at
 // load instead of silently advising from old physics).
 //

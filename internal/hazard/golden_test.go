@@ -18,9 +18,10 @@ import (
 	"igpucomm/internal/hazard"
 )
 
-// TestGoldenShwfsZCTraceOnTX2 replays exactly the transactions `cmd/trace
-// -device jetson-tx2 -app shwfs -model zc` exports — the kernel's coalesced
-// transactions on pinned buffers, taken from the GPU compile pass — wrapped with the CPU's producer writes
+// TestGoldenShwfsZCTraceOnTX2 replays exactly the transactions `advisor
+// trace -device jetson-tx2 -app shwfs -model zc` exports — the kernel's
+// coalesced transactions on pinned buffers, taken from the GPU compile
+// pass — wrapped with the CPU's producer writes
 // and consumer reads under the zero-copy protocol (no flushes; barriers at
 // the launch boundaries). The seed schedule must come out hazard-free.
 func TestGoldenShwfsZCTraceOnTX2(t *testing.T) {
@@ -33,7 +34,8 @@ func TestGoldenShwfsZCTraceOnTX2(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Place every buffer pinned, the way cmd/trace does for -model zc.
+	// Place every buffer pinned, in spec order: the ZC plan's placement
+	// (comm.Place), which `advisor trace -model zc` builds the kernel on.
 	lay := comm.Layout{}
 	all := append(append(append([]comm.BufferSpec{}, w.In...), w.Out...), w.Scratch...)
 	for _, spec := range all {

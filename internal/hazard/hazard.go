@@ -12,7 +12,7 @@
 //     vector-clock happens-before model.
 //   - The layout verifier checks that no two live mmu allocations overlap.
 //   - The trace checker replays coalesced transaction traces (the CSV
-//     cmd/trace emits) and flags RAW/WAR/WAW hazards on shared buffers and
+//     `advisor trace` emits) and flags RAW/WAR/WAW hazards on shared buffers and
 //     software-coherence flush-ordering violations (an access to a line the
 //     other side dirtied in its cache with no intervening flush).
 //

@@ -34,8 +34,8 @@ func microbenchWorkloads(p Params) []comm.Workload {
 	return append(ws, mb3Workload(p))
 }
 
-// placeAll allocates every buffer of w on s the way cmd/trace does: all
-// device memory (the routing SC gives a kernel) or all pinned (ZC's).
+// placeAll allocates every buffer of w on s with one kind: all device
+// memory (the routing SC gives a kernel) or all pinned (ZC's).
 func placeAll(t *testing.T, s *soc.SoC, w comm.Workload, model string) comm.Layout {
 	t.Helper()
 	lay := comm.Layout{}

@@ -166,30 +166,6 @@ func (a Artifact) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadArtifact decodes and validates an artifact.
-func ReadArtifact(r io.Reader) (Artifact, error) {
-	var a Artifact
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&a); err != nil {
-		return Artifact{}, fmt.Errorf("perfbench: decode artifact: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return Artifact{}, err
-	}
-	return a, nil
-}
-
-// ReadArtifactFile reads and validates the artifact at path.
-func ReadArtifactFile(path string) (Artifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Artifact{}, fmt.Errorf("perfbench: %w", err)
-	}
-	defer f.Close()
-	return ReadArtifact(f)
-}
-
 // ArtifactName returns the conventional artifact file name for a run that
 // started at t: BENCH_<UTC timestamp>.json.
 func ArtifactName(t time.Time) string {
