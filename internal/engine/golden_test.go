@@ -83,11 +83,17 @@ func TestGoldenExploreMatchesSerial(t *testing.T) {
 
 // TestGoldenAdviseMatchesSerial checks the full advisory path end to end: the
 // engine's Characterize+AdviseWith must agree with the serial
-// Characterize+AdviseWorkload composition for every device x app pair.
+// Characterize+AdviseWorkload composition for every device x app pair and
+// every current model the flow accepts — sc profiles once, um and zc profile
+// under SC and under the current model.
 func TestGoldenAdviseMatchesSerial(t *testing.T) {
 	p := microbench.TestParams()
 	e := New(Options{Workers: 4})
 	for _, cfg := range devices.All() {
+		char, err := framework.Characterize(context.Background(), soc.New(cfg), p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, app := range catalog.Names() {
 			cfg, app := cfg, app
 			t.Run(cfg.Name+"/"+app, func(t *testing.T) {
@@ -95,28 +101,28 @@ func TestGoldenAdviseMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				char, err := framework.Characterize(context.Background(), soc.New(cfg), p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial, err := framework.AdviseWorkload(context.Background(), char, soc.New(cfg), w, "sc")
-				if err != nil {
-					t.Fatal(err)
-				}
-				par, err := advise(context.Background(), e, Request{Config: cfg, Params: p, Workload: w, Current: "sc"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := json.Marshal(serial)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := json.Marshal(par)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("parallel advice diverges from serial:\nserial: %s\nengine: %s", want, got)
+				for _, current := range []string{"sc", "um", "zc"} {
+					t.Run(current, func(t *testing.T) {
+						serial, err := framework.AdviseWorkload(context.Background(), char, soc.New(cfg), w, current)
+						if err != nil {
+							t.Fatal(err)
+						}
+						par, err := advise(context.Background(), e, Request{Config: cfg, Params: p, Workload: w, Current: current})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := json.Marshal(serial)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := json.Marshal(par)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Errorf("parallel advice diverges from serial:\nserial: %s\nengine: %s", want, got)
+						}
+					})
 				}
 			})
 		}
