@@ -27,9 +27,9 @@ type Scheduler interface {
 
 // Verify statically checks the combination without executing it:
 //
-//  1. It mirrors the model's allocation plan into the platform's address
-//     space (then frees it) and checks the resulting layout for overlapping
-//     or empty allocations.
+//  1. It places the model's allocation plan on the platform (Place, the
+//     placement a run uses; then frees it) and checks the resulting layout
+//     for overlapping or empty allocations.
 //  2. It expands the §III-C even/odd schedule the zero-copy overlap path
 //     would run over the workload's input grid and proves per-phase tile
 //     disjointness and barrier ordering under the vector-clock model.
@@ -41,33 +41,14 @@ func Verify(s *soc.SoC, w Workload, m Model) (hazard.Report, error) {
 	if err := w.Validate(); err != nil {
 		return rep, err
 	}
-	planner, ok := m.(Planner)
-	if !ok {
-		return rep, fmt.Errorf("comm: model %s exposes no allocation plan to verify", m.Name())
-	}
 
-	// 1. Layout: place the plan, collect the buffers, release.
-	var bufs []mmu.Buffer
-	var names []string
-	for _, g := range planner.AllocPlan(w) {
-		for _, spec := range g.Specs {
-			full := "verify/" + w.Name + "/" + g.Prefix + spec.Name
-			b, err := s.Space.Alloc(full, spec.Size, g.Kind)
-			if err != nil {
-				for _, n := range names {
-					_ = s.Space.Free(n)
-				}
-				return rep, fmt.Errorf("comm: verify %s: %w", w.Name, err)
-			}
-			bufs = append(bufs, b)
-			names = append(names, full)
-		}
+	// 1. Layout: place the plan as a run would, collect the buffers, release.
+	pl, release, err := Place(s, "verify/"+w.Name, w, m)
+	if err != nil {
+		return rep, fmt.Errorf("comm: verify %s: %w", w.Name, err)
 	}
-	for _, n := range names {
-		_ = s.Space.Free(n)
-	}
-	lrep := hazard.VerifyLayout(rep.Subject, bufs)
-	rep.Merge(lrep)
+	release()
+	rep.Merge(hazard.VerifyLayout(rep.Subject, pl.Buffers))
 	if err := s.Space.Validate(); err != nil {
 		return rep, fmt.Errorf("comm: verify %s: %w", w.Name, err)
 	}

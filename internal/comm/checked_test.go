@@ -2,6 +2,7 @@ package comm
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,5 +205,41 @@ func TestTraceCheckRejectsBadLaunch(t *testing.T) {
 	}
 	if _, err := TraceCheck(s, w, ZC{}, -1); err == nil {
 		t.Error("negative launch accepted")
+	}
+}
+
+// TestCheckedRunCompilesLikeRun: Verify places through Place, so it wires
+// and then clears pinned routing on the platform before each run. That must
+// not cost compiles: repeated checked runs on one platform compile exactly
+// the kernels repeated plain runs do, per run, and reach the same steady
+// state, where a run replays without compiling.
+func TestCheckedRunCompilesLikeRun(t *testing.T) {
+	w := streamWorkload(4096, false)
+	for _, m := range AllModels() {
+		t.Run(m.Name(), func(t *testing.T) {
+			compiles := func(run func(s *soc.SoC) error) []int64 {
+				s := soc.New(devices.TX2())
+				var per []int64
+				for i := 0; i < 3; i++ {
+					before := s.GPU.Work().KernelsCompiled
+					if err := run(s); err != nil {
+						t.Fatal(err)
+					}
+					per = append(per, s.GPU.Work().KernelsCompiled-before)
+				}
+				return per
+			}
+			plain := compiles(func(s *soc.SoC) error { _, err := m.Run(s, w); return err })
+			checked := compiles(func(s *soc.SoC) error {
+				_, err := CheckedRun(context.Background(), s, w, m)
+				return err
+			})
+			if plain[0] == 0 || plain[2] != 0 {
+				t.Fatalf("plain runs compiled %v kernels; want some first, none once steady", plain)
+			}
+			if !reflect.DeepEqual(checked, plain) {
+				t.Errorf("checked runs compiled %v kernels per run, plain runs %v", checked, plain)
+			}
+		})
 	}
 }
