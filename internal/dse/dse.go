@@ -141,22 +141,6 @@ func Crossover(points []Point, model string) (float64, bool) {
 	return 0, false
 }
 
-// Linspace builds n evenly spaced values over [lo, hi].
-func Linspace(lo, hi float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
-}
-
 // Geomspace builds n geometrically spaced values over [lo, hi]; lo and hi
 // must be positive.
 func Geomspace(lo, hi float64, n int) []float64 {

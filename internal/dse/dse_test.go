@@ -50,17 +50,7 @@ func TestAxisByName(t *testing.T) {
 	}
 }
 
-func TestLinspaceAndGeomspace(t *testing.T) {
-	lin := Linspace(0, 10, 6)
-	if len(lin) != 6 || lin[0] != 0 || lin[5] != 10 || lin[3] != 6 {
-		t.Errorf("linspace = %v", lin)
-	}
-	if Linspace(1, 2, 0) != nil {
-		t.Error("n=0 should give nil")
-	}
-	if got := Linspace(5, 9, 1); len(got) != 1 || got[0] != 5 {
-		t.Error("n=1 should give [lo]")
-	}
+func TestGeomspace(t *testing.T) {
 	geo := Geomspace(1, 100, 3)
 	if len(geo) != 3 || math.Abs(geo[1]-10) > 1e-9 || math.Abs(geo[2]-100) > 1e-9 {
 		t.Errorf("geomspace = %v", geo)
