@@ -107,10 +107,10 @@ func DefaultSuite(opt SuiteOptions) ([]Scenario, error) {
 		{
 			Name:      "sweep/engine",
 			Component: "engine",
-			Doc:       "engine 45-point exploration, models fanned out across clones",
+			Doc:       "engine 45-point exploration on a fresh engine per iteration, models fanned out across clones",
 			Prepare: func(context.Context) (func(context.Context) error, func(), error) {
-				eng := engine.New(engine.Options{Workers: opt.Workers})
 				return func(ctx context.Context) error {
+					eng := engine.New(engine.Options{Workers: opt.Workers})
 					for _, c := range combos {
 						if _, err := eng.Explore(ctx, c.cfg, c.w, comm.AllModels()); err != nil {
 							return err
