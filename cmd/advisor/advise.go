@@ -12,6 +12,7 @@ import (
 	"igpucomm/internal/devices"
 	"igpucomm/internal/engine"
 	"igpucomm/internal/framework"
+	"igpucomm/internal/microbench"
 	"igpucomm/internal/soc"
 	"igpucomm/internal/telemetry"
 )
@@ -44,7 +45,6 @@ func adviseCmd(fs *flag.FlagSet) runFunc {
 		if err != nil {
 			return err
 		}
-		s := soc.New(cfg)
 
 		var char framework.Characterization
 		if *charFile != "" {
@@ -63,7 +63,7 @@ func adviseCmd(fs *flag.FlagSet) runFunc {
 		}
 
 		fmt.Fprintf(out, "profiling %s under %s ...\n", *app, *current)
-		rec, err := framework.AdviseWorkload(ctx, char, s, w, *current)
+		rec, classify, currentProf, err := framework.AdviseOn(ctx, char, w, *current, microbench.Serial(soc.New(cfg)))
 		if err != nil {
 			return err
 		}
@@ -82,20 +82,6 @@ func adviseCmd(fs *flag.FlagSet) runFunc {
 		fmt.Fprintf(out, "rationale:          %s\n", rec.Rationale)
 
 		// How robust is the verdict to profiler noise?
-		classify, err := framework.ClassificationProfile(ctx, s, w)
-		if err != nil {
-			return err
-		}
-		currentProf := classify
-		if *current != "sc" {
-			m, err := comm.ByName(*current)
-			if err != nil {
-				return err
-			}
-			if currentProf, err = framework.CurrentProfile(ctx, s, w, m); err != nil {
-				return err
-			}
-		}
 		st, err := framework.DecisionStability(char, classify, currentProf, *current, 0.10)
 		if err != nil {
 			return err

@@ -11,6 +11,7 @@ import (
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/experiments"
+	"igpucomm/internal/framework"
 	"igpucomm/internal/heatmap"
 	"igpucomm/internal/report"
 	"igpucomm/internal/soc"
@@ -90,14 +91,16 @@ func runHeat(scale catalog.Scale) (fmt.Stringer, error) {
 	}
 	s := soc.New(cfg)
 	s.EnableHeat()
+	models := comm.AllModels()
+	exp, err := framework.Explore(s, w, models)
+	if err != nil {
+		return nil, err
+	}
 	var b strings.Builder
-	for _, m := range comm.AllModels() {
-		rep, err := m.Run(s, w)
-		if err != nil {
-			return nil, err
-		}
+	for _, m := range models {
+		c, _ := exp.Candidate(m.Name())
 		fmt.Fprintf(&b, "%s / %s / %s\n", cfg.Name, w.Name, m.Name())
-		b.WriteString(heatmap.Render(rep.BufferHeat))
+		b.WriteString(heatmap.Render(c.Report.BufferHeat))
 		b.WriteByte('\n')
 	}
 	return heatText(strings.TrimRight(b.String(), "\n")), nil

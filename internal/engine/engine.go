@@ -6,14 +6,15 @@
 // that turns the paper's one-shot tuning flow (Fig 2) into something that
 // can serve sustained advisory traffic.
 //
-// Correctness contract: the engine runs the same plans as the serial paths
-// and only swaps the executor. Characterization is microbench.Characterize
-// with onClones as its Runner instead of microbench.Serial, and exploration
-// assembles its candidates with framework.NewExploration. onClones gives
+// Correctness contract: the engine runs the framework's plans and only swaps
+// the executor. Characterization is microbench.Characterize, exploration
+// framework.ExploreOn and profiling framework.AdviseOn, each with onClones
+// as its microbench.Runner instead of microbench.Serial. onClones gives
 // every job a private platform from a per-config pool (each job resets it
 // to fresh-equivalent state), so the outputs are byte-identical to
-// framework.Characterize and framework.Explore; the golden equivalence tests
-// check this for every device x app x model combination.
+// framework.Characterize, framework.Explore and framework.AdviseWorkload;
+// the golden equivalence tests check this for every device x app x model
+// combination.
 package engine
 
 import (
@@ -241,17 +242,13 @@ func (e *Engine) ExploreHeat(ctx context.Context, cfg soc.Config, w comm.Workloa
 	return e.explore(ctx, cfg, w, models, true)
 }
 
-// explore is the fan-out behind Explore and ExploreHeat.
+// explore runs framework.ExploreOn on pooled clones — with heat recording
+// bracketing each job when heat is set — behind the engine.explore fault
+// point.
 func (e *Engine) explore(ctx context.Context, cfg soc.Config, w comm.Workload, models []comm.Model, heat bool) (framework.Exploration, error) {
-	if models == nil {
-		models = comm.Models()
-	}
-	if len(models) == 0 {
-		return framework.Exploration{}, fmt.Errorf("engine: no models to explore")
-	}
-	spanName := "engine.explore"
+	spanName, run := "engine.explore", e.onClones(cfg)
 	if heat {
-		spanName = "engine.explore-heat"
+		spanName, run = "engine.explore-heat", withHeat(run)
 	}
 	ctx, span := telemetry.Start(ctx, spanName,
 		telemetry.String("device", cfg.Name), telemetry.String("workload", w.Name))
@@ -259,30 +256,28 @@ func (e *Engine) explore(ctx context.Context, cfg soc.Config, w comm.Workload, m
 	if err := faults.Fire(faultExplore); err != nil {
 		return framework.Exploration{}, fmt.Errorf("engine: %w", err)
 	}
-	cands := make([]framework.Candidate, len(models))
-	jobs := make([]microbench.Job, len(models))
-	for i, m := range models {
-		jobs[i] = func(ctx context.Context, s *soc.SoC) error {
-			attrs := []telemetry.Attr{telemetry.String("model", m.Name())}
-			if heat {
-				attrs = append(attrs, telemetry.String("heat", "on"))
+	exp, err := framework.ExploreOn(ctx, cfg.Name, w, models, run)
+	if err != nil {
+		return framework.Exploration{}, fmt.Errorf("engine: %w", err)
+	}
+	return exp, nil
+}
+
+// withHeat wraps run so every job runs with heat profiling enabled on the
+// platform it is lent, and disabled again before the platform goes back to
+// the pool.
+func withHeat(run microbench.Runner) microbench.Runner {
+	return func(ctx context.Context, jobs []microbench.Job) error {
+		heated := make([]microbench.Job, len(jobs))
+		for i, job := range jobs {
+			heated[i] = func(ctx context.Context, s *soc.SoC) error {
 				s.EnableHeat()
-				defer s.DisableHeat() // before onClones pools s again
+				defer s.DisableHeat()
+				return job(ctx, s)
 			}
-			_, mspan := telemetry.Start(ctx, "engine.explore.model", attrs...)
-			defer mspan.End()
-			rep, err := m.Run(s, w)
-			if err != nil {
-				return fmt.Errorf("engine: explore %s: %w", m.Name(), err)
-			}
-			cands[i] = framework.Candidate{Model: m.Name(), Total: rep.Total, Report: rep}
-			return nil
 		}
+		return run(ctx, heated)
 	}
-	if err := e.onClones(cfg)(ctx, jobs); err != nil {
-		return framework.Exploration{}, err
-	}
-	return framework.NewExploration(cfg.Name, w.Name, cands), nil
 }
 
 // Request is one advisory question: which communication model should this
@@ -295,11 +290,11 @@ type Request struct {
 }
 
 // AdviseWith answers a request against a characterization the caller already
-// holds (from Characterize): profiling and the Fig-2 decision flow on a
-// private clone, under the engine's worker bound. advisord's resilience
-// layer calls the two separately so characterization failures (which feed
-// the circuit breaker) stay apart from profiling failures (which fall back
-// to degraded-mode advice).
+// holds (from Characterize): framework.AdviseOn on pooled clones, so each
+// profiling run gets its own platform under the engine's worker bound.
+// advisord's resilience layer calls the two separately so characterization
+// failures (which feed the circuit breaker) stay apart from profiling
+// failures (which fall back to degraded-mode advice).
 func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization, req Request) (framework.Recommendation, error) {
 	e.requests.Add(1)
 	ctx, span := telemetry.Start(ctx, "engine.advise",
@@ -307,11 +302,7 @@ func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization
 		telemetry.String("workload", req.Workload.Name),
 		telemetry.String("current", req.Current))
 	defer span.End()
-	var rec framework.Recommendation
-	err := e.onClones(req.Config)(ctx, []microbench.Job{func(ctx context.Context, s *soc.SoC) (err error) {
-		rec, err = framework.AdviseWorkload(ctx, char, s, req.Workload, req.Current)
-		return err
-	}})
+	rec, _, _, err := framework.AdviseOn(ctx, char, req.Workload, req.Current, e.onClones(req.Config))
 	return rec, err
 }
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
 	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
+	"igpucomm/internal/faults"
 	"igpucomm/internal/framework"
 	"igpucomm/internal/microbench"
 	"igpucomm/internal/soc"
@@ -136,4 +139,48 @@ func marshalChar(t *testing.T, char framework.Characterization) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// failModel is a model whose every run fails with its name in the error.
+type failModel string
+
+func (f failModel) Name() string { return string(f) }
+
+func (f failModel) Run(*soc.SoC, comm.Workload) (comm.Report, error) {
+	return comm.Report{}, errors.New(string(f) + " failed")
+}
+
+// TestPlanErrorsMatchSerial: when several jobs of a plan fail, the serial
+// and the engine runner report the same, lowest-index failure, and the
+// engine keeps its "engine:" prefix on exploration errors.
+func TestPlanErrorsMatchSerial(t *testing.T) {
+	cfg := devices.TX2()
+	w, err := catalog.ByName("shwfs", catalog.Micro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Workers: 4})
+
+	models := []comm.Model{comm.SC{}, failModel("first"), failModel("second")}
+	_, serial := framework.Explore(soc.New(cfg), w, models)
+	_, par := e.Explore(context.Background(), cfg, w, models)
+	if serial == nil || par == nil || !strings.Contains(serial.Error(), "first failed") ||
+		par.Error() != "engine: "+serial.Error() {
+		t.Errorf("explore errors: serial %v, engine %v", serial, par)
+	}
+
+	// Every profiling run fails: both runners report job 0, the
+	// classification profile.
+	if err := faults.Activate(faults.NewPlan(1, faults.Rule{Point: "profile.collect", Mode: faults.ModeError, Every: 1})); err != nil {
+		t.Fatal(err)
+	}
+	defer faults.ResetInjected()
+	defer faults.Deactivate()
+	char := framework.Characterization{Platform: cfg.Name}
+	_, serial = framework.AdviseWorkload(context.Background(), char, soc.New(cfg), w, "zc")
+	_, par = e.AdviseWith(context.Background(), char, Request{Config: cfg, Workload: w, Current: "zc"})
+	if serial == nil || !strings.Contains(serial.Error(), "classification profile") ||
+		par == nil || par.Error() != serial.Error() {
+		t.Errorf("advise errors: serial %v, engine %v", serial, par)
+	}
 }

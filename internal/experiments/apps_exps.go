@@ -7,7 +7,7 @@ import (
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/framework"
-	"igpucomm/internal/profile"
+	"igpucomm/internal/microbench"
 	"igpucomm/internal/report"
 )
 
@@ -26,7 +26,7 @@ type AppProfile struct {
 	PredictedPct    float64 // predicted speedup of adopting the suggestion, %
 }
 
-// profileApp profiles the workload under SC and runs the advisor.
+// profileApp runs the advisor and reports its SC classification profile.
 func (c *Context) profileApp(ctx context.Context, board string, w comm.Workload, currentModel string) (AppProfile, error) {
 	char, err := c.Char(ctx, board)
 	if err != nil {
@@ -36,11 +36,7 @@ func (c *Context) profileApp(ctx context.Context, board string, w comm.Workload,
 	if err != nil {
 		return AppProfile{}, err
 	}
-	prof, err := profile.Collect(ctx, s, w, comm.SC{})
-	if err != nil {
-		return AppProfile{}, err
-	}
-	rec, err := framework.AdviseWorkload(ctx, char, s, w, currentModel)
+	rec, prof, _, err := framework.AdviseOn(ctx, char, w, currentModel, microbench.Serial(s))
 	if err != nil {
 		return AppProfile{}, err
 	}

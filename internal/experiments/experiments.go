@@ -67,20 +67,20 @@ func (c *Context) Char(ctx context.Context, name string) (framework.Characteriza
 	return ch, nil
 }
 
-// runModels executes a workload under each of the given models, in order,
-// on one platform and returns the Reports by model name.
+// runModels measures a workload under each of the given models on the
+// named platform (framework.Explore) and returns the Reports by model name.
 func (c *Context) runModels(name string, w comm.Workload, models []comm.Model) (map[string]comm.Report, error) {
 	s, err := c.SoC(name)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]comm.Report, len(models))
-	for _, m := range models {
-		rep, err := m.Run(s, w)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s under %s on %s: %w", w.Name, m.Name(), name, err)
-		}
-		out[m.Name()] = rep
+	exp, err := framework.Explore(s, w, models)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s on %s: %w", w.Name, name, err)
+	}
+	out := make(map[string]comm.Report, len(exp.Ranked))
+	for _, cand := range exp.Ranked {
+		out[cand.Model] = cand.Report
 	}
 	return out, nil
 }

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
+	"igpucomm/internal/apps/catalog"
+	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/microbench"
+	"igpucomm/internal/soc"
 )
 
 // sharedCtx characterizes each device once for the whole test binary; the
@@ -399,5 +403,29 @@ func TestPrewarmParallel(t *testing.T) {
 	}
 	if err := c.Prewarm(context.Background(), "jetson-bogus"); err == nil {
 		t.Error("unknown platform prewarmed")
+	}
+}
+
+// failModel is a model whose every run fails.
+type failModel struct{}
+
+func (failModel) Name() string { return "fail" }
+
+func (failModel) Run(*soc.SoC, comm.Workload) (comm.Report, error) {
+	return comm.Report{}, errors.New("fail failed")
+}
+
+// TestRunModelsErrorPrefix: a failed model run surfaces as an experiments
+// error naming the workload, the board and the model.
+func TestRunModelsErrorPrefix(t *testing.T) {
+	w, err := catalog.ByName("shwfs", catalog.Micro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewContext(microbench.TestParams())
+	_, err = c.runModels(devices.TX2Name, w, []comm.Model{comm.SC{}, failModel{}})
+	if err == nil || !strings.HasPrefix(err.Error(), "experiments: "+w.Name+" on "+devices.TX2Name+": ") ||
+		!strings.Contains(err.Error(), "explore fail: fail failed") {
+		t.Errorf("err = %v", err)
 	}
 }

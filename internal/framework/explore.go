@@ -1,11 +1,14 @@
 package framework
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"igpucomm/internal/comm"
+	"igpucomm/internal/microbench"
 	"igpucomm/internal/soc"
+	"igpucomm/internal/telemetry"
 	"igpucomm/internal/units"
 )
 
@@ -55,37 +58,47 @@ func (e Exploration) SpeedupOver(model string) (float64, error) {
 }
 
 // Explore measures the workload under every given model (the paper's three
-// when models is nil) and returns the ranking. This is the brute-force
-// companion to Advise: exact but as expensive as implementing every variant,
-// which is the cost the framework exists to avoid.
+// when models is nil) serially on s and returns the ranking. This is the
+// brute-force companion to Advise: exact but as expensive as implementing
+// every variant, which is the cost the framework exists to avoid.
 func Explore(s *soc.SoC, w comm.Workload, models []comm.Model) (Exploration, error) {
+	//igpulint:ignore ctxflow callers outside this module fix this signature; ctx-aware callers use ExploreOn directly
+	return ExploreOn(context.Background(), s.Name(), w, models, microbench.Serial(s))
+}
+
+// ExploreOn is the exploration plan, run through run: one job per model, in
+// model order, each measuring the workload under its model into the
+// model's candidate slot, then ranks the slots fastest first. This is the
+// only place exploration is written down: Explore runs it serially on one
+// platform and the engine on pooled clones. Each job opens an
+// engine.explore.model span, the name trace consumers read per model.
+func ExploreOn(ctx context.Context, platform string, w comm.Workload, models []comm.Model, run microbench.Runner) (Exploration, error) {
 	if models == nil {
 		models = comm.Models()
 	}
 	if len(models) == 0 {
 		return Exploration{}, fmt.Errorf("framework: no models to explore")
 	}
-	cands := make([]Candidate, 0, len(models))
-	for _, m := range models {
-		rep, err := m.Run(s, w)
-		if err != nil {
-			return Exploration{}, fmt.Errorf("framework: explore %s: %w", m.Name(), err)
+	cands := make([]Candidate, len(models))
+	jobs := make([]microbench.Job, len(models))
+	for i, m := range models {
+		jobs[i] = func(ctx context.Context, s *soc.SoC) error {
+			_, span := telemetry.Start(ctx, "engine.explore.model", telemetry.String("model", m.Name()))
+			defer span.End()
+			rep, err := m.Run(s, w)
+			if err != nil {
+				return fmt.Errorf("framework: explore %s: %w", m.Name(), err)
+			}
+			cands[i] = Candidate{Model: m.Name(), Total: rep.Total, Report: rep}
+			return nil
 		}
-		cands = append(cands, Candidate{Model: m.Name(), Total: rep.Total, Report: rep})
 	}
-	return NewExploration(s.Name(), w.Name, cands), nil
-}
-
-// NewExploration ranks measured candidates (given in measurement order) into
-// an Exploration. The sort is stable, so ties keep measurement order — the
-// parallel engine feeds candidates in the same model order as the serial
-// path and therefore produces the identical ranking.
-func NewExploration(platform, workload string, cands []Candidate) Exploration {
-	out := Exploration{Platform: platform, Workload: workload, Ranked: cands}
-	sort.SliceStable(out.Ranked, func(i, j int) bool {
-		return out.Ranked[i].Total < out.Ranked[j].Total
-	})
-	return out
+	if err := run(ctx, jobs); err != nil {
+		return Exploration{}, err
+	}
+	// A stable sort: ties keep model order, whichever runner ran the jobs.
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Total < cands[j].Total })
+	return Exploration{Platform: platform, Workload: w.Name, Ranked: cands}, nil
 }
 
 // Validate checks a Recommendation against a measured exploration: did the

@@ -137,40 +137,65 @@ type Recommendation struct {
 // SpeedupPercent is the paper's percentage convention for the estimate.
 func (r Recommendation) SpeedupPercent() float64 { return perfmodel.SpeedupPercent(r.SpeedupRatio) }
 
-// AdviseWorkload profiles the workload on the platform under SC (for
-// classification — profiling under ZC would hide cache demand behind the
-// inflated kernel time) and under the current model (for the switching
-// estimates), then runs the Fig-2 decision flow.
+// AdviseWorkload profiles the workload serially on s and runs the Fig-2
+// decision flow (AdviseOn with microbench.Serial).
 func AdviseWorkload(ctx context.Context, char Characterization, s *soc.SoC, w comm.Workload, currentModel string) (Recommendation, error) {
+	rec, _, _, err := AdviseOn(ctx, char, w, currentModel, microbench.Serial(s))
+	return rec, err
+}
+
+// AdviseOn runs the profiling plan through run, then the Fig-2 decision
+// flow. It returns the two profiles the recommendation was decided from
+// (the same profile twice when the current model is SC), so callers that
+// analyse them further need not re-simulate.
+func AdviseOn(ctx context.Context, char Characterization, w comm.Workload, currentModel string, run microbench.Runner) (rec Recommendation, classify, current profile.Profile, err error) {
 	ctx, span := telemetry.Start(ctx, "framework.advise",
 		telemetry.String("platform", char.Platform),
 		telemetry.String("workload", w.Name),
 		telemetry.String("current", currentModel))
 	defer span.End()
-	classify, err := profile.Collect(ctx, s, w, comm.SC{})
-	if err != nil {
-		return Recommendation{}, fmt.Errorf("framework: classification profile: %w", err)
+	if classify, current, err = profilePlan(ctx, w, currentModel, run); err != nil {
+		return rec, classify, current, err
 	}
-	current := classify
+	if rec, err = Advise(char, classify, current, currentModel); err != nil {
+		return rec, classify, current, err
+	}
+	// Heat-profiled classification runs carry per-buffer data; attach the
+	// mixed-model hints. Nil otherwise — default output unchanged.
+	rec.BufferHints = PerBufferHints(classify.PerBuffer)
+	span.SetAttr("suggested", rec.Suggested)
+	span.SetAttr("zone", rec.Zone.String())
+	return rec, classify, current, nil
+}
+
+// profilePlan is the profiling stage of the Fig-2 flow, run through run:
+// job 0 profiles the workload under SC for classification — profiling under
+// ZC would hide cache demand behind the inflated kernel time — and, unless
+// the current model is SC, job 1 profiles it under the current model for
+// the switching estimates. Under SC both profiles are the one run.
+func profilePlan(ctx context.Context, w comm.Workload, currentModel string, run microbench.Runner) (classify, current profile.Profile, err error) {
+	models := []comm.Model{comm.SC{}}
 	if currentModel != "sc" {
 		m, err := comm.ByName(currentModel)
 		if err != nil {
-			return Recommendation{}, fmt.Errorf("framework: %w", err)
+			return classify, current, fmt.Errorf("framework: %w", err)
 		}
-		current, err = profile.Collect(ctx, s, w, m)
-		if err != nil {
-			return Recommendation{}, fmt.Errorf("framework: current-model profile: %w", err)
+		models = append(models, m)
+	}
+	profs := make([]profile.Profile, len(models))
+	jobs := make([]microbench.Job, len(models))
+	for i, m := range models {
+		jobs[i] = func(ctx context.Context, s *soc.SoC) (err error) {
+			if profs[i], err = profile.Collect(ctx, s, w, m); err != nil {
+				return fmt.Errorf("framework: %s profile: %w", [...]string{"classification", "current-model"}[i], err)
+			}
+			return nil
 		}
 	}
-	rec, err := Advise(char, classify, current, currentModel)
-	if err == nil {
-		// Heat-profiled classification runs carry per-buffer data; attach
-		// the mixed-model hints. Nil otherwise — default output unchanged.
-		rec.BufferHints = PerBufferHints(classify.PerBuffer)
-		span.SetAttr("suggested", rec.Suggested)
-		span.SetAttr("zone", rec.Zone.String())
+	if err := run(ctx, jobs); err != nil {
+		return classify, current, err
 	}
-	return rec, err
+	return profs[0], profs[len(profs)-1], nil
 }
 
 // Advise runs the Fig-2 decision flow. classify must be a caches-on (SC)
@@ -412,15 +437,4 @@ func (r Recommendation) String() string {
 	return fmt.Sprintf("%s/%s: %s -> %s (%+.1f%%, zone %v, cpu %.2f%%, gpu %.1f%%)",
 		r.Platform, r.Workload, r.CurrentModel, r.Suggested,
 		r.SpeedupPercent(), r.Zone, r.CPUUsage*100, r.GPUUsage*100)
-}
-
-// ClassificationProfile collects the caches-on (SC) profile Advise
-// classifies with — exposed so tools can reuse it for stability analysis.
-func ClassificationProfile(ctx context.Context, s *soc.SoC, w comm.Workload) (profile.Profile, error) {
-	return profile.Collect(ctx, s, w, comm.SC{})
-}
-
-// CurrentProfile collects a profile under the given model.
-func CurrentProfile(ctx context.Context, s *soc.SoC, w comm.Workload, m comm.Model) (profile.Profile, error) {
-	return profile.Collect(ctx, s, w, m)
 }
