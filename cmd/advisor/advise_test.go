@@ -13,9 +13,6 @@ import (
 // from the same two profiles, and the -verify ranking. Refresh with
 // GOLDEN_UPDATE=1 only after an intentional simulator or advice change.
 func TestAdviseGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("advise characterizes the device at the quick scale")
-	}
 	var stdout, stderr bytes.Buffer
 	args := []string{"advise", "-quick", "-device", "jetson-tx2", "-app", "orbslam", "-current", "zc", "-verify"}
 	if code := run(args, &stdout, &stderr); code != 0 {
