@@ -72,13 +72,14 @@ hazardcheck:
 
 # Combined statement coverage of the execution engine, the framework it
 # must stay byte-equivalent to, the micro-benchmark characterization plan
-# both of them run, and the communication models' shared run skeleton;
-# fails under 80%.
+# both of them run, the communication models' shared run skeleton, and the
+# memory substrate under all of them (caches, DRAM ports, I/O-coherence
+# port); fails under 80%.
 COVER_MIN ?= 80.0
 cover:
-	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/engine,./internal/framework,./internal/microbench,./internal/comm ./internal/engine ./internal/framework ./internal/microbench ./internal/comm
+	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/engine,./internal/framework,./internal/microbench,./internal/comm,./internal/cache,./internal/memdev,./internal/coherence ./internal/engine ./internal/framework ./internal/microbench ./internal/comm ./internal/cache ./internal/memdev ./internal/coherence
 	@total="$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}')"; \
-	echo "engine+framework+microbench+comm coverage: $$total% (minimum $(COVER_MIN)%)"; \
+	echo "engine+framework+microbench+comm+cache+memdev+coherence coverage: $$total% (minimum $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
 		{ echo "coverage below $(COVER_MIN)%"; exit 1; }
 

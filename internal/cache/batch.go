@@ -9,8 +9,9 @@ import "igpucomm/internal/units"
 // makes the path allocation-free (the Batch scratch is caller-owned and
 // reused).
 //
-// Equivalence to the serial path (for _, a := range accs { out = c.Do(a) })
-// is exact, not approximate:
+// Equivalence to the serial path (for i, a := range accs { out[i] = c.Do(a) })
+// is exact, not approximate — in results, counters, cache state and heat
+// records:
 //
 //   - A level's state transitions (LRU order, dirty bits, victim choice,
 //     stats) depend only on the sequence of accesses presented to that
@@ -23,7 +24,8 @@ import "igpucomm/internal/units"
 //   - Latencies combine in the serial float-addition order: per access, per
 //     line, out.Latency += HitLatency + lowerLatency — the exact expression
 //     and sequence Do uses — so results match bit for bit even for the
-//     fractional latencies some device catalogs use.
+//     fractional latencies some device catalogs use. A Result is only its
+//     latency, so nothing else is left to combine.
 //
 // The property and fuzz suites in this package and internal/gpu hold DoBatch
 // to that contract against the serial path and the naive reference model.
@@ -69,90 +71,72 @@ func (c *Cache) DoBatch(accs []Access, out []Result, b *Batch) {
 	b.lower = b.lower[:0]
 	b.lines = b.lines[:0]
 
-	if !c.enabled {
-		// Bypass: forward each access unsplit, result passes through.
-		for i := range accs {
-			out[i] = Result{}
-			if accs[i].Size <= 0 {
-				continue
-			}
-			c.stats.Bypasses++
-			c.stats.BypassBytes += accs[i].Size
-			if c.heat != nil && accs[i].Kind != Writeback {
-				c.heat.Record(accs[i].Addr, accs[i].Size, accs[i].Kind == Write, true)
-			}
-			b.lines = append(b.lines, lineRef{acc: int32(i), lowerIdx: int32(len(b.lower))})
-			b.lower = append(b.lower, accs[i])
+	for i := range accs {
+		a := accs[i]
+		out[i] = Result{}
+		if a.Size <= 0 {
+			continue
 		}
-	} else {
-		setBits := uintLog2(c.setCount)
-		for i := range accs {
-			a := accs[i]
-			out[i] = Result{}
-			if a.Size <= 0 {
-				continue
-			}
-			first := a.Addr >> c.offBits
-			last := (a.Addr + a.Size - 1) >> c.offBits
-			for ln := first; ln <= last; ln++ {
-				c.useClock++
-				set := ln & (c.setCount - 1)
-				tag := ln >> setBits
-				base := set * int64(c.ways)
-				ways := c.sets[base : base+int64(c.ways)]
-				c.stats.count(a.Kind, c.cfg.LineSize)
+		first := a.Addr >> c.offBits
+		last := (a.Addr + a.Size - 1) >> c.offBits
+		for ln := first; ln <= last; ln++ {
+			c.useClock++
+			set := ln & (c.setCount - 1)
+			tag := ln >> c.setBits
+			base := set * int64(c.ways)
+			ways := c.sets[base : base+int64(c.ways)]
+			c.stats.count(a.Kind, c.cfg.LineSize)
 
-				lowerIdx := int32(-1)
-				hit := false
+			lowerIdx := int32(-1)
+			hit := false
+			for w := range ways {
+				if ways[w].valid && ways[w].tag == tag {
+					ways[w].lastUse = c.useClock
+					if a.Kind != Read {
+						ways[w].dirty = true
+					}
+					c.stats.countHit(a.Kind)
+					hit = true
+					break
+				}
+			}
+			// Heat records at the same points, in the same order, as the
+			// serial doLine — the byte-identity contract extends to heat.
+			if c.heat != nil {
+				c.heat.Record(ln<<c.offBits, c.cfg.LineSize, a.Kind != Read, !hit)
+			}
+			if !hit {
+				victim := 0
 				for w := range ways {
-					if ways[w].valid && ways[w].tag == tag {
-						ways[w].lastUse = c.useClock
-						if a.Kind != Read {
-							ways[w].dirty = true
-						}
-						c.stats.countHit(a.Kind)
-						hit = true
+					if !ways[w].valid {
+						victim = w
 						break
 					}
-				}
-				// Heat records at the same points, in the same order, as the
-				// serial doLine — the byte-identity contract extends to heat.
-				if c.heat != nil {
-					c.heat.Record(ln<<c.offBits, c.cfg.LineSize, a.Kind != Read, !hit)
-				}
-				if !hit {
-					victim := 0
-					for w := range ways {
-						if !ways[w].valid {
-							victim = w
-							break
-						}
-						if ways[w].lastUse < ways[victim].lastUse {
-							victim = w
-						}
+					if ways[w].lastUse < ways[victim].lastUse {
+						victim = w
 					}
-					v := &ways[victim]
-					if v.valid {
-						c.stats.Evictions++
-						if v.dirty {
-							c.stats.Writebacks++
-							wbAddr := (v.tag<<setBits | set) << c.offBits
-							if c.heat != nil {
-								c.heat.RecordWriteback(wbAddr, c.cfg.LineSize)
-							}
-							// Writeback latency is off the critical path —
-							// enqueued for state and traffic, no lineRef.
-							b.lower = append(b.lower, Access{Addr: wbAddr, Size: c.cfg.LineSize, Kind: Writeback})
-						}
-					}
-					if a.Kind != Writeback {
-						lowerIdx = int32(len(b.lower))
-						b.lower = append(b.lower, Access{Addr: ln << c.offBits, Size: c.cfg.LineSize, Kind: a.Kind})
-					}
-					*v = line{tag: tag, lastUse: c.useClock, valid: true, dirty: a.Kind != Read}
 				}
-				b.lines = append(b.lines, lineRef{acc: int32(i), lowerIdx: lowerIdx})
+				v := &ways[victim]
+				if v.valid {
+					c.stats.Evictions++
+					if v.dirty {
+						c.stats.Writebacks++
+						wbAddr := (v.tag<<c.setBits | set) << c.offBits
+						if c.heat != nil {
+							c.heat.RecordWriteback(wbAddr, c.cfg.LineSize)
+						}
+						// Writeback latency is off the critical path —
+						// enqueued for state and traffic, no lineRef.
+						b.lower = append(b.lower, Access{Addr: wbAddr, Size: c.cfg.LineSize, Kind: Writeback})
+					}
+				}
+				if a.Kind != Writeback {
+					lowerIdx = int32(len(b.lower))
+					b.lower = append(b.lower, Access{Addr: ln << c.offBits, Size: c.cfg.LineSize, Kind: a.Kind})
+				}
+				*v = line{tag: tag, lastUse: c.useClock, valid: true, dirty: a.Kind != Read}
 			}
+			b.lines = append(b.lines, lineRef{acc: int32(i), lowerIdx: lowerIdx})
 		}
 	}
 
@@ -173,23 +157,11 @@ func (c *Cache) DoBatch(accs []Access, out []Result, b *Batch) {
 	}
 
 	// Combine: replay the per-line resolution in serial order.
-	if !c.enabled {
-		for _, lr := range b.lines {
-			out[lr.acc] = lowerOut[lr.lowerIdx]
-		}
-		return
-	}
 	for _, lr := range b.lines {
 		var lowerLat units.Latency
-		served := c.cfg.Name
 		if lr.lowerIdx >= 0 {
-			r := lowerOut[lr.lowerIdx]
-			lowerLat = r.Latency
-			if r.ServedBy != "" {
-				served = r.ServedBy
-			}
+			lowerLat = lowerOut[lr.lowerIdx].Latency
 		}
 		out[lr.acc].Latency += c.cfg.HitLatency + lowerLat
-		out[lr.acc].ServedBy = served
 	}
 }

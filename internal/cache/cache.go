@@ -7,9 +7,9 @@
 // equations (eqns 1-2).
 //
 // Levels are composable: a Cache forwards misses to its lower Level, which is
-// either another Cache or a memory device (internal/memdev). A Cache can be
-// bypassed at runtime (SetEnabled(false)) — this is how the simulator models
-// the LLC being disabled under the zero-copy communication model.
+// either another Cache or a memory device (internal/memdev). Zero-copy never
+// switches a cache off: the CPU and GPU models route pinned address ranges
+// around their hierarchies instead.
 //
 // Caches are write-back, write-allocate, with true-LRU replacement. They are
 // not safe for concurrent use; each simulated agent owns its hierarchy.
@@ -17,6 +17,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"igpucomm/internal/heatmap"
 	"igpucomm/internal/units"
@@ -58,8 +59,6 @@ type Result struct {
 	// Latency is the total latency on the critical path, in simulated
 	// nanoseconds.
 	Latency units.Latency
-	// ServedBy names the level that supplied (or absorbed) the data.
-	ServedBy string
 }
 
 // Level is anything that can service memory accesses: a cache or a memory
@@ -111,9 +110,9 @@ type Cache struct {
 	sets     []line // sets*ways, laid out set-major
 	ways     int
 	setCount int64
-	offBits  uint
+	offBits  uint // log2(LineSize)
+	setBits  uint // log2(setCount)
 	useClock uint64
-	enabled  bool
 	stats    Stats
 	// heat, when non-nil, receives one record per line serviced. Only
 	// entry-level caches (CPU L1, per-SM GPU L1s) carry a sink, so a page is
@@ -133,18 +132,14 @@ func New(cfg Config, lower Level) *Cache {
 		panic(fmt.Sprintf("cache %s: nil lower level", cfg.Name))
 	}
 	setCount := cfg.Size / (cfg.LineSize * int64(cfg.Ways))
-	offBits := uint(0)
-	for l := cfg.LineSize; l > 1; l >>= 1 {
-		offBits++
-	}
 	return &Cache{
 		cfg:      cfg,
 		lower:    lower,
 		sets:     make([]line, setCount*int64(cfg.Ways)),
 		ways:     cfg.Ways,
 		setCount: setCount,
-		offBits:  offBits,
-		enabled:  true,
+		offBits:  uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
+		setBits:  uint(bits.TrailingZeros64(uint64(setCount))),
 	}
 }
 
@@ -153,18 +148,6 @@ func (c *Cache) Name() string { return c.cfg.Name }
 
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// Lower returns the next level down.
-func (c *Cache) Lower() Level { return c.lower }
-
-// Enabled reports whether the cache is participating in lookups.
-func (c *Cache) Enabled() bool { return c.enabled }
-
-// SetEnabled switches the cache in or out of the access path. Disabling
-// flushes nothing by itself — callers that need coherence must Flush first
-// (see internal/coherence). While disabled, every access is forwarded to the
-// lower level and counted as a bypass.
-func (c *Cache) SetEnabled(on bool) { c.enabled = on }
 
 // SetHeatSink attaches (or, with nil, detaches) the per-page heat
 // accumulator this level reports line traffic to. Heat recording never
@@ -176,34 +159,23 @@ func (c *Cache) SetHeatSink(h *heatmap.Accumulator) { c.heat = h }
 // larger than a line are split into per-line requests and the latencies are
 // summed (the agent models decide what issues; the cache just services).
 func (c *Cache) Do(a Access) Result {
-	if a.Size <= 0 {
-		return Result{}
-	}
-	if !c.enabled {
-		c.stats.Bypasses++
-		c.stats.BypassBytes += a.Size
-		if c.heat != nil && a.Kind != Writeback {
-			// A bypassed demand access is serviced below this level: a miss
-			// by construction.
-			c.heat.Record(a.Addr, a.Size, a.Kind == Write, true)
-		}
-		return c.lower.Do(a)
-	}
 	var total Result
+	if a.Size <= 0 {
+		return total
+	}
 	first := a.Addr >> c.offBits
 	last := (a.Addr + a.Size - 1) >> c.offBits
 	for ln := first; ln <= last; ln++ {
-		r := c.doLine(ln, a.Kind)
-		total.Latency += r.Latency
-		total.ServedBy = r.ServedBy // last line wins; uniform for aligned requests
+		total.Latency += c.doLine(ln, a.Kind)
 	}
 	return total
 }
 
-func (c *Cache) doLine(lineAddr int64, kind Kind) Result {
+// doLine services one line and returns its critical-path latency.
+func (c *Cache) doLine(lineAddr int64, kind Kind) units.Latency {
 	c.useClock++
 	set := lineAddr & (c.setCount - 1)
-	tag := lineAddr >> uintLog2(c.setCount)
+	tag := lineAddr >> c.setBits
 	base := set * int64(c.ways)
 	ways := c.sets[base : base+int64(c.ways)]
 
@@ -220,7 +192,7 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) Result {
 			if c.heat != nil {
 				c.heat.Record(lineAddr<<c.offBits, c.cfg.LineSize, kind != Read, false)
 			}
-			return Result{Latency: c.cfg.HitLatency, ServedBy: c.cfg.Name}
+			return c.cfg.HitLatency
 		}
 	}
 	if c.heat != nil {
@@ -243,7 +215,7 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) Result {
 		c.stats.Evictions++
 		if v.dirty {
 			c.stats.Writebacks++
-			wbAddr := (v.tag<<uintLog2(c.setCount) | set) << c.offBits
+			wbAddr := (v.tag<<c.setBits | set) << c.offBits
 			if c.heat != nil {
 				c.heat.RecordWriteback(wbAddr, c.cfg.LineSize)
 			}
@@ -258,50 +230,29 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) Result {
 		lowerRes = c.lower.Do(Access{Addr: lineAddr << c.offBits, Size: c.cfg.LineSize, Kind: kind})
 	}
 	*v = line{tag: tag, lastUse: c.useClock, valid: true, dirty: kind != Read}
-
-	served := lowerRes.ServedBy
-	if served == "" {
-		served = c.cfg.Name
-	}
-	return Result{Latency: c.cfg.HitLatency + lowerRes.Latency, ServedBy: served}
-}
-
-// Flush writes back all dirty lines and invalidates the whole cache,
-// returning the number of lines written back and the cycle cost on the
-// flushing agent (per-line tag walk plus writeback issue). This is the
-// operation the standard-copy model performs around every kernel launch.
-func (c *Cache) Flush(perLineCost units.Latency) (writebacks int64, cost units.Latency) {
-	for i := range c.sets {
-		l := &c.sets[i]
-		if !l.valid {
-			continue
-		}
-		cost += perLineCost
-		if l.dirty {
-			writebacks++
-			set := int64(i) / int64(c.ways)
-			wbAddr := (l.tag<<uintLog2(c.setCount) | set) << c.offBits
-			if c.heat != nil {
-				c.heat.RecordWriteback(wbAddr, c.cfg.LineSize)
-			}
-			c.lower.Do(Access{Addr: wbAddr, Size: c.cfg.LineSize, Kind: Writeback})
-		}
-		*l = line{}
-	}
-	c.stats.Flushes++
-	c.stats.FlushWritebacks += writebacks
-	return writebacks, cost
+	return c.cfg.HitLatency + lowerRes.Latency
 }
 
 // FlushRange writes back and invalidates only the lines holding addresses in
 // [lo, hi) — what cache-maintenance-by-VA instructions do. This is how
-// software coherence actually flushes shared buffers around kernel launches:
-// the agent's private working set stays cached.
+// software coherence flushes shared buffers around kernel launches: the
+// agent's private working set stays cached. It returns the lines written back
+// and the walk cost on the flushing agent (perLineCost per in-range line).
 func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks int64, cost units.Latency) {
 	if hi <= lo {
 		return 0, 0
 	}
-	setBits := uintLog2(c.setCount)
+	flush := func(l *line, addr int64) {
+		cost += perLineCost
+		if l.dirty {
+			writebacks++
+			if c.heat != nil {
+				c.heat.RecordWriteback(addr, c.cfg.LineSize)
+			}
+			c.lower.Do(Access{Addr: addr, Size: c.cfg.LineSize, Kind: Writeback})
+		}
+		*l = line{}
+	}
 	firstLine := lo >> c.offBits
 	lastLine := (hi - 1) >> c.offBits
 	if n := lastLine - firstLine + 1; n < c.setCount {
@@ -319,23 +270,12 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 			if la > lastLine {
 				return
 			}
-			tag := la >> setBits
-			addr := la << c.offBits
+			tag := la >> c.setBits
 			base := set * int64(c.ways)
 			for w := int64(0); w < int64(c.ways); w++ {
-				l := &c.sets[base+w]
-				if !l.valid || l.tag != tag {
-					continue
+				if l := &c.sets[base+w]; l.valid && l.tag == tag {
+					flush(l, la<<c.offBits)
 				}
-				cost += perLineCost
-				if l.dirty {
-					writebacks++
-					if c.heat != nil {
-						c.heat.RecordWriteback(addr, c.cfg.LineSize)
-					}
-					c.lower.Do(Access{Addr: addr, Size: c.cfg.LineSize, Kind: Writeback})
-				}
-				*l = line{}
 			}
 		}
 		if s0+n <= c.setCount {
@@ -350,38 +290,26 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 				flushSet(set)
 			}
 		}
-		c.stats.Flushes++
-		c.stats.FlushWritebacks += writebacks
-		return writebacks, cost
-	}
-	for i := range c.sets {
-		l := &c.sets[i]
-		if !l.valid {
-			continue
-		}
-		set := int64(i) / int64(c.ways)
-		addr := (l.tag<<setBits | set) << c.offBits
-		if addr+c.cfg.LineSize <= lo || addr >= hi {
-			continue
-		}
-		cost += perLineCost
-		if l.dirty {
-			writebacks++
-			if c.heat != nil {
-				c.heat.RecordWriteback(addr, c.cfg.LineSize)
+	} else {
+		for i := range c.sets {
+			l := &c.sets[i]
+			if !l.valid {
+				continue
 			}
-			c.lower.Do(Access{Addr: addr, Size: c.cfg.LineSize, Kind: Writeback})
+			set := int64(i) / int64(c.ways)
+			addr := (l.tag<<c.setBits | set) << c.offBits
+			if addr+c.cfg.LineSize > lo && addr < hi {
+				flush(l, addr)
+			}
 		}
-		*l = line{}
 	}
 	c.stats.Flushes++
 	c.stats.FlushWritebacks += writebacks
 	return writebacks, cost
 }
 
-// Invalidate drops all lines without writing anything back. Used to model
-// the invalidate side of software coherence (before the CPU re-reads data the
-// GPU produced under SC).
+// Invalidate drops all lines without writing anything back. Platform reset
+// (soc.SoC.ResetState) uses it to start each experiment with cold caches.
 func (c *Cache) Invalidate() {
 	for i := range c.sets {
 		c.sets[i] = line{}
@@ -394,7 +322,7 @@ func (c *Cache) Invalidate() {
 func (c *Cache) Contains(addr int64) bool {
 	lineAddr := addr >> c.offBits
 	set := lineAddr & (c.setCount - 1)
-	tag := lineAddr >> uintLog2(c.setCount)
+	tag := lineAddr >> c.setBits
 	base := set * int64(c.ways)
 	for _, l := range c.sets[base : base+int64(c.ways)] {
 		if l.valid && l.tag == tag {
@@ -421,12 +349,3 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters without disturbing cache contents, so a
 // profiler can measure a region of interest after warmup.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-func uintLog2(v int64) uint {
-	n := uint(0)
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}

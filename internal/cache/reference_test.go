@@ -66,6 +66,24 @@ func (r *refCache) access(addr int64, write bool) (hit bool, evictedDirty bool) 
 	return false, evictedDirty
 }
 
+// do splits a into its lines and classifies each in order, returning the
+// line hits and the dirty evictions it caused.
+func (r *refCache) do(a Access) (hits, dirtyEvictions int) {
+	if a.Size <= 0 {
+		return 0, 0
+	}
+	for ln := a.Addr / r.lineSize; ln <= (a.Addr+a.Size-1)/r.lineSize; ln++ {
+		hit, evictedDirty := r.access(ln*r.lineSize, a.Kind == Write)
+		if hit {
+			hits++
+		}
+		if evictedDirty {
+			dirtyEvictions++
+		}
+	}
+	return hits, dirtyEvictions
+}
+
 func (r *refCache) resident() map[int64]bool {
 	out := make(map[int64]bool)
 	for set, tags := range r.lru {
@@ -85,7 +103,7 @@ func (s *countingSink) Do(a Access) Result {
 	if a.Kind == Writeback {
 		s.writebacks++
 	}
-	return Result{Latency: 1, ServedBy: "sink"}
+	return Result{Latency: 1}
 }
 
 func TestDifferentialAgainstReferenceModel(t *testing.T) {

@@ -18,10 +18,6 @@ type Stats struct {
 	FlushWritebacks int64
 	Invalidates     int64
 
-	// Bypass traffic observed while the level was disabled.
-	Bypasses    int64
-	BypassBytes int64
-
 	// BytesIn counts all line fills + writeback-in traffic in bytes.
 	BytesIn int64
 }
@@ -86,7 +82,5 @@ func (s *Stats) Add(other Stats) {
 	s.Flushes += other.Flushes
 	s.FlushWritebacks += other.FlushWritebacks
 	s.Invalidates += other.Invalidates
-	s.Bypasses += other.Bypasses
-	s.BypassBytes += other.BypassBytes
 	s.BytesIn += other.BytesIn
 }

@@ -1,10 +1,5 @@
-// Package coherence models how a CPU-iGPU SoC keeps the shared memory
-// coherent under each communication model:
-//
-//   - Software coherence (standard copy): caches are flushed/invalidated
-//     around each kernel launch. The cost lives in the CPU and GPU models'
-//     Flush operations; this package provides the protocol object that
-//     sequences them.
+// Package coherence models hardware I/O coherence, the one coherence
+// mechanism of a CPU-iGPU SoC that needs its own memory route:
 //
 //   - Hardware I/O coherence (Jetson AGX Xavier): the iGPU's pinned-path
 //     requests snoop the CPU's LLC directly. IOPort implements that route:
@@ -13,9 +8,12 @@
 //     instead of uncached DRAM — the reason ZC remains usable on Xavier
 //     (Table I: 32.29 GB/s vs TX2's 1.28 GB/s).
 //
-//   - No coherence support (Jetson Nano, TX2): pinned buffers are mapped
-//     uncacheable on both sides; there is nothing to model here beyond the
-//     uncached ports in internal/memdev.
+// The other two mechanisms need nothing here. Software coherence (standard
+// copy) is range flushes of the shared buffers around each launch, which the
+// communication models issue through the CPU and GPU FlushRange methods. On
+// devices without coherence support (Jetson Nano, TX2), pinned buffers are
+// mapped uncacheable on both sides and take the uncached ports in
+// internal/memdev.
 package coherence
 
 import (
@@ -29,45 +27,32 @@ import (
 // IOPort routes device (GPU) memory requests through the CPU's LLC, the way
 // hardware I/O coherence does. It satisfies gpu.MemPath.
 type IOPort struct {
-	name    string
-	target  cache.Level   // the CPU LLC
-	extra   units.Latency // interconnect hop cost per request
-	stats   memdev.Stats
-	enabled bool
+	name   string
+	target *cache.Cache  // the CPU LLC
+	extra  units.Latency // interconnect hop cost per request
+	stats  memdev.Stats
 }
 
 // NewIOPort builds the coherence port. target is the CPU LLC; extra is the
 // per-request interconnect latency. Panics on nil target or negative latency
 // (static wiring errors).
-func NewIOPort(name string, target cache.Level, extra units.Latency) *IOPort {
+func NewIOPort(name string, target *cache.Cache, extra units.Latency) *IOPort {
 	if target == nil {
 		panic(fmt.Sprintf("ioport %s: nil target", name))
 	}
 	if extra < 0 {
 		panic(fmt.Sprintf("ioport %s: negative latency", name))
 	}
-	return &IOPort{name: name, target: target, extra: extra, enabled: true}
+	return &IOPort{name: name, target: target, extra: extra}
 }
 
 // Name returns the port name.
 func (p *IOPort) Name() string { return p.name }
 
-// Enabled reports whether coherence routing is active (ablation hook).
-func (p *IOPort) Enabled() bool { return p.enabled }
-
-// SetEnabled toggles the port for ablation studies. A disabled port panics on
-// use — the SoC wiring must substitute an uncached path instead, which is
-// what "Xavier without I/O coherence" means physically.
-func (p *IOPort) SetEnabled(on bool) { p.enabled = on }
-
-// Do forwards the request into the CPU hierarchy with the interconnect
-// latency added.
-func (p *IOPort) Do(a cache.Access) cache.Result {
-	if !p.enabled {
-		panic(fmt.Sprintf("ioport %s: used while disabled", p.name))
-	}
+// count records one request in the port's traffic counters.
+func (p *IOPort) count(a cache.Access) {
 	if a.Size <= 0 {
-		return cache.Result{}
+		return
 	}
 	switch a.Kind {
 	case cache.Read:
@@ -80,56 +65,32 @@ func (p *IOPort) Do(a cache.Access) cache.Result {
 		p.stats.Writebacks++
 		p.stats.BytesWritten += a.Size
 	}
+}
+
+// Do forwards the request into the CPU hierarchy with the interconnect
+// latency added.
+func (p *IOPort) Do(a cache.Access) cache.Result {
+	if a.Size <= 0 {
+		return cache.Result{}
+	}
+	p.count(a)
 	r := p.target.Do(a)
 	r.Latency += p.extra
-	r.ServedBy = p.name + "→" + r.ServedBy
 	return r
 }
 
-// DoBatch services an ordered group of accesses through the CPU hierarchy's
-// batch path. Latencies, counters and cache state are byte-identical to
-// calling Do per access in order; the only difference is that the batch path
-// does not rewrite ServedBy with the port's route prefix (the compiled GPU
-// replay, its only caller, never reads ServedBy, and skipping the rewrite is
-// what keeps the path allocation-free).
+// DoBatch services an ordered group of accesses through the CPU LLC's batch
+// path. Latencies, counters and cache state are byte-identical to calling Do
+// per access in order.
 func (p *IOPort) DoBatch(accs []cache.Access, out []cache.Result, b *cache.Batch) {
-	if !p.enabled {
-		panic(fmt.Sprintf("ioport %s: used while disabled", p.name))
-	}
 	for i := range accs {
-		a := accs[i]
-		if a.Size <= 0 {
-			continue
-		}
-		switch a.Kind {
-		case cache.Read:
-			p.stats.Reads++
-			p.stats.BytesRead += a.Size
-		case cache.Write:
-			p.stats.Writes++
-			p.stats.BytesWritten += a.Size
-		case cache.Writeback:
-			p.stats.Writebacks++
-			p.stats.BytesWritten += a.Size
-		}
+		p.count(accs[i])
 	}
-	if tc, ok := p.target.(*cache.Cache); ok {
-		tc.DoBatch(accs, out, b)
-	} else {
-		for i := range accs {
-			if accs[i].Size <= 0 {
-				out[i] = cache.Result{}
-				continue
-			}
-			out[i] = p.target.Do(accs[i])
-		}
-	}
+	p.target.DoBatch(accs, out, b)
 	for i := range accs {
-		if accs[i].Size <= 0 {
-			out[i] = cache.Result{}
-			continue
+		if accs[i].Size > 0 {
+			out[i].Latency += p.extra
 		}
-		out[i].Latency += p.extra
 	}
 }
 
@@ -138,40 +99,3 @@ func (p *IOPort) Stats() memdev.Stats { return p.stats }
 
 // ResetStats zeroes the counters.
 func (p *IOPort) ResetStats() { p.stats = memdev.Stats{} }
-
-// Flusher is the cache-maintenance interface software coherence drives.
-type Flusher interface {
-	// FlushAll writes back + invalidates, returning lines written back.
-	FlushAll() int64
-}
-
-// GPUFlusher adapts the GPU's flush signature.
-type GPUFlusher interface {
-	FlushLLC(perLine units.Latency) (int64, units.Latency)
-}
-
-// Software is the software-coherence protocol the standard-copy model uses:
-// flush CPU caches before the kernel (so the GPU sees the data), flush GPU
-// caches after (so the CPU sees the results).
-type Software struct {
-	CPU         Flusher
-	GPU         GPUFlusher
-	GPULineCost units.Latency
-
-	// Counters for reporting.
-	PreKernelFlushes  int64
-	PostKernelFlushes int64
-}
-
-// PreKernel performs the CPU-side flush before a launch.
-func (s *Software) PreKernel() int64 {
-	s.PreKernelFlushes++
-	return s.CPU.FlushAll()
-}
-
-// PostKernel performs the GPU-side flush after a launch and returns the
-// writeback count and the time it costs (charged to the launch by callers).
-func (s *Software) PostKernel() (int64, units.Latency) {
-	s.PostKernelFlushes++
-	return s.GPU.FlushLLC(s.GPULineCost)
-}

@@ -1,7 +1,6 @@
 package coherence
 
 import (
-	"strings"
 	"testing"
 
 	"igpucomm/internal/cache"
@@ -12,7 +11,7 @@ import (
 func cpuLLC(t *testing.T) (*cache.Cache, *memdev.DRAM) {
 	t.Helper()
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 150, Bandwidth: 25 * units.GBps})
-	llc := cache.New(cache.Config{Name: "cpuLLC", Size: 8 * units.KiB, LineSize: 64, Ways: 4, HitLatency: 25}, d.NewPort("cpu", -1))
+	llc := cache.New(cache.Config{Name: "cpuLLC", Size: 8 * units.KiB, LineSize: 64, Ways: 4, HitLatency: 25}, d.NewPort("cpu"))
 	return llc, d
 }
 
@@ -43,8 +42,8 @@ func TestIOPortSnoopsCPULLC(t *testing.T) {
 	if r.Latency != 55 {
 		t.Errorf("snoop hit latency = %v, want 55", r.Latency)
 	}
-	if !strings.Contains(r.ServedBy, "io") || !strings.Contains(r.ServedBy, "cpuLLC") {
-		t.Errorf("served by %q, want io→cpuLLC", r.ServedBy)
+	if st := llc.Stats(); st.ReadHits != 1 {
+		t.Errorf("LLC read hits = %d, want the snoop's 1", st.ReadHits)
 	}
 }
 
@@ -87,51 +86,59 @@ func TestIOPortDegenerateAccess(t *testing.T) {
 	}
 }
 
-func TestIOPortDisabledPanics(t *testing.T) {
-	llc, _ := cpuLLC(t)
-	p := NewIOPort("io", llc, 10)
-	p.SetEnabled(false)
-	if p.Enabled() {
-		t.Fatal("SetEnabled(false) ignored")
+// TestIOPortDoBatchMatchesDo drives seeded transaction groups through two
+// identical LLC-over-DRAM hierarchies, one per access with Do and one with
+// DoBatch: latencies, port counters, CPU-LLC and DRAM counters and LLC
+// residency must match exactly.
+func TestIOPortDoBatchMatchesDo(t *testing.T) {
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("disabled port serviced a request")
+	const span = 64 * units.KiB
+	serialLLC, serialDRAM := cpuLLC(t)
+	batchLLC, batchDRAM := cpuLLC(t)
+	serial := NewIOPort("io", serialLLC, 30)
+	batch := NewIOPort("io", batchLLC, 30)
+	var scratch cache.Batch
+	for group := 0; group < 200; group++ {
+		accs := make([]cache.Access, int(next()%48)+1)
+		for i := range accs {
+			accs[i] = cache.Access{
+				Addr: int64(next() % uint64(span)),
+				Size: int64(next()%130) - 1, // -1 and 0 are degenerate
+				Kind: cache.Kind(next() % 3),
+			}
 		}
-	}()
-	p.Do(cache.Access{Addr: 0, Size: 4, Kind: cache.Read})
-}
-
-type fakeCPUFlusher struct{ calls, ret int64 }
-
-func (f *fakeCPUFlusher) FlushAll() int64 { f.calls++; return f.ret }
-
-type fakeGPUFlusher struct {
-	calls int64
-	wbs   int64
-	cost  units.Latency
-}
-
-func (f *fakeGPUFlusher) FlushLLC(per units.Latency) (int64, units.Latency) {
-	f.calls++
-	return f.wbs, f.cost
-}
-
-func TestSoftwareProtocolSequencing(t *testing.T) {
-	cf := &fakeCPUFlusher{ret: 7}
-	gf := &fakeGPUFlusher{wbs: 3, cost: 42}
-	sw := &Software{CPU: cf, GPU: gf, GPULineCost: 2}
-	if got := sw.PreKernel(); got != 7 {
-		t.Errorf("PreKernel = %d, want 7", got)
+		out := make([]cache.Result, len(accs))
+		batch.DoBatch(accs, out, &scratch)
+		for i, a := range accs {
+			if want := serial.Do(a); out[i] != want {
+				t.Fatalf("group %d access %d (%+v): batch %+v, per access %+v", group, i, a, out[i], want)
+			}
+		}
+		if batch.Stats() != serial.Stats() {
+			t.Fatalf("group %d: port stats batch %+v, per access %+v", group, batch.Stats(), serial.Stats())
+		}
+		if batchLLC.Stats() != serialLLC.Stats() {
+			t.Fatalf("group %d: LLC stats batch %+v, per access %+v", group, batchLLC.Stats(), serialLLC.Stats())
+		}
+		if batchDRAM.Stats() != serialDRAM.Stats() {
+			t.Fatalf("group %d: DRAM stats batch %+v, per access %+v", group, batchDRAM.Stats(), serialDRAM.Stats())
+		}
 	}
-	wbs, cost := sw.PostKernel()
-	if wbs != 3 || cost != 42 {
-		t.Errorf("PostKernel = %d/%v, want 3/42", wbs, cost)
+	if batchLLC.ResidentLines() != serialLLC.ResidentLines() {
+		t.Fatalf("resident lines batch %d, per access %d", batchLLC.ResidentLines(), serialLLC.ResidentLines())
 	}
-	if cf.calls != 1 || gf.calls != 1 {
-		t.Error("flushers not called exactly once")
+	for addr := int64(0); addr < span; addr += 64 {
+		if batchLLC.Contains(addr) != serialLLC.Contains(addr) {
+			t.Fatalf("line %#x: resident in batch %v, per access %v", addr, batchLLC.Contains(addr), serialLLC.Contains(addr))
+		}
 	}
-	if sw.PreKernelFlushes != 1 || sw.PostKernelFlushes != 1 {
-		t.Error("protocol counters wrong")
+	if serial.Stats().Writebacks == 0 || serialLLC.Stats().Writebacks == 0 {
+		t.Fatal("stream exercised no writebacks")
 	}
 }

@@ -262,16 +262,6 @@ func (c *CPU) MemOps() int64 { return c.memOps }
 // OpCount returns how many instructions of op executed.
 func (c *CPU) OpCount(op isa.Op) int64 { return c.opCounts[op] }
 
-// FlushAll flushes L1 then LLC (software coherence around a kernel launch,
-// as the standard-copy model requires) and charges the walk cost to the
-// CPU's clock. It returns the total lines written back.
-func (c *CPU) FlushAll() int64 {
-	wb1, cost1 := c.l1.Flush(c.cfg.FlushLineCost)
-	wb2, cost2 := c.llc.Flush(c.cfg.FlushLineCost)
-	c.elapsed += cost1 + cost2
-	return wb1 + wb2
-}
-
 // FlushRange performs cache maintenance by virtual address over [lo, hi):
 // both levels write back and invalidate only the lines of that range, and
 // the walk cost is charged to the CPU clock. This is what software coherence

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"igpucomm/internal/cache"
@@ -25,7 +26,7 @@ func testCPU(t *testing.T) (*CPU, *memdev.DRAM) {
 		FlushLineCost: 1,
 		MemMLP:        1, // no miss overlap: latencies add exactly in tests
 	}
-	return New(cfg, d.NewPort("cpu-dram", -1), d.NewUncachedPort("pinned", 400)), d
+	return New(cfg, d.NewPort("cpu-dram"), d.NewUncachedPortRW("pinned", 400, 40)), d
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -161,12 +162,13 @@ func TestAdvanceTime(t *testing.T) {
 	}
 }
 
+// A range flush over all of memory writes back and empties both levels.
 func TestFlushAllWritesBackAndCharges(t *testing.T) {
 	c, d := testCPU(t)
 	c.Store(0, 4)
 	c.Store(64, 4)
 	c.ResetTime()
-	wbs := c.FlushAll()
+	wbs := c.FlushRange(0, math.MaxInt64)
 	// Two dirty lines in L1; they writeback into LLC (allocating there,
 	// dirty), then LLC flush writes them to DRAM.
 	if wbs != 4 {
@@ -176,7 +178,7 @@ func TestFlushAllWritesBackAndCharges(t *testing.T) {
 		t.Error("flush cost not charged")
 	}
 	if c.L1().ResidentLines() != 0 || c.LLC().ResidentLines() != 0 {
-		t.Error("caches not empty after FlushAll")
+		t.Error("caches not empty after a full-range flush")
 	}
 	if d.Stats().BytesWritten != 128 {
 		t.Errorf("DRAM bytes written = %d, want 128", d.Stats().BytesWritten)
@@ -204,7 +206,7 @@ func TestFrequencyScalesTime(t *testing.T) {
 		LLC:   cache.Config{Name: "llc", Size: 4096, LineSize: 64, Ways: 4, HitLatency: 10},
 		Costs: isa.CostModel{Issue: map[isa.Op]units.Cycles{isa.FMA: 1}},
 	}
-	c := New(cfg, d.NewPort("p", -1), nil)
+	c := New(cfg, d.NewPort("p"), nil)
 	c.Work(isa.FMA, 10)
 	if got := c.Elapsed(); got != 5 {
 		t.Errorf("10 FMA at 2GHz = %vns, want 5", got)
@@ -220,7 +222,7 @@ func TestMemMLPOverlapsCacheableMisses(t *testing.T) {
 		Costs:  isa.CostModel{Issue: map[isa.Op]units.Cycles{isa.LdGlobal: 1}},
 		MemMLP: 4,
 	}
-	c := New(cfg, d.NewPort("p", -1), d.NewUncachedPort("u", 400))
+	c := New(cfg, d.NewPort("p"), d.NewUncachedPortRW("u", 400, 40))
 	c.Load(0, 4)
 	// 1 issue + (2+10+100)/4 = 29ns.
 	if got := c.Elapsed(); got != 29 {
@@ -244,7 +246,7 @@ func BenchmarkCPUStreamingLoads(b *testing.B) {
 		Costs:  isa.DefaultCPUCosts(),
 		MemMLP: 6,
 	}
-	c := New(cfg, d.NewPort("p", -1), nil)
+	c := New(cfg, d.NewPort("p"), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Load(int64(i%(1<<20))*4, 4)
@@ -338,7 +340,7 @@ func TestAddUncachedRangeWithoutPortPanics(t *testing.T) {
 		LLC:   cache.Config{Name: "llc", Size: 4096, LineSize: 64, Ways: 4, HitLatency: 1},
 		Costs: isa.DefaultCPUCosts(),
 	}
-	c := New(cfg, d.NewPort("p", -1), nil)
+	c := New(cfg, d.NewPort("p"), nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("uncached range without port accepted")

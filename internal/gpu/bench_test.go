@@ -16,8 +16,8 @@ import (
 func benchGPU(b *testing.B) *GPU {
 	b.Helper()
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
-	g := New(testConfig(), d.NewPort("p", -1))
-	g.SetPinnedPath(d.NewUncachedPort("pinned", 600), 2*units.GBps)
+	g := New(testConfig(), d.NewPort("p"))
+	g.SetPinnedPath(d.NewUncachedPortRW("pinned", 600, 60), 2*units.GBps)
 	return g
 }
 

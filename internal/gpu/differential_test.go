@@ -26,8 +26,8 @@ const pinnedBase = int64(1) << 20
 func twinGPUs() (ref, batch *GPU) {
 	build := func() *GPU {
 		d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
-		g := New(testConfig(), d.NewPort("gpu-dram", -1))
-		g.SetPinnedPath(d.NewUncachedPort("pinned", 600), 2*units.GBps)
+		g := New(testConfig(), d.NewPort("gpu-dram"))
+		g.SetPinnedPath(d.NewUncachedPortRW("pinned", 600, 60), 2*units.GBps)
 		g.AddPinnedRange(pinnedBase, pinnedBase+8192)
 		return g
 	}

@@ -330,20 +330,6 @@ func (g *GPU) pinned(addr int64) bool {
 	return false
 }
 
-// FlushLLC writes back and invalidates the GPU LLC, returning writebacks.
-// Standard-copy coherence performs this after each kernel.
-func (g *GPU) FlushLLC(perLineCost units.Latency) (int64, units.Latency) {
-	var wbs int64
-	var cost units.Latency
-	for _, s := range g.sms {
-		w, c := s.l1.Flush(perLineCost)
-		wbs += w
-		cost += c
-	}
-	w, c := g.llc.Flush(perLineCost)
-	return wbs + w, cost + c
-}
-
 // FlushRange writes back and invalidates [lo, hi) across all GPU cache
 // levels (maintenance by VA), returning writebacks and walk cost.
 func (g *GPU) FlushRange(lo, hi int64, perLineCost units.Latency) (int64, units.Latency) {

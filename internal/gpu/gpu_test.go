@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -32,8 +33,8 @@ func testConfig() Config {
 func testGPU(t *testing.T) (*GPU, *memdev.DRAM) {
 	t.Helper()
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
-	g := New(testConfig(), d.NewPort("gpu-dram", -1))
-	g.SetPinnedPath(d.NewUncachedPort("pinned", 600), 2*units.GBps)
+	g := New(testConfig(), d.NewPort("gpu-dram"))
+	g.SetPinnedPath(d.NewUncachedPortRW("pinned", 600, 60), 2*units.GBps)
 	return g, d
 }
 
@@ -154,7 +155,7 @@ func TestLatencyHidingDividesByInflight(t *testing.T) {
 	cfg.SMs = 1
 	cfg.MaxInflight = 8
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 1000 * units.GBps})
-	g := New(cfg, d.NewPort("p", -1))
+	g := New(cfg, d.NewPort("p"))
 	// 16 warps, each 1 load to its own line. Per-transaction latency:
 	// 20 (L1) + 80 (LLC) + 200 (DRAM) = 300ns; 16 txns = 4800ns total,
 	// hidden across min(8, 16) = 8 -> 600ns.
@@ -177,7 +178,7 @@ func TestDRAMBandwidthBound(t *testing.T) {
 	cfg := testConfig()
 	cfg.DRAMBandwidth = 1 * units.GBps // 1 byte/ns
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 1, Bandwidth: units.GBps})
-	g := New(cfg, d.NewPort("p", -1))
+	g := New(cfg, d.NewPort("p"))
 	// Stream 1 MiB with no reuse: DRAM moves >= 1 MiB -> >= ~1e6 ns.
 	threads := 4096
 	res, err := g.Launch(Kernel{Name: "stream", Threads: threads, Program: func(tid int, p *isa.Program) {
@@ -291,7 +292,7 @@ func TestLaunchOverheadAdded(t *testing.T) {
 	cfg := testConfig()
 	cfg.LaunchOverhead = 5000
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
-	g := New(cfg, d.NewPort("p", -1))
+	g := New(cfg, d.NewPort("p"))
 	res, err := g.Launch(Kernel{Name: "tiny", Threads: 1, Program: func(tid int, p *isa.Program) {
 		p.Compute(isa.FMA, 1)
 	}})
@@ -340,6 +341,8 @@ func TestResultDeltasIsolatedPerLaunch(t *testing.T) {
 	}
 }
 
+// A range flush over all of memory empties the LLC; invalidation drops
+// contents but keeps counters.
 func TestFlushLLCAndInvalidate(t *testing.T) {
 	g, d := testGPU(t)
 	if _, err := g.Launch(Kernel{Name: "w", Threads: 32, Program: func(tid int, p *isa.Program) {
@@ -347,7 +350,7 @@ func TestFlushLLCAndInvalidate(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	wbs, cost := g.FlushLLC(2)
+	wbs, cost := g.FlushRange(0, math.MaxInt64, 2)
 	if wbs == 0 || cost == 0 {
 		t.Errorf("flush wbs=%d cost=%v, want dirty writebacks and cost", wbs, cost)
 	}
@@ -377,7 +380,7 @@ func TestAddPinnedRangePanics(t *testing.T) {
 
 func TestAddPinnedRangeWithoutPathPanics(t *testing.T) {
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
-	g := New(testConfig(), d.NewPort("p", -1))
+	g := New(testConfig(), d.NewPort("p"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("pinned range without path accepted")
@@ -436,7 +439,7 @@ func TestResidentBatchThrashesL1(t *testing.T) {
 	cfg.ResidentWarps = 16
 	cfg.L1 = cache.Config{Name: "tiny", Size: 4 * units.KiB, LineSize: 64, Ways: 4, HitLatency: 20}
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 100 * units.GBps})
-	g := New(cfg, d.NewPort("p", -1))
+	g := New(cfg, d.NewPort("p"))
 	// Each warp re-reads its own 1KiB slice twice; 16 warps x 1KiB = 16KiB
 	// footprint >> 4KiB L1.
 	res, err := g.Launch(Kernel{Name: "thrash", Threads: 16 * 32, Program: func(tid int, p *isa.Program) {
@@ -463,7 +466,7 @@ func TestSingleResidentWarpKeepsLocality(t *testing.T) {
 	cfg.ResidentWarps = 1
 	cfg.L1 = cache.Config{Name: "tiny", Size: 4 * units.KiB, LineSize: 64, Ways: 4, HitLatency: 20}
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 100 * units.GBps})
-	g := New(cfg, d.NewPort("p", -1))
+	g := New(cfg, d.NewPort("p"))
 	res, err := g.Launch(Kernel{Name: "local", Threads: 16 * 32, Program: func(tid int, p *isa.Program) {
 		warp := tid / 32
 		base := int64(warp) * 1024
@@ -486,7 +489,7 @@ func TestOccupancyAndIPC(t *testing.T) {
 	cfg.SMs = 2
 	cfg.ResidentWarps = 4
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
-	g := New(cfg, d.NewPort("p", -1))
+	g := New(cfg, d.NewPort("p"))
 	// 4 warps over a capacity of 8: half occupancy; pure compute: IPC 1
 	// on the busiest SM, 1.0 overall here because both SMs get 2 warps.
 	res, err := g.Launch(Kernel{Name: "occ", Threads: 4 * 32, Program: func(tid int, p *isa.Program) {

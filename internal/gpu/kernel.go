@@ -468,8 +468,6 @@ func deltaCache(now, before cache.Stats) cache.Stats {
 		Flushes:         now.Flushes - before.Flushes,
 		FlushWritebacks: now.FlushWritebacks - before.FlushWritebacks,
 		Invalidates:     now.Invalidates - before.Invalidates,
-		Bypasses:        now.Bypasses - before.Bypasses,
-		BypassBytes:     now.BypassBytes - before.BypassBytes,
 		BytesIn:         now.BytesIn - before.BytesIn,
 	}
 }

@@ -2,8 +2,8 @@
 // CPU-iGPU SoC, plus the distinct paths through which agents reach it:
 //
 //   - cacheable ports (behind the CPU or GPU cache hierarchies),
-//   - the uncached pinned port used by zero-copy on devices that disable
-//     caches for coherence (Jetson Nano, TX2), and
+//   - the uncached pinned port zero-copy uses on devices without hardware
+//     I/O coherence (Jetson Nano, TX2), and
 //   - nothing else: the I/O-coherence path lives in internal/coherence since
 //     it routes through the *CPU's* LLC rather than straight to DRAM.
 //
@@ -106,9 +106,9 @@ func (d *DRAM) Do(a cache.Access) cache.Result {
 	}
 	d.stats.count(a)
 	if a.Kind == cache.Writeback {
-		return cache.Result{ServedBy: d.cfg.Name}
+		return cache.Result{}
 	}
-	return cache.Result{Latency: d.cfg.Latency, ServedBy: d.cfg.Name}
+	return cache.Result{Latency: d.cfg.Latency}
 }
 
 // Stats returns a snapshot of device-level counters.
@@ -117,36 +117,30 @@ func (d *DRAM) Stats() Stats { return d.stats }
 // ResetStats zeroes the device counters.
 func (d *DRAM) ResetStats() { d.stats = Stats{} }
 
-// Port is a named window onto the DRAM with its own latency and counters.
-// Each agent (CPU hierarchy, GPU hierarchy, copy engine, pinned path) talks
-// to memory through its own port so the profiler can attribute traffic.
+// Port is a named window onto the DRAM with its own counters, at the
+// device's latency. Each cache hierarchy (CPU, GPU) reaches memory through
+// its own port so the profiler can attribute traffic.
 type Port struct {
-	name    string
-	dram    *DRAM
-	latency units.Latency // overrides the device latency when >= 0
-	stats   Stats
+	name  string
+	dram  *DRAM
+	stats Stats
 }
 
-// NewPort creates a port. latency < 0 means "use the device latency".
-func (d *DRAM) NewPort(name string, latency units.Latency) *Port {
-	return &Port{name: name, dram: d, latency: latency}
+// NewPort creates a port.
+func (d *DRAM) NewPort(name string) *Port {
+	return &Port{name: name, dram: d}
 }
 
 // Name returns the port name.
 func (p *Port) Name() string { return p.name }
 
-// Do forwards to the device, substituting the port latency.
+// Do counts the access at the port and forwards it to the device.
 func (p *Port) Do(a cache.Access) cache.Result {
 	if a.Size <= 0 {
 		return cache.Result{}
 	}
 	p.stats.count(a)
-	r := p.dram.Do(a)
-	if a.Kind != cache.Writeback && p.latency >= 0 {
-		r.Latency = p.latency
-	}
-	r.ServedBy = p.name
-	return r
+	return p.dram.Do(a)
 }
 
 // Stats returns the port's counters.
@@ -166,12 +160,6 @@ type UncachedPort struct {
 	latency  units.Latency // demand read latency
 	writeLat units.Latency // posted write latency
 	stats    Stats
-}
-
-// NewUncachedPort creates the pinned path with its uncached read latency;
-// writes cost a tenth of it (write-combining).
-func (d *DRAM) NewUncachedPort(name string, latency units.Latency) *UncachedPort {
-	return &UncachedPort{name: name, dram: d, latency: latency, writeLat: latency / 10}
 }
 
 // NewUncachedPortRW creates the pinned path with distinct read and write
@@ -194,7 +182,7 @@ func (p *UncachedPort) Do(a cache.Access) cache.Result {
 		p.stats.BytesRead += a.Size
 		p.dram.stats.Reads++
 		p.dram.stats.BytesRead += a.Size
-		return cache.Result{Latency: p.latency, ServedBy: p.name}
+		return cache.Result{Latency: p.latency}
 	default:
 		// Uncached writes (demand or writeback) go straight to memory
 		// through the write-combining buffer.
@@ -202,7 +190,7 @@ func (p *UncachedPort) Do(a cache.Access) cache.Result {
 		p.stats.BytesWritten += a.Size
 		p.dram.stats.Writes++
 		p.dram.stats.BytesWritten += a.Size
-		return cache.Result{Latency: p.writeLat, ServedBy: p.name}
+		return cache.Result{Latency: p.writeLat}
 	}
 }
 

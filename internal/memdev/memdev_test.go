@@ -37,8 +37,8 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 func TestDRAMLatencyAndCounters(t *testing.T) {
 	d := newDRAM()
 	r := d.Do(cache.Access{Addr: 0, Size: 64, Kind: cache.Read})
-	if r.Latency != 100 || r.ServedBy != "dram" {
-		t.Errorf("read = %+v, want latency 100 served by dram", r)
+	if r.Latency != 100 {
+		t.Errorf("read = %+v, want latency 100", r)
 	}
 	if r := d.Do(cache.Access{Addr: 64, Size: 64, Kind: cache.Writeback}); r.Latency != 0 {
 		t.Errorf("writeback latency = %v, want 0 (posted)", r.Latency)
@@ -61,20 +61,13 @@ func TestDemandWriteCountsAsLineFetch(t *testing.T) {
 	}
 }
 
-func TestPortLatencyOverrideAndAttribution(t *testing.T) {
+func TestPortAttribution(t *testing.T) {
 	d := newDRAM()
-	p := d.NewPort("gpu", 250)
-	r := p.Do(cache.Access{Addr: 0, Size: 64, Kind: cache.Read})
-	if r.Latency != 250 {
-		t.Errorf("port latency = %v, want 250", r.Latency)
+	p := d.NewPort("gpu")
+	if r := p.Do(cache.Access{Addr: 0, Size: 64, Kind: cache.Read}); r.Latency != 100 {
+		t.Errorf("port latency = %v, want device 100", r.Latency)
 	}
-	if r.ServedBy != "gpu" {
-		t.Errorf("served by %q, want gpu", r.ServedBy)
-	}
-	inherit := d.NewPort("cpu", -1)
-	if r := inherit.Do(cache.Access{Addr: 0, Size: 64, Kind: cache.Read}); r.Latency != 100 {
-		t.Errorf("inherit latency = %v, want device 100", r.Latency)
-	}
+	d.NewPort("cpu").Do(cache.Access{Addr: 0, Size: 64, Kind: cache.Read})
 	if d.Stats().Reads != 2 {
 		t.Errorf("device reads = %d, want 2 (both ports)", d.Stats().Reads)
 	}
@@ -85,7 +78,7 @@ func TestPortLatencyOverrideAndAttribution(t *testing.T) {
 
 func TestPortWritebackKeepsZeroLatency(t *testing.T) {
 	d := newDRAM()
-	p := d.NewPort("cpu", 123)
+	p := d.NewPort("cpu")
 	if r := p.Do(cache.Access{Addr: 0, Size: 64, Kind: cache.Writeback}); r.Latency != 0 {
 		t.Errorf("writeback via port latency = %v, want 0", r.Latency)
 	}
@@ -95,7 +88,7 @@ func TestUncachedPortWriteGoesToMemory(t *testing.T) {
 	d := newDRAM()
 	u := d.NewUncachedPortRW("pinned", 500, 50)
 	r := u.Do(cache.Access{Addr: 0, Size: 4, Kind: cache.Write})
-	if r.Latency != 50 || r.ServedBy != "pinned" {
+	if r.Latency != 50 {
 		t.Errorf("uncached write = %+v, want write-combined latency 50", r)
 	}
 	st := u.Stats()
@@ -109,7 +102,7 @@ func TestUncachedPortWriteGoesToMemory(t *testing.T) {
 
 func TestUncachedPortReads(t *testing.T) {
 	d := newDRAM()
-	u := d.NewUncachedPort("pinned", 500)
+	u := d.NewUncachedPortRW("pinned", 500, 50)
 	u.Do(cache.Access{Addr: 0, Size: 4, Kind: cache.Read})
 	if st := u.Stats(); st.Reads != 1 || st.BytesRead != 4 {
 		t.Errorf("uncached read accounting wrong: %+v", st)
@@ -118,14 +111,14 @@ func TestUncachedPortReads(t *testing.T) {
 
 func TestDegenerateAccesses(t *testing.T) {
 	d := newDRAM()
-	p := d.NewPort("p", -1)
-	u := d.NewUncachedPort("u", 10)
+	p := d.NewPort("p")
+	u := d.NewUncachedPortRW("u", 10, 1)
 	for _, r := range []cache.Result{
 		d.Do(cache.Access{Size: 0}),
 		p.Do(cache.Access{Size: -1}),
 		u.Do(cache.Access{Size: 0}),
 	} {
-		if r.Latency != 0 || r.ServedBy != "" {
+		if r != (cache.Result{}) {
 			t.Errorf("degenerate access produced %+v", r)
 		}
 	}
@@ -136,7 +129,7 @@ func TestDegenerateAccesses(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	d := newDRAM()
-	p := d.NewPort("p", -1)
+	p := d.NewPort("p")
 	p.Do(cache.Access{Addr: 0, Size: 64, Kind: cache.Read})
 	p.ResetStats()
 	d.ResetStats()
@@ -234,11 +227,11 @@ func TestAccessorsAndStatsAdd(t *testing.T) {
 	if d.Name() != "dram" || d.Config().Latency != 100 {
 		t.Error("device accessors wrong")
 	}
-	p := d.NewPort("cpu", -1)
+	p := d.NewPort("cpu")
 	if p.Name() != "cpu" {
 		t.Error("port name wrong")
 	}
-	u := d.NewUncachedPort("pin", 10)
+	u := d.NewUncachedPortRW("pin", 10, 1)
 	if u.Name() != "pin" {
 		t.Error("uncached port name wrong")
 	}

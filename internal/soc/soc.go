@@ -140,10 +140,10 @@ func New(cfg Config) *SoC {
 	dram := memdev.New(cfg.DRAM)
 
 	cpuUncached := dram.NewUncachedPortRW(cfg.Name+"/cpu-pinned", cfg.PinnedLatency, pinnedWriteLat(cfg))
-	cpuDRAM := dram.NewPort(cfg.Name+"/cpu-dram", -1)
+	cpuDRAM := dram.NewPort(cfg.Name + "/cpu-dram")
 	c := cpu.New(cfg.CPU, cpuDRAM, cpuUncached)
 
-	g := gpu.New(cfg.GPU, dram.NewPort(cfg.Name+"/gpu-dram", -1))
+	g := gpu.New(cfg.GPU, dram.NewPort(cfg.Name+"/gpu-dram"))
 
 	s := &SoC{
 		cfg:           cfg,
