@@ -1,6 +1,5 @@
 # Developer entry points; `make ci` runs every job of
-# .github/workflows/ci.yml. The CI gate job also re-runs vet and -race on
-# the telemetry, heatmap and advisord packages and smokes the disabled-fault
+# .github/workflows/ci.yml. The CI gate job also smokes the disabled-fault
 # overhead benchmark.
 
 GO ?= go

@@ -46,9 +46,8 @@ import (
 
 // statusDoc mirrors advisord's /admin/v1/status payload.
 type statusDoc struct {
-	Fleet       fleet.Stats                     `json:"fleet"`
-	Cache       engine.MemoStats                `json:"cache"`
-	CacheByRole map[string]engine.MemoRoleStats `json:"cache_by_role"`
+	Fleet fleet.Stats      `json:"fleet"`
+	Cache engine.MemoStats `json:"cache"`
 }
 
 // ringDoc mirrors advisord's /admin/v1/ring payload.

@@ -40,7 +40,7 @@ func startShard(t *testing.T, id string) *shardHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.Options{Workers: 1, KeyRole: st.KeyRole})
+	eng := engine.New(engine.Options{Workers: 1})
 	srv := advisord.New(eng, advisord.Options{
 		Params: microbench.TestParams(),
 		Scale:  catalog.Quick,

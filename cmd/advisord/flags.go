@@ -52,8 +52,8 @@ func parseConfig(args []string) (*config, error) {
 	fs := flag.NewFlagSet("advisord", flag.ContinueOnError)
 	fs.StringVar(&c.addr, "addr", ":8025", "listen address")
 	fs.IntVar(&c.workers, "workers", 0, "simulation parallelism (0 = GOMAXPROCS)")
-	fs.IntVar(&c.cacheEntries, "cache-entries", 64, "characterization cache capacity")
-	fs.DurationVar(&c.ttl, "ttl", 0, "characterization TTL (0 = never expires)")
+	fs.IntVar(&c.cacheEntries, "cache-entries", 64, "capacity of each engine memo (characterizations, MB1 results, recommendations)")
+	fs.DurationVar(&c.ttl, "ttl", 0, "TTL of every engine memo's entries (0 = never expires)")
 	fs.BoolVar(&c.quick, "quick", false, "reduced micro-benchmark and workload scale")
 	fs.StringVar(&c.cacheDir, "cache-dir", "", "warm-start directory: load cached characterizations at boot, persist new ones")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (empty: disabled)")

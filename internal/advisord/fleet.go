@@ -80,8 +80,6 @@ type adminStatus struct {
 	Fleet fleet.Stats `json:"fleet"`
 	// Cache is the characterization cache snapshot.
 	Cache engine.MemoStats `json:"cache"`
-	// CacheByRole splits the cache by shard role (owned vs remote).
-	CacheByRole map[string]engine.MemoRoleStats `json:"cache_by_role,omitempty"`
 }
 
 // adminRing is the /admin/v1/ring payload: the topology plus each shard's
@@ -141,11 +139,9 @@ func (s *Server) handleAdminStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET /admin/v1/status")
 		return
 	}
-	st := s.eng.Stats()
 	writeJSON(w, http.StatusOK, adminStatus{
-		Fleet:       s.fleet.Stats(),
-		Cache:       st.Characterizations,
-		CacheByRole: st.CharacterizationsByRole,
+		Fleet: s.fleet.Stats(),
+		Cache: s.eng.Stats().Characterizations,
 	})
 }
 

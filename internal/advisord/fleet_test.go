@@ -50,14 +50,14 @@ func seedSynthEntries(t *testing.T, eng *engine.Engine, n int) []string {
 }
 
 // fleetTestServer builds one shard's server (data plane + admin plane) over
-// a fresh engine wired for per-role accounting.
+// a fresh engine.
 func fleetTestServer(t *testing.T, self string, shards []fleet.Shard) (*Server, *fleet.State, *engine.Engine, *httptest.Server, *httptest.Server) {
 	t.Helper()
 	st, err := fleet.NewState(self, shards, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.Options{Workers: 2, KeyRole: st.KeyRole})
+	eng := engine.New(engine.Options{Workers: 2})
 	srv := New(eng, Options{
 		Params: microbench.TestParams(),
 		Scale:  catalog.Quick,
@@ -297,8 +297,8 @@ func TestFleetAdminRebalance(t *testing.T) {
 	}
 }
 
-// /statusz grows a fleet section and per-role cache counters; /metrics grows
-// the igpucomm_fleet_* family; /admin/v1/ring reports shares that sum to 1.
+// /statusz grows a fleet section; /metrics grows the igpucomm_fleet_*
+// family; /admin/v1/ring reports shares that sum to 1.
 func TestFleetStatuszMetricsAndRing(t *testing.T) {
 	shards := []fleet.Shard{
 		{ID: "shard-a", URL: "http://a.test"},
@@ -317,9 +317,6 @@ func TestFleetStatuszMetricsAndRing(t *testing.T) {
 	st.NoteServed(remoteKey)
 
 	var status struct {
-		Engine struct {
-			CharacterizationsByRole map[string]engine.MemoRoleStats `json:"characterizations_by_role"`
-		} `json:"engine"`
 		Fleet *fleet.Stats `json:"fleet"`
 	}
 	getJSON(t, data.URL+"/statusz", &status)
@@ -328,17 +325,6 @@ func TestFleetStatuszMetricsAndRing(t *testing.T) {
 	}
 	if status.Fleet.ReroutesReceived != 1 {
 		t.Fatalf("reroutes_received = %d, want 1", status.Fleet.ReroutesReceived)
-	}
-	roles := status.Engine.CharacterizationsByRole
-	if roles == nil {
-		t.Fatal("statusz missing characterizations_by_role")
-	}
-	entries := 0
-	for _, r := range roles {
-		entries += r.Entries
-	}
-	if entries != 20 {
-		t.Fatalf("per-role entries sum to %d, want 20", entries)
 	}
 
 	metricsResp, err := http.Get(data.URL + "/metrics")
@@ -383,20 +369,13 @@ func TestFleetStatuszMetricsAndRing(t *testing.T) {
 }
 
 // Without Options.Fleet the new surface must be absent and /statusz
-// byte-compatible: no fleet key, no per-role key, 404 on the fleet routes.
+// byte-compatible: no fleet key, 404 on the fleet routes.
 func TestNoFleetKeepsLegacySurface(t *testing.T) {
 	_, ts := testServer(t)
 	var raw map[string]json.RawMessage
 	getJSON(t, ts.URL+"/statusz", &raw)
 	if _, ok := raw["fleet"]; ok {
 		t.Fatal("statusz has a fleet section without a fleet")
-	}
-	var eng map[string]json.RawMessage
-	if err := json.Unmarshal(raw["engine"], &eng); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := eng["characterizations_by_role"]; ok {
-		t.Fatal("statusz has per-role counters without a classifier")
 	}
 	for _, path := range []string{"/v1/fleet/topology", "/v1/cache/export"} {
 		resp, err := http.Get(ts.URL + path)

@@ -114,6 +114,8 @@ func newServerMetrics(eng *engine.Engine, clock simnet.Clock, start time.Time, i
 		func() engine.MemoStats { return eng.Stats().Characterizations })
 	registerCacheMetrics(reg, "mb1", "MB1",
 		func() engine.MemoStats { return eng.Stats().MB1 })
+	registerCacheMetrics(reg, "advice", "advice",
+		func() engine.MemoStats { return eng.Stats().Advice })
 
 	if fl != nil {
 		reg.GaugeFunc(metricFleetRingSize,
@@ -161,7 +163,7 @@ func registerCacheMetrics(reg *telemetry.Registry, cache, what string, stats fun
 	}
 	for _, c := range counters {
 		c := c
-		//igpulint:ignore metricname per-cache family: constant prefix ("mb1"/"mb3") + constant table entries, format-checked by TestMetricsRegisterCacheFamilies
+		//igpulint:ignore metricname per-cache family: constant prefix ("char"/"mb1"/"advice") + constant table entries, format-checked by TestMetricsRegisterCacheFamilies
 		reg.CounterFunc(prefix+c.name,
 			fmt.Sprintf("%s cache: %s.", what, c.help),
 			func() float64 { return c.get(stats()) })

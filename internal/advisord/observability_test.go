@@ -82,6 +82,8 @@ func TestMetricsRegisterCacheFamilies(t *testing.T) {
 		func() engine.MemoStats { return engine.MemoStats{} })
 	registerCacheMetrics(reg, "mb1", "MB1",
 		func() engine.MemoStats { return engine.MemoStats{} })
+	registerCacheMetrics(reg, "advice", "advice",
+		func() engine.MemoStats { return engine.MemoStats{} })
 
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -94,10 +96,10 @@ func TestMetricsRegisterCacheFamilies(t *testing.T) {
 		}
 		names[strings.Fields(line)[2]] = true
 	}
-	if len(names) != 16 {
-		t.Fatalf("expected 16 metric families (8 per cache), got %d: %v", len(names), names)
+	if len(names) != 24 {
+		t.Fatalf("expected 24 metric families (8 per cache), got %d: %v", len(names), names)
 	}
-	shape := regexp.MustCompile(`^igpucomm_engine_(char|mb1)_cache_[a-z0-9]+(_[a-z0-9]+)*$`)
+	shape := regexp.MustCompile(`^igpucomm_engine_(char|mb1|advice)_cache_[a-z0-9]+(_[a-z0-9]+)*$`)
 	for name := range names {
 		if !shape.MatchString(name) {
 			t.Errorf("metric %q escapes the igpucomm_engine_<cache>_cache_* family", name)

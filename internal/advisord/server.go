@@ -76,8 +76,7 @@ type Options struct {
 	// Fleet, when non-nil, makes this server one shard of a sharded
 	// advisord fleet: the topology and cache-export routes appear, the
 	// drain gate sheds /v1 traffic while draining, fleet metrics register,
-	// and AdminHandler serves the advisorctl surface. Install the same
-	// State's KeyRole on the engine for per-role cache accounting.
+	// and AdminHandler serves the advisorctl surface.
 	Fleet *fleet.State
 }
 
@@ -124,16 +123,6 @@ type Server struct {
 	// execution count already on disk.
 	persistMu sync.Mutex
 	lastSaved uint64
-
-	// adviceMu guards adviceMemo, the per-server memo of successful
-	// non-degraded recommendations. The key (characterization cache key +
-	// workload name + current model) is a complete identity here — one
-	// server runs one Params and one Scale, so a workload name denotes
-	// exactly one workload — which makes re-profiling a repeated question
-	// pure waste. Degraded answers are never memoized: they depend on
-	// transient failure state, not on the question.
-	adviceMu   sync.Mutex
-	adviceMemo map[string]framework.Recommendation
 }
 
 // New builds a server answering with the given engine under the given
@@ -153,8 +142,6 @@ func New(eng *engine.Engine, opt Options) *Server {
 		breaker: br,
 		admit:   newAdmission(opt.MaxConcurrent, opt.MaxQueue),
 		fleet:   opt.Fleet,
-
-		adviceMemo: make(map[string]framework.Recommendation),
 	}
 }
 
@@ -312,8 +299,7 @@ type statuszResponse struct {
 	Engine        engine.Stats     `json:"engine"`
 	Resilience    resilienceStatus `json:"resilience"`
 	// Fleet is the shard's fleet counter snapshot, absent outside a fleet
-	// so the pre-fleet JSON shape is unchanged. Per-role cache counters
-	// live under engine.characterizations_by_role.
+	// so the pre-fleet JSON shape is unchanged.
 	Fleet *fleet.Stats `json:"fleet,omitempty"`
 }
 
@@ -420,9 +406,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 }
 
 // adviseOne answers one advisory request through the resilience layer:
-// breaker-guarded characterization, then profile-and-decide; any failure on
-// that path falls back to degraded heuristic advice so the caller always
-// gets an answer or a typed error.
+// breaker-guarded characterization, then profile-and-decide (memoized by the
+// engine); any failure on that path falls back to degraded heuristic advice
+// so the caller always gets an answer or a typed error. Degraded answers
+// stay outside the engine's memo: they depend on transient failure state,
+// not on the question.
 func (s *Server) adviseOne(ctx context.Context, req engine.Request) AdviseResult {
 	done, ok := s.breaker.Allow()
 	if !ok {
@@ -438,16 +426,6 @@ func (s *Server) adviseOne(ctx context.Context, req engine.Request) AdviseResult
 	if err != nil {
 		return s.degraded(ctx, req, fmt.Sprintf("characterization failed: %v", err))
 	}
-	memoKey := ""
-	if key, kerr := engine.CacheKey(req.Config, req.Params); kerr == nil {
-		memoKey = key + "|" + req.Workload.Name + "|" + req.Current
-		s.adviceMu.Lock()
-		rec, ok := s.adviceMemo[memoKey]
-		s.adviceMu.Unlock()
-		if ok {
-			return AdviseResult{Recommendation: &rec, Zone: rec.Zone.String()}
-		}
-	}
 	var rec framework.Recommendation
 	err = guard(func() error {
 		var err error
@@ -457,41 +435,31 @@ func (s *Server) adviseOne(ctx context.Context, req engine.Request) AdviseResult
 	if err != nil {
 		return s.degraded(ctx, req, fmt.Sprintf("advice failed: %v", err))
 	}
-	if memoKey != "" {
-		s.adviceMu.Lock()
-		if len(s.adviceMemo) >= adviceMemoCap {
-			// The population is bounded by devices x apps x models in any
-			// real deployment; hitting the cap means pathological inputs,
-			// and a reset is cheaper than an eviction policy.
-			s.adviceMemo = make(map[string]framework.Recommendation)
-		}
-		s.adviceMemo[memoKey] = rec
-		s.adviceMu.Unlock()
-	}
 	return AdviseResult{Recommendation: &rec, Zone: rec.Zone.String()}
 }
-
-// adviceMemoCap bounds the advice memo; see adviseOne.
-const adviceMemoCap = 4096
 
 // degraded answers from the threshold-only heuristic, marking the result so
 // callers know it carries no measured speedup, and annotating the request's
 // trace with the reason.
 func (s *Server) degraded(ctx context.Context, req engine.Request, reason string) AdviseResult {
-	rec, err := framework.HeuristicAdvise(req.Config, req.Workload, req.Current)
+	var rec framework.Recommendation
+	w, err := catalog.ByName(req.App, req.Scale)
+	if err == nil {
+		rec, err = framework.HeuristicAdvise(req.Config, w, req.Current)
+	}
 	if err != nil {
-		// Even the fallback needs a valid current model; this is a caller
-		// mistake, not an engine failure.
+		// Even the fallback needs a valid app and current model; this is a
+		// caller mistake, not an engine failure.
 		return AdviseResult{Error: err.Error(), ErrorKind: "invalid_request"}
 	}
 	s.metrics.degraded.Inc()
 	_, span := telemetry.Start(ctx, "advisord.degraded",
 		telemetry.String("device", req.Config.Name),
-		telemetry.String("workload", req.Workload.Name))
+		telemetry.String("workload", req.App))
 	span.SetAttr("degraded", reason)
 	span.End()
 	s.log.Warn("degraded advice", "device", req.Config.Name,
-		"workload", req.Workload.Name, "reason", reason)
+		"workload", req.App, "reason", reason)
 	return AdviseResult{
 		Recommendation: &rec,
 		Zone:           rec.Zone.String(),
@@ -517,15 +485,14 @@ func (s *Server) toEngineRequest(ar AdviseRequest) (engine.Request, error) {
 	if err != nil {
 		return engine.Request{}, err
 	}
-	wl, err := catalog.ByName(ar.App, s.opt.Scale)
-	if err != nil {
+	if _, err := catalog.ByName(ar.App, s.opt.Scale); err != nil {
 		return engine.Request{}, err
 	}
 	current := ar.Current
 	if current == "" {
 		current = "sc"
 	}
-	return engine.Request{Config: cfg, Params: s.opt.Params, Workload: wl, Current: current}, nil
+	return engine.Request{Config: cfg, Params: s.opt.Params, App: ar.App, Scale: s.opt.Scale, Current: current}, nil
 }
 
 // handleCharacterize serves the (cached) device characterization in the

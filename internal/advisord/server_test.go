@@ -10,13 +10,17 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/engine"
+	"igpucomm/internal/faults"
 	"igpucomm/internal/framework"
 	"igpucomm/internal/microbench"
+	"igpucomm/internal/simnet"
+	"igpucomm/internal/telemetry"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
@@ -351,9 +355,9 @@ func TestHeatmapEndpointRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// Repeating a question must be answered from the advice memo: the engine
-// sees new requests (its own stats count them) but no new simulation work,
-// and the answer is byte-identical.
+// Repeating a question must be answered from the engine's advice memo: the
+// engine counts the request but runs no new profile, and the answer is
+// byte-identical.
 func TestAdviseMemoServesRepeatedQuestions(t *testing.T) {
 	srv, ts := testServer(t)
 	req := AdviseBody{Requests: []AdviseRequest{
@@ -363,11 +367,8 @@ func TestAdviseMemoServesRepeatedQuestions(t *testing.T) {
 	if first.Results[0].Error != "" {
 		t.Fatalf("first advise failed: %s", first.Results[0].Error)
 	}
-	srv.adviceMu.Lock()
-	memoSize := len(srv.adviceMemo)
-	srv.adviceMu.Unlock()
-	if memoSize != 1 {
-		t.Fatalf("advice memo holds %d entries after one advise, want 1", memoSize)
+	if a := srv.eng.Stats().Advice; a.Executions != 1 || a.Entries != 1 {
+		t.Fatalf("advice memo after one advise = %+v, want 1 execution / 1 entry", a)
 	}
 	second := postAdvise(t, ts, req)
 	a, _ := json.Marshal(first.Results[0])
@@ -375,15 +376,80 @@ func TestAdviseMemoServesRepeatedQuestions(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("memoized answer differs:\n first %s\nsecond %s", a, b)
 	}
+	if st := srv.eng.Stats(); st.Advice.Executions != 1 || st.Advice.Hits != 1 || st.Requests != 2 {
+		t.Fatalf("after a repeat: requests %d, advice %+v, want 2 requests, 1 execution, 1 hit", st.Requests, st.Advice)
+	}
 	// A different current model is a different question and must get its
 	// own memo entry, not the cached answer for "sc".
 	postAdvise(t, ts, AdviseBody{Requests: []AdviseRequest{
 		{Device: devices.TX2Name, App: "shwfs", Current: "zc"},
 	}})
-	srv.adviceMu.Lock()
-	memoSize = len(srv.adviceMemo)
-	srv.adviceMu.Unlock()
-	if memoSize != 2 {
-		t.Fatalf("advice memo holds %d entries, want 2 (distinct current model is a distinct question)", memoSize)
+	if a := srv.eng.Stats().Advice; a.Executions != 2 || a.Entries != 2 {
+		t.Fatalf("advice memo = %+v, want 2 executions / 2 entries (distinct current model is a distinct question)", a)
+	}
+}
+
+// A question repeated within one batch runs one profile: the duplicate
+// shares the in-flight execution.
+func TestAdviseBatchSharesDuplicateQuestion(t *testing.T) {
+	srv, ts := testServer(t)
+	// Slow the one profiling run so the duplicate surely finds it in flight.
+	if err := faults.Activate(faults.NewPlan(1, faults.Rule{
+		Point: "profile.collect", Mode: faults.ModeLatency, Delay: 300 * time.Millisecond, Every: 1, Count: 1,
+	})); err != nil {
+		t.Fatal(err)
+	}
+	defer faults.ResetInjected()
+	defer faults.Deactivate()
+	q := AdviseRequest{Device: devices.TX2Name, App: "shwfs", Current: "sc"}
+	resp := postAdvise(t, ts, AdviseBody{Requests: []AdviseRequest{q, q}})
+	for i, r := range resp.Results {
+		if r.Error != "" || r.Degraded || r.Recommendation == nil {
+			t.Fatalf("result %d = %+v, want a measured recommendation", i, r)
+		}
+	}
+	if a := srv.eng.Stats().Advice; a.Executions != 1 || a.Shared != 1 {
+		t.Fatalf("advice memo = %+v, want 1 execution / 1 shared", a)
+	}
+}
+
+// Advice obeys the engine's TTL: under a virtual clock, a repeated question
+// is a memo hit until the TTL lapses and is profiled again after. Profiling
+// runs are counted from the request traces' framework.advise spans.
+func TestAdviceMemoExpiresUnderTTL(t *testing.T) {
+	sim := simnet.NewSimAt(time.Unix(1000, 0))
+	eng := engine.New(engine.Options{Workers: 2, TTL: time.Minute, Clock: sim})
+	srv := New(eng, Options{Params: microbench.TestParams(), Scale: catalog.Quick, Logger: testLogger()})
+	tr := telemetry.NewTracer(telemetry.TracerOptions{})
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r.WithContext(telemetry.WithTracer(r.Context(), tr)))
+	}))
+	t.Cleanup(ts.Close)
+	profiles := func() int {
+		n := 0
+		for _, sp := range tr.Spans() {
+			if sp.Name == "framework.advise" {
+				n++
+			}
+		}
+		return n
+	}
+	req := AdviseBody{Requests: []AdviseRequest{{Device: devices.TX2Name, App: "shwfs", Current: "sc"}}}
+	for _, step := range []struct {
+		advance time.Duration
+		want    int
+	}{
+		{0, 1},
+		{59 * time.Second, 1},
+		{2 * time.Second, 2}, // 61 s after the answer was memoized
+	} {
+		sim.Advance(step.advance)
+		if r := postAdvise(t, ts, req).Results[0]; r.Error != "" || r.Degraded {
+			t.Fatalf("advise = %+v", r)
+		}
+		if got := profiles(); got != step.want {
+			t.Fatalf("after advancing %v: %d profiling runs, want %d", step.advance, got, step.want)
+		}
 	}
 }

@@ -160,13 +160,8 @@ func loadReference() (*reference, error) {
 				return
 			}
 			ref.chars[cfg.Name] = charEntry{key: key, char: char}
-			wl, err := catalog.ByName(dstApp, catalog.Micro)
-			if err != nil {
-				refErr = err
-				return
-			}
 			rec, err := eng.AdviseWith(ctx, char, engine.Request{
-				Config: cfg, Params: params, Workload: wl, Current: "sc",
+				Config: cfg, Params: params, App: dstApp, Scale: catalog.Micro, Current: "sc",
 			})
 			if err != nil {
 				refErr = err
@@ -381,7 +376,6 @@ func (r *runner) bootShard(i int, withFreight bool) (*shard, error) {
 		Workers:      2,
 		CacheEntries: 4096,
 		Clock:        r.sim,
-		KeyRole:      st.KeyRole,
 	})
 	for _, ce := range r.ref.chars {
 		eng.CachePut(ce.key, ce.char)

@@ -25,12 +25,8 @@ func sweepRequests(b *testing.B, p microbench.Params) []Request {
 	var reqs []Request
 	for _, cfg := range devices.All() {
 		for _, app := range catalog.Names() {
-			w, err := catalog.ByName(app, catalog.Quick)
-			if err != nil {
-				b.Fatal(err)
-			}
 			for _, cur := range []string{"sc", "um", "zc"} {
-				reqs = append(reqs, Request{Config: cfg, Params: p, Workload: w, Current: cur})
+				reqs = append(reqs, Request{Config: cfg, Params: p, App: app, Scale: catalog.Quick, Current: cur})
 			}
 		}
 	}
@@ -47,7 +43,11 @@ func BenchmarkSweepSerial(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := framework.AdviseWorkload(context.Background(), char, soc.New(req.Config), req.Workload, req.Current); err != nil {
+			w, err := catalog.ByName(req.App, req.Scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := framework.AdviseWorkload(context.Background(), char, soc.New(req.Config), w, req.Current); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -68,8 +68,10 @@ func BenchmarkSweepEngine(b *testing.B) {
 
 // The cold/warm pair isolates what the cache is worth under the paper's real
 // micro-benchmark scale (DefaultParams — the characterization that dominates
-// a cold request). Cold rebuilds the engine every iteration; warm reuses one
-// whose cache already holds all three devices, so only profiling remains.
+// a cold request). Cold rebuilds the engine every iteration; warm seeds a
+// fresh engine each iteration with the primed engine's three device
+// characterizations (CacheExport into CachePut), so characterizations hit
+// and only profiling remains — the advice memo starts empty.
 
 func BenchmarkAdviseBatchCold(b *testing.B) {
 	p := microbench.DefaultParams()
@@ -86,12 +88,17 @@ func BenchmarkAdviseBatchCold(b *testing.B) {
 func BenchmarkAdviseBatchWarm(b *testing.B) {
 	p := microbench.DefaultParams()
 	reqs := sweepRequests(b, p)
-	e := New(Options{})
-	if _, err := adviseBatch(context.Background(), e, reqs); err != nil { // prime the cache
+	primed := New(Options{})
+	if _, err := adviseBatch(context.Background(), primed, reqs); err != nil {
 		b.Fatal(err)
 	}
+	chars := primed.CacheExport()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		e := New(Options{})
+		for key, char := range chars {
+			e.CachePut(key, char)
+		}
 		if _, err := adviseBatch(context.Background(), e, reqs); err != nil {
 			b.Fatal(err)
 		}

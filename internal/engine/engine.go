@@ -1,10 +1,11 @@
 // Package engine is the repo's parallel execution and advisory engine: a
 // bounded worker pool that fans device characterization and model
-// exploration out across cloned platforms, an LRU+TTL memo cache (with
-// singleflight deduplication) for the expensive application-independent
-// characterizations, and the profile-and-decide step on top — the machinery
-// that turns the paper's one-shot tuning flow (Fig 2) into something that
-// can serve sustained advisory traffic.
+// exploration out across cloned platforms, and LRU+TTL memo caches (with
+// singleflight deduplication) for the two pure functions of the paper's
+// flow — the application-independent device characterization and the
+// profile-and-decide recommendation on top of it (plus MB1 alone, for
+// calibration) — the machinery that turns the paper's one-shot tuning flow
+// (Fig 2) into something that can serve sustained advisory traffic.
 //
 // Correctness contract: the engine runs the framework's plans and only swaps
 // the executor. Characterization is microbench.Characterize, exploration
@@ -21,9 +22,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/faults"
 	"igpucomm/internal/framework"
@@ -55,20 +58,15 @@ type Options struct {
 	Workers int
 	// CacheEntries is the LRU capacity of each memo cache (<=0: 64).
 	CacheEntries int
-	// TTL expires cached characterizations this long after insertion
-	// (0: never). Characterizations are pure functions of (config,
-	// params), so the TTL exists for operational hygiene — bounding how
-	// long a service trusts any one simulation — not for correctness.
+	// TTL expires every memo cache's entries this long after insertion
+	// (0: never). Characterizations and recommendations are pure functions
+	// of their inputs, so the TTL exists for operational hygiene —
+	// bounding how long a service trusts any one simulation — not for
+	// correctness.
 	TTL time.Duration
 	// Clock is the time source for TTL bookkeeping (nil: simnet.Real()).
 	// The DST harness injects a virtual clock here.
 	Clock simnet.Clock
-	// KeyRole classifies a characterization cache key for per-role
-	// accounting (nil: no role tracking). Fleet deployments install the
-	// shard's fleet.State.KeyRole here so /statusz reports cache entries
-	// and hit rates split into owned vs remote keys. The classifier is
-	// called outside the cache lock and must be safe for concurrent use.
-	KeyRole func(key string) string
 }
 
 // Engine executes characterizations, explorations and advisory requests with
@@ -79,6 +77,7 @@ type Engine struct {
 	pool    *socPool
 	chars   *memo[framework.Characterization]
 	mb1s    *memo[microbench.MB1Result]
+	advice  *memo[framework.Recommendation]
 
 	requests     atomic.Uint64
 	batches      atomic.Uint64
@@ -93,16 +92,13 @@ func New(o Options) *Engine {
 	if o.Clock == nil {
 		o.Clock = simnet.Real()
 	}
-	chars := newMemo[framework.Characterization](o.CacheEntries, o.TTL, o.Clock.Now)
-	// Only the characterization cache is sharded across a fleet; MB1
-	// memoization stays process-local.
-	chars.role = o.KeyRole
 	return &Engine{
 		workers: o.Workers,
 		sem:     make(sem, o.Workers),
 		pool:    newSocPool(o.Workers),
-		chars:   chars,
+		chars:   newMemo[framework.Characterization](o.CacheEntries, o.TTL, o.Clock.Now),
 		mb1s:    newMemo[microbench.MB1Result](o.CacheEntries, o.TTL, o.Clock.Now),
+		advice:  newMemo[framework.Recommendation](o.CacheEntries, o.TTL, o.Clock.Now),
 	}
 }
 
@@ -115,30 +111,29 @@ func (e *Engine) PoolInUse() int { return len(e.sem) }
 
 // Stats is the engine's counter snapshot (served by advisord's /statusz).
 type Stats struct {
-	Workers           int       `json:"workers"`
+	Workers int `json:"workers"`
+	// Requests counts AdviseWith calls, hit or miss; Advice.Executions
+	// counts the profiling runs among them.
 	Requests          uint64    `json:"requests"`
 	Batches           uint64    `json:"batches"`
 	Characterizations MemoStats `json:"characterizations"`
 	MB1               MemoStats `json:"mb1"`
+	Advice            MemoStats `json:"advice"`
 	// CacheCorruptEntries counts persisted cache entries quarantined at
 	// warm start (checksum mismatch or undecodable payload).
 	CacheCorruptEntries uint64 `json:"cache_corrupt_entries"`
-	// CharacterizationsByRole splits the characterization cache's counters
-	// by shard role (Options.KeyRole). Absent — keeping the pre-fleet JSON
-	// shape — when no classifier is installed.
-	CharacterizationsByRole map[string]MemoRoleStats `json:"characterizations_by_role,omitempty"`
 }
 
 // Stats snapshots the engine's counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Workers:                 e.workers,
-		Requests:                e.requests.Load(),
-		Batches:                 e.batches.Load(),
-		Characterizations:       e.chars.snapshot(),
-		MB1:                     e.mb1s.snapshot(),
-		CacheCorruptEntries:     e.cacheCorrupt.Load(),
-		CharacterizationsByRole: e.chars.snapshotRoles(),
+		Workers:             e.workers,
+		Requests:            e.requests.Load(),
+		Batches:             e.batches.Load(),
+		Characterizations:   e.chars.snapshot(),
+		MB1:                 e.mb1s.snapshot(),
+		Advice:              e.advice.snapshot(),
+		CacheCorruptEntries: e.cacheCorrupt.Load(),
 	}
 }
 
@@ -280,30 +275,48 @@ func withHeat(run microbench.Runner) microbench.Runner {
 	}
 }
 
-// Request is one advisory question: which communication model should this
-// workload use on this platform, given it currently uses Current?
+// Request is one advisory question: which communication model should the
+// named catalog application, at the given scale, use on this platform,
+// given it currently uses Current? Naming the workload (rather than
+// carrying its closures) gives the question an identity the advice memo
+// can key on.
 type Request struct {
-	Config   soc.Config
-	Params   microbench.Params
-	Workload comm.Workload
-	Current  string
+	Config  soc.Config
+	Params  microbench.Params
+	App     string
+	Scale   catalog.Scale
+	Current string
 }
 
 // AdviseWith answers a request against a characterization the caller already
-// holds (from Characterize): framework.AdviseOn on pooled clones, so each
-// profiling run gets its own platform under the engine's worker bound.
-// advisord's resilience layer calls the two separately so characterization
+// holds (from Characterize for the same Config and Params), from the advice
+// memo when possible. A miss resolves the workload with catalog.ByName and
+// runs framework.AdviseOn on pooled clones, so each profiling run gets its
+// own platform under the engine's worker bound; concurrent misses for one
+// question share that run, and errors are not cached. advisord's resilience
+// layer calls Characterize and AdviseWith separately so characterization
 // failures (which feed the circuit breaker) stay apart from profiling
 // failures (which fall back to degraded-mode advice).
 func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization, req Request) (framework.Recommendation, error) {
 	e.requests.Add(1)
+	key, err := CacheKey(req.Config, req.Params)
+	if err != nil {
+		return framework.Recommendation{}, err
+	}
 	ctx, span := telemetry.Start(ctx, "engine.advise",
 		telemetry.String("device", req.Config.Name),
-		telemetry.String("workload", req.Workload.Name),
+		telemetry.String("workload", req.App),
 		telemetry.String("current", req.Current))
 	defer span.End()
-	rec, _, _, err := framework.AdviseOn(ctx, char, req.Workload, req.Current, e.onClones(req.Config))
-	return rec, err
+	key += "|" + req.App + "|" + strconv.Itoa(int(req.Scale)) + "|" + req.Current
+	return e.advice.do(ctx, key, func() (framework.Recommendation, error) {
+		w, err := catalog.ByName(req.App, req.Scale)
+		if err != nil {
+			return framework.Recommendation{}, fmt.Errorf("engine: %w", err)
+		}
+		rec, _, _, err := framework.AdviseOn(ctx, char, w, req.Current, e.onClones(req.Config))
+		return rec, err
+	})
 }
 
 // NoteBatch counts one advisory batch: advisord calls it once per

@@ -110,7 +110,7 @@ func TestGoldenAdviseMatchesSerial(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						par, err := advise(context.Background(), e, Request{Config: cfg, Params: p, Workload: w, Current: current})
+						par, err := advise(context.Background(), e, Request{Config: cfg, Params: p, App: app, Scale: catalog.Quick, Current: current})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -178,7 +178,7 @@ func TestPlanErrorsMatchSerial(t *testing.T) {
 	defer faults.Deactivate()
 	char := framework.Characterization{Platform: cfg.Name}
 	_, serial = framework.AdviseWorkload(context.Background(), char, soc.New(cfg), w, "zc")
-	_, par = e.AdviseWith(context.Background(), char, Request{Config: cfg, Workload: w, Current: "zc"})
+	_, par = e.AdviseWith(context.Background(), char, Request{Config: cfg, App: "shwfs", Scale: catalog.Micro, Current: "zc"})
 	if serial == nil || !strings.Contains(serial.Error(), "classification profile") ||
 		par == nil || par.Error() != serial.Error() {
 		t.Errorf("advise errors: serial %v, engine %v", serial, par)

@@ -9,23 +9,6 @@ import (
 	"igpucomm/internal/telemetry"
 )
 
-// MemoRoleStats is one role's slice of a memo cache's counters — fleet
-// deployments classify each cache key by shard role (owned vs remote) so
-// /statusz can show whether a replica's hit rate comes from keys it owns or
-// from fallback traffic.
-type MemoRoleStats struct {
-	// Hits and Misses are the lookups for keys of this role.
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Entries is the number of live cached values whose key currently
-	// classifies as this role. Classification follows the live ring, so a
-	// membership change moves entries between roles without re-counting
-	// lookups.
-	Entries int `json:"entries"`
-	// HitRate is Hits/(Hits+Misses), 0 with no lookups.
-	HitRate float64 `json:"hit_rate"`
-}
-
 // MemoStats is one memo cache's counter snapshot, served by /statusz.
 type MemoStats struct {
 	// Hits are requests served from the cache.
@@ -68,21 +51,14 @@ type memoEntry[V any] struct {
 // values are retained until capacity or TTL turns them out. Safe for
 // concurrent use. Errors are never cached.
 type memo[V any] struct {
-	// role classifies a key for per-role accounting (nil: no role
-	// tracking). It is always called outside the memo lock — it may take
-	// other locks of its own (the fleet ring's, for one).
-	role func(key string) string
-
-	mu         sync.Mutex
-	capacity   int
-	ttl        time.Duration
-	now        func() time.Time
-	order      *list.List // front = most recently used
-	entries    map[string]*list.Element
-	inflight   map[string]*flight[V]
-	stats      MemoStats
-	roleHits   map[string]uint64
-	roleMisses map[string]uint64
+	mu       sync.Mutex
+	capacity int
+	ttl      time.Duration
+	now      func() time.Time
+	order    *list.List // front = most recently used
+	entries  map[string]*list.Element
+	inflight map[string]*flight[V]
+	stats    MemoStats
 }
 
 // newMemo builds a cache; now must be non-nil (the engine passes its
@@ -91,17 +67,14 @@ func newMemo[V any](capacity int, ttl time.Duration, now func() time.Time) *memo
 	if capacity <= 0 {
 		capacity = 64
 	}
-	m := &memo[V]{
-		capacity:   capacity,
-		ttl:        ttl,
-		now:        now,
-		order:      list.New(),
-		entries:    make(map[string]*list.Element),
-		inflight:   make(map[string]*flight[V]),
-		roleHits:   make(map[string]uint64),
-		roleMisses: make(map[string]uint64),
+	return &memo[V]{
+		capacity: capacity,
+		ttl:      ttl,
+		now:      now,
+		order:    list.New(),
+		entries:  make(map[string]*list.Element),
+		inflight: make(map[string]*flight[V]),
 	}
-	return m
 }
 
 func (m *memo[V]) lock()   { m.mu.Lock() }
@@ -161,37 +134,32 @@ func (m *memo[V]) put(key string, val V) {
 
 // do returns the cached value for key, or computes it via fn. Concurrent
 // calls for one key share a single fn execution; its error is delivered to
-// every sharer and not cached. The context's current span (if any) is
-// annotated with the cache outcome: hit, shared (singleflight piggyback) or
-// miss (this call executed).
+// every sharer and not cached. A panic in fn is recovered into a
+// *PanicError and delivered the same way, so the key's flight always ends.
+// A sharer whose own context ends first stops waiting and returns ctx.Err().
+// The context's current span (if any) is annotated with the cache outcome:
+// hit, shared (singleflight piggyback) or miss (this call executed).
 func (m *memo[V]) do(ctx context.Context, key string, fn func() (V, error)) (V, error) {
 	span := telemetry.SpanFrom(ctx)
-	role := ""
-	if m.role != nil {
-		// Classified before taking the memo lock: the classifier may lock
-		// the fleet ring, and lock order must stay one-way.
-		role = m.role(key)
-	}
 	m.lock()
 	if v, ok := m.lookupLocked(key); ok {
 		m.stats.Hits++
-		if role != "" {
-			m.roleHits[role]++
-		}
 		m.unlock()
 		span.SetAttr("cache", "hit")
 		return v, nil
 	}
 	m.stats.Misses++
-	if role != "" {
-		m.roleMisses[role]++
-	}
 	if fl, ok := m.inflight[key]; ok {
 		m.stats.Shared++
 		m.unlock()
 		span.SetAttr("cache", "shared")
-		<-fl.done
-		return fl.val, fl.err
+		select {
+		case <-fl.done:
+			return fl.val, fl.err
+		case <-ctx.Done():
+			var zero V
+			return zero, ctx.Err()
+		}
 	}
 	span.SetAttr("cache", "miss")
 	fl := &flight[V]{done: make(chan struct{})}
@@ -199,7 +167,14 @@ func (m *memo[V]) do(ctx context.Context, key string, fn func() (V, error)) (V, 
 	m.stats.InFlight++
 	m.unlock()
 
-	fl.val, fl.err = fn()
+	func() {
+		defer func() {
+			if err := recovered(recover()); err != nil {
+				fl.err = err
+			}
+		}()
+		fl.val, fl.err = fn()
+	}()
 
 	m.lock()
 	m.stats.Executions++
@@ -220,60 +195,6 @@ func (m *memo[V]) snapshot() MemoStats {
 	st := m.stats
 	st.Entries = m.order.Len()
 	return st
-}
-
-// snapshotRoles returns the per-role counter snapshot, nil when no role
-// classifier is installed. Live entries are re-classified on every snapshot
-// so the owned/remote split tracks the current ring, not the ring at insert
-// time.
-func (m *memo[V]) snapshotRoles() map[string]MemoRoleStats {
-	if m.role == nil {
-		return nil
-	}
-	m.lock()
-	hits := make(map[string]uint64, len(m.roleHits))
-	for r, n := range m.roleHits {
-		hits[r] = n
-	}
-	misses := make(map[string]uint64, len(m.roleMisses))
-	for r, n := range m.roleMisses {
-		misses[r] = n
-	}
-	keys := make([]string, 0, len(m.entries))
-	now := m.now()
-	for key, el := range m.entries {
-		ent := el.Value.(*memoEntry[V])
-		if !ent.expires.IsZero() && now.After(ent.expires) {
-			continue
-		}
-		keys = append(keys, key)
-	}
-	m.unlock()
-
-	out := make(map[string]MemoRoleStats)
-	for r, n := range hits {
-		st := out[r]
-		st.Hits = n
-		out[r] = st
-	}
-	for r, n := range misses {
-		st := out[r]
-		st.Misses = n
-		out[r] = st
-	}
-	for _, key := range keys {
-		r := m.role(key)
-		st := out[r]
-		st.Entries++
-		out[r] = st
-	}
-	for r, st := range out {
-		if total := st.Hits + st.Misses; total > 0 {
-			st.HitRate = float64(st.Hits) / float64(total)
-		}
-		out[r] = st
-	}
-	return out
 }
 
 // dump returns every live entry (expired ones excluded), for persistence.

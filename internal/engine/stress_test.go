@@ -65,11 +65,7 @@ func TestAdviseBatchStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, an := range apps {
-			w, err := catalog.ByName(an, catalog.Quick)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reqs = append(reqs, Request{Config: cfg, Params: p, Workload: w, Current: "sc"})
+			reqs = append(reqs, Request{Config: cfg, Params: p, App: an, Scale: catalog.Quick, Current: "sc"})
 		}
 	}
 
@@ -126,6 +122,15 @@ func TestAdviseBatchStress(t *testing.T) {
 	}
 	if c.Entries != len(names) {
 		t.Errorf("entries = %d, want %d", c.Entries, len(names))
+	}
+	// The advice memo obeys the same arithmetic, with one profiling run
+	// per distinct question.
+	a := st.Advice
+	if a.Hits+a.Misses != total || a.Misses != a.Executions+a.Shared {
+		t.Errorf("advice stats %+v inconsistent with %d requests", a, total)
+	}
+	if a.Executions != uint64(len(reqs)) || a.Entries != len(reqs) {
+		t.Errorf("advice executions = %d, entries = %d, want %d each", a.Executions, a.Entries, len(reqs))
 	}
 }
 

@@ -248,7 +248,7 @@ func TestStateBasics(t *testing.T) {
 		}
 	}
 
-	// Role classification and reroute accounting follow ring ownership.
+	// Reroute accounting follows ring ownership.
 	owned, remote := "", ""
 	for i := 0; owned == "" || remote == ""; i++ {
 		key := testKey(i)
@@ -257,9 +257,6 @@ func TestStateBasics(t *testing.T) {
 		} else {
 			remote = key
 		}
-	}
-	if st.KeyRole(owned) != RoleOwned || st.KeyRole(remote) != RoleRemote {
-		t.Fatal("KeyRole misclassified")
 	}
 	st.NoteServed(owned)
 	st.NoteServed(remote)

@@ -80,7 +80,7 @@ func startStormShard(t *testing.T, id string) *stormShard {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.Options{Workers: 2, KeyRole: st.KeyRole})
+	eng := engine.New(engine.Options{Workers: 2})
 	srv := advisord.New(eng, advisord.Options{
 		Params:           microbench.TestParams(),
 		Scale:            catalog.Quick,

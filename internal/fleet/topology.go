@@ -20,18 +20,6 @@ const (
 	StateUnknown = "unknown"
 )
 
-// Cache-role labels for per-shard cache accounting: a cache entry (or a
-// lookup for one) is "owned" when the ring assigns its key to this shard and
-// "remote" when the entry is held on behalf of another shard — fallback
-// traffic and pre-rebalance leftovers. Engines outside a fleet report no
-// roles at all.
-const (
-	// RoleOwned labels keys the ring assigns to this shard.
-	RoleOwned = "owned"
-	// RoleRemote labels keys owned by another shard.
-	RoleRemote = "remote"
-)
-
 // Shard is one advisord replica in the fleet: a stable ID (the ring hashes
 // it, so renaming a shard moves its key range) and the data-plane base URL
 // peers and clients reach it on.
@@ -183,17 +171,6 @@ func (s *State) Owner(key string) string { return s.Ring().Owner(key) }
 
 // Owns reports whether this replica owns key.
 func (s *State) Owns(key string) bool { return s.Owner(key) == s.self }
-
-// KeyRole classifies key for per-role cache accounting: RoleOwned when this
-// replica owns it, RoleRemote otherwise. Install it as the engine's
-// Options.KeyRole so /statusz can report cache entries and hit rates per
-// shard role.
-func (s *State) KeyRole(key string) string {
-	if s.Owns(key) {
-		return RoleOwned
-	}
-	return RoleRemote
-}
 
 // NoteServed records one advisory request served for key, counting a
 // received reroute when the key is owned by another shard — the signal that

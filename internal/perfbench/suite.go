@@ -379,7 +379,7 @@ func fleetScenario(opt SuiteOptions) Scenario {
 					closeAll()
 					return nil, nil, err
 				}
-				eng := engine.New(engine.Options{Workers: opt.Workers, KeyRole: st.KeyRole})
+				eng := engine.New(engine.Options{Workers: opt.Workers})
 				srv := advisord.New(eng, advisord.Options{
 					Params: opt.params(), Scale: opt.scale(), Logger: logger, Fleet: st,
 				})
