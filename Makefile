@@ -71,22 +71,24 @@ hazardcheck:
 
 # Combined statement coverage of the execution engine, the framework it
 # must stay byte-equivalent to, the micro-benchmark characterization plan
-# both of them run, the communication models' shared run skeleton, and the
+# both of them run, the communication models' shared run skeleton, the
 # memory substrate under all of them (caches, DRAM ports, I/O-coherence
-# port); fails under 80%.
+# port), and the service in front of the engine (advisord, its client, the
+# fleet layer); fails under 80%.
 COVER_MIN ?= 80.0
 cover:
-	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/engine,./internal/framework,./internal/microbench,./internal/comm,./internal/cache,./internal/memdev,./internal/coherence ./internal/engine ./internal/framework ./internal/microbench ./internal/comm ./internal/cache ./internal/memdev ./internal/coherence
+	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/engine,./internal/framework,./internal/microbench,./internal/comm,./internal/cache,./internal/memdev,./internal/coherence,./internal/advisord,./internal/advisord/client,./internal/fleet ./internal/engine ./internal/framework ./internal/microbench ./internal/comm ./internal/cache ./internal/memdev ./internal/coherence ./internal/advisord ./internal/advisord/client ./internal/fleet
 	@total="$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}')"; \
-	echo "engine+framework+microbench+comm+cache+memdev+coherence coverage: $$total% (minimum $(COVER_MIN)%)"; \
+	echo "engine+framework+microbench+comm+cache+memdev+coherence+advisord+client+fleet coverage: $$total% (minimum $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
 		{ echo "coverage below $(COVER_MIN)%"; exit 1; }
 
 # Short fuzz pass over the externally-facing parsers — the hazard event-trace
 # parser (ParseEvents), the NDJSON warm-handoff export reader (a malicious or buggy
-# peer must quarantine, never panic its puller) and the saved-characterization
-# loader behind `advisor advise -char` — and over the batch simulator core
-# against the per-access reference executor. The characterization seeds are
+# peer must quarantine, never panic its puller), the saved-characterization
+# loader behind `advisor advise -char` and the /v1/advise handler (every body
+# gets valid advice, typed errors or a 4xx JSON error) — and over the batch
+# simulator core against the per-access reference executor. The characterization seeds are
 # ~3 KB files, and minimizing each new coverage input byte by byte can take
 # the default 60 s, so that target caps minimization at 2 s.
 FUZZTIME ?= 30s
@@ -95,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzBatchVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzReadExport -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/framework -run '^$$' -fuzz FuzzLoadCharacterization -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/advisord -run '^$$' -fuzz FuzzAdviseRequest -fuzztime $(FUZZTIME)
 
 # The paper-scale benchmark is its own module, so `go test ./...` skips it;
 # its tests build the benchmark and check its reference answers.

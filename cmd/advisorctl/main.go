@@ -39,29 +39,10 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"igpucomm/internal/advisord"
 	"igpucomm/internal/buildinfo"
-	"igpucomm/internal/engine"
 	"igpucomm/internal/fleet"
 )
-
-// statusDoc mirrors advisord's /admin/v1/status payload.
-type statusDoc struct {
-	Fleet fleet.Stats      `json:"fleet"`
-	Cache engine.MemoStats `json:"cache"`
-}
-
-// ringDoc mirrors advisord's /admin/v1/ring payload.
-type ringDoc struct {
-	Topology fleet.Topology     `json:"topology"`
-	Shares   map[string]float64 `json:"shares"`
-}
-
-// rebalanceReply mirrors advisord's /admin/v1/rebalance response.
-type rebalanceReply struct {
-	Version    int64    `json:"version"`
-	Pulled     int      `json:"pulled"`
-	PeerErrors []string `json:"peer_errors"`
-}
 
 // ctl carries one invocation's fleet endpoints and I/O.
 type ctl struct {
@@ -204,7 +185,7 @@ func (c *ctl) status(ctx context.Context) int {
 	fmt.Fprintln(tw, "SHARD\tVERSION\tDRAINING\tENTRIES\tHIT-RATE\tREROUTES\tEXPORTED\tIMPORTED\tENDPOINT")
 	failed := 0
 	for _, ep := range c.endpoints {
-		var st statusDoc
+		var st advisord.AdminStatus
 		if err := c.getJSON(ctx, ep, "/admin/v1/status", &st); err != nil {
 			fmt.Fprintf(c.errw, "advisorctl: %s: %v\n", ep, err)
 			failed++
@@ -230,7 +211,7 @@ func (c *ctl) status(ctx context.Context) int {
 // ring prints the topology and key-space shares from the first replica that
 // answers — every replica at a given version reports the same ring.
 func (c *ctl) ring(ctx context.Context) int {
-	var doc ringDoc
+	var doc advisord.AdminRing
 	var errs []error
 	got := false
 	for _, ep := range c.endpoints {
@@ -267,7 +248,7 @@ func (c *ctl) ring(ctx context.Context) int {
 func (c *ctl) drain(ctx context.Context, shard string, drain bool) int {
 	var found []string
 	for _, ep := range c.endpoints {
-		var st statusDoc
+		var st advisord.AdminStatus
 		if err := c.getJSON(ctx, ep, "/admin/v1/status", &st); err != nil {
 			fmt.Fprintf(c.errw, "advisorctl: %s: %v\n", ep, err)
 			continue
@@ -324,7 +305,7 @@ func (c *ctl) rebalance(ctx context.Context, args []string, stderr io.Writer) in
 	fmt.Fprintln(tw, "ENDPOINT\tVERSION\tPULLED\tPEER-ERRORS")
 	failed := 0
 	for _, ep := range c.endpoints {
-		var rep rebalanceReply
+		var rep advisord.RebalanceResponse
 		if err := c.postJSON(ctx, ep, "/admin/v1/rebalance", body, &rep); err != nil {
 			fmt.Fprintf(c.errw, "advisorctl: %s: %v\n", ep, err)
 			failed++

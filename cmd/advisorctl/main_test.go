@@ -107,13 +107,13 @@ func TestAdvisorctlAgainstLiveFleet(t *testing.T) {
 		t.Fatalf("versions after rebalance: a=%d b=%d", a.st.Version(), b.st.Version())
 	}
 	bOwned := 0
-	for key := range a.eng.CacheExport() {
-		if b.st.Owns(key) {
+	for _, char := range a.eng.CacheExport() {
+		if b.st.Owns(char.Platform) {
 			bOwned++
 		}
 	}
 	if bOwned == 0 {
-		t.Skip("hash placed every seeded key on shard-a; nothing to hand off")
+		t.Skip("hash placed every seeded platform on shard-a; nothing to hand off")
 	}
 	if got := len(b.eng.CacheExport()); got != bOwned {
 		t.Fatalf("shard-b pulled %d entries, owns %d", got, bOwned)

@@ -1,9 +1,9 @@
 // Command advisord serves the paper's tuning flow as an HTTP service: batch
 // advisory requests, cached device characterizations, health, status and
-// Prometheus metrics. Characterizations are memoized in the execution
-// engine's LRU cache (with singleflight deduplication), so concurrent
-// requests for the same device share one simulation and warm traffic skips
-// characterization entirely.
+// Prometheus metrics. Characterizations and recommendations are memoized in
+// the execution engine's LRU caches (with singleflight deduplication), so
+// concurrent requests for the same device share one simulation and a
+// repeated question is answered without characterizing or profiling.
 //
 // Endpoints:
 //
@@ -32,7 +32,7 @@
 // grammar.
 //
 // With -shard-id and -peers, the replica joins a sharded fleet: advisory
-// questions route to the shard owning their characterization key on a
+// questions route to the shard owning the device they name on a
 // consistent-hash ring, /v1/fleet/topology and /v1/cache/export join the main
 // surface, and at boot the shard pulls its owned cache entries from its peers
 // (warm handoff, best-effort). -admin-addr serves the operator API advisorctl
@@ -151,34 +151,9 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	var adminSrv *http.Server
-	if cfg.adminAddr != "" {
-		adminSrv = &http.Server{
-			Addr:              cfg.adminAddr,
-			Handler:           srv.AdminHandler(),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			logger.Info("fleet admin API listening", "addr", cfg.adminAddr)
-			if err := adminSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("admin server", "err", err)
-			}
-		}()
-	}
-
-	var debugSrv *http.Server
-	if cfg.debugAddr != "" {
-		debugSrv = &http.Server{
-			Addr:              cfg.debugAddr,
-			Handler:           debugMux(),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			logger.Info("pprof listening", "addr", cfg.debugAddr)
-			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug server", "err", err)
-			}
-		}()
+	sideSrvs := []*http.Server{
+		serveSide(cfg.adminAddr, "fleet admin API", srv.AdminHandler(), logger),
+		serveSide(cfg.debugAddr, "pprof", debugMux(), logger),
 	}
 
 	// Serve until SIGINT/SIGTERM, then drain: Shutdown stops accepting new
@@ -207,14 +182,29 @@ func main() {
 			logger.Error("drain incomplete", "err", err)
 			os.Exit(1)
 		}
-		if debugSrv != nil {
-			_ = debugSrv.Shutdown(shutdownCtx)
-		}
-		if adminSrv != nil {
-			_ = adminSrv.Shutdown(shutdownCtx)
+		for _, side := range sideSrvs {
+			if side != nil {
+				_ = side.Shutdown(shutdownCtx)
+			}
 		}
 		logger.Info("shutdown complete")
 	}
+}
+
+// serveSide starts a listener beside the main one (the fleet admin API,
+// pprof) and returns it for shutdown; nil when addr is empty.
+func serveSide(addr, what string, h http.Handler, logger *slog.Logger) *http.Server {
+	if addr == "" {
+		return nil
+	}
+	side := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	go func() {
+		logger.Info(what+" listening", "addr", addr)
+		if err := side.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			logger.Error(what+" server", "err", err)
+		}
+	}()
+	return side
 }
 
 // warmHandoff pulls this shard's owned cache entries from its peers at boot —

@@ -133,24 +133,8 @@ func activateSchedule(t *testing.T, s schedule) {
 // degraded, then with a reason) or a typed error, never a half-answer.
 func checkResult(t *testing.T, combo advisord.AdviseRequest, res advisord.AdviseResult) {
 	t.Helper()
-	if res.Error != "" {
-		if res.Recommendation != nil {
-			t.Errorf("%+v: both error %q and a recommendation", combo, res.Error)
-		}
-		if res.ErrorKind == "" {
-			t.Errorf("%+v: error %q lacks a kind", combo, res.Error)
-		}
-		return
-	}
-	if res.Recommendation == nil || res.Recommendation.Suggested == "" || res.Zone == "" {
-		t.Errorf("%+v: incomplete advice %+v", combo, res)
-		return
-	}
-	if res.Degraded && res.DegradedReason == "" {
-		t.Errorf("%+v: degraded without a reason", combo)
-	}
-	if !res.Degraded && res.DegradedReason != "" {
-		t.Errorf("%+v: reason %q on a non-degraded result", combo, res.DegradedReason)
+	if err := res.Check(); err != nil {
+		t.Errorf("%+v: %v", combo, err)
 	}
 }
 

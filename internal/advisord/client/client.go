@@ -20,7 +20,6 @@ import (
 
 	"igpucomm/internal/advisord"
 	"igpucomm/internal/fleet"
-	"igpucomm/internal/microbench"
 	"igpucomm/internal/simnet"
 )
 
@@ -52,16 +51,11 @@ type Options struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 
 	// Fleet, when non-nil, routes each advisory question to the shard
-	// owning its characterization key, layered UNDER the retry policy:
-	// every retry re-picks a shard from the key's preference order, so a
+	// owning the device it names, layered UNDER the retry policy: every
+	// retry re-picks a shard from the device's preference order, so a
 	// 429/5xx or network failure reroutes to the next replica. BaseURL is
 	// ignored when Fleet is set.
 	Fleet *fleet.Router
-	// Params mirrors the server's characterization parameters so the
-	// client computes the same sha256 cache keys the fleet shards route on
-	// (zero value: microbench.DefaultParams). A mismatch is safe but turns
-	// every request into a reroute on arrival.
-	Params microbench.Params
 	// RefreshMinInterval rate-limits the topology refresh triggered by
 	// retryable failures (0: 2s).
 	RefreshMinInterval time.Duration
@@ -123,9 +117,6 @@ func New(opt Options) *Client {
 	if opt.RefreshMinInterval <= 0 {
 		opt.RefreshMinInterval = 2 * time.Second
 	}
-	if opt.Fleet != nil && len(opt.Params.MB2Fractions) == 0 {
-		opt.Params = microbench.DefaultParams()
-	}
 	if opt.Clock == nil {
 		opt.Clock = simnet.Real()
 	}
@@ -155,8 +146,8 @@ func (c *Client) backoff(attempt int) time.Duration {
 // (network errors, 429, 5xx) under the client's backoff policy. Retry-After
 // headers raise the next sleep's floor whether they arrive on a 429 (at
 // capacity) or a 503 (shard draining, breaker open). With
-// Options.Fleet set, each question routes to the shard owning its
-// characterization key (see fleet.go) — the same retries and budgets apply,
+// Options.Fleet set, each question routes to the shard owning the device it
+// names (see fleet.go) — the same retries and budgets apply,
 // per shard group.
 func (c *Client) Advise(ctx context.Context, body advisord.AdviseBody) (advisord.AdviseResponse, error) {
 	if c.opt.Fleet != nil {

@@ -10,41 +10,24 @@ import (
 	"time"
 
 	"igpucomm/internal/advisord"
-	"igpucomm/internal/devices"
-	"igpucomm/internal/engine"
 	"igpucomm/internal/fleet"
 )
 
 // Fleet routing, layered UNDER the retry policy: Advise groups the batch by
-// owning shard (each question's characterization key hashed on the shared
-// ring), posts each group to its owner, and on every retry re-picks a shard
-// from the key's preference order — so a 429, 5xx or network failure walks
-// down the ring to the next replica instead of hammering the same one. The
+// owning shard (each question's device name hashed on the shared ring —
+// the same name the server's ownership checks and cache export use), posts
+// each group to its owner, and on every retry re-picks a shard from the
+// device's preference order — so a 429, 5xx or network failure walks down
+// the ring to the next replica instead of hammering the same one. The
 // router's health tracking demotes repeat offenders, and retryable failures
 // trigger a rate-limited topology refresh so a membership change pushed by
 // advisorctl reaches clients mid-storm.
 
-// routeKey computes the characterization cache key an advisory question
-// routes on — the same sha256 content hash the server's engine memoizes
-// under. Questions whose device the client cannot resolve still route
-// deterministically, on a synthetic per-device key.
-func (c *Client) routeKey(ar advisord.AdviseRequest) string {
-	cfg, err := devices.ByName(ar.Device)
-	if err != nil {
-		return "device/" + ar.Device
-	}
-	key, err := engine.CacheKey(cfg, c.opt.Params)
-	if err != nil {
-		return "device/" + ar.Device
-	}
-	return key
-}
-
 // shardGroup is the slice of one batch owned by a single shard.
 type shardGroup struct {
-	key  string // routing key of the group's first question
-	idxs []int  // positions in the original batch
-	reqs []advisord.AdviseRequest
+	device string // routing name: the device of the group's first question
+	idxs   []int  // positions in the original batch
+	reqs   []advisord.AdviseRequest
 }
 
 // adviseFleet answers a batch through the fleet: split by owning shard,
@@ -54,11 +37,10 @@ type shardGroup struct {
 func (c *Client) adviseFleet(ctx context.Context, body advisord.AdviseBody) (advisord.AdviseResponse, error) {
 	groups := make(map[string]*shardGroup)
 	for i, ar := range body.Requests {
-		key := c.routeKey(ar)
-		owner := c.opt.Fleet.Owner(key)
+		owner := c.opt.Fleet.Owner(ar.Device)
 		g := groups[owner]
 		if g == nil {
-			g = &shardGroup{key: key}
+			g = &shardGroup{device: ar.Device}
 			groups[owner] = g
 		}
 		g.idxs = append(g.idxs, i)
@@ -74,7 +56,7 @@ func (c *Client) adviseFleet(ctx context.Context, body advisord.AdviseBody) (adv
 	var errs []error
 	for _, owner := range owners {
 		g := groups[owner]
-		out, err := c.adviseGroup(ctx, g.key, advisord.AdviseBody{Requests: g.reqs})
+		out, err := c.adviseGroup(ctx, g.device, advisord.AdviseBody{Requests: g.reqs})
 		if err != nil {
 			errs = append(errs, fmt.Errorf("client: shard group %s: %w", owner, err))
 			continue
@@ -94,8 +76,8 @@ func (c *Client) adviseFleet(ctx context.Context, body advisord.AdviseBody) (adv
 }
 
 // adviseGroup posts one shard group under the retry policy, re-picking the
-// target shard on every attempt.
-func (c *Client) adviseGroup(ctx context.Context, key string, body advisord.AdviseBody) (advisord.AdviseResponse, error) {
+// target shard from device's preference order on every attempt.
+func (c *Client) adviseGroup(ctx context.Context, device string, body advisord.AdviseBody) (advisord.AdviseResponse, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return advisord.AdviseResponse{}, fmt.Errorf("client: encode request: %w", err)
@@ -104,7 +86,7 @@ func (c *Client) adviseGroup(ctx context.Context, key string, body advisord.Advi
 	tried := make(map[string]bool)
 	lastShard := ""
 	err = c.retry(ctx, func(ctx context.Context) (bool, time.Duration, error) {
-		sh := c.pickShard(key, tried)
+		sh := c.pickShard(device, tried)
 		tried[sh.ID] = true
 		if lastShard != "" && sh.ID != lastShard {
 			c.opt.Fleet.NoteReroute()
@@ -130,12 +112,12 @@ func (c *Client) adviseGroup(ctx context.Context, key string, body advisord.Advi
 	return out, nil
 }
 
-// pickShard returns the first shard in key's preference order not yet tried
-// this call. Once every shard has been tried the tried set resets — later
-// attempts walk the (possibly refreshed) preference order again rather than
-// giving up routing.
-func (c *Client) pickShard(key string, tried map[string]bool) fleet.Shard {
-	pref := c.opt.Fleet.Route(key)
+// pickShard returns the first shard in device's preference order not yet
+// tried this call. Once every shard has been tried the tried set resets —
+// later attempts walk the (possibly refreshed) preference order again
+// rather than giving up routing.
+func (c *Client) pickShard(device string, tried map[string]bool) fleet.Shard {
+	pref := c.opt.Fleet.Route(device)
 	for _, sh := range pref {
 		if !tried[sh.ID] {
 			return sh

@@ -12,7 +12,6 @@ import (
 	"igpucomm/internal/advisord"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/fleet"
-	"igpucomm/internal/microbench"
 )
 
 // fakeShard is a stub advisord shard: answers /v1/advise with its own ID as
@@ -108,7 +107,7 @@ func fourDeviceBody(t *testing.T) advisord.AdviseBody {
 	return body
 }
 
-// Healthy fleet: every question lands on the shard owning its key, and
+// Healthy fleet: every question lands on the shard owning its device, and
 // results come back in request order.
 func TestFleetRoutingSendsEachKeyToItsOwner(t *testing.T) {
 	fakes, shards := startShards(t, "shard-a", "shard-b", "shard-c")
@@ -127,7 +126,7 @@ func TestFleetRoutingSendsEachKeyToItsOwner(t *testing.T) {
 		t.Fatalf("%d results for %d requests", len(resp.Results), len(body.Requests))
 	}
 	for i, ar := range body.Requests {
-		owner := rt.Owner(c.routeKey(ar))
+		owner := rt.Owner(ar.Device)
 		if resp.Results[i].Zone != owner {
 			t.Fatalf("request %d (%s) answered by %s, owner is %s",
 				i, ar.Device, resp.Results[i].Zone, owner)
@@ -244,8 +243,8 @@ func TestFleetTopologyRefreshMidRetry(t *testing.T) {
 }
 
 // Ring determinism across restarts (satellite edge case): a freshly built
-// client and router — a simulated process restart — agree with the original
-// on every key's owner, so cache locality survives restarts.
+// router — a simulated process restart — agrees with the original on every
+// device's owner, so cache locality survives restarts.
 func TestFleetRoutingDeterministicAcrossRestarts(t *testing.T) {
 	_, shards := startShards(t, "shard-a", "shard-b", "shard-c")
 	rt1, err := fleet.NewRouter(fleet.RouterOptions{Shards: shards})
@@ -259,23 +258,14 @@ func TestFleetRoutingDeterministicAcrossRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := fleetClient(t, rt1)
-	c2 := fleetClient(t, rt2, func(o *Options) { o.Params = microbench.DefaultParams() })
-
+	names := []string{"no-such-board"} // unknown devices route deterministically too
 	for _, cfg := range devices.All() {
-		ar := advisord.AdviseRequest{Device: cfg.Name, App: "shwfs"}
-		k1, k2 := c1.routeKey(ar), c2.routeKey(ar)
-		if k1 != k2 {
-			t.Fatalf("route key for %s diverged across restarts", cfg.Name)
-		}
-		if rt1.Owner(k1) != rt2.Owner(k2) {
-			t.Fatalf("owner for %s diverged across restarts: %s vs %s",
-				cfg.Name, rt1.Owner(k1), rt2.Owner(k2))
-		}
+		names = append(names, cfg.Name)
 	}
-	// Unresolvable devices still route deterministically.
-	ghost := advisord.AdviseRequest{Device: "no-such-board"}
-	if c1.routeKey(ghost) != c2.routeKey(ghost) {
-		t.Fatal("synthetic route key diverged")
+	for _, name := range names {
+		if rt1.Owner(name) != rt2.Owner(name) {
+			t.Fatalf("owner for %s diverged across restarts: %s vs %s",
+				name, rt1.Owner(name), rt2.Owner(name))
+		}
 	}
 }

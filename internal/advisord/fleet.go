@@ -8,6 +8,7 @@ import (
 	"igpucomm/internal/engine"
 	"igpucomm/internal/faults"
 	"igpucomm/internal/fleet"
+	"igpucomm/internal/framework"
 )
 
 // Fleet surface: when Options.Fleet is set the server is one shard of a
@@ -48,9 +49,10 @@ func (s *Server) handleFleetTopology(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheExport streams cache entries as warm-handoff NDJSON. With
-// ?owner=<shardID> only the entries that shard owns under THIS replica's
-// ring are sent — the puller and exporter agree because ring ownership is a
-// pure function of the membership list; without it the full cache streams.
+// ?owner=<shardID> only the entries whose characterized platform that shard
+// owns under THIS replica's ring are sent — the puller and exporter agree
+// because ring ownership is a pure function of the membership list; without
+// it the full cache streams.
 func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET /v1/cache/export")
@@ -60,10 +62,10 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("cache export: %v", err))
 		return
 	}
-	var include func(string) bool
+	var include func(framework.Characterization) bool
 	if owner := r.URL.Query().Get("owner"); owner != "" {
 		ring := s.fleet.Ring()
-		include = func(key string) bool { return ring.Owner(key) == owner }
+		include = func(char framework.Characterization) bool { return ring.Owner(char.Platform) == owner }
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	n, err := fleet.WriteExport(w, s.eng.CacheExport(), include)
@@ -74,20 +76,20 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// adminStatus is the /admin/v1/status payload advisorctl renders.
-type adminStatus struct {
+// AdminStatus is the /admin/v1/status payload advisorctl renders.
+type AdminStatus struct {
 	// Fleet is the shard's fleet counter snapshot.
 	Fleet fleet.Stats `json:"fleet"`
 	// Cache is the characterization cache snapshot.
 	Cache engine.MemoStats `json:"cache"`
 }
 
-// adminRing is the /admin/v1/ring payload: the topology plus each shard's
-// keyspace share.
-type adminRing struct {
+// AdminRing is the /admin/v1/ring payload: the topology plus each shard's
+// share of the hash ring.
+type AdminRing struct {
 	// Topology is the versioned membership document.
 	Topology fleet.Topology `json:"topology"`
-	// Shares maps shard ID to its fraction of the key space.
+	// Shares maps shard ID to its fraction of the hash ring.
 	Shares map[string]float64 `json:"shares"`
 }
 
@@ -109,8 +111,8 @@ type rebalanceRequest struct {
 	Pull bool `json:"pull,omitempty"`
 }
 
-// rebalanceResponse is the /admin/v1/rebalance reply.
-type rebalanceResponse struct {
+// RebalanceResponse is the /admin/v1/rebalance reply.
+type RebalanceResponse struct {
 	// Version is the topology version after the update.
 	Version int64 `json:"version"`
 	// Pulled is how many cache entries the warm pull installed.
@@ -139,7 +141,7 @@ func (s *Server) handleAdminStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET /admin/v1/status")
 		return
 	}
-	writeJSON(w, http.StatusOK, adminStatus{
+	writeJSON(w, http.StatusOK, AdminStatus{
 		Fleet: s.fleet.Stats(),
 		Cache: s.eng.Stats().Characterizations,
 	})
@@ -150,7 +152,7 @@ func (s *Server) handleAdminRing(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET /admin/v1/ring")
 		return
 	}
-	writeJSON(w, http.StatusOK, adminRing{
+	writeJSON(w, http.StatusOK, AdminRing{
 		Topology: s.fleet.Topology(),
 		Shares:   s.fleet.Ring().Shares(),
 	})
@@ -193,7 +195,7 @@ func (s *Server) handleAdminRebalance(w http.ResponseWriter, r *http.Request) {
 		}
 		s.log.Info("membership updated", "version", s.fleet.Version(), "shards", len(req.Peers))
 	}
-	resp := rebalanceResponse{Version: s.fleet.Version()}
+	resp := RebalanceResponse{Version: s.fleet.Version()}
 	if req.Pull {
 		rep, err := fleet.Pull(r.Context(), s.fleet, nil, s.eng.CachePut)
 		if err != nil {

@@ -36,17 +36,17 @@ func synthCharForDevice(t *testing.T, platform string) framework.Characterizatio
 	}
 }
 
-// seedSynthEntries puts n synthetic entries under content-hash-shaped keys
-// and returns the keys.
+// seedSynthEntries puts n synthetic entries, each for its own platform,
+// under content-hash-shaped keys and returns the platforms.
 func seedSynthEntries(t *testing.T, eng *engine.Engine, n int) []string {
 	t.Helper()
-	keys := make([]string, n)
-	for i := range keys {
+	platforms := make([]string, n)
+	for i := range platforms {
 		sum := sha256.Sum256([]byte(fmt.Sprintf("advisord-fleet-%d", i)))
-		keys[i] = hex.EncodeToString(sum[:])
-		eng.CachePut(keys[i], synthCharForDevice(t, fmt.Sprintf("board-%d", i)))
+		platforms[i] = fmt.Sprintf("board-%d", i)
+		eng.CachePut(hex.EncodeToString(sum[:]), synthCharForDevice(t, platforms[i]))
 	}
-	return keys
+	return platforms
 }
 
 // fleetTestServer builds one shard's server (data plane + admin plane) over
@@ -122,15 +122,7 @@ func TestFleetDrainGate(t *testing.T) {
 	_, st, eng, data, admin := fleetTestServer(t, "solo", shards)
 
 	// Warm one entry so the export stream has content.
-	cfg, err := devices.ByName(devices.TX2Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := engine.CacheKey(cfg, microbench.TestParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.CachePut(key, synthCharForDevice(t, cfg.Name))
+	seedSynthEntries(t, eng, 1)
 
 	// Drain via the admin surface; a drain for another shard is refused.
 	resp := postJSON(t, admin.URL+"/admin/v1/drain", drainRequest{Shard: "other", Drain: true}, nil)
@@ -195,24 +187,25 @@ func TestFleetDrainGate(t *testing.T) {
 	}
 }
 
-// Export with ?owner= must filter on the exporter's ring, so a joining peer
-// pulls exactly the keys it owns.
+// Export with ?owner= must filter on the exporter's ring, by each entry's
+// characterized platform, so a joining peer pulls exactly the platforms it
+// owns.
 func TestFleetCacheExportOwnerFilter(t *testing.T) {
 	shards := []fleet.Shard{
 		{ID: "shard-a", URL: "http://a.test"},
 		{ID: "shard-b", URL: "http://b.test"},
 	}
 	_, st, eng, data, _ := fleetTestServer(t, "shard-a", shards)
-	keys := seedSynthEntries(t, eng, 40)
+	platforms := seedSynthEntries(t, eng, 40)
 
 	wantB := 0
-	for _, key := range keys {
-		if st.Owner(key) == "shard-b" {
+	for _, platform := range platforms {
+		if st.Owner(platform) == "shard-b" {
 			wantB++
 		}
 	}
-	if wantB == 0 || wantB == len(keys) {
-		t.Fatalf("degenerate split: shard-b owns %d/%d", wantB, len(keys))
+	if wantB == 0 || wantB == len(platforms) {
+		t.Fatalf("degenerate split: shard-b owns %d/%d", wantB, len(platforms))
 	}
 
 	resp, err := http.Get(data.URL + "/v1/cache/export?owner=shard-b")
@@ -232,8 +225,12 @@ func TestFleetCacheExportOwnerFilter(t *testing.T) {
 		if err := json.Unmarshal(raw, &line); err != nil {
 			t.Fatal(err)
 		}
-		if st.Owner(line.Key) != "shard-b" {
-			t.Fatalf("export leaked key %s owned by %s", line.Key, st.Owner(line.Key))
+		char, err := framework.LoadCharacterization(bytes.NewReader(line.Entry))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Owner(char.Platform) != "shard-b" {
+			t.Fatalf("export leaked %s owned by %s", char.Platform, st.Owner(char.Platform))
 		}
 		got++
 	}
@@ -265,7 +262,7 @@ func TestFleetAdminRebalance(t *testing.T) {
 	}
 	_, stB, engB, _, adminB := fleetTestServer(t, "shard-b", shardsBoth)
 
-	var resp rebalanceResponse
+	var resp RebalanceResponse
 	httpResp := postJSON(t, adminB.URL+"/admin/v1/rebalance", rebalanceRequest{Pull: true}, &resp)
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("rebalance status %d", httpResp.StatusCode)
@@ -306,15 +303,14 @@ func TestFleetStatuszMetricsAndRing(t *testing.T) {
 	}
 	_, st, eng, data, admin := fleetTestServer(t, "shard-a", shards)
 	seedSynthEntries(t, eng, 20)
-	// Serve a key owned by the other shard: exactly one received reroute.
-	remoteKey := ""
-	for i := 0; remoteKey == ""; i++ {
-		sum := sha256.Sum256([]byte(fmt.Sprintf("remote-%d", i)))
-		if key := hex.EncodeToString(sum[:]); !st.Owns(key) {
-			remoteKey = key
+	// Serve a device owned by the other shard: exactly one received reroute.
+	remote := ""
+	for i := 0; remote == ""; i++ {
+		if name := fmt.Sprintf("remote-board-%d", i); !st.Owns(name) {
+			remote = name
 		}
 	}
-	st.NoteServed(remoteKey)
+	st.NoteServed(remote)
 
 	var status struct {
 		Fleet *fleet.Stats `json:"fleet"`
@@ -349,7 +345,7 @@ func TestFleetStatuszMetricsAndRing(t *testing.T) {
 		}
 	}
 
-	var ring adminRing
+	var ring AdminRing
 	getJSON(t, admin.URL+"/admin/v1/ring", &ring)
 	if len(ring.Shares) != 2 {
 		t.Fatalf("ring shares = %v", ring.Shares)
@@ -361,7 +357,7 @@ func TestFleetStatuszMetricsAndRing(t *testing.T) {
 	if total < 0.999 || total > 1.001 {
 		t.Fatalf("shares sum to %v, want 1", total)
 	}
-	var adminSt adminStatus
+	var adminSt AdminStatus
 	getJSON(t, admin.URL+"/admin/v1/status", &adminSt)
 	if adminSt.Fleet.Self != "shard-a" || adminSt.Cache.Entries != 20 {
 		t.Fatalf("admin status = %+v", adminSt)

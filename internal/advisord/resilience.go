@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"igpucomm/internal/engine"
 )
 
 // Breaker state names, exposed on /statusz and as the breaker_state gauge
@@ -23,7 +25,9 @@ const (
 // re-opens it for another cooldown.
 //
 // Context cancellations and deadline expiries do not count as failures — a
-// client hanging up says nothing about the engine's health.
+// client hanging up says nothing about the engine's health. On /v1/advise an
+// attempt is the question's whole engine Advise call, so a half-open probe
+// holds its slot through profiling as well as characterization.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -90,6 +94,19 @@ func (b *Breaker) record(err error) {
 		b.failures = 0
 		b.probing = false
 	}
+}
+
+// characterizationOutcome reduces an engine Advise error to the outcome the
+// breaker records: a characterization failure or an ended context (which
+// record treats as inconclusive) passes through; success and every other
+// failure (profiling, an unknown workload) mean the characterization the
+// question needed was there.
+func characterizationOutcome(err error) error {
+	if errors.Is(err, engine.ErrCharacterization) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return nil
 }
 
 // State returns the breaker's current state name, advancing open to

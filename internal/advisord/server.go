@@ -19,6 +19,7 @@ package advisord
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -357,10 +358,36 @@ type AdviseResult struct {
 	ErrorKind      string                    `json:"error_kind,omitempty"`
 }
 
+// Check reports why r breaks the per-result contract of /v1/advise —
+// complete advice (degraded exactly when it carries a reason) or a typed
+// error, never a half-answer — and nil when r keeps it.
+func (r AdviseResult) Check() error {
+	switch {
+	case r.Error != "" && (r.Recommendation != nil || r.ErrorKind == ""):
+		return fmt.Errorf("error %q with kind %q and recommendation %v", r.Error, r.ErrorKind, r.Recommendation)
+	case r.Error != "":
+		return nil
+	case r.Recommendation == nil || r.Recommendation.Suggested == "" || r.Zone == "":
+		return fmt.Errorf("incomplete advice %+v", r)
+	case r.Degraded != (r.DegradedReason != ""):
+		return fmt.Errorf("degraded %t with reason %q", r.Degraded, r.DegradedReason)
+	}
+	return nil
+}
+
 // AdviseResponse is the /v1/advise response body, results in request order.
 type AdviseResponse struct {
 	Results []AdviseResult `json:"results"`
 }
+
+// Bounds on one /v1/advise body, checked before any question starts: every
+// question runs on its own goroutine, and admission control counts requests,
+// not questions. The question cap admits every in-tree caller with room for
+// the whole 45-question device x app x model sweep in one batch.
+const (
+	maxAdviseBodyBytes = 1 << 20
+	maxAdviseQuestions = 64
+)
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -368,12 +395,22 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body AdviseBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdviseBodyBytes)).Decode(&body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxAdviseBodyBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
 	if len(body.Requests) == 0 {
 		writeError(w, http.StatusBadRequest, "no requests")
+		return
+	}
+	if len(body.Requests) > maxAdviseQuestions {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%d requests in one batch, the limit is %d", len(body.Requests), maxAdviseQuestions))
 		return
 	}
 
@@ -390,9 +427,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if s.fleet != nil {
-			if key, kerr := engine.CacheKey(req.Config, req.Params); kerr == nil {
-				s.fleet.NoteServed(key)
-			}
+			s.fleet.NoteServed(ar.Device)
 		}
 		wg.Add(1)
 		go func(i int, req engine.Request) {
@@ -405,34 +440,29 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AdviseResponse{Results: results})
 }
 
-// adviseOne answers one advisory request through the resilience layer:
-// breaker-guarded characterization, then profile-and-decide (memoized by the
-// engine); any failure on that path falls back to degraded heuristic advice
-// so the caller always gets an answer or a typed error. Degraded answers
-// stay outside the engine's memo: they depend on transient failure state,
-// not on the question.
+// adviseOne answers one advisory request through the resilience layer: one
+// breaker-guarded engine Advise call, which characterizes only when the
+// question misses the engine's advice memo. The breaker hears only
+// characterization failures; any failure falls back to degraded heuristic
+// advice whose reason names the failed stage, so the caller always gets an
+// answer or a typed error. Degraded answers stay outside the engine's memo:
+// they depend on transient failure state, not on the question.
 func (s *Server) adviseOne(ctx context.Context, req engine.Request) AdviseResult {
 	done, ok := s.breaker.Allow()
 	if !ok {
 		return s.degraded(ctx, req, "circuit breaker open")
 	}
-	var char framework.Characterization
+	var rec framework.Recommendation
 	err := guard(func() error {
 		var err error
-		char, err = s.eng.Characterize(ctx, req.Config, req.Params)
+		rec, err = s.eng.Advise(ctx, req)
 		return err
 	})
-	done(err)
-	if err != nil {
-		return s.degraded(ctx, req, fmt.Sprintf("characterization failed: %v", err))
-	}
-	var rec framework.Recommendation
-	err = guard(func() error {
-		var err error
-		rec, err = s.eng.AdviseWith(ctx, char, req)
-		return err
-	})
-	if err != nil {
+	done(characterizationOutcome(err))
+	switch {
+	case errors.Is(err, engine.ErrCharacterization):
+		return s.degraded(ctx, req, err.Error())
+	case err != nil:
 		return s.degraded(ctx, req, fmt.Sprintf("advice failed: %v", err))
 	}
 	return AdviseResult{Recommendation: &rec, Zone: rec.Zone.String()}

@@ -108,8 +108,8 @@ type reference struct {
 	advice map[string][]byte    // canonical AdviseResult JSON, by device name
 	// synthetic is extra cache freight — entries that exist only to give
 	// warm handoff something to move, so the acked-entry invariant has
-	// real traffic to audit. Keys are spread across the ring like any
-	// content-hash key.
+	// real traffic to audit. Each carries its own synthetic platform
+	// name, so ownership spreads the entries across the ring.
 	synthetic map[string]framework.Characterization
 }
 
@@ -149,18 +149,7 @@ func loadReference() (*reference, error) {
 		//igpulint:ignore ctxflow the reference build is a run's root; there is no caller context to thread
 		ctx := context.Background()
 		for _, cfg := range devices.All() {
-			key, err := engine.CacheKey(cfg, params)
-			if err != nil {
-				refErr = err
-				return
-			}
-			char, err := eng.Characterize(ctx, cfg, params)
-			if err != nil {
-				refErr = err
-				return
-			}
-			ref.chars[cfg.Name] = charEntry{key: key, char: char}
-			rec, err := eng.AdviseWith(ctx, char, engine.Request{
+			rec, err := eng.Advise(ctx, engine.Request{
 				Config: cfg, Params: params, App: dstApp, Scale: catalog.Micro, Current: "sc",
 			})
 			if err != nil {
@@ -174,6 +163,11 @@ func loadReference() (*reference, error) {
 				return
 			}
 			ref.advice[cfg.Name] = data
+		}
+		// Answering each device characterized it: the engine's cache holds
+		// one entry per device, under its content-hash key.
+		for key, char := range eng.CacheExport() {
+			ref.chars[char.Platform] = charEntry{key: key, char: char}
 		}
 		refVal = ref
 	})
@@ -295,7 +289,6 @@ func Run(opt Options) (*Report, error) {
 	r.cl = client.New(client.Options{
 		HTTPClient:         r.nw.Client("client"),
 		Fleet:              r.router,
-		Params:             ref.params,
 		Clock:              r.sim,
 		Sleep:              r.countingSleep,
 		MaxAttempts:        4,
@@ -382,12 +375,12 @@ func (r *runner) bootShard(i int, withFreight bool) (*shard, error) {
 	}
 	if withFreight {
 		// A shard's synthetic freight is the entries it does NOT own —
-		// remote keys accumulated by serving rerouted traffic. Its owned
+		// remote platforms accumulated by serving rerouted traffic. Its owned
 		// entries live on its peers until a warm handoff pulls them home,
 		// which is exactly the install path the acked-entry invariant
 		// audits.
 		for key, char := range r.ref.synthetic {
-			if !st.Owns(key) {
+			if !st.Owns(char.Platform) {
 				eng.CachePut(key, char)
 			}
 		}
@@ -522,7 +515,7 @@ func (r *runner) workloadStep(step int, device string) {
 		return
 	}
 	res := resp.Results[0]
-	if verr := checkResult(res); verr != nil {
+	if verr := res.Check(); verr != nil {
 		r.violate(step, "typed-result", "device %s: %v", device, verr)
 		return
 	}
@@ -545,27 +538,6 @@ func (r *runner) workloadStep(step int, device string) {
 		r.violate(step, "advice-identity",
 			"device %s advice diverged from fault-free run:\n got %s\nwant %s", device, got, want)
 	}
-}
-
-// checkResult is the typed-result invariant: complete advice (degraded only
-// with a reason) or a typed error — never a half-answer.
-func checkResult(res advisord.AdviseResult) error {
-	if res.Error != "" {
-		if res.Recommendation != nil {
-			return fmt.Errorf("both error %q and a recommendation", res.Error)
-		}
-		if res.ErrorKind == "" {
-			return fmt.Errorf("error %q lacks a kind", res.Error)
-		}
-		return nil
-	}
-	if res.Recommendation == nil || res.Recommendation.Suggested == "" || res.Zone == "" {
-		return fmt.Errorf("incomplete advice %+v", res)
-	}
-	if res.Degraded && res.DegradedReason == "" {
-		return fmt.Errorf("degraded without a reason")
-	}
-	return nil
 }
 
 // checkTopologyMonotonic asserts router and shard topology versions never

@@ -5,7 +5,10 @@
 // flow — the application-independent device characterization and the
 // profile-and-decide recommendation on top of it (plus MB1 alone, for
 // calibration) — the machinery that turns the paper's one-shot tuning flow
-// (Fig 2) into something that can serve sustained advisory traffic.
+// (Fig 2) into something that can serve sustained advisory traffic. One
+// Advise call answers one question: it derives the content-hash cache key
+// once, serves repeats from the advice memo, and characterizes (from the
+// characterization memo) only on an advice miss.
 //
 // Correctness contract: the engine runs the framework's plans and only swaps
 // the executor. Characterization is microbench.Characterize, exploration
@@ -20,6 +23,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -112,8 +116,8 @@ func (e *Engine) PoolInUse() int { return len(e.sem) }
 // Stats is the engine's counter snapshot (served by advisord's /statusz).
 type Stats struct {
 	Workers int `json:"workers"`
-	// Requests counts AdviseWith calls, hit or miss; Advice.Executions
-	// counts the profiling runs among them.
+	// Requests counts Advise calls, hit or miss; Advice.Executions counts
+	// the profiling runs among them.
 	Requests          uint64    `json:"requests"`
 	Batches           uint64    `json:"batches"`
 	Characterizations MemoStats `json:"characterizations"`
@@ -164,6 +168,12 @@ func (e *Engine) Characterize(ctx context.Context, cfg soc.Config, p microbench.
 	if err != nil {
 		return framework.Characterization{}, err
 	}
+	return e.characterizeKeyed(ctx, key, cfg, p)
+}
+
+// characterizeKeyed is Characterize under an already derived cache key, in
+// its own engine.characterize span so the memo's cache= outcome lands there.
+func (e *Engine) characterizeKeyed(ctx context.Context, key string, cfg soc.Config, p microbench.Params) (framework.Characterization, error) {
 	ctx, span := telemetry.Start(ctx, "engine.characterize",
 		telemetry.String("device", cfg.Name))
 	defer span.End()
@@ -288,16 +298,21 @@ type Request struct {
 	Current string
 }
 
-// AdviseWith answers a request against a characterization the caller already
-// holds (from Characterize for the same Config and Params), from the advice
-// memo when possible. A miss resolves the workload with catalog.ByName and
-// runs framework.AdviseOn on pooled clones, so each profiling run gets its
-// own platform under the engine's worker bound; concurrent misses for one
-// question share that run, and errors are not cached. advisord's resilience
-// layer calls Characterize and AdviseWith separately so characterization
-// failures (which feed the circuit breaker) stay apart from profiling
-// failures (which fall back to degraded-mode advice).
-func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization, req Request) (framework.Recommendation, error) {
+// ErrCharacterization marks an Advise error that came from the device
+// characterization the question needed (an error, a recovered panic or an
+// ended context), as opposed to profiling or resolving the workload. Test
+// for it with errors.Is; advisord's circuit breaker counts only these.
+var ErrCharacterization = errors.New("characterization failed")
+
+// Advise answers a request from the advice memo when possible. It derives
+// the question's content key once: a hit returns without touching the
+// characterization memo. A miss resolves the workload with catalog.ByName,
+// gets the device characterization from the characterization memo (a nested
+// engine.characterize span) and runs framework.AdviseOn on pooled clones, so
+// each profiling run gets its own platform under the engine's worker bound.
+// Concurrent misses for one question share that run, and errors are not
+// cached.
+func (e *Engine) Advise(ctx context.Context, req Request) (framework.Recommendation, error) {
 	e.requests.Add(1)
 	key, err := CacheKey(req.Config, req.Params)
 	if err != nil {
@@ -308,11 +323,15 @@ func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization
 		telemetry.String("workload", req.App),
 		telemetry.String("current", req.Current))
 	defer span.End()
-	key += "|" + req.App + "|" + strconv.Itoa(int(req.Scale)) + "|" + req.Current
-	return e.advice.do(ctx, key, func() (framework.Recommendation, error) {
+	question := key + "|" + req.App + "|" + strconv.Itoa(int(req.Scale)) + "|" + req.Current
+	return e.advice.do(ctx, question, func() (framework.Recommendation, error) {
 		w, err := catalog.ByName(req.App, req.Scale)
 		if err != nil {
 			return framework.Recommendation{}, fmt.Errorf("engine: %w", err)
+		}
+		char, err := e.characterizeKeyed(ctx, key, req.Config, req.Params)
+		if err != nil {
+			return framework.Recommendation{}, fmt.Errorf("%w: %w", ErrCharacterization, err)
 		}
 		rec, _, _, err := framework.AdviseOn(ctx, char, w, req.Current, e.onClones(req.Config))
 		return rec, err
@@ -320,6 +339,5 @@ func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization
 }
 
 // NoteBatch counts one advisory batch: advisord calls it once per
-// /v1/advise body, whose requests it answers individually through
-// Characterize and AdviseWith.
+// /v1/advise body, whose questions it answers individually through Advise.
 func (e *Engine) NoteBatch() { e.batches.Add(1) }

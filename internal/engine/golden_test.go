@@ -85,7 +85,7 @@ func TestGoldenExploreMatchesSerial(t *testing.T) {
 }
 
 // TestGoldenAdviseMatchesSerial checks the full advisory path end to end: the
-// engine's Characterize+AdviseWith must agree with the serial
+// engine's Advise must agree with the serial
 // Characterize+AdviseWorkload composition for every device x app pair and
 // every current model the flow accepts — sc profiles once, um and zc profile
 // under SC and under the current model.
@@ -110,7 +110,7 @@ func TestGoldenAdviseMatchesSerial(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						par, err := advise(context.Background(), e, Request{Config: cfg, Params: p, App: app, Scale: catalog.Quick, Current: current})
+						par, err := e.Advise(context.Background(), Request{Config: cfg, Params: p, App: app, Scale: catalog.Quick, Current: current})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -170,17 +170,22 @@ func TestPlanErrorsMatchSerial(t *testing.T) {
 	}
 
 	// Every profiling run fails: both runners report job 0, the
-	// classification profile.
+	// classification profile, and the engine does not mistake it for a
+	// characterization failure.
+	p := microbench.TestParams()
+	char, err := e.Characterize(context.Background(), cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := faults.Activate(faults.NewPlan(1, faults.Rule{Point: "profile.collect", Mode: faults.ModeError, Every: 1})); err != nil {
 		t.Fatal(err)
 	}
 	defer faults.ResetInjected()
 	defer faults.Deactivate()
-	char := framework.Characterization{Platform: cfg.Name}
 	_, serial = framework.AdviseWorkload(context.Background(), char, soc.New(cfg), w, "zc")
-	_, par = e.AdviseWith(context.Background(), char, Request{Config: cfg, App: "shwfs", Scale: catalog.Micro, Current: "zc"})
+	_, par = e.Advise(context.Background(), Request{Config: cfg, Params: p, App: "shwfs", Scale: catalog.Micro, Current: "zc"})
 	if serial == nil || !strings.Contains(serial.Error(), "classification profile") ||
-		par == nil || par.Error() != serial.Error() {
+		par == nil || par.Error() != serial.Error() || errors.Is(par, ErrCharacterization) {
 		t.Errorf("advise errors: serial %v, engine %v", serial, par)
 	}
 }

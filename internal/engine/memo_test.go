@@ -10,6 +10,7 @@ import (
 	"igpucomm/internal/devices"
 	"igpucomm/internal/faults"
 	"igpucomm/internal/microbench"
+	"igpucomm/internal/telemetry"
 )
 
 // The export/put warm-handoff surface: a fleet replica hands its
@@ -173,10 +174,6 @@ func TestAdviceMemoDoesNotCacheFaults(t *testing.T) {
 	cfg := devices.TX2()
 	p := microbench.TestParams()
 	e := New(Options{Workers: 2})
-	char, err := e.Characterize(context.Background(), cfg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	req := Request{Config: cfg, Params: p, App: "shwfs", Scale: catalog.Micro, Current: "zc"}
 	if err := faults.Activate(faults.NewPlan(1,
 		faults.Rule{Point: "profile.collect", Mode: faults.ModeError, Every: 1, Count: 1})); err != nil {
@@ -184,11 +181,11 @@ func TestAdviceMemoDoesNotCacheFaults(t *testing.T) {
 	}
 	defer faults.ResetInjected()
 	defer faults.Deactivate()
-	if _, err := e.AdviseWith(context.Background(), char, req); err == nil {
+	if _, err := e.Advise(context.Background(), req); err == nil {
 		t.Fatal("advice under a profile.collect fault succeeded")
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := e.AdviseWith(context.Background(), char, req); err != nil {
+		if _, err := e.Advise(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,6 +194,94 @@ func TestAdviceMemoDoesNotCacheFaults(t *testing.T) {
 		t.Fatalf("advice stats = %+v, want 2 executions (failure + retry), 1 hit, 1 entry", a)
 	}
 	if st.Requests != 3 {
-		t.Fatalf("requests = %d, want 3 (every AdviseWith call)", st.Requests)
+		t.Fatalf("requests = %d, want 3 (every Advise call)", st.Requests)
+	}
+}
+
+// One Advise call per question: a repeat is answered from the advice memo
+// without asking the characterization memo, and the cold call characterizes
+// in an engine.characterize span (cache=miss) nested under its
+// engine.advise span.
+func TestAdviseCharacterizesOnlyOnAdviceMiss(t *testing.T) {
+	e := New(Options{Workers: 2})
+	tr := telemetry.NewTracer(telemetry.TracerOptions{})
+	ctx := telemetry.WithTracer(context.Background(), tr)
+	req := Request{Config: devices.TX2(), Params: microbench.TestParams(), App: "shwfs", Scale: catalog.Micro, Current: "sc"}
+	for i := 0; i < 3; i++ {
+		if _, err := e.Advise(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	if c := st.Characterizations; c.Hits+c.Misses != 1 || c.Executions != 1 {
+		t.Errorf("characterization stats = %+v, want one lookup, executed", c)
+	}
+	if a := st.Advice; a.Hits != 2 || a.Executions != 1 || st.Requests != 3 {
+		t.Errorf("advice stats = %+v, requests %d, want 2 hits, 1 execution, 3 requests", a, st.Requests)
+	}
+	names := map[int64]string{}
+	for _, sp := range tr.Spans() {
+		names[sp.ID] = sp.Name
+	}
+	var chars []*telemetry.Span
+	for _, sp := range tr.Spans() {
+		if sp.Name == "engine.characterize" {
+			chars = append(chars, sp)
+		}
+	}
+	if len(chars) != 1 {
+		t.Fatalf("%d engine.characterize spans, want 1 (the cold question only)", len(chars))
+	}
+	if parent := names[chars[0].ParentID]; parent != "engine.advise" {
+		t.Errorf("engine.characterize parent = %q, want engine.advise", parent)
+	}
+	if !hasAttr(chars[0], "cache", "miss") {
+		t.Errorf("engine.characterize attrs = %v, want cache=miss", chars[0].Attrs())
+	}
+}
+
+func hasAttr(sp *telemetry.Span, key, value string) bool {
+	for _, a := range sp.Attrs() {
+		if a.Key == key && a.Value == value {
+			return true
+		}
+	}
+	return false
+}
+
+// Characterization failures come back marked ErrCharacterization — an
+// injected error, a recovered panic (still a *PanicError) and an ended
+// context (still the context's error) — while a profiling failure does not.
+func TestAdviseMarksCharacterizationFailures(t *testing.T) {
+	req := Request{Config: devices.TX2(), Params: microbench.TestParams(), App: "shwfs", Scale: catalog.Micro, Current: "zc"}
+	for _, tc := range []struct {
+		point    string
+		mode     faults.Mode
+		charFail bool
+	}{
+		{"engine.characterize", faults.ModeError, true},
+		{"engine.characterize", faults.ModePanic, true},
+		{"profile.collect", faults.ModeError, false},
+	} {
+		if err := faults.Activate(faults.NewPlan(1, faults.Rule{Point: tc.point, Mode: tc.mode, Every: 1})); err != nil {
+			t.Fatal(err)
+		}
+		_, err := New(Options{Workers: 2}).Advise(context.Background(), req)
+		faults.Deactivate()
+		faults.ResetInjected()
+		if err == nil || errors.Is(err, ErrCharacterization) != tc.charFail {
+			t.Errorf("%s/%v: err = %v, want characterization failure %t", tc.point, tc.mode, err, tc.charFail)
+		}
+		var pe *PanicError
+		if tc.mode == faults.ModePanic && !errors.As(err, &pe) {
+			t.Errorf("%s/panic: err = %v, want a *PanicError inside", tc.point, err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := New(Options{Workers: 2}).Advise(ctx, req)
+	if !errors.Is(err, ErrCharacterization) || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled advise: err = %v, want a characterization failure wrapping context.Canceled", err)
 	}
 }

@@ -20,8 +20,9 @@ import (
 // versioned persist format framework.SaveCharacterization defines, so a
 // pulled entry inherits the same stale-format protection a warm-start file
 // has. A shard joining (or rebalancing after a membership change) pulls the
-// entries it now owns from every peer before taking traffic, so its first
-// requests hit a warm cache instead of stampeding cold characterizations.
+// entries it now owns — those whose characterized platform the ring places
+// on it — from every peer before taking traffic, so its first requests hit
+// a warm cache instead of stampeding cold characterizations.
 
 // ExportLine is one entry on the handoff wire: the cache key and the
 // characterization payload in the persist format.
@@ -32,13 +33,13 @@ type ExportLine struct {
 	Entry json.RawMessage `json:"entry"`
 }
 
-// WriteExport streams the entries whose key passes include (nil: all) to w
-// as NDJSON, in sorted key order so streams are deterministic. It returns
-// the number of entries written.
-func WriteExport(w io.Writer, entries map[string]framework.Characterization, include func(key string) bool) (int, error) {
+// WriteExport streams the entries whose characterization passes include
+// (nil: all) to w as NDJSON, in sorted key order so streams are
+// deterministic. It returns the number of entries written.
+func WriteExport(w io.Writer, entries map[string]framework.Characterization, include func(framework.Characterization) bool) (int, error) {
 	keys := make([]string, 0, len(entries))
-	for key := range entries {
-		if include == nil || include(key) {
+	for key, char := range entries {
+		if include == nil || include(char) {
 			keys = append(keys, key)
 		}
 	}

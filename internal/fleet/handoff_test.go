@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,7 +71,7 @@ func TestWriteExportFilter(t *testing.T) {
 		testKey(2): handoffChar("drop"),
 	}
 	var buf bytes.Buffer
-	n, err := WriteExport(&buf, entries, func(key string) bool { return key == testKey(1) })
+	n, err := WriteExport(&buf, entries, func(char framework.Characterization) bool { return char.Platform == "keep" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +132,8 @@ func TestReadExportSkipsBlankLines(t *testing.T) {
 	}
 }
 
-// Pull must import only owned keys, tolerate a dead peer, and count what it
-// installed.
+// Pull must import only entries for platforms it owns, tolerate a dead
+// peer, and count what it installed.
 func TestPullImportsOwnedEntriesAndSurvivesDeadPeer(t *testing.T) {
 	// The exporting peer owns nothing here; it just serves whatever the
 	// owner filter the *puller* requested selects, like advisord will.
@@ -142,11 +143,11 @@ func TestPullImportsOwnedEntriesAndSurvivesDeadPeer(t *testing.T) {
 	}
 	entries := map[string]framework.Characterization{}
 	for i := 0; i < 50; i++ {
-		entries[testKey(i)] = handoffChar("b")
+		entries[testKey(i)] = handoffChar(fmt.Sprintf("board-%d", i))
 	}
 	ownedByA := 0
-	for key := range entries {
-		if st.Owner(key) == "shard-a" {
+	for _, char := range entries {
+		if st.Owner(char.Platform) == "shard-a" {
 			ownedByA++
 		}
 	}
@@ -160,7 +161,7 @@ func TestPullImportsOwnedEntriesAndSurvivesDeadPeer(t *testing.T) {
 			return
 		}
 		owner := r.URL.Query().Get("owner")
-		if _, err := WriteExport(w, entries, func(key string) bool { return st.Owner(key) == owner }); err != nil {
+		if _, err := WriteExport(w, entries, func(char framework.Characterization) bool { return st.Owner(char.Platform) == owner }); err != nil {
 			t.Errorf("export: %v", err)
 		}
 	}))
@@ -194,9 +195,9 @@ func TestPullImportsOwnedEntriesAndSurvivesDeadPeer(t *testing.T) {
 	if rep.Pulled != ownedByA || len(got) != ownedByA {
 		t.Fatalf("pulled %d entries (%d installed), want %d", rep.Pulled, len(got), ownedByA)
 	}
-	for key := range got {
-		if st.Owner(key) != "shard-a" {
-			t.Fatalf("pulled key %s owned by %s, not shard-a", key, st.Owner(key))
+	for key, char := range got {
+		if st.Owner(char.Platform) != "shard-a" {
+			t.Fatalf("pulled key %s (%s) owned by %s, not shard-a", key, char.Platform, st.Owner(char.Platform))
 		}
 	}
 	if st.Stats().HandoffImported != uint64(ownedByA) {
@@ -248,7 +249,7 @@ func TestStateBasics(t *testing.T) {
 		}
 	}
 
-	// Reroute accounting follows ring ownership.
+	// Reroute accounting follows ring ownership of the served device.
 	owned, remote := "", ""
 	for i := 0; owned == "" || remote == ""; i++ {
 		key := testKey(i)

@@ -1,16 +1,18 @@
 // Package fleet shards the advisory service across N advisord replicas: a
-// consistent-hash ring over the engine's content-hash characterization keys
-// (bounded virtual nodes, deterministic across process restarts), a
-// server-side State each replica holds (membership, ring, drain flag,
-// handoff counters), a client-side Router (shard preference order, replica
-// health tracking, any-replica fallback), warm-handoff streaming of cache
-// entries between peers, and a closed-loop load generator the fleet harness
-// and `make fleet` drive.
+// consistent-hash ring over catalog device names (bounded virtual nodes,
+// deterministic across process restarts), a server-side State each replica
+// holds (membership, ring, drain flag, handoff counters), a client-side
+// Router (shard preference order, replica health tracking, any-replica
+// fallback), warm-handoff streaming of cache entries between peers, and a
+// closed-loop load generator the fleet harness and `make fleet` drive.
 //
-// The ring hashes only stable inputs — shard IDs and the sha256 content-hash
-// cache keys — so key ownership is a pure function of the membership list:
-// every replica, every client and every restart of either computes the same
-// owner for the same key.
+// The ring hashes only stable inputs — shard IDs and device names — so
+// ownership is a pure function of the membership list: every replica, every
+// client and every restart of either computes the same owner for the same
+// device. A question routes on the device it names and a cache entry on the
+// platform it characterizes; within a fleet, where every shard runs one
+// set of micro-benchmark parameters, a device name and the engine's
+// content-hash characterization key are one-to-one.
 package fleet
 
 import (

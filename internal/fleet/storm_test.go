@@ -117,7 +117,7 @@ func pushMembership(t *testing.T, members []fleet.Shard, shards ...*stormShard) 
 }
 
 // seedSyntheticEntries spreads n synthetic characterizations across the
-// fleet, each installed on the shard owning its key, so a later warm handoff
+// fleet, each installed on the shard owning its platform, so a later warm handoff
 // has real freight to move.
 func seedSyntheticEntries(t *testing.T, n int, shards ...*stormShard) {
 	t.Helper()
@@ -128,13 +128,13 @@ func seedSyntheticEntries(t *testing.T, n int, shards ...*stormShard) {
 	ring := shards[0].st.Ring()
 	for i := 0; i < n; i++ {
 		sum := sha256.Sum256([]byte(fmt.Sprintf("storm-seed-%d", i)))
-		key := hex.EncodeToString(sum[:])
-		owner, ok := byID[ring.Owner(key)]
+		platform := fmt.Sprintf("storm-board-%d", i)
+		owner, ok := byID[ring.Owner(platform)]
 		if !ok {
-			t.Fatalf("key owner %q is not a running shard", ring.Owner(key))
+			t.Fatalf("platform owner %q is not a running shard", ring.Owner(platform))
 		}
-		owner.eng.CachePut(key, framework.Characterization{
-			Platform:            fmt.Sprintf("storm-board-%d", i),
+		owner.eng.CachePut(hex.EncodeToString(sum[:]), framework.Characterization{
+			Platform:            platform,
 			Thresholds:          perfmodel.Thresholds{CPUCache: 0.10, GPUCacheLow: 0.10, GPUCacheHigh: 0.30},
 			PeakGPUThroughput:   100 * units.GBps,
 			PinnedGPUThroughput: 10 * units.GBps,
@@ -146,35 +146,13 @@ func seedSyntheticEntries(t *testing.T, n int, shards ...*stormShard) {
 
 // deviceRequests is the storm's request mix: one valid advisory question per
 // catalog device, so the warm path dominates and every shard owning a device
-// key sees traffic.
+// sees traffic.
 func deviceRequests() []advisord.AdviseRequest {
 	var out []advisord.AdviseRequest
 	for _, cfg := range devices.All() {
 		out = append(out, advisord.AdviseRequest{Device: cfg.Name, App: "shwfs", Current: "sc"})
 	}
 	return out
-}
-
-// checkStormResult enforces the per-response invariant under churn: complete
-// advice (possibly degraded, then with a reason) or a typed error — never a
-// half-answer.
-func checkStormResult(res advisord.AdviseResult) error {
-	if res.Error != "" {
-		if res.Recommendation != nil {
-			return fmt.Errorf("both error %q and a recommendation", res.Error)
-		}
-		if res.ErrorKind == "" {
-			return fmt.Errorf("error %q lacks a kind", res.Error)
-		}
-		return nil
-	}
-	if res.Recommendation == nil || res.Recommendation.Suggested == "" || res.Zone == "" {
-		return fmt.Errorf("incomplete advice %+v", res)
-	}
-	if res.Degraded && res.DegradedReason == "" {
-		return fmt.Errorf("degraded without a reason")
-	}
-	return nil
 }
 
 // stormDo builds the closed-loop Do func: each call advises the whole
@@ -189,7 +167,7 @@ func stormDo(cl *client.Client, reqs []advisord.AdviseRequest, violations *atomi
 			return 0, err
 		}
 		for _, res := range resp.Results {
-			if verr := checkStormResult(res); verr != nil {
+			if verr := res.Check(); verr != nil {
 				violations.Add(1)
 				return len(resp.Results), verr
 			}
@@ -199,7 +177,7 @@ func stormDo(cl *client.Client, reqs []advisord.AdviseRequest, violations *atomi
 }
 
 // warmFleet pushes every request through once so each shard characterizes
-// the device keys it owns before the clock starts.
+// the devices it owns before the clock starts.
 func warmFleet(t *testing.T, cl *client.Client, reqs []advisord.AdviseRequest) {
 	t.Helper()
 	for _, ar := range reqs {
@@ -245,7 +223,6 @@ func singleProcessBaseline(t *testing.T, reqs []advisord.AdviseRequest) fleet.Lo
 func stormClient(rt *fleet.Router) *client.Client {
 	return client.New(client.Options{
 		Fleet:              rt,
-		Params:             microbench.TestParams(),
 		MaxAttempts:        6,
 		BaseDelay:          time.Millisecond,
 		MaxDelay:           10 * time.Millisecond,
@@ -299,7 +276,7 @@ func TestFleetStormJoinAndDeath(t *testing.T) {
 	fullMembers := membership(all...)
 
 	// Pick the kill victim among the original shards: the owner of a device
-	// key under the post-join ring, so its death actually rejects traffic.
+	// under the post-join ring, so its death actually rejects traffic.
 	fullRing, err := fleet.NewRing([]string{"shard-a", "shard-b", "shard-c", "shard-d"}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +289,7 @@ func TestFleetStormJoinAndDeath(t *testing.T) {
 	cl := stormClient(rt)
 	victim := a
 	for _, ar := range reqs {
-		owner := fullRing.Owner(clientRouteKey(t, ar))
+		owner := fullRing.Owner(ar.Device)
 		for _, sh := range core {
 			if sh.id == owner {
 				victim = sh
@@ -410,20 +387,6 @@ func TestFleetStormJoinAndDeath(t *testing.T) {
 		ServerReroutes:  serverReroutes,
 		HandoffImported: imported,
 	})
-}
-
-// clientRouteKey mirrors the client's key computation for victim selection.
-func clientRouteKey(t *testing.T, ar advisord.AdviseRequest) string {
-	t.Helper()
-	cfg, err := devices.ByName(ar.Device)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := engine.CacheKey(cfg, microbench.TestParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return key
 }
 
 // TestFleetStormUnderChaosSchedule replays the storm's load shape with the

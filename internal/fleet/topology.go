@@ -21,7 +21,7 @@ const (
 )
 
 // Shard is one advisord replica in the fleet: a stable ID (the ring hashes
-// it, so renaming a shard moves its key range) and the data-plane base URL
+// it, so renaming a shard moves its hash range) and the data-plane base URL
 // peers and clients reach it on.
 type Shard struct {
 	// ID is the stable ring identity, e.g. "shard-a".
@@ -166,17 +166,20 @@ func (s *State) Topology() Topology {
 	return Topology{Version: s.version, Self: s.self, VNodes: s.vnodes, Shards: shards}
 }
 
-// Owner returns the shard ID owning key under the current ring.
-func (s *State) Owner(key string) string { return s.Ring().Owner(key) }
+// Owner returns the shard ID owning device under the current ring.
+// Ownership is keyed on the catalog device name an advisory question
+// carries; within a fleet (one Params per shard) that name and the engine's
+// content-hash cache key are one-to-one.
+func (s *State) Owner(device string) string { return s.Ring().Owner(device) }
 
-// Owns reports whether this replica owns key.
-func (s *State) Owns(key string) bool { return s.Owner(key) == s.self }
+// Owns reports whether this replica owns device.
+func (s *State) Owns(device string) bool { return s.Owner(device) == s.self }
 
-// NoteServed records one advisory request served for key, counting a
-// received reroute when the key is owned by another shard — the signal that
-// clients are falling back onto this replica.
-func (s *State) NoteServed(key string) {
-	if !s.Owns(key) {
+// NoteServed records one advisory question served for device, counting a
+// received reroute when another shard owns it — the signal that clients
+// are falling back onto this replica.
+func (s *State) NoteServed(device string) {
+	if !s.Owns(device) {
 		s.reroutes.Add(1)
 	}
 }
@@ -200,8 +203,8 @@ type Stats struct {
 	VNodes int `json:"vnodes"`
 	// Draining reports the drain flag.
 	Draining bool `json:"draining"`
-	// ReroutesReceived counts advisory requests served for keys owned by
-	// another shard.
+	// ReroutesReceived counts advisory questions served for devices owned
+	// by another shard.
 	ReroutesReceived uint64 `json:"reroutes_received"`
 	// HandoffExported counts cache entries streamed out to peers.
 	HandoffExported uint64 `json:"handoff_exported"`

@@ -75,7 +75,7 @@ func DefaultRelations() []Relation {
 			Scenario:  "fleet/routed-advise",
 			Reference: "advisord/advise",
 			MaxRatio:  2.0,
-			Doc:       "routing a warm advise batch across a 3-shard fleet (key hashing, per-owner grouping, up to 3 loopback hops) may cost at most 2x the single-process advise path",
+			Doc:       "routing a warm advise batch across a 3-shard fleet (device-name hashing, per-owner grouping, up to 3 loopback hops) may cost at most 2x the single-process advise path",
 		},
 	}
 }

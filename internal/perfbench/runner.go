@@ -29,7 +29,9 @@ type RunOptions struct {
 }
 
 // Run prepares every scenario, then measures them with interleaved rounds:
-// round r times scenario 1, 2, ..., n once each before round r+1 starts.
+// round r takes one sample of scenario 1, 2, ..., n before round r+1
+// starts. A sample is one timed call, or for a body faster than minSample
+// the median of several warm calls (see sample).
 // Interleaving decorrelates a scenario's samples from slow drifts (thermal
 // throttling, background load) — drift lands evenly across all scenarios
 // instead of concentrating in whichever ran last — which is what makes the
@@ -92,6 +94,14 @@ func Run(ctx context.Context, scenarios []Scenario, opt RunOptions) (Artifact, e
 		}
 		progress(opt.Progress, "warmup round %d/%d done", w+1, opt.Warmup)
 	}
+	calls := make([]int, len(scenarios))
+	for i, s := range scenarios {
+		n, err := callsPerSample(ctx, bodies[i])
+		if err != nil {
+			return Artifact{}, fmt.Errorf("perfbench: calibrate %s: %w", s.Name, err)
+		}
+		calls[i] = n
+	}
 
 	samples := make([][]float64, len(scenarios))
 	for i := range samples {
@@ -102,9 +112,7 @@ func Run(ctx context.Context, scenarios []Scenario, opt RunOptions) (Artifact, e
 			iterCtx, span := telemetry.Start(ctx, "perfbench.iteration",
 				telemetry.String("scenario", s.Name),
 				telemetry.String("round", fmt.Sprintf("%d", r)))
-			t0 := time.Now()
-			err := bodies[i](iterCtx)
-			elapsed := time.Since(t0)
+			elapsed, err := sample(iterCtx, bodies[i], calls[i])
 			span.End()
 			if err != nil {
 				return Artifact{}, fmt.Errorf("perfbench: %s round %d: %w", s.Name, r, err)
@@ -149,4 +157,61 @@ func progress(w io.Writer, format string, args ...interface{}) {
 	if w != nil {
 		fmt.Fprintf(w, format+"\n", args...)
 	}
+}
+
+// Short bodies are sampled warm and over many calls. The first call of a
+// sub-millisecond body after a different scenario ran pays for the caches,
+// threads and sockets that scenario left cold: measured on a 2-vCPU VM, the
+// first warm /v1/advise call after a sweep took 1.5-3x the next ones, so a
+// single timed call samples the transition rather than the body. The warm
+// calls then drift between stretches about 2x apart that last milliseconds,
+// so a sample spans several of them.
+const (
+	// minSample is the shortest body a single timed call samples alone,
+	// and the time the calls of one short-body sample span.
+	minSample = 25 * time.Millisecond
+	// maxCallsPerSample caps the calls one sample of a short body takes.
+	maxCallsPerSample = 100
+)
+
+// callsPerSample returns how many calls one sample of a warmed-up body
+// takes: 1 for a body of at least minSample, otherwise enough calls to span
+// minSample, capped at maxCallsPerSample. A call under minSample is timed
+// again back to back, so the count comes from a warm call.
+func callsPerSample(ctx context.Context, body func(context.Context) error) (int, error) {
+	var d time.Duration
+	for try := 0; try < 2; try++ {
+		t0 := time.Now()
+		if err := body(ctx); err != nil {
+			return 0, err
+		}
+		if d = time.Since(t0); d >= minSample {
+			return 1, nil
+		}
+	}
+	return min(int(minSample/(d+1))+1, maxCallsPerSample), nil
+}
+
+// sample times one sample of body: the call itself when n is 1; otherwise
+// one untimed call to re-warm the body after the previous scenario, then
+// the median of n timed calls, which no single scheduler or host stall
+// moves.
+func sample(ctx context.Context, body func(context.Context) error, n int) (time.Duration, error) {
+	if n == 1 {
+		t0 := time.Now()
+		err := body(ctx)
+		return time.Since(t0), err
+	}
+	if err := body(ctx); err != nil {
+		return 0, err
+	}
+	durs := make([]float64, n)
+	for k := range durs {
+		t0 := time.Now()
+		if err := body(ctx); err != nil {
+			return 0, err
+		}
+		durs[k] = float64(time.Since(t0))
+	}
+	return time.Duration(Summarize(durs).Median), nil
 }

@@ -31,10 +31,18 @@ func TestRunInterleavesRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 warmup round + 3 timed rounds, each x-then-y.
-	want := []string{"x", "y", "x", "y", "x", "y", "x", "y"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("execution order = %v, want interleaved %v", order, want)
+	// 1 warmup round, calibration calls for each, then 3 timed rounds,
+	// each x-then-y. The fakes are instant, so calibration and every sample
+	// are runs of calls; runs collapse to one entry.
+	var runs []string
+	for i, name := range order {
+		if i == 0 || order[i-1] != name {
+			runs = append(runs, name)
+		}
+	}
+	want := []string{"x", "y", "x", "y", "x", "y", "x", "y", "x", "y"}
+	if fmt.Sprint(runs) != fmt.Sprint(want) {
+		t.Errorf("execution order (runs) = %v, want interleaved %v", runs, want)
 	}
 	if len(a.Scenarios) != 2 || a.Scenarios[0].Iterations != 3 {
 		t.Errorf("artifact shape wrong: %+v", a.Scenarios)
@@ -128,5 +136,49 @@ func TestRunStampsMetadata(t *testing.T) {
 	}
 	if a.Build.Main == "" {
 		t.Errorf("build metadata missing: %+v", a.Build)
+	}
+}
+
+// A short body is sampled warm: its first call after another scenario ran
+// is slow (it stands in for caches and threads that scenario left cold) and
+// must not become the sample; a body slower than minSample is one call.
+func TestRunSamplesShortBodiesWarm(t *testing.T) {
+	last := ""
+	calls := map[string]int{}
+	body := func(name string, d time.Duration, coldExtra time.Duration) Scenario {
+		return Scenario{Name: name, Component: "test",
+			Prepare: func(context.Context) (func(context.Context) error, func(), error) {
+				return func(context.Context) error {
+					calls[name]++
+					if last != name {
+						time.Sleep(coldExtra)
+					}
+					last = name
+					time.Sleep(d)
+					return nil
+				}, nil, nil
+			}}
+	}
+	a, err := Run(context.Background(), []Scenario{
+		body("short", 0, 3*time.Millisecond),
+		body("long", 2*minSample, 0),
+	}, RunOptions{Iterations: 3, Warmup: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range a.Scenarios {
+		if s.Name == "short" && s.MedianNS >= float64(time.Millisecond) {
+			t.Errorf("short body sampled at %v, want its warm call (well under 1ms)", time.Duration(s.MedianNS))
+		}
+	}
+	// long: warmup, calibration and one call per round.
+	if calls["long"] != 1+1+3 {
+		t.Errorf("long body called %d times, want 5 (one call per sample)", calls["long"])
+	}
+	// short: warmup, two calibration calls (the second one warm and
+	// instant, so a sample takes the capped count), and per round a
+	// re-warm call plus the timed ones.
+	if want := 1 + 2 + 3*(1+maxCallsPerSample); calls["short"] != want {
+		t.Errorf("short body called %d times, want %d", calls["short"], want)
 	}
 }

@@ -354,9 +354,9 @@ func advisordScenario(opt SuiteOptions) Scenario {
 }
 
 // fleetScenario measures the same warm 3-device advise batch routed through
-// a 3-shard httptest fleet by the shard-aware client: per-question key
-// hashing, split-by-owner grouping, and up to three loopback round trips
-// instead of advisord/advise's one. The routed-advise-2x relation bounds
+// a 3-shard httptest fleet by the shard-aware client: per-question device
+// hashing on the ring, split-by-owner grouping, and up to three loopback
+// round trips instead of advisord/advise's one. The routed-advise-2x relation bounds
 // that routing tax.
 func fleetScenario(opt SuiteOptions) Scenario {
 	return Scenario{
@@ -401,7 +401,7 @@ func fleetScenario(opt SuiteOptions) Scenario {
 				closeAll()
 				return nil, nil, err
 			}
-			cl := client.New(client.Options{Fleet: rt, Params: opt.params()})
+			cl := client.New(client.Options{Fleet: rt})
 
 			var body advisord.AdviseBody
 			for _, cfg := range devices.All() {
