@@ -20,10 +20,14 @@ race:
 # The paper-scale (DefaultParams and catalog.Full) tests the race detector
 # skips, run here without -race: every kernel declaring an affine stride
 # must compile and replay exactly like its undeclared twin (4 M threads per
-# MB3 stream), and a primed engine's third 45-combo sweep must replay every
-# kernel from the shared kernel caches with no compile and no eviction.
+# MB3 stream); every catalog app's declared Key must be complete (equal
+# scopes emit equal programs for every thread, and no param changes a
+# program without changing the Key); and a primed engine's third 45-combo
+# sweep must replay every kernel from the shared kernel caches on those
+# declarations, with no compile, no emitted program and no eviction.
 declared-full:
 	$(GO) test -count=1 -run '^TestDeclaredKernelsFullScale$$' ./internal/microbench
+	$(GO) test -count=1 -run '^TestDeclaredKeysFullScale$$' ./internal/apps/catalog
 	$(GO) test -count=1 -run '^TestPrimedSweepReplaysFullScale$$' ./internal/engine
 
 fmt:
@@ -86,17 +90,21 @@ cover:
 # Short fuzz pass over the externally-facing parsers — the hazard event-trace
 # parser (ParseEvents), the NDJSON warm-handoff export reader (a malicious or buggy
 # peer must quarantine, never panic its puller), the saved-characterization
-# loader behind `advisor advise -char` and the /v1/advise handler (every body
-# gets valid advice, typed errors or a 4xx JSON error) — and over the batch
-# simulator core against the per-access reference executor. The characterization seeds are
-# ~3 KB files, and minimizing each new coverage input byte by byte can take
-# the default 60 s, so that target caps minimization at 2 s.
+# loader behind `advisor advise -char`, the engine's warm-start cache loader
+# (a bad entry is quarantined, a loaded one round-trips), the heat-artifact
+# loader and the /v1/advise handler (every body gets valid advice, typed
+# errors or a 4xx JSON error) — and over the batch simulator core against
+# the per-access reference executor. The characterization and cache-entry
+# seeds are ~3 KB files, and minimizing each new coverage input byte by byte
+# can take the default 60 s, so those targets cap minimization at 2 s.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzBatchVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzReadExport -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/framework -run '^$$' -fuzz FuzzLoadCharacterization -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzLoadCache -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/framework -run '^$$' -fuzz FuzzLoadHeatArtifact -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/advisord -run '^$$' -fuzz FuzzAdviseRequest -fuzztime $(FUZZTIME)
 
 # The paper-scale benchmark is its own module, so `go test ./...` skips it;

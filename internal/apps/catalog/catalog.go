@@ -44,63 +44,69 @@ const (
 )
 
 var builders = map[string]func(Scale) (comm.Workload, error){
-	"shwfs": func(sc Scale) (comm.Workload, error) {
-		p := shwfs.DefaultWorkloadParams()
-		switch sc {
-		case Quick:
-			p.Config = shwfs.Config{SubapsX: 8, SubapsY: 8, SubapPx: 8, Threshold: 10}
-			p.Launches = 2
-			p.PerPixelOps = 50
-			p.ReduceSteps = 4
-		case Micro:
-			p.Config = shwfs.Config{SubapsX: 2, SubapsY: 2, SubapPx: 4, Threshold: 10}
-			p.Launches = 1
-			p.PerPixelOps = 4
-			p.ReduceSteps = 1
-		}
-		return shwfs.Workload(p)
-	},
-	"orbslam": func(sc Scale) (comm.Workload, error) {
-		p := orbslam.DefaultWorkloadParams()
-		switch sc {
-		case Quick:
-			p.FrameW, p.FrameH = 160, 120
-			p.Frontend.Levels = 3
-			p.Frontend.MaxPerLevel = 32
-			p.PerPixelOps = 16
-			p.DescLoads = 8
-			p.DescOps = 20
-			p.MatchComparisons = 5000
-		case Micro:
-			// 64x64 is the smallest frame orbslam accepts; with the
-			// default 16-pixel border only level 0 is usable, so one
-			// level gives one detect and one describe launch.
-			p.FrameW, p.FrameH = 64, 64
-			p.Frontend.Levels = 1
-			p.Frontend.MaxPerLevel = 8
-			p.PerPixelOps = 2
-			p.DescLoads = 2
-			p.DescOps = 4
-			p.MatchComparisons = 100
-		}
-		return orbslam.Workload(p)
-	},
-	"lanedet": func(sc Scale) (comm.Workload, error) {
-		p := lanedet.DefaultWorkloadParams()
-		switch sc {
-		case Quick:
-			p.FrameW, p.FrameH = 96, 64
-			p.SobelOps = 6
-			p.VoteOps = 2
-			p.TrackOps = 2
-		case Micro:
-			p.FrameW, p.FrameH = 32, 32 // lanedet's minimum frame
-			p.SobelOps = 1
-			p.VoteOps = 1
-			p.TrackOps = 1
-		}
-		return lanedet.Workload(p)
-	},
+	"shwfs":   func(sc Scale) (comm.Workload, error) { return shwfs.Workload(shwfsParams(sc)) },
+	"orbslam": func(sc Scale) (comm.Workload, error) { return orbslam.Workload(orbslamParams(sc)) },
+	"lanedet": func(sc Scale) (comm.Workload, error) { return lanedet.Workload(lanedetParams(sc)) },
+}
+
+func shwfsParams(sc Scale) shwfs.WorkloadParams {
+	p := shwfs.DefaultWorkloadParams()
+	switch sc {
+	case Quick:
+		p.Config = shwfs.Config{SubapsX: 8, SubapsY: 8, SubapPx: 8, Threshold: 10}
+		p.Launches = 2
+		p.PerPixelOps = 50
+		p.ReduceSteps = 4
+	case Micro:
+		p.Config = shwfs.Config{SubapsX: 2, SubapsY: 2, SubapPx: 4, Threshold: 10}
+		p.Launches = 1
+		p.PerPixelOps = 4
+		p.ReduceSteps = 1
+	}
+	return p
+}
+
+func orbslamParams(sc Scale) orbslam.WorkloadParams {
+	p := orbslam.DefaultWorkloadParams()
+	switch sc {
+	case Quick:
+		p.FrameW, p.FrameH = 160, 120
+		p.Frontend.Levels = 3
+		p.Frontend.MaxPerLevel = 32
+		p.PerPixelOps = 16
+		p.DescLoads = 8
+		p.DescOps = 20
+		p.MatchComparisons = 5000
+	case Micro:
+		// 64x64 is the smallest frame orbslam accepts; with the default
+		// 16-pixel border only level 0 is usable, so one level gives one
+		// detect and one describe launch.
+		p.FrameW, p.FrameH = 64, 64
+		p.Frontend.Levels = 1
+		p.Frontend.MaxPerLevel = 8
+		p.PerPixelOps = 2
+		p.DescLoads = 2
+		p.DescOps = 4
+		p.MatchComparisons = 100
+	}
+	return p
+}
+
+func lanedetParams(sc Scale) lanedet.WorkloadParams {
+	p := lanedet.DefaultWorkloadParams()
+	switch sc {
+	case Quick:
+		p.FrameW, p.FrameH = 96, 64
+		p.SobelOps = 6
+		p.VoteOps = 2
+		p.TrackOps = 2
+	case Micro:
+		p.FrameW, p.FrameH = 32, 32 // lanedet's minimum frame
+		p.SobelOps = 1
+		p.VoteOps = 1
+		p.TrackOps = 1
+	}
+	return p
 }
 
 // Names lists the catalogued application names, sorted.

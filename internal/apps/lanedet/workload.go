@@ -79,6 +79,7 @@ func Workload(p WorkloadParams) (comm.Workload, error) {
 
 	return comm.Workload{
 		Name: "lanedet",
+		Key:  fmt.Sprintf("%+v", p),
 		In:   []comm.BufferSpec{{Name: "frame", Size: frameBytes}},
 		Out:  []comm.BufferSpec{{Name: "acc", Size: accBytes}},
 		Scratch: []comm.BufferSpec{

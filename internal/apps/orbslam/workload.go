@@ -143,8 +143,11 @@ func Workload(p WorkloadParams) (comm.Workload, error) {
 
 	return comm.Workload{
 		Name: "orbslam",
-		In:   []comm.BufferSpec{{Name: "config", Size: 4096}},
-		Out:  []comm.BufferSpec{{Name: "features", Size: featBytes}},
+		// The keypoints the describe kernels read derive from p (the
+		// scene from Seed, the detection from Frontend), so p covers them.
+		Key: fmt.Sprintf("%+v", p),
+		In:  []comm.BufferSpec{{Name: "config", Size: 4096}},
+		Out: []comm.BufferSpec{{Name: "features", Size: featBytes}},
 		Scratch: []comm.BufferSpec{
 			{Name: "pyramid", Size: pyramidBytes},
 			{Name: "scores", Size: int64(p.FrameW) * int64(p.FrameH) * 4},

@@ -92,6 +92,7 @@ func Workload(p WorkloadParams) (comm.Workload, error) {
 
 	return comm.Workload{
 		Name: "shwfs",
+		Key:  fmt.Sprintf("%+v", p),
 		In:   []comm.BufferSpec{{Name: "frame", Size: frameBytes}},
 		Out:  []comm.BufferSpec{{Name: "centroids", Size: centBytes}},
 		CPUTask: func(c *cpu.CPU, lay comm.Layout) {

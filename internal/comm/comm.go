@@ -19,6 +19,8 @@ package comm
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"igpucomm/internal/cpu"
 	"igpucomm/internal/energy"
@@ -63,6 +65,19 @@ func (l Layout) Buffer(name string) mmu.Buffer {
 // Workload is one iteration of a CPU+GPU application.
 type Workload struct {
 	Name string
+
+	// Key is the content identity of everything CPUTask, CPUPost and
+	// MakeKernel capture. The contract is completeness: two workloads with
+	// the same Name and Key must emit the same program for every thread of
+	// every launch on the same layout. The run skeleton declares the Key,
+	// with the model and the placed layouts, to the GPU's kernel cache
+	// (see LaunchScope), so a kernel compiled in one run replays in later
+	// runs, and on every platform sharing the cache, without emitting a
+	// program; a Key that misses a captured input replays a stale kernel.
+	// Builders derive it from their params struct, fmt.Sprintf("%+v", p).
+	// Empty declares nothing: the kernels still replay within a run, but
+	// compile again in every run.
+	Key string
 
 	// In buffers are produced by the CPU and consumed by the GPU kernel
 	// (host-to-device under SC). Out buffers flow the other way.
@@ -325,7 +340,7 @@ type iterator interface {
 // place a model's AllocPlan is allocated for execution. It validates the
 // workload, resets the platform, allocates the plan (freed on return) and
 // runs Warmup untimed iterations plus the measured one on one launcher
-// scoped "<model>/<workload>" (the kernel-cache scope). Around the measured
+// declaring LaunchScope (the kernel-cache scope). Around the measured
 // iteration it records what every model reports alike: the DRAM traffic,
 // the energy activity, the buffer heat and the identifying fields.
 func run(m iterator, s *soc.SoC, w Workload) (Report, error) {
@@ -340,7 +355,7 @@ func run(m iterator, s *soc.SoC, w Workload) (Report, error) {
 	defer release()
 
 	var rep Report
-	lch := gpu.NewLauncher(s.GPU, m.Name()+"/"+w.Name)
+	lch := gpu.NewLauncher(s.GPU, LaunchScope(m, w, pl))
 	for i := 0; i <= w.Warmup; i++ {
 		resetHeat(s)
 		dramBefore := s.DRAM.Stats().Bytes()
@@ -366,6 +381,33 @@ func run(m iterator, s *soc.SoC, w Workload) (Report, error) {
 	rep.DeclaredBytesOut = w.BytesOut()
 	rep.OverlapCapable = w.Overlappable
 	return rep, nil
+}
+
+// LaunchScope is the kernel-cache scope a run of w under m on pl declares:
+// the model, w's Name and Key, and both placed layouts (each buffer's name,
+// address and size). With the launch index it determines every program the
+// run's kernels emit, by the Key's completeness contract, so runs that
+// declare the same scope replay each other's compiled kernels. It is empty,
+// declaring nothing, when w has no Key.
+func LaunchScope(m Model, w Workload, pl Placement) string {
+	if w.Key == "" {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q %q %q", m.Name(), w.Name, w.Key)
+	for _, lay := range []Layout{pl.CPU, pl.GPU} {
+		names := make([]string, 0, len(lay))
+		for name := range lay {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		b.WriteString(" |")
+		for _, name := range names {
+			buf := lay[name]
+			fmt.Fprintf(&b, " %q=%q@%d+%d", name, buf.Name, buf.Addr, buf.Size)
+		}
+	}
+	return b.String()
 }
 
 // Placement is a model's AllocPlan placed in a platform's address space:

@@ -21,6 +21,7 @@ func streamWorkload(n int64, overlappable bool) Workload {
 	size := n * 4
 	return Workload{
 		Name: "stream",
+		Key:  fmt.Sprintf("n=%d", n),
 		In:   []BufferSpec{{Name: "in", Size: size}},
 		Out:  []BufferSpec{{Name: "out", Size: size}},
 		CPUTask: func(c *cpu.CPU, lay Layout) {
@@ -631,5 +632,92 @@ func TestUMMigrationInvalidatesCPUCache(t *testing.T) {
 	s.CPU.LLC().FlushRange(buf.Addr, buf.End(), 0)
 	if s.CPU.L1().Contains(buf.Addr) || s.CPU.LLC().Contains(buf.Addr) {
 		t.Error("CPU caches kept a migrated page's lines")
+	}
+}
+
+// TestRunDeclaresLaunchScope pins the kernel-cache scope the run skeleton
+// declares, on one platform across runs. A keyed workload compiles in its
+// first two runs (the first compile lasts its run) and from the third on
+// replays with no compile and no emitted program. A changed Key or a moved
+// buffer declares a new scope and compiles; a workload without a Key
+// compiles in every run.
+func TestRunDeclaresLaunchScope(t *testing.T) {
+	s := soc.New(devices.TX2())
+	keyed := streamWorkload(4096, false)
+	rekeyed := keyed
+	rekeyed.Key += "/other"
+	// A leading input moves "in" and "out" without changing the kernels.
+	moved := keyed
+	moved.In = append([]BufferSpec{{Name: "pad", Size: 4096}}, keyed.In...)
+	unkeyed := keyed
+	unkeyed.Key = ""
+	compiled := gpu.Work{KernelsCompiled: 1, ProgramsEmitted: 4096} // one program per thread
+	steps := []struct {
+		name string
+		w    Workload
+		want gpu.Work
+	}{
+		{"first run", keyed, compiled},
+		{"second run", keyed, compiled},
+		{"third run replays", keyed, gpu.Work{}},
+		{"changed key", rekeyed, compiled},
+		{"moved buffer", moved, compiled},
+		{"keyed again replays", keyed, gpu.Work{}},
+		{"unkeyed", unkeyed, compiled},
+		{"unkeyed", unkeyed, compiled},
+		{"unkeyed", unkeyed, compiled},
+	}
+	for _, st := range steps {
+		before := s.GPU.Work()
+		if _, err := (SC{}).Run(s, st.w); err != nil {
+			t.Fatal(err)
+		}
+		after := s.GPU.Work()
+		got := gpu.Work{
+			KernelsCompiled: after.KernelsCompiled - before.KernelsCompiled,
+			ProgramsEmitted: after.ProgramsEmitted - before.ProgramsEmitted,
+		}
+		if got != st.want {
+			t.Fatalf("%s: work %+v, want %+v", st.name, got, st.want)
+		}
+	}
+}
+
+// TestLaunchScope pins what the declared scope is made of: equal for equal
+// placements, different for a different model, Key or placement, and empty
+// without a Key.
+func TestLaunchScope(t *testing.T) {
+	w := streamWorkload(1024, false)
+	place := func(w Workload, m Model) Placement {
+		t.Helper()
+		s := soc.New(devices.TX2())
+		pl, release, err := Place(s, w.Name, w, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		return pl
+	}
+	base := LaunchScope(SC{}, w, place(w, SC{}))
+	if again := LaunchScope(SC{}, w, place(w, SC{})); again != base {
+		t.Fatalf("equal placements declare %q and %q", base, again)
+	}
+	rekeyed := w
+	rekeyed.Key = "n=1025"
+	moved := w
+	moved.In = append([]BufferSpec{{Name: "pad", Size: 64}}, w.In...)
+	for name, scope := range map[string]string{
+		"other model": LaunchScope(ZC{}, w, place(w, ZC{})),
+		"other key":   LaunchScope(SC{}, rekeyed, place(rekeyed, SC{})),
+		"moved":       LaunchScope(SC{}, moved, place(moved, SC{})),
+	} {
+		if scope == base || scope == "" {
+			t.Errorf("%s: declares %q, base %q", name, scope, base)
+		}
+	}
+	unkeyed := w
+	unkeyed.Key = ""
+	if scope := LaunchScope(SC{}, unkeyed, place(unkeyed, SC{})); scope != "" {
+		t.Errorf("a workload without a Key declares %q", scope)
 	}
 }

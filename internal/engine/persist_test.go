@@ -14,7 +14,7 @@ import (
 
 // saveOneEntry characterizes one device and persists the cache, returning
 // the engine and the entry's path.
-func saveOneEntry(t *testing.T, dir string) (*Engine, string) {
+func saveOneEntry(t testing.TB, dir string) (*Engine, string) {
 	t.Helper()
 	cfg, err := devices.ByName(devices.TX2Name)
 	if err != nil {

@@ -84,13 +84,14 @@ func primedSweep(t *testing.T, sc catalog.Scale) (gpu.Work, int64) {
 // TestPrimedSweepReplays pins the work of a primed sweep at catalog.Micro:
 // after two sweeps, every kernel the third needs is in its config's shared
 // kernel cache, so the pooled clones replay all 150 launches, compile
-// nothing and evict nothing. The only emission left is the cross-run
-// fingerprint check. With a private cache per clone the third sweep still
-// compiled 45 to 72 kernels, varying with which clone each task landed on
-// (5 measured runs).
+// nothing and evict nothing. Each replay is found by the scope its run
+// declares, so no thread program is emitted either; fingerprinting the
+// kernels instead emitted 31815. With a private cache per clone the third
+// sweep still compiled 45 to 72 kernels, varying with which clone each task
+// landed on (5 measured runs).
 func TestPrimedSweepReplays(t *testing.T) {
 	work, evictions := primedSweep(t, catalog.Micro)
-	want := gpu.Work{ProgramsEmitted: 31815, KernelsReplayed: 150, TxnsReplayed: 101376}
+	want := gpu.Work{KernelsReplayed: 150, TxnsReplayed: 101376}
 	if work != want || evictions != 0 {
 		t.Fatalf("third sweep: work %+v, %d evictions; want %+v, 0 evictions", work, evictions, want)
 	}
@@ -99,14 +100,15 @@ func TestPrimedSweepReplays(t *testing.T) {
 // TestPrimedSweepReplaysFullScale is TestPrimedSweepReplays at the paper's
 // catalog.Full scale, where one device's kernel set outgrew a private
 // cache's budget: with a private cache per clone the third sweep compiled
-// 146 to 202 kernels (4 measured runs). Skipped under -short and the race
-// detector; `make declared-full` runs it.
+// 146 to 202 kernels (4 measured runs), and fingerprinting the replayed
+// kernels emitted 6243900 thread programs. Skipped under -short and the
+// race detector; `make declared-full` runs it.
 func TestPrimedSweepReplaysFullScale(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("paper-scale sweeps: skipped under -short and -race")
 	}
 	work, evictions := primedSweep(t, catalog.Full)
-	want := gpu.Work{ProgramsEmitted: 6243900, KernelsReplayed: 420, TxnsReplayed: 23671236}
+	want := gpu.Work{KernelsReplayed: 420, TxnsReplayed: 23671236}
 	if work != want || evictions != 0 {
 		t.Fatalf("third sweep: work %+v, %d evictions; want %+v, 0 evictions", work, evictions, want)
 	}

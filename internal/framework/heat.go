@@ -151,7 +151,9 @@ func SaveHeatArtifact(w io.Writer, a HeatArtifact) error {
 }
 
 // LoadHeatArtifact reads a saved artifact, rejecting unknown fields and
-// foreign format versions.
+// foreign format versions. An empty hints list loads as none, the form
+// SaveHeatArtifact writes it in, so a loaded artifact saves and reloads
+// unchanged.
 func LoadHeatArtifact(r io.Reader) (HeatArtifact, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -162,6 +164,11 @@ func LoadHeatArtifact(r io.Reader) (HeatArtifact, error) {
 	if a.FormatVersion != heatFormatVersion {
 		return HeatArtifact{}, fmt.Errorf("framework: heat artifact format version %d, want %d",
 			a.FormatVersion, heatFormatVersion)
+	}
+	for i := range a.Entries {
+		if len(a.Entries[i].Hints) == 0 {
+			a.Entries[i].Hints = nil
+		}
 	}
 	return a, nil
 }

@@ -62,8 +62,9 @@ func TestPerBufferHintsNilForEmpty(t *testing.T) {
 	}
 }
 
-func TestHeatArtifactRoundTrip(t *testing.T) {
-	art := HeatArtifact{Entries: []HeatEntry{{
+// sampleHeatArtifact is a one-entry artifact with buffers and hints.
+func sampleHeatArtifact() HeatArtifact {
+	return HeatArtifact{Entries: []HeatEntry{{
 		Platform: "jetson-tx2",
 		Workload: "shwfs",
 		Model:    "sc",
@@ -71,6 +72,10 @@ func TestHeatArtifactRoundTrip(t *testing.T) {
 		Buffers:  []heatmap.BufferHeat{{Name: "b", Kind: "host", Size: 4096, HeatScore: 5}},
 		Hints:    PerBufferHints([]heatmap.BufferHeat{{Name: "b", Size: 4096, HeatScore: 5}}),
 	}}}
+}
+
+func TestHeatArtifactRoundTrip(t *testing.T) {
+	art := sampleHeatArtifact()
 	var buf bytes.Buffer
 	if err := SaveHeatArtifact(&buf, art); err != nil {
 		t.Fatal(err)

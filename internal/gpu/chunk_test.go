@@ -272,8 +272,9 @@ func TestKernelCacheAccountsChunks(t *testing.T) {
 		}
 	}
 
+	lch := NewLauncher(g, "acct")
 	bigKey := kernelKey{scope: "acct", idx: 0}
-	e, err := g.lookupKernel(bigKey.scope, bigKey.idx, big)
+	e, err := g.lookupKernel(lch, bigKey.idx, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestKernelCacheAccountsChunks(t *testing.T) {
 	check(0, bigKey)
 	for i := 1; i <= 4; i++ {
 		key := kernelKey{scope: "acct", idx: i}
-		if _, err := g.lookupKernel(key.scope, key.idx, small); err != nil {
+		if _, err := g.lookupKernel(lch, key.idx, small); err != nil {
 			t.Fatal(err)
 		}
 		check(i, key)
@@ -303,12 +304,12 @@ func TestKernelCacheAccountsChunks(t *testing.T) {
 	}}
 	badKey := kernelKey{scope: "acct", idx: 1}
 	for step := 5; step <= 6; step++ {
-		if _, err := g.lookupKernel(badKey.scope, badKey.idx, bad); err == nil {
+		if _, err := g.lookupKernel(lch, badKey.idx, bad); err == nil {
 			t.Fatal("divergent kernel compiled")
 		}
 		check(step, badKey)
 	}
-	if _, err := g.lookupKernel(badKey.scope, badKey.idx, small); err != nil {
+	if _, err := g.lookupKernel(lch, badKey.idx, small); err != nil {
 		t.Fatal(err)
 	}
 	check(7, badKey)

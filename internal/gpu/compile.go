@@ -98,14 +98,6 @@ type CompiledKernel struct {
 	used   int
 	tail   *txnChunk
 
-	// progH1/progH2 fingerprint the emitted programs: the sum of every
-	// lane's digest (laneDigest), accumulated during compile emission when
-	// GPU.hashCompile is set (the kernel cache requests it for keys that
-	// show cross-run reuse). The sum is order-independent, so it equals
-	// hashPrograms' tid-major walk even though compile emits in SM-strided
-	// batch order.
-	progH1, progH2 uint64
-
 	epoch uint64
 	valid bool
 }
@@ -149,10 +141,10 @@ func (ck *CompiledKernel) Transactions() int64 { return int64(ck.txnCount()) }
 // Diff reports the first way ck and o would replay differently, or nil when
 // they would not: the name, warp count, instruction, requested-byte and
 // transaction totals, per-SM compute, warp counts and stream bounds, and
-// every transaction in order. Chunk capacity, spare chunks, the pinned epoch
-// and the recorded fingerprint are bookkeeping, not content. The declared-
-// kernel differential tests use it to prove that a kernel compiled from a
-// warp template is the kernel its undeclared twin compiles to.
+// every transaction in order. Chunk capacity, spare chunks and the pinned
+// epoch are bookkeeping, not content. The declared-kernel differential
+// tests use it to prove that a kernel compiled from a warp template is the
+// kernel its undeclared twin compiles to.
 func (ck *CompiledKernel) Diff(o *CompiledKernel) error {
 	switch {
 	case ck.valid != o.valid:
@@ -231,8 +223,6 @@ func (ck *CompiledKernel) reset(k Kernel, warpCount, sms int, epoch uint64) {
 		ck.smTxnEnd[i] = 0
 	}
 	ck.clearStream()
-	ck.progH1 = 0
-	ck.progH2 = 0
 	ck.epoch = epoch
 	ck.valid = false
 }
@@ -412,9 +402,6 @@ func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 	if err := g.buildTemplate(k); err != nil {
 		return err
 	}
-	if g.hashCompile && k.Stride != 0 {
-		ck.progH1, ck.progH2 = g.declaredDigest(k)
-	}
 
 	c := &g.comp
 	for smIdx := range g.sms {
@@ -545,8 +532,6 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 	c := &g.comp
 	t := &c.tmpl
 	ws := g.cfg.WarpSize
-	// A declared kernel is fingerprinted by thread 0 alone (declaredDigest).
-	hashLanes := g.hashCompile && k.Stride == 0
 
 	// Emission, validation and convergence, warp by warp in batch order —
 	// the same error-discovery order as the reference executor.
@@ -576,11 +561,6 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 			p := &g.laneProgs[bi*ws+l]
 			p.Reset()
 			k.Program(w*ws+l, p)
-			if hashLanes {
-				d1, d2 := laneDigest(w*ws+l, p.Runs())
-				ck.progH1 += d1
-				ck.progH2 += d2
-			}
 		}
 		g.work.ProgramsEmitted += int64(lanes)
 		idx := 0

@@ -265,144 +265,146 @@ func TestLaunchSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestLauncherSteadyStateZeroAlloc extends the gate to the cached-replay
-// path model runs actually use: a warm Launcher.Launch validates the cache
-// entry and replays without allocating.
+// path model runs actually use: a warm Launcher.Launch, declared or not,
+// validates the cache entry and replays without allocating.
 func TestLauncherSteadyStateZeroAlloc(t *testing.T) {
 	for _, shared := range []bool{false, true} {
-		_, g := twinGPUs()
-		if shared {
-			g.SetKernelCache(NewKernelCache(testConfig(), 2))
-		}
-		lch := NewLauncher(g, "alloc-test/fuzz")
-		k := fuzzKernel([]byte{1, 0, 1, 3, 2, 10, 2, 7}, 128)
-		for i := 0; i < 3; i++ {
-			if _, err := lch.Launch(0, k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := lch.Launch(0, k); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("steady-state Launcher.Launch (shared cache: %v) allocates %v times per run, want 0", shared, allocs)
+		for _, scope := range []string{"alloc-test/fuzz", ""} {
+			testLauncherZeroAlloc(t, shared, scope)
 		}
 	}
 }
 
-// TestLauncherCrossRunReplay pins the cross-run reuse protocol: after a
-// pinned-routing reset that rebuilds identical content (what soc.ResetState
-// does between model runs), the second compile of a key records the program
-// fingerprint, and from the third run on the launcher replays — validated by
-// hash — instead of recompiling.
+func testLauncherZeroAlloc(t *testing.T, shared bool, scope string) {
+	_, g := twinGPUs()
+	if shared {
+		g.SetKernelCache(NewKernelCache(testConfig(), 2))
+	}
+	lch := NewLauncher(g, scope)
+	k := fuzzKernel([]byte{1, 0, 1, 3, 2, 10, 2, 7}, 128)
+	for i := 0; i < 3; i++ {
+		if _, err := lch.Launch(0, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := lch.Launch(0, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Launcher.Launch (shared cache: %v, scope %q) allocates %v times per run, want 0", shared, scope, allocs)
+	}
+}
+
+// TestLauncherCrossRunReplay pins the cross-run reuse protocol on a
+// declared scope: across pinned-routing rebuilds that restore the same
+// routing (what soc.ResetState does between model runs), a key's first
+// compile lasts its run, its second compile marks it recurring, and from
+// the third run on the launcher replays the shared entry on the declaration
+// alone — no compile and no emitted program — with results identical to the
+// first run's from the same cold caches.
 func TestLauncherCrossRunReplay(t *testing.T) {
 	_, g := twinGPUs()
 	lch := NewLauncher(g, "xrun/fuzz")
 	k := fuzzKernel([]byte{1, 0, 1, 3, 2, 10, 2, 7}, 64)
-
-	newRun := func() {
-		// Rebuild the same pinned routing; the epoch moves, content doesn't.
-		g.ClearPinnedRanges()
-		g.AddPinnedRange(pinnedBase, pinnedBase+8192)
-	}
-	want, err := lch.Launch(0, k)
-	if err != nil {
-		t.Fatal(err)
-	}
 	key := kernelKey{scope: "xrun/fuzz", idx: 0}
 	c := g.KernelCache()
-	e := c.entries[key]
-	if e == nil {
-		t.Fatal("no cache entry after first launch")
-	}
-	if e.hashed {
-		t.Fatal("first compile hashed eagerly; hashing must be deferred to reuse")
-	}
-	newRun()
-	if _, err := lch.Launch(0, k); err != nil {
-		t.Fatal(err)
-	}
-	// A recompile publishes a fresh entry; the first stays untouched.
-	if e = c.entries[key]; !e.hashed {
-		t.Fatal("second compile did not record the program fingerprint")
-	}
-	newRun()
-	got, err := lch.Launch(0, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.entries[key] != e {
-		t.Fatal("third launch recompiled instead of replaying")
-	}
-	if g.validated[key] != e || g.validatedEpoch != g.PinnedEpoch() {
-		t.Fatal("third launch did not revalidate against the new epoch")
-	}
-	if got.Transactions != want.Transactions || got.Instructions != want.Instructions {
-		t.Fatalf("cross-run replay diverged: %+v vs %+v", got, want)
-	}
-
-	// A changed pinned layout must force recompilation, not replay.
-	g.ClearPinnedRanges()
-	g.AddPinnedRange(pinnedBase, pinnedBase+4096)
-	if _, err := lch.Launch(0, k); err != nil {
-		t.Fatal(err)
-	}
-	if e = c.entries[key]; e.route == "" {
-		t.Fatal("entry lost its routing evidence after recompile")
-	}
-	if got := len(e.ranges); got != 1 || e.ranges[0].hi != pinnedBase+4096 {
-		t.Fatalf("entry not recompiled against new routing: ranges %+v", e.ranges)
+	var first Result
+	for run, want := range []Work{
+		{KernelsCompiled: 1, ProgramsEmitted: 64, KernelsReplayed: 1},
+		{KernelsCompiled: 1, ProgramsEmitted: 64, KernelsReplayed: 1},
+		{KernelsReplayed: 1},
+		{KernelsReplayed: 1},
+	} {
+		newRun(8192, g)
+		g.InvalidateCaches()
+		before := g.Work()
+		got, err := lch.Launch(0, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := compileWork(before, g.Work()); w != want {
+			t.Fatalf("run %d: work %+v, want %+v", run, w, want)
+		}
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d replayed %+v, first run %+v", run, got, first)
+		}
+		if e := c.entries[key]; g.validated[key] != e || e.repeat != (run > 0) {
+			t.Fatalf("run %d: record %p, shared entry %+v", run, g.validated[key], e)
+		}
 	}
 }
 
-// TestLauncherDeclaredFingerprint pins the kernel cache's fingerprint for a
-// declared affine kernel — (thread 0's program, stride, threads) — across
-// pinned-routing rebuilds like soc.ResetState's: an unchanged kernel
-// replays after emitting one program, not one per thread, while a moved
-// buffer or a changed stride recompiles.
-func TestLauncherDeclaredFingerprint(t *testing.T) {
+// compileWork is the work between two Work snapshots, without the
+// transaction counts.
+func compileWork(before, after Work) Work {
+	return Work{
+		KernelsCompiled: after.KernelsCompiled - before.KernelsCompiled,
+		ProgramsEmitted: after.ProgramsEmitted - before.ProgramsEmitted,
+		KernelsReplayed: after.KernelsReplayed - before.KernelsReplayed,
+	}
+}
+
+// TestLauncherDeclaredScope pins what a declared scope's cross-run replay
+// checks and what it trusts, on a declared affine kernel. A keyed hit
+// emits no program. A changed scope — what comm declares for a moved
+// buffer or a changed workload Key — is a different key and compiles; a
+// changed thread count or a changed pinned routing recompiles the same key.
+// A launcher with an empty scope compiles in every run and replays only
+// within its own.
+func TestLauncherDeclaredScope(t *testing.T) {
 	_, g := twinGPUs()
-	lch := NewLauncher(g, "xrun/declared")
-	mk := func(base, stride int64) Kernel {
-		return Kernel{Name: "affine", Threads: 256, Stride: stride, Program: func(tid int, p *isa.Program) {
-			p.Ld(base+int64(tid)*stride, 4)
+	mk := func(base int64, threads int) Kernel {
+		return Kernel{Name: "affine", Threads: threads, Stride: 4, Program: func(tid int, p *isa.Program) {
+			p.Ld(base+int64(tid)*4, 4)
 			p.Compute(isa.FMA, 3)
-			p.St(base+4096+int64(tid)*stride, 4)
+			p.St(base+4096+int64(tid)*4, 4)
 		}}
 	}
-	// launch runs k in a new run and returns the compile work it took.
-	launch := func(k Kernel) Work {
+	// launch runs k on a new launcher of scope in a new run whose pinned
+	// range is pinned bytes long, twice, and returns the work it took.
+	launch := func(scope string, pinned int64, k Kernel) Work {
 		t.Helper()
-		g.ClearPinnedRanges()
-		g.AddPinnedRange(pinnedBase, pinnedBase+8192)
+		newRun(pinned, g)
+		lch := NewLauncher(g, scope)
 		before := g.Work()
-		if _, err := lch.Launch(0, k); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 2; i++ {
+			if _, err := lch.Launch(0, k); err != nil {
+				t.Fatal(err)
+			}
 		}
-		w := g.Work()
-		return Work{
-			KernelsCompiled: w.KernelsCompiled - before.KernelsCompiled,
-			ProgramsEmitted: w.ProgramsEmitted - before.ProgramsEmitted,
-		}
+		return compileWork(before, g.Work())
 	}
+	compile := Work{KernelsCompiled: 1, ProgramsEmitted: 32, KernelsReplayed: 2}
+	replay := Work{KernelsReplayed: 2}
 	steps := []struct {
-		name string
-		k    Kernel
-		want Work
+		name   string
+		scope  string
+		pinned int64
+		k      Kernel
+		want   Work
 	}{
-		// Compile: warp 0's 32 lanes; the other 7 warps are derived.
-		{"first compile", mk(0, 4), Work{KernelsCompiled: 1, ProgramsEmitted: 32}},
-		// Second compile of the key also digests thread 0.
-		{"recompile, fingerprinted", mk(0, 4), Work{KernelsCompiled: 1, ProgramsEmitted: 33}},
-		{"unchanged replays", mk(0, 4), Work{ProgramsEmitted: 1}},
-		{"moved buffer recompiles", mk(64, 4), Work{KernelsCompiled: 1, ProgramsEmitted: 34}},
-		{"changed stride recompiles", mk(64, 8), Work{KernelsCompiled: 1, ProgramsEmitted: 34}},
-		{"unchanged again replays", mk(64, 8), Work{ProgramsEmitted: 1}},
+		{"first compile", "a", 8192, mk(0, 256), compile},
+		{"second compile marks the key recurring", "a", 8192, mk(0, 256), compile},
+		{"keyed hit replays", "a", 8192, mk(0, 256), replay},
+		{"changed scope compiles", "b", 8192, mk(64, 256), compile},
+		{"changed thread count recompiles", "a", 8192, mk(0, 128), compile},
+		{"changed pinned routing recompiles", "a", 4096, mk(0, 128), compile},
+		{"unchanged again replays", "a", 4096, mk(0, 128), replay},
+		{"undeclared compiles", "", 8192, mk(0, 256), compile},
+		{"undeclared compiles in every run", "", 8192, mk(0, 256), compile},
 	}
 	for _, st := range steps {
-		if got := launch(st.k); got != st.want {
+		if got := launch(st.scope, st.pinned, st.k); got != st.want {
 			t.Fatalf("%s: work %+v, want %+v", st.name, got, st.want)
+		}
+	}
+	for key := range g.KernelCache().entries {
+		if key.scope == "" || key.own != nil {
+			t.Fatalf("an undeclared launch was published to the shared cache as %+v", key)
 		}
 	}
 }

@@ -158,15 +158,13 @@ type GPU struct {
 	// The compiled-kernel cache behind Launcher, private or shared with
 	// other GPUs of the same Config, and the entries this GPU validated
 	// under pinned epoch validatedEpoch, per key (see lookupKernel).
-	// firsts lists the keys whose unfingerprinted first compile this GPU
-	// published under that epoch (see dropRecords).
+	// firsts lists the keys whose first compile this GPU published under
+	// that epoch (see dropRecords).
 	kc             *KernelCache
 	validated      map[kernelKey]*cachedKernel
 	validatedEpoch uint64
 	firsts         []kernelKey
-	pinnedRoute    string      // pinnedPath.Name(), compared by the kernel cache
-	vprog          isa.Program // revalidation emission scratch
-	hashCompile    bool        // make CompileInto record the program fingerprint
+	pinnedRoute    string // pinnedPath.Name(), compared by the kernel cache
 
 	work Work // compile-work counters, see Work
 
@@ -248,8 +246,7 @@ type Work struct {
 	// KernelsCompiled counts compile passes (CompileInto calls that get
 	// past the thread-count and program checks).
 	KernelsCompiled int64
-	// ProgramsEmitted counts thread programs emitted, by the compile pass
-	// and by the kernel cache's fingerprinting.
+	// ProgramsEmitted counts thread programs the compile pass emitted.
 	ProgramsEmitted int64
 	// WarpsDerived counts full warps of declared affine kernels compiled
 	// by shifting warp 0's template instead of emitting their lanes.

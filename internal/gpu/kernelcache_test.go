@@ -85,23 +85,26 @@ func TestSharedKernelCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSharedKernelCacheMovedBuffer pins per-GPU validation on a shared
-// cache: a buffer moved on one GPU recompiles for that GPU and replaces the
-// shared entry, while another GPU, still in the run in which it validated
-// the old entry, keeps replaying that entry with results identical to a
-// private cache. In its next run the other GPU finds the moved buffer's
-// entry, fails its fingerprint check and recompiles.
-func TestSharedKernelCacheMovedBuffer(t *testing.T) {
+// TestSharedKernelCacheRerouted pins per-GPU validation on a shared cache:
+// pinned routing changed on one GPU recompiles the key for that GPU and
+// replaces the shared entry, while another GPU, still in the run in which
+// it validated the old entry, keeps replaying that entry with results
+// identical to a private cache. In its next run the other GPU finds the
+// rerouted entry, whose ranges differ from its own, and recompiles.
+func TestSharedKernelCacheRerouted(t *testing.T) {
 	c := NewKernelCache(testConfig(), 2)
 	a, b := sharedGPU(c), sharedGPU(c)
 	_, pa := twinGPUs()
 	_, pb := twinGPUs()
-	la, lb := NewLauncher(a, "moved"), NewLauncher(b, "moved")
-	lpa, lpb := NewLauncher(pa, "moved"), NewLauncher(pb, "moved")
-	key := kernelKey{scope: "moved", idx: 0}
+	la, lb := NewLauncher(a, "rerouted"), NewLauncher(b, "rerouted")
+	lpa, lpb := NewLauncher(pa, "rerouted"), NewLauncher(pb, "rerouted")
+	key := kernelKey{scope: "rerouted", idx: 0}
+	// The kernel loads from the first 1 KiB of the pinned range and stores
+	// 4 KiB further on, so a 4 KiB range pins only its loads.
+	k := affineKernel(pinnedBase)
 	// launch runs k on g and on its private twin, requires identical
 	// results and returns the kernels g compiled.
-	launch := func(step string, g *GPU, l, twin *Launcher, k Kernel) int64 {
+	launch := func(step string, g *GPU, l, twin *Launcher) int64 {
 		t.Helper()
 		before := g.Work().KernelsCompiled
 		got, err := l.Launch(0, k)
@@ -120,28 +123,27 @@ func TestSharedKernelCacheMovedBuffer(t *testing.T) {
 	steps := []struct {
 		name     string
 		g        *GPU
-		run      bool
-		base     int64
+		pinned   int64 // the new run's pinned range size; 0 stays in the run
 		compiles int64
 	}{
-		{"A compiles", a, true, 0, 1},
-		{"A recompiles, fingerprinted", a, true, 0, 1},
-		{"B replays A's entry", b, true, 0, 0},
-		{"A moves the buffer and recompiles", a, true, 64, 1},
-		{"B keeps replaying the entry it validated", b, false, 0, 0},
-		{"B's next run recompiles", b, true, 0, 1},
-		{"A's next run recompiles", a, true, 64, 1},
-		{"B, again in its run, keeps replaying", b, false, 0, 0},
+		{"A compiles", a, 8192, 1},
+		{"A recompiles, marking the key recurring", a, 8192, 1},
+		{"B replays A's entry", b, 8192, 0},
+		{"A reroutes and recompiles", a, 4096, 1},
+		{"B keeps replaying the entry it validated", b, 0, 0},
+		{"B's next run recompiles", b, 8192, 1},
+		{"A's next run recompiles", a, 4096, 1},
+		{"B, again in its run, keeps replaying", b, 0, 0},
 	}
 	for _, st := range steps {
 		l, twin, pg := la, lpa, pa
 		if st.g == b {
 			l, twin, pg = lb, lpb, pb
 		}
-		if st.run {
-			newRun(8192, st.g, pg)
+		if st.pinned > 0 {
+			newRun(st.pinned, st.g, pg)
 		}
-		if got := launch(st.name, st.g, l, twin, affineKernel(st.base)); got != st.compiles {
+		if got := launch(st.name, st.g, l, twin); got != st.compiles {
 			t.Fatalf("%s: %d kernels compiled, want %d", st.name, got, st.compiles)
 		}
 		if st.compiles > 0 && c.entries[key] != st.g.validated[key] {
@@ -179,10 +181,10 @@ func TestSetKernelCacheRejectsOtherConfig(t *testing.T) {
 }
 
 // TestKernelCacheDemotesFirstCompiles pins what the cache keeps of a key's
-// first, unfingerprinted compile: the full entry while its run lasts, and
-// only a marker once the compiling GPU moves to a new run, since no other
-// lookup can validate it. The marker keeps the key known, so the next
-// compile records the fingerprint and its entry stays replayable.
+// first compile: the full entry while its run lasts, and only a marker once
+// the compiling GPU moves to a new run, so a kernel that never recurs does
+// not hold its stream in the cache. The marker keeps the key known, so the
+// next compile marks the key recurring and its entry stays replayable.
 func TestKernelCacheDemotesFirstCompiles(t *testing.T) {
 	_, g := twinGPUs()
 	c := g.KernelCache()
@@ -197,8 +199,8 @@ func TestKernelCacheDemotesFirstCompiles(t *testing.T) {
 	}
 	launch(0, k)
 	first := c.entries[key]
-	if first.threads != k.Threads || first.hashed {
-		t.Fatalf("first compile published %+v, want the unfingerprinted kernel", first)
+	if first.threads != k.Threads || first.repeat {
+		t.Fatalf("first compile published %+v, want the first compile", first)
 	}
 	newRun(8192, g)
 	launch(1, other)
@@ -210,8 +212,8 @@ func TestKernelCacheDemotesFirstCompiles(t *testing.T) {
 	}
 	before := g.Work().KernelsCompiled
 	launch(0, k)
-	if e := c.entries[key]; !e.hashed || e.threads != k.Threads {
-		t.Fatalf("second compile published %+v, want the fingerprinted kernel", e)
+	if e := c.entries[key]; !e.repeat || e.threads != k.Threads {
+		t.Fatalf("second compile published %+v, want the recurring kernel", e)
 	}
 	newRun(8192, g)
 	launch(0, k)
@@ -219,7 +221,7 @@ func TestKernelCacheDemotesFirstCompiles(t *testing.T) {
 	if got := g.Work().KernelsCompiled - before; got != 2 {
 		t.Fatalf("%d compiles, want 2: key 0's second compile, then key 1's", got)
 	}
-	if e := c.entries[key]; !e.hashed || e.threads != k.Threads {
-		t.Fatalf("fingerprinted entry demoted: %+v", e)
+	if e := c.entries[key]; !e.repeat || e.threads != k.Threads {
+		t.Fatalf("recurring entry demoted: %+v", e)
 	}
 }

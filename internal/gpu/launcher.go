@@ -3,34 +3,37 @@ package gpu
 import (
 	"fmt"
 	"sync"
-
-	"igpucomm/internal/isa"
 )
 
 // Launcher front-ends the compiled-kernel cache (KernelCache) the GPU keeps
-// across model runs. A model run creates one with a scope naming its launch
-// sequence (typically "model/workload"); Launch(idx, k) then compiles on
-// first use and replays the cached artifact on every later launch of the
-// same kernel — across iterations of one run, across whole runs when the
-// platform is reused, and across every GPU sharing the cache.
+// across model runs. A model run creates one with a scope declaring the
+// identity of its launch sequence; Launch(idx, k) then compiles on first use
+// and replays the cached artifact on every later launch of the same kernel —
+// across iterations of one run, across whole runs when the platform is
+// reused, and across every GPU sharing the cache.
+//
+// The scope is a declaration, not evidence: the caller promises that every
+// launch it names with the same (scope, idx) emits the same programs, and
+// the cache never re-emits a program to check. comm builds it from the
+// model, the workload's name and Key, and the placed layouts (see
+// comm.Workload.Key). An empty scope declares nothing: its kernels replay
+// only within the launcher's own run and compile again in the next.
 //
 // Cache entries are shared and immutable once published; validation is per
 // GPU. Each GPU records which entry it last validated for a key, and under
 // which pinned epoch. Within one run the epoch cannot move after
-// allocation, so an epoch-current record replays on the record alone —
-// kernels are deterministic per layout by the Kernel contract. Otherwise
-// (a new run, or no record for the key yet) the GPU re-emits the programs,
-// compares their 128-bit content hash against the hash taken at compile
-// time, and checks the pinned routing by content. A mismatch recompiles
-// into a fresh entry, so a stale entry costs time, never correctness.
+// allocation, so an epoch-current record replays on the record alone.
+// Otherwise (a new run, or no record for the key yet) the shared entry of a
+// recurring key replays when the thread count and the pinned routing match
+// by content; anything else recompiles into a fresh entry.
 type Launcher struct {
 	g     *GPU
 	scope string
 }
 
 // NewLauncher returns a launcher for one run's launch sequence. scope keys
-// the GPU's kernel cache; runs that repeat the same scope with the same
-// deterministic kernels replay each other's compiled artifacts.
+// the GPU's kernel cache: runs that declare the same non-empty scope replay
+// each other's compiled artifacts.
 func NewLauncher(g *GPU, scope string) *Launcher {
 	return &Launcher{g: g, scope: scope}
 }
@@ -43,7 +46,7 @@ func (l *Launcher) Launch(idx int, k Kernel) (Result, error) {
 	if g.refMode || idx < 0 {
 		return g.Launch(k)
 	}
-	e, err := g.lookupKernel(l.scope, idx, k)
+	e, err := g.lookupKernel(l, idx, k)
 	if err != nil {
 		return Result{}, err
 	}
@@ -53,19 +56,18 @@ func (l *Launcher) Launch(idx int, k Kernel) (Result, error) {
 }
 
 // cachedKernel is one kernel-cache entry: the compiled artifact plus the
-// evidence that justifies replaying it — the program content hash and the
-// pinned routing the compile saw. hashed reports whether the fingerprint was
-// recorded: hashing costs a pass over every emitted run, so it is deferred
-// until a key's second compile proves the key sees cross-run reuse;
-// single-use kernels never pay for it. An entry is never written once
-// published, so a GPU may keep replaying it after another GPU replaced it
-// or the cache evicted it. A marker (see KernelCache.demote) is an entry
-// with no compiled kernel and zero threads, which no lookup replays.
+// launch shape and the pinned routing the compile saw, which a lookup
+// matches before replaying it. repeat reports whether the key already had an
+// entry when this one compiled: a key that compiles twice recurs across
+// runs, so its entry is kept past its run, while a key's first compile is
+// demoted once its run ends (see KernelCache.demote). An entry is never
+// written once published, so a GPU may keep replaying it after another GPU
+// replaced it or the cache evicted it. A marker is an entry with no compiled
+// kernel and zero threads, which no lookup replays.
 type cachedKernel struct {
 	ck      CompiledKernel
 	threads int
-	hashed  bool
-	h1, h2  uint64
+	repeat  bool
 	route   string // the pinned route's Name()
 	ranges  []addrRange
 }
@@ -76,9 +78,13 @@ func (e *cachedKernel) bytes() int64 {
 	return e.ck.chunkBytes() + int64(cap(e.ck.smCompute))*20 + 64
 }
 
+// kernelKey names one launch of a launcher's sequence. own is set only for a
+// launcher with an empty scope: its kernels are this launcher's alone and
+// never published to the shared cache.
 type kernelKey struct {
 	scope string
 	idx   int
+	own   *Launcher
 }
 
 // kernelCacheBudget bounds the bytes the compiled-kernel cache retains per
@@ -174,12 +180,13 @@ func (c *KernelCache) publish(key kernelKey, e *cachedKernel, own map[kernelKey]
 }
 
 // demote replaces e, if it is still key's entry, with a marker that holds
-// no compiled kernel: a key's first compile records no fingerprint, so it
-// can only be replayed through the validation record of the GPU that
-// compiled it. The marker keeps the key known, so its next compile records
-// the fingerprint and publishes a replayable entry, while the unreplayable
-// stream stops counting against the budget and is freed once that GPU's
-// record lets go of it.
+// no compiled kernel. Every entry's content is declared by its scope, so
+// this is a memory policy, not a validity one: a key's first compile is
+// kept only while the run that compiled it lasts, which frees the streams
+// of single-use kernels (a characterization's, a cold session's) as soon as
+// their run ends. The marker keeps the key known, so its next compile marks
+// the key as recurring and publishes an entry that stays; the cost is one
+// extra compile per recurring key.
 func (c *KernelCache) demote(key kernelKey, e *cachedKernel) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -190,22 +197,25 @@ func (c *KernelCache) demote(key kernelKey, e *cachedKernel) {
 	}
 }
 
-// lookupKernel returns a compiled kernel for (scope, idx) that is valid for
-// this GPU's current routing: one this GPU already validated in the current
-// pinned epoch, the shared entry once validated, or a fresh compile
-// published in its place.
+// lookupKernel returns a compiled kernel for launch idx of l's sequence
+// that is valid for this GPU's current routing: one this GPU already
+// validated in the current pinned epoch, the shared entry once its launch
+// shape and routing match, or a fresh compile published in its place.
 //
-// Validation is tiered by how much could have changed. g.validated records,
-// per key, the entry this GPU validated under the current pinned epoch;
-// such an entry replays with no further checks, even if another GPU has
-// since replaced it — within one run the layout cannot move without the
-// epoch moving, and kernels are deterministic per layout by the Kernel
-// contract. The record is dropped when the epoch moves (see dropRecords).
-// Any other entry (a new run, or one another GPU published) is only reused
-// after the freshly emitted programs hash to its compile-time fingerprint
-// and the pinned routing matches by content: the same route name and the
-// same ranges.
-func (g *GPU) lookupKernel(scope string, idx int, k Kernel) (*cachedKernel, error) {
+// g.validated records, per key, the entry this GPU validated under the
+// current pinned epoch; such an entry replays with no further checks, even
+// if another GPU has since replaced it — within one run the layout cannot
+// move without the epoch moving, and kernels are deterministic per layout
+// by the Kernel contract. The record is dropped when the epoch moves (see
+// dropRecords). A shared entry of a recurring key replays on l's scope
+// declaration once the thread count matches and the pinned routing matches
+// by content: the same route name and the same ranges. No program is
+// emitted to check it. A first compile replays only through its compiling
+// GPU's record: it is demoted when that GPU's run ends, so replaying it
+// elsewhere would only move the key's second compile to an unpredictable
+// later run. A launcher with an empty scope never reads or publishes a
+// shared entry: its compiles live in this GPU's record only.
+func (g *GPU) lookupKernel(l *Launcher, idx int, k Kernel) (*cachedKernel, error) {
 	if k.Threads <= 0 {
 		return nil, fmt.Errorf("kernel %s: thread count %d must be positive", k.Name, k.Threads)
 	}
@@ -216,121 +226,52 @@ func (g *GPU) lookupKernel(scope string, idx int, k Kernel) (*cachedKernel, erro
 		g.dropRecords()
 		g.validatedEpoch = g.pinnedEpoch
 	}
-	key := kernelKey{scope: scope, idx: idx}
+	key := kernelKey{scope: l.scope, idx: idx}
+	if l.scope == "" {
+		key.own = l
+	}
 	if e := g.validated[key]; e != nil && e.threads == k.Threads {
 		return e, nil
 	}
-	e := g.kc.get(key)
-	if e != nil && e.threads == k.Threads && e.hashed {
-		h1, h2 := g.hashPrograms(k)
-		if e.h1 == h1 && e.h2 == h2 &&
+	var e *cachedKernel
+	if key.own == nil {
+		e = g.kc.get(key)
+		if e != nil && e.repeat && e.threads == k.Threads &&
 			e.route == g.pinnedRoute && rangesEqual(e.ranges, g.ranges) {
 			g.validated[key] = e
 			return e, nil
 		}
 	}
-	// A second compile of the same key means the key sees cross-run reuse;
-	// record the fingerprint this time so the next reuse can validate and
-	// replay instead of compiling again. Published entries are immutable,
-	// so the compile goes into a fresh one.
-	n := &cachedKernel{hashed: e != nil}
-	g.hashCompile = n.hashed
-	err := g.CompileInto(k, &n.ck)
-	g.hashCompile = false
-	if err != nil {
+	// Published entries are immutable, so a recompile goes into a fresh one.
+	n := &cachedKernel{repeat: e != nil}
+	if err := g.CompileInto(k, &n.ck); err != nil {
 		// The key's published entry, if any, stays for a later lookup.
 		return nil, err
 	}
 	n.threads = k.Threads
-	n.h1, n.h2 = n.ck.progH1, n.ck.progH2
 	n.route = g.pinnedRoute
 	n.ranges = append([]addrRange(nil), g.ranges...)
-	g.kc.publish(key, n, g.validated)
 	g.validated[key] = n
-	if !n.hashed {
+	if key.own != nil {
+		return n, nil
+	}
+	g.kc.publish(key, n, g.validated)
+	if !n.repeat {
 		g.firsts = append(g.firsts, key)
 	}
 	return n, nil
 }
 
 // dropRecords clears the GPU's validation record, first demoting the
-// unfingerprinted entries it published under the record's epoch: no later
-// lookup can validate such an entry, so only the fact that its key was
-// compiled is worth keeping (see KernelCache.demote).
+// first compiles it published under the record's epoch: their run is over,
+// and a key that never recurs should not hold its stream in the cache (see
+// KernelCache.demote).
 func (g *GPU) dropRecords() {
 	for _, key := range g.firsts {
 		g.kc.demote(key, g.validated[key])
 	}
 	g.firsts = g.firsts[:0]
 	clear(g.validated)
-}
-
-// laneDigest hashes one thread's emitted program into a 128-bit value (two
-// independently mixed 64-bit lanes seeded by the thread id). Per-lane
-// digests are summed to fingerprint a whole kernel — the sum commutes, so
-// compile-order accumulation and hashPrograms' tid-major walk agree.
-func laneDigest(tid int, runs []isa.Run) (uint64, uint64) {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h1 := uint64(fnvOffset) ^ uint64(tid)*fnvPrime
-	h2 := uint64(0x9e3779b97f4a7c15) + uint64(tid)
-	for _, r := range runs {
-		h1 = (h1 ^ uint64(r.In.Op)) * fnvPrime
-		h1 = (h1 ^ uint64(r.In.Addr)) * fnvPrime
-		h1 = (h1 ^ uint64(r.In.Size)) * fnvPrime
-		h1 = (h1 ^ uint64(r.Count)) * fnvPrime
-		h2 ^= uint64(r.In.Op) + 0x9e3779b97f4a7c15
-		h2 = (h2 ^ uint64(r.In.Addr)) * 0xff51afd7ed558ccd
-		h2 ^= h2 >> 33
-		h2 = (h2 ^ uint64(r.In.Size)*0xc4ceb9fe1a85ec53 + uint64(r.Count))
-	}
-	// Finalize so structurally similar lanes don't cancel under summation.
-	h2 ^= h2 >> 29
-	h2 *= 0xff51afd7ed558ccd
-	h2 ^= h2 >> 32
-	h1 ^= h1 >> 31
-	h1 *= 0xc4ceb9fe1a85ec53
-	h1 ^= h1 >> 29
-	return h1, h2
-}
-
-// hashPrograms emits every thread's program and sums the lane digests into
-// the kernel's 128-bit content fingerprint (same value CompileInto records
-// in CompiledKernel as it emits). A declared affine kernel is fingerprinted
-// by declaredDigest instead.
-func (g *GPU) hashPrograms(k Kernel) (uint64, uint64) {
-	if k.Stride != 0 {
-		return g.declaredDigest(k)
-	}
-	var h1, h2 uint64
-	p := &g.vprog
-	for tid := 0; tid < k.Threads; tid++ {
-		p.Reset()
-		k.Program(tid, p)
-		d1, d2 := laneDigest(tid, p.Runs())
-		h1 += d1
-		h2 += d2
-	}
-	g.work.ProgramsEmitted += int64(k.Threads)
-	return h1, h2
-}
-
-// declaredDigest fingerprints a declared affine kernel as (thread 0's
-// program, stride, threads): under the declaration those three determine
-// every thread's program, so only thread 0 is emitted. A moved buffer moves
-// thread 0's addresses; a changed stride or thread count is mixed in.
-func (g *GPU) declaredDigest(k Kernel) (uint64, uint64) {
-	p := &g.vprog
-	p.Reset()
-	k.Program(0, p)
-	g.work.ProgramsEmitted++
-	h1, h2 := laneDigest(0, p.Runs())
-	// The declaration, digested as a zero-count run (no emitted program
-	// has one) under the thread count's seed.
-	s1, s2 := laneDigest(k.Threads, []isa.Run{{In: isa.Instr{Addr: k.Stride}}})
-	return h1 ^ s1, h2 ^ s2
 }
 
 func rangesEqual(a, b []addrRange) bool {

@@ -103,6 +103,7 @@ func mb2GPUWorkload(p Params, f float64) comm.Workload {
 	}
 	return comm.Workload{
 		Name: fmt.Sprintf("mb2-f%g", f),
+		Key:  fmt.Sprintf("%+v", p),
 		In:   []comm.BufferSpec{{Name: "array", Size: arrayBytes}},
 		Out:  []comm.BufferSpec{{Name: "sink", Size: 4096}},
 		CPUTask: func(c *cpu.CPU, lay comm.Layout) {

@@ -56,6 +56,7 @@ func mb3Workload(p Params) comm.Workload {
 	const lineElems = 16
 	return comm.Workload{
 		Name: "mb3",
+		Key:  fmt.Sprintf("%+v", p),
 		In:   []comm.BufferSpec{{Name: "data", Size: size}},
 		Out:  []comm.BufferSpec{{Name: "result", Size: size}},
 		CPUTask: func(c *cpu.CPU, lay comm.Layout) {

@@ -22,6 +22,8 @@
 package microbench
 
 import (
+	"fmt"
+
 	"igpucomm/internal/comm"
 	"igpucomm/internal/cpu"
 	"igpucomm/internal/gpu"
@@ -97,6 +99,7 @@ func mb1Workload(p Params) comm.Workload {
 	n := p.MB1MatrixBytes / 4 // float32 elements
 	return comm.Workload{
 		Name: "mb1",
+		Key:  fmt.Sprintf("%+v", p),
 		In:   []comm.BufferSpec{{Name: "matrix", Size: p.MB1MatrixBytes}},
 		Out:  []comm.BufferSpec{{Name: "sums", Size: maxInt64(p.MB1MatrixBytes/16, 64)}},
 		CPUTask: func(c *cpu.CPU, lay comm.Layout) {
