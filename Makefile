@@ -19,16 +19,19 @@ race:
 
 # The paper-scale (DefaultParams and catalog.Full) tests the race detector
 # skips, run here without -race: every kernel declaring an affine stride
-# must compile and replay exactly like its undeclared twin (4 M threads per
+# must compile to its warp template plus derived ops and replay exactly
+# like its undeclared twin, which writes every warp out (4 M threads per
 # MB3 stream); every catalog app's declared Key must be complete (equal
 # scopes emit equal programs for every thread, and no param changes a
-# program without changing the Key); and a primed engine's third 45-combo
-# sweep must replay every kernel from the shared kernel caches on those
-# declarations, with no compile, no emitted program and no eviction.
+# program without changing the Key); a primed engine's second and third
+# 45-combo sweeps must replay every kernel from the shared kernel caches on
+# those declarations, with no compile, no emitted program and no eviction;
+# and one cold characterization per device must do exactly the pinned GPU
+# work, recording only explicit warps' transactions.
 declared-full:
 	$(GO) test -count=1 -run '^TestDeclaredKernelsFullScale$$' ./internal/microbench
 	$(GO) test -count=1 -run '^TestDeclaredKeysFullScale$$' ./internal/apps/catalog
-	$(GO) test -count=1 -run '^TestPrimedSweepReplaysFullScale$$' ./internal/engine
+	$(GO) test -count=1 -run '^(TestPrimedSweepReplaysFullScale|TestColdCharacterizeWorkFullScale)$$' ./internal/engine
 
 fmt:
 	@out="$$(gofmt -l .)"; \

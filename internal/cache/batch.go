@@ -88,17 +88,14 @@ func (c *Cache) DoBatch(accs []Access, out []Result, b *Batch) {
 			c.stats.count(a.Kind, c.cfg.LineSize)
 
 			lowerIdx := int32(-1)
-			hit := false
-			for w := range ways {
-				if ways[w].valid && ways[w].tag == tag {
-					ways[w].lastUse = c.useClock
-					if a.Kind != Read {
-						ways[w].dirty = true
-					}
-					c.stats.countHit(a.Kind)
-					hit = true
-					break
+			l := probe(ways, tag)
+			hit := l != nil
+			if hit {
+				l.lastUse = c.useClock
+				if a.Kind != Read {
+					l.dirty = true
 				}
+				c.stats.countHit(a.Kind)
 			}
 			// Heat records at the same points, in the same order, as the
 			// serial doLine — the byte-identity contract extends to heat.
@@ -106,17 +103,7 @@ func (c *Cache) DoBatch(accs []Access, out []Result, b *Batch) {
 				c.heat.Record(ln<<c.offBits, c.cfg.LineSize, a.Kind != Read, !hit)
 			}
 			if !hit {
-				victim := 0
-				for w := range ways {
-					if !ways[w].valid {
-						victim = w
-						break
-					}
-					if ways[w].lastUse < ways[victim].lastUse {
-						victim = w
-					}
-				}
-				v := &ways[victim]
+				v := victim(ways)
 				if v.valid {
 					c.stats.Evictions++
 					if v.dirty {

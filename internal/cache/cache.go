@@ -182,35 +182,23 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) units.Latency {
 	c.stats.count(kind, c.cfg.LineSize)
 
 	// Hit path.
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lastUse = c.useClock
-			if kind != Read {
-				ways[i].dirty = true
-			}
-			c.stats.countHit(kind)
-			if c.heat != nil {
-				c.heat.Record(lineAddr<<c.offBits, c.cfg.LineSize, kind != Read, false)
-			}
-			return c.cfg.HitLatency
+	if l := probe(ways, tag); l != nil {
+		l.lastUse = c.useClock
+		if kind != Read {
+			l.dirty = true
 		}
+		c.stats.countHit(kind)
+		if c.heat != nil {
+			c.heat.Record(lineAddr<<c.offBits, c.cfg.LineSize, kind != Read, false)
+		}
+		return c.cfg.HitLatency
 	}
 	if c.heat != nil {
 		c.heat.Record(lineAddr<<c.offBits, c.cfg.LineSize, kind != Read, true)
 	}
 
-	// Miss: pick victim (invalid first, else LRU).
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lastUse < ways[victim].lastUse {
-			victim = i
-		}
-	}
-	v := &ways[victim]
+	// Miss: fill the victim way.
+	v := victim(ways)
 	if v.valid {
 		c.stats.Evictions++
 		if v.dirty {
@@ -231,6 +219,32 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) units.Latency {
 	}
 	*v = line{tag: tag, lastUse: c.useClock, valid: true, dirty: kind != Read}
 	return c.cfg.HitLatency + lowerRes.Latency
+}
+
+// probe returns the line of one set holding tag, or nil on a miss. doLine
+// and DoBatch share it, so the two paths cannot drift apart.
+func probe(ways []line, tag int64) *line {
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == tag {
+			return &ways[w]
+		}
+	}
+	return nil
+}
+
+// victim returns the line a miss in one set fills: the first invalid way,
+// else the least recently used (the lowest way on a tie).
+func victim(ways []line) *line {
+	v := 0
+	for w := range ways {
+		if !ways[w].valid {
+			return &ways[w]
+		}
+		if ways[w].lastUse < ways[v].lastUse {
+			v = w
+		}
+	}
+	return &ways[v]
 }
 
 // FlushRange writes back and invalidates only the lines holding addresses in

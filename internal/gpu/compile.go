@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"igpucomm/internal/cache"
@@ -24,13 +25,21 @@ import (
 // through the caches, which LaunchCompiled does with the batch cache kernels
 // (cache.DoBatch) instead of per-access interface calls.
 //
-// The stream is a sequence of fixed-size chunks of chunkLen transactions,
-// each a run of cache.Access records plus a parallel path byte, addressed by
-// global index. Growing the stream allocates the next chunk and never copies
-// what is already recorded, and a recompile reuses the chunks the kernel
-// owns. Replay hands each run of consecutive same-path transactions to the
-// batch kernels as a direct slice of one chunk, so a run crossing a chunk
-// boundary is serviced as two batches, and the replay's result scratch never
+// The stream is a sequence of ops in global order. An explicit op names a
+// range of recorded transactions: cache.Access records plus a parallel path
+// byte, kept in fixed-size chunks of chunkLen addressed by pool index, so
+// growing the pool allocates the next chunk and never copies what is already
+// recorded, and a recompile reuses the chunks the kernel owns. A derived op
+// names transactions by reference instead: one template event shifted to a
+// warp, or a run of whole resident batches whose every warp derives from the
+// template (see Kernel.Stride), so a declared affine kernel stores warp 0's
+// transactions and one op per SM, whatever its thread count. One walker
+// (walk) turns the ops back into the global transaction order for replay,
+// VisitTransactions and Diff: it yields runs of consecutive same-path
+// transactions, an explicit run as a direct slice of one chunk, derived
+// transactions expanded into a chunkLen-bounded scratch. A run is split at
+// chunk boundaries, at the edge of an explicit op and when the scratch
+// fills, so neither a replay group nor the replay's result scratch ever
 // exceeds one chunk.
 //
 // Byte-identity argument, load-bearing for the differential suite:
@@ -53,12 +62,12 @@ import (
 //     state below except DRAM's integer counters, so servicing consecutive
 //     same-path groups together preserves every observable.
 //   - DoBatch is byte-identical to per-access Do in order, so splitting an
-//     ordered same-path group at a chunk boundary into two consecutive
-//     batches issues the same sequence of accesses, and the latencies are
-//     still summed in global order.
+//     ordered same-path group anywhere — at a chunk boundary, an op's edge
+//     or a full scratch — into consecutive batches issues the same sequence
+//     of accesses, and the latencies are still summed in global order.
 //   - A kernel declaring Stride (see Kernel) compiles warp 0 the normal way
-//     into a template and derives each other full warp w by shifting every
-//     template transaction's address by D = w*WarpSize*Stride. Under the
+//     into a template and derives each other full warp w as every template
+//     transaction with its address plus D = w*WarpSize*Stride. Under the
 //     declaration, lane l of warp w runs lane l of warp 0's program with
 //     every address plus D, so its opcodes, sizes, lane masks, compute and
 //     counts are warp 0's. The shift is exact when D is a multiple of the
@@ -72,34 +81,70 @@ import (
 //     one route and the slot's lane-address envelope plus D lies wholly in
 //     one pinned range (pinned) or clear of all of them (cached). A partial
 //     last warp, and any full warp failing that test, compiles the normal
-//     way. Derived warps keep their place in the slot-major batch
-//     interleave, so the stream order and the (warp, slot) tags
-//     VisitTransactions reports are unchanged; their compute is charged as
-//     warp 0's whole-cycle total, exact by the integral-cost argument above.
+//     way. A derived warp's transactions are never written out: its ops
+//     keep its place in the slot-major batch interleave, and the walker
+//     adds D as it expands them, so the stream order and the (warp, slot)
+//     tags VisitTransactions reports are unchanged. Its compute is charged
+//     as warp 0's whole-cycle total, exact by the integral-cost argument
+//     above.
 type CompiledKernel struct {
 	name      string
 	warpCount int
+	resident  int // warps per resident batch, for expanding batch runs
 
 	instructions   int64
 	bytesRequested int64
+	txns           int64 // transactions in the stream, derived included
 	txnBytes       int64
 
 	smCompute []units.Cycles
 	smWarps   []int
-	smTxnEnd  []int32 // exclusive global end index into the transaction stream, per SM
+	smOpEnd   []int32 // exclusive end index into ops, per SM
 
-	// The transaction stream, in global order, split into fixed-size chunks:
+	ops []streamOp
+
+	// The explicit transaction pool, split into fixed-size chunks:
 	// transaction i lives in chunks[i/chunkLen] at offset i%chunkLen. Each
 	// chunk holds ready-to-issue cache accesses plus a parallel path byte,
-	// so the replay hands contiguous same-path groups to the batch cache
+	// so the walker hands contiguous same-path runs to the batch cache
 	// kernels without copying. used counts the chunks in play (tail is the
 	// last of them); chunks past used are owned spares a recompile reuses.
 	chunks []*txnChunk
 	used   int
 	tail   *txnChunk
 
+	// The warp template derived ops refer to: warp 0's transactions, one
+	// event per memory slot, and the address shift from one warp to the
+	// next. Empty unless the kernel derives warps.
+	span       int64
+	tmplEvents []tmplEvent
+	tmplAccs   []cache.Access
+
 	epoch uint64
 	valid bool
+}
+
+// streamOp is one entry of the op stream; a and b mean what kind says.
+type streamOp struct {
+	kind uint8
+	a, b int32
+}
+
+// Op kinds.
+const (
+	opTxns    uint8 = iota // pool transactions [a, b)
+	opShift                // template event a shifted to warp b
+	opBatches              // b consecutive resident batches of one SM, every warp derived; the first opens with warp a
+)
+
+// tmplEvent is one memory slot of a warp template: its transactions
+// tmplAccs[start:end], all on one path, and lo and hi, which bound its
+// active lanes' start addresses — the addresses pinned routing is decided
+// on.
+type tmplEvent struct {
+	slot, start, end int32
+	lo, hi           int64
+	path             uint8
 }
 
 const (
@@ -107,9 +152,9 @@ const (
 	pathPinned              // down the pinned (zero-copy) path
 )
 
-// chunkLen is the transaction capacity of one stream chunk (a power of two,
-// so global indices split with a shift and a mask). It also bounds a replay
-// group, and with it the replay's per-access result scratch.
+// chunkLen is the transaction capacity of one pool chunk (a power of two,
+// so pool indices split with a shift and a mask). It also bounds a walker
+// run, and with it the replay's expansion and per-access result scratch.
 const (
 	chunkShift = 13
 	chunkLen   = 1 << chunkShift
@@ -120,9 +165,9 @@ const (
 // doubles up to chunkLen; small kernels do not pay for a whole chunk.
 const firstChunkLen = 256
 
-// txnChunk is one fixed-capacity slice of the transaction stream. Every
-// chunk but the last in use is full; only a kernel's first chunk may have
-// less than chunkLen capacity, and only while the stream fits in it.
+// txnChunk is one fixed-capacity slice of the transaction pool. Every chunk
+// but the last in use is full; only a kernel's first chunk may have less
+// than chunkLen capacity, and only while the pool fits in it.
 type txnChunk struct {
 	accs  []cache.Access
 	paths []uint8
@@ -136,15 +181,16 @@ func (ck *CompiledKernel) Epoch() uint64 { return ck.epoch }
 func (ck *CompiledKernel) Name() string { return ck.name }
 
 // Transactions returns the size of the compiled transaction stream.
-func (ck *CompiledKernel) Transactions() int64 { return int64(ck.txnCount()) }
+func (ck *CompiledKernel) Transactions() int64 { return ck.txns }
 
 // Diff reports the first way ck and o would replay differently, or nil when
 // they would not: the name, warp count, instruction, requested-byte and
-// transaction totals, per-SM compute, warp counts and stream bounds, and
-// every transaction in order. Chunk capacity, spare chunks and the pinned
-// epoch are bookkeeping, not content. The declared-kernel differential
-// tests use it to prove that a kernel compiled from a warp template is the
-// kernel its undeclared twin compiles to.
+// transaction totals, per-SM compute and warp counts, and every SM's
+// transactions in order. How the stream is stored — explicit or derived
+// ops, chunk capacity, spare chunks — and the pinned epoch are bookkeeping,
+// not content. The declared-kernel differential tests use it to prove that
+// a kernel compiled from a warp template is the kernel its undeclared twin
+// compiles to.
 func (ck *CompiledKernel) Diff(o *CompiledKernel) error {
 	switch {
 	case ck.valid != o.valid:
@@ -159,77 +205,222 @@ func (ck *CompiledKernel) Diff(o *CompiledKernel) error {
 		return fmt.Errorf("requested bytes %d vs %d", ck.bytesRequested, o.bytesRequested)
 	case ck.txnBytes != o.txnBytes:
 		return fmt.Errorf("transaction bytes %d vs %d", ck.txnBytes, o.txnBytes)
-	case ck.txnCount() != o.txnCount():
-		return fmt.Errorf("transactions %d vs %d", ck.txnCount(), o.txnCount())
+	case ck.txns != o.txns:
+		return fmt.Errorf("transactions %d vs %d", ck.txns, o.txns)
 	case len(ck.smCompute) != len(o.smCompute):
 		return fmt.Errorf("SMs %d vs %d", len(ck.smCompute), len(o.smCompute))
 	}
+	var a, b []pathAccess
 	for i := range ck.smCompute {
 		switch {
 		case ck.smCompute[i] != o.smCompute[i]:
 			return fmt.Errorf("SM %d compute %v vs %v", i, ck.smCompute[i], o.smCompute[i])
 		case ck.smWarps[i] != o.smWarps[i]:
 			return fmt.Errorf("SM %d warps %d vs %d", i, ck.smWarps[i], o.smWarps[i])
-		case ck.smTxnEnd[i] != o.smTxnEnd[i]:
-			return fmt.Errorf("SM %d stream end %d vs %d", i, ck.smTxnEnd[i], o.smTxnEnd[i])
 		}
-	}
-	for i := 0; i < ck.txnCount(); i++ {
-		a, b := ck.chunks[i>>chunkShift], o.chunks[i>>chunkShift]
-		j := i & chunkMask
-		if a.accs[j] != b.accs[j] || a.paths[j] != b.paths[j] {
-			return fmt.Errorf("transaction %d: %+v path %d vs %+v path %d", i, a.accs[j], a.paths[j], b.accs[j], b.paths[j])
+		a, b = ck.flat(a[:0], ck.smOps(i)), o.flat(b[:0], o.smOps(i))
+		if len(a) != len(b) {
+			return fmt.Errorf("SM %d transactions %d vs %d", i, len(a), len(b))
+		}
+		for j := range a {
+			if a[j] != b[j] {
+				return fmt.Errorf("SM %d transaction %d: %+v path %d vs %+v path %d", i, j, a[j].Access, a[j].path, b[j].Access, b[j].path)
+			}
 		}
 	}
 	return nil
 }
 
-// txnCount is the number of recorded transactions: the global index the
+// pathAccess is one transaction of a walked stream and its path.
+type pathAccess struct {
+	cache.Access
+	path uint8
+}
+
+// flat appends the transactions ops name to dst, in stream order.
+func (ck *CompiledKernel) flat(dst []pathAccess, ops []streamOp) []pathAccess {
+	var buf []cache.Access
+	ck.walk(ops, &buf, func(path uint8, accs []cache.Access) {
+		for _, a := range accs {
+			dst = append(dst, pathAccess{a, path})
+		}
+	})
+	return dst
+}
+
+// smOps returns SM si's part of the op stream.
+func (ck *CompiledKernel) smOps(si int) []streamOp {
+	lo := int32(0)
+	if si > 0 {
+		lo = ck.smOpEnd[si-1]
+	}
+	return ck.ops[lo:ck.smOpEnd[si]]
+}
+
+// walk yields the transactions ops name, in stream order, as runs of
+// consecutive same-path transactions of at most chunkLen each. An explicit
+// op's transactions go out as direct slices of their chunks; derived ones
+// are expanded into *buf (grown once to chunkLen), with consecutive
+// same-path events merged into one run. A yielded slice is valid only until
+// yield returns.
+func (ck *CompiledKernel) walk(ops []streamOp, buf *[]cache.Access, yield func(path uint8, accs []cache.Access)) {
+	if cap(*buf) < chunkLen {
+		*buf = make([]cache.Access, chunkLen)
+	}
+	x := expander{buf: (*buf)[:chunkLen]}
+	sms := len(ck.smCompute)
+	for _, op := range ops {
+		switch op.kind {
+		case opTxns:
+			x.flush(yield)
+			ck.walkPool(int(op.a), int(op.b), yield)
+		case opShift:
+			te := &ck.tmplEvents[op.a]
+			x.shifted(te.path, ck.tmplAccs[te.start:te.end], int64(op.b)*ck.span, 0, 1, yield)
+		case opBatches:
+			for b := 0; b < int(op.b); b++ {
+				start := int(op.a) + b*sms*ck.resident
+				n := min(ck.resident, (ck.warpCount-start+sms-1)/sms)
+				for e := range ck.tmplEvents {
+					te := &ck.tmplEvents[e]
+					x.shifted(te.path, ck.tmplAccs[te.start:te.end], int64(start)*ck.span, int64(sms)*ck.span, n, yield)
+				}
+			}
+		}
+	}
+	x.flush(yield)
+}
+
+// walkPool yields pool transactions [lo, hi) as direct slices of their
+// chunks, split where the path changes and at chunk boundaries.
+func (ck *CompiledKernel) walkPool(lo, hi int, yield func(path uint8, accs []cache.Access)) {
+	for lo < hi {
+		c := ck.chunks[lo>>chunkShift]
+		i := lo & chunkMask
+		end := min(len(c.accs), i+hi-lo)
+		for t := i; t < end; {
+			p := c.paths[t]
+			r := t + 1
+			for r < end && c.paths[r] == p {
+				r++
+			}
+			yield(p, c.accs[t:r])
+			t = r
+		}
+		lo += end - i
+	}
+}
+
+// expander gathers derived transactions into a walker's scratch, buf[:n],
+// and yields them as same-path runs. yield is passed to each call rather
+// than kept here: handing buf to yield leaks what x holds, and a kept yield
+// would escape with it.
+type expander struct {
+	buf  []cache.Access
+	n    int
+	path uint8
+}
+
+// shifted appends n copies of src, all on path, copy k with every address
+// plus shift+k*step: one template event for n warps of a batch. It yields
+// the run gathered so far first if that is on the other path, and whenever
+// the next copy does not fit; an event larger than the whole scratch goes
+// out in scratch-sized pieces.
+func (x *expander) shifted(path uint8, src []cache.Access, shift, step int64, n int, yield func(uint8, []cache.Access)) {
+	if path != x.path {
+		x.flush(yield)
+		x.path = path
+	}
+	for ; n > 0; n, shift = n-1, shift+step {
+		s := src
+		if x.n+len(s) > len(x.buf) {
+			x.flush(yield)
+			for len(s) > len(x.buf) {
+				x.n = putShifted(x.buf, s, shift)
+				s = s[x.n:]
+				x.flush(yield)
+			}
+		}
+		x.n += putShifted(x.buf[x.n:], s, shift)
+	}
+}
+
+// putShifted copies as much of src as fits into dst, every address plus
+// shift, and returns the count copied.
+func putShifted(dst, src []cache.Access, shift int64) int {
+	dst = dst[:min(len(dst), len(src))]
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] = src[i]
+		dst[i].Addr += shift
+	}
+	return len(dst)
+}
+
+func (x *expander) flush(yield func(uint8, []cache.Access)) {
+	if x.n > 0 {
+		yield(x.path, x.buf[:x.n])
+		x.n = 0
+	}
+}
+
+// poolLen is the number of transactions in the pool: the pool index the
 // next appended transaction receives.
-func (ck *CompiledKernel) txnCount() int {
+func (ck *CompiledKernel) poolLen() int {
 	if ck.used == 0 {
 		return 0
 	}
 	return (ck.used-1)<<chunkShift + len(ck.tail.accs)
 }
 
-// chunkBytes is the storage the kernel's chunks retain, in-use and spare:
-// one Access plus one path byte per slot of capacity.
-func (ck *CompiledKernel) chunkBytes() int64 {
-	var n int64
+// storageBytes is the storage the kernel retains: the capacity of every
+// pool chunk it owns, in use and spare (one Access plus one path byte per
+// slot), its ops, its template and its per-SM arrays.
+func (ck *CompiledKernel) storageBytes() int64 {
+	const acc = int64(unsafe.Sizeof(cache.Access{}))
+	n := int64(cap(ck.ops))*int64(unsafe.Sizeof(streamOp{})) +
+		int64(cap(ck.tmplEvents))*int64(unsafe.Sizeof(tmplEvent{})) +
+		int64(cap(ck.tmplAccs))*acc +
+		int64(cap(ck.smCompute))*int64(unsafe.Sizeof(units.Cycles(0))+unsafe.Sizeof(int(0))+unsafe.Sizeof(int32(0)))
 	for _, c := range ck.chunks {
-		n += int64(cap(c.accs))*int64(unsafe.Sizeof(cache.Access{})) + int64(cap(c.paths))
+		n += int64(cap(c.accs))*acc + int64(cap(c.paths))
 	}
 	return n
 }
 
-func (ck *CompiledKernel) reset(k Kernel, warpCount, sms int, epoch uint64) {
+func (ck *CompiledKernel) reset(k Kernel, warpCount, sms, resident int, epoch uint64) {
 	ck.name = k.Name
 	ck.warpCount = warpCount
+	ck.resident = resident
 	ck.instructions = 0
 	ck.bytesRequested = 0
+	ck.txns = 0
 	ck.txnBytes = 0
 	if cap(ck.smCompute) < sms {
 		ck.smCompute = make([]units.Cycles, sms)
 		ck.smWarps = make([]int, sms)
-		ck.smTxnEnd = make([]int32, sms)
+		ck.smOpEnd = make([]int32, sms)
 	}
 	ck.smCompute = ck.smCompute[:sms]
 	ck.smWarps = ck.smWarps[:sms]
-	ck.smTxnEnd = ck.smTxnEnd[:sms]
+	ck.smOpEnd = ck.smOpEnd[:sms]
 	for i := 0; i < sms; i++ {
 		ck.smCompute[i] = 0
 		ck.smWarps[i] = 0
-		ck.smTxnEnd[i] = 0
+		ck.smOpEnd[i] = 0
 	}
 	ck.clearStream()
+	ck.span = 0
+	ck.tmplEvents = ck.tmplEvents[:0]
+	ck.tmplAccs = ck.tmplAccs[:0]
 	ck.epoch = epoch
 	ck.valid = false
 }
 
-// clearStream empties the transaction stream, keeping every chunk as an
-// owned spare.
+// clearStream empties the op stream and the pool, keeping every chunk as an
+// owned spare, and the template.
 func (ck *CompiledKernel) clearStream() {
+	ck.ops = ck.ops[:0]
 	for _, c := range ck.chunks[:ck.used] {
 		c.accs = c.accs[:0]
 		c.paths = c.paths[:0]
@@ -238,6 +429,8 @@ func (ck *CompiledKernel) clearStream() {
 	ck.tail = nil
 }
 
+// appendTxn records one explicit transaction in the pool. The caller names
+// it in the op stream (appendPool).
 func (ck *CompiledKernel) appendTxn(path uint8, kind cache.Kind, addr, size int64) {
 	c := ck.tail
 	if c == nil || len(c.accs) == cap(c.accs) {
@@ -245,11 +438,39 @@ func (ck *CompiledKernel) appendTxn(path uint8, kind cache.Kind, addr, size int6
 	}
 	c.accs = append(c.accs, cache.Access{Addr: addr, Size: size, Kind: kind})
 	c.paths = append(c.paths, path)
+	ck.txns++
 	ck.txnBytes += size
 }
 
+// appendPool names pool transactions [lo, hi) in the op stream, extending
+// the last op when it is an explicit op of the same SM (at index base or
+// later) ending at lo.
+func (ck *CompiledKernel) appendPool(base, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	if n := len(ck.ops); n > base && ck.ops[n-1].kind == opTxns && ck.ops[n-1].b == int32(lo) {
+		ck.ops[n-1].b = int32(hi)
+		return
+	}
+	ck.ops = append(ck.ops, streamOp{kind: opTxns, a: int32(lo), b: int32(hi)})
+}
+
+// appendBatch names an all-derived resident batch opening with warp first
+// in the op stream, extending the last op when it is a run of this SM's
+// batches (at index base or later) that ends just before this one.
+func (ck *CompiledKernel) appendBatch(base, first, sms int) {
+	if n := len(ck.ops); n > base {
+		if op := &ck.ops[n-1]; op.kind == opBatches && int(op.a)+int(op.b)*sms*ck.resident == first {
+			op.b++
+			return
+		}
+	}
+	ck.ops = append(ck.ops, streamOp{kind: opBatches, a: int32(first), b: 1})
+}
+
 // grow makes room for one more transaction and returns the chunk it goes
-// in: a first chunk below chunkLen doubles in place; otherwise the stream
+// in: a first chunk below chunkLen doubles in place; otherwise the pool
 // moves on to the next chunk, reusing one the kernel already owns. Nothing
 // already recorded is copied once it fills a whole chunk.
 func (ck *CompiledKernel) grow() *txnChunk {
@@ -296,33 +517,14 @@ type memEvent struct {
 const wcGranule = 64
 
 // warpTemplate is warp 0 of a declared affine kernel, compiled the normal
-// way into its own one-warp stream, plus what deriving another full warp
-// from it takes: warp 0's compute charge and counts, and per memory slot
-// its transactions and the envelope and route of its lanes' addresses.
+// way into its own one-warp stream, whose compute and counts every derived
+// warp is charged. Its memory slots and their transactions are copied into
+// the kernel being compiled (tmplEvents, tmplAccs), which derived ops refer
+// to.
 type warpTemplate struct {
-	ok    bool  // the kernel being compiled derives its full warps from this
-	span  int64 // WarpSize*Stride: the address shift from one warp to the next
-	slots int   // warp 0's program length
-
-	compute        units.Cycles
-	instructions   int64
-	bytesRequested int64
-
-	events []tmplEvent
-	accs   []cache.Access
-	paths  []uint8
-
-	ck CompiledKernel // warp 0's one-warp compile; storage reused
-}
-
-// tmplEvent is one memory slot of the template. Its transactions are
-// accs[start:end]; lo and hi bound its active lanes' start addresses — the
-// addresses pinned routing is decided on — which all take one route.
-type tmplEvent struct {
-	slot       int32
-	start, end int32
-	lo, hi     int64
-	pinned     bool
+	ok    bool           // the kernel being compiled derives its full warps from this
+	slots int            // warp 0's program length
+	ck    CompiledKernel // warp 0's one-warp compile; storage reused
 }
 
 // compiler is the reusable compile-pass scratch. Everything grows once and
@@ -344,10 +546,13 @@ type compiler struct {
 
 	derived []bool // per batch warp, parallel to warps: compiled from tmpl
 	tmpl    warpTemplate
+	opBase  int // index of the current SM's first op
 
-	// onMem, when set, is called right after each memory warp-instruction's
-	// transactions are appended to the stream, with the issuing warp and
-	// its instruction slot. VisitTransactions sets it; Launch leaves it nil.
+	// onMem, when set, is called right after each memory warp-instruction
+	// joins the stream, with the issuing warp and its instruction slot. A
+	// compile with it set gives every derived warp-instruction its own op
+	// (no opBatches), so the hook sees each one. VisitTransactions sets it;
+	// Launch leaves it nil.
 	onMem func(warp, slot int)
 }
 
@@ -397,14 +602,15 @@ func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 	resident := g.resident()
 	g.ensureLaneBuffers(resident)
 	g.comp.ensure(ws, resident)
-	ck.reset(k, warpCount, len(g.sms), g.pinnedEpoch)
+	ck.reset(k, warpCount, len(g.sms), resident, g.pinnedEpoch)
 	g.work.KernelsCompiled++
-	if err := g.buildTemplate(k); err != nil {
+	if err := g.buildTemplate(k, ck); err != nil {
 		return err
 	}
 
 	c := &g.comp
 	for smIdx := range g.sms {
+		c.opBase = len(ck.ops)
 		for start := smIdx; start < warpCount; start += len(g.sms) * resident {
 			c.warps = c.warps[:0]
 			for w := start; w < warpCount && len(c.warps) < resident; w += len(g.sms) {
@@ -414,20 +620,21 @@ func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 				return err
 			}
 		}
-		ck.smTxnEnd[smIdx] = int32(ck.txnCount())
+		ck.smOpEnd[smIdx] = int32(len(ck.ops))
 	}
 	ck.valid = true
 	return nil
 }
 
-// buildTemplate prepares the warp template for kernel k. It leaves
-// tmpl.ok false, so every warp compiles the normal way, unless k declares a
+// buildTemplate prepares the warp template for kernel k and copies its
+// transactions into ck. It leaves tmpl.ok false and ck's template empty, so
+// every warp compiles the normal way, unless k declares a
 // stride whose warp span is a positive multiple of both the L1 line size and
 // the write-combining granule, k has a full warp besides warp 0, and every
 // memory slot of warp 0 keeps all its lanes on one route. An error is one of
 // warp 0's emission errors — the first the normal path reports too, since
 // warp 0 opens SM 0's first batch.
-func (g *GPU) buildTemplate(k Kernel) error {
+func (g *GPU) buildTemplate(k Kernel, ck *CompiledKernel) error {
 	c := &g.comp
 	t := &c.tmpl
 	t.ok = false
@@ -445,14 +652,14 @@ func (g *GPU) buildTemplate(k Kernel) error {
 	onMem := c.onMem
 	c.onMem = nil
 	c.warps = append(c.warps[:0], 0)
-	t.ck.reset(k, 1, 1, g.pinnedEpoch)
+	c.opBase = 0
+	t.ck.reset(k, 1, 1, 1, g.pinnedEpoch)
 	err := g.compileBatch(k, 0, &t.ck)
 	c.onMem = onMem
 	if err != nil {
 		return err
 	}
 
-	t.events = t.events[:0]
 	var start int32
 	for i := range c.events {
 		ev := &c.events[i]
@@ -463,29 +670,29 @@ func (g *GPU) buildTemplate(k Kernel) error {
 			if la.Op == isa.Nop {
 				continue
 			}
-			pinned := g.pinned(la.Addr)
+			path := pathCached
+			if g.pinned(la.Addr) {
+				path = pathPinned
+			}
 			if !active {
-				te.lo, te.hi, te.pinned, active = la.Addr, la.Addr, pinned, true
+				te.lo, te.hi, te.path, active = la.Addr, la.Addr, path, true
 				continue
 			}
-			if pinned != te.pinned {
-				return nil // a mixed-route slot: compile every warp the normal way
+			if path != te.path {
+				// A mixed-route slot: compile every warp the normal way.
+				ck.tmplEvents = ck.tmplEvents[:0]
+				return nil
 			}
 			te.lo = min(te.lo, la.Addr)
 			te.hi = max(te.hi, la.Addr)
 		}
-		t.events = append(t.events, te)
+		ck.tmplEvents = append(ck.tmplEvents, te)
 	}
-	t.accs, t.paths = t.accs[:0], t.paths[:0]
 	for _, ch := range t.ck.chunks[:t.ck.used] {
-		t.accs = append(t.accs, ch.accs...)
-		t.paths = append(t.paths, ch.paths...)
+		ck.tmplAccs = append(ck.tmplAccs, ch.accs...)
 	}
-	t.span = span
+	ck.span = span
 	t.slots = g.laneProgs[0].Len()
-	t.compute = t.ck.smCompute[0]
-	t.instructions = t.ck.instructions
-	t.bytesRequested = t.ck.bytesRequested
 	t.ok = true
 	return nil
 }
@@ -495,15 +702,14 @@ func (g *GPU) buildTemplate(k Kernel) error {
 // every memory slot, the template's lane envelope shifted by w*span lies
 // wholly on the route warp 0's lanes took — inside one pinned range, or
 // clear of every range.
-func (g *GPU) deriveWarp(w, lanes int) bool {
-	t := &g.comp.tmpl
-	if !t.ok || lanes < g.cfg.WarpSize {
+func (g *GPU) deriveWarp(ck *CompiledKernel, w, lanes int) bool {
+	if !g.comp.tmpl.ok || lanes < g.cfg.WarpSize {
 		return false
 	}
-	shift := int64(w) * t.span
-	for i := range t.events {
-		te := &t.events[i]
-		if pinned, uniform := g.route(te.lo+shift, te.hi+shift); !uniform || pinned != te.pinned {
+	shift := int64(w) * ck.span
+	for i := range ck.tmplEvents {
+		te := &ck.tmplEvents[i]
+		if pinned, uniform := g.route(te.lo+shift, te.hi+shift); !uniform || pinned != (te.path == pathPinned) {
 			return false
 		}
 	}
@@ -527,7 +733,9 @@ func (g *GPU) route(lo, hi int64) (pinned, uniform bool) {
 // compute in bulk per run segment, then emit the batch's memory transactions
 // in the reference executor's slot-major interleaved order. A warp derived
 // from the template skips all of that: it is charged warp 0's compute and
-// counts, and appends warp 0's transactions shifted, in the same interleave.
+// counts, and each of its memory slots joins the interleave as an op naming
+// the template event and the warp. A batch whose every warp derives is one
+// opBatches op, or extends the SM's last one.
 func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 	c := &g.comp
 	t := &c.tmpl
@@ -544,14 +752,16 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 			lanes = last
 		}
 		c.lanes = append(c.lanes, lanes)
-		derived := g.deriveWarp(w, lanes)
+		derived := g.deriveWarp(ck, w, lanes)
 		c.derived = append(c.derived, derived)
 		if derived {
 			c.lockstep = append(c.lockstep, true)
 			ck.smWarps[smIdx]++
-			ck.smCompute[smIdx] += t.compute
-			ck.instructions += t.instructions
-			ck.bytesRequested += t.bytesRequested
+			ck.smCompute[smIdx] += t.ck.smCompute[0]
+			ck.instructions += t.ck.instructions
+			ck.bytesRequested += t.ck.bytesRequested
+			ck.txns += t.ck.txns
+			ck.txnBytes += t.ck.txnBytes
 			if w != 0 {
 				g.work.WarpsDerived++
 			}
@@ -602,6 +812,10 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 		c.lockstep = append(c.lockstep, lockstep)
 		ck.smWarps[smIdx]++
 	}
+	if c.onMem == nil && !slices.Contains(c.derived, false) {
+		ck.appendBatch(c.opBase, c.warps[0], len(g.sms))
+		return nil
+	}
 
 	// Per-warp run walk: bulk compute charging plus memory-event capture.
 	// Segments are bounded by every lane's run boundaries, so each lane's
@@ -613,7 +827,7 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 	for bi := range c.warps {
 		if c.derived[bi] {
 			c.evStart[bi] = 0
-			c.evEnd[bi] = int32(len(t.events))
+			c.evEnd[bi] = int32(len(ck.tmplEvents))
 			maxLen = max(maxLen, t.slots)
 			continue
 		}
@@ -713,18 +927,20 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 				continue
 			}
 			if c.derived[bi] {
-				te := &t.events[cur]
+				te := &ck.tmplEvents[cur]
 				if te.slot != int32(i) {
 					continue
 				}
-				g.appendShifted(ck, te, int64(c.warps[bi])*t.span)
+				ck.ops = append(ck.ops, streamOp{kind: opShift, a: cur, b: int32(c.warps[bi])})
 			} else {
 				ev := &c.events[cur]
 				if ev.slot != int32(i) {
 					continue
 				}
+				lo := ck.poolLen()
 				g.emitTxns(ck, ev)
-				ev.txnEnd = int32(ck.txnCount())
+				ev.txnEnd = int32(ck.poolLen())
+				ck.appendPool(c.opBase, lo, int(ev.txnEnd))
 			}
 			c.evCur[bi]++
 			if c.onMem != nil {
@@ -733,17 +949,6 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 		}
 	}
 	return nil
-}
-
-// appendShifted appends one template slot's transactions to ck, every
-// address plus shift.
-func (g *GPU) appendShifted(ck *CompiledKernel, te *tmplEvent, shift int64) {
-	t := &g.comp.tmpl
-	for j := te.start; j < te.end; j++ {
-		a := &t.accs[j]
-		ck.appendTxn(t.paths[j], a.Kind, a.Addr+shift, a.Size)
-	}
-	g.work.TxnsRecorded += int64(te.end - te.start)
 }
 
 // emitTxns coalesces one memory warp-instruction into transactions, exactly
@@ -759,7 +964,7 @@ func (g *GPU) emitTxns(ck *CompiledKernel, ev *memEvent) {
 	lineSize := g.cfg.L1.LineSize
 	c.lineBuf = c.lineBuf[:0]
 	c.wcBuf = c.wcBuf[:0]
-	start := ck.txnCount()
+	start := ck.poolLen()
 	var wcBytes int64
 	for _, la := range c.evLanes[ev.laneStart : ev.laneStart+ev.laneCount] {
 		if la.Op == isa.Nop {
@@ -796,7 +1001,7 @@ func (g *GPU) emitTxns(ck *CompiledKernel, ev *memEvent) {
 	for _, ln := range c.lineBuf {
 		ck.appendTxn(pathCached, kind, ln*lineSize, lineSize)
 	}
-	g.work.TxnsRecorded += int64(ck.txnCount() - start)
+	g.work.TxnsRecorded += int64(ck.poolLen() - start)
 }
 
 // sameOpsAndCounts reports whether two lanes have identical run structure:
@@ -828,8 +1033,10 @@ func sameCounts(a, b []isa.Run) bool {
 	return true
 }
 
-// replayScratch holds the replay executor's reusable buffers.
+// replayScratch holds the replay executor's reusable buffers: the walker's
+// expansion scratch, the per-access results and the batch kernels' scratch.
 type replayScratch struct {
+	accs  []cache.Access
 	outs  []cache.Result
 	batch cache.Batch
 }
@@ -857,49 +1064,39 @@ func (g *GPU) LaunchCompiled(ck *CompiledKernel) (Result, error) {
 // only read, so GPUs sharing a cache may replay one entry concurrently.
 func (g *GPU) replayKernel(ck *CompiledKernel) Result {
 	g.work.KernelsReplayed++
-	g.work.TxnsReplayed += int64(ck.txnCount())
+	g.work.TxnsReplayed += ck.txns
 	before := g.snapStats()
 	var res Result
 	res.Warps = ck.warpCount
 	res.Instructions = ck.instructions
-	res.Transactions = int64(ck.txnCount())
+	res.Transactions = ck.txns
 	res.TransactionBytes = ck.txnBytes
 	res.BytesRequested = ck.bytesRequested
 
-	start := 0
 	for si, s := range g.sms {
-		s.computeCycles = ck.smCompute[si]
-		s.memLatency = 0
-		s.warps = ck.smWarps[si]
-		end := int(ck.smTxnEnd[si])
-		// Walk the SM's transactions chunk by chunk, so every same-path
-		// group handed to the batch kernels ends at a chunk boundary.
-		for start < end {
-			c := ck.chunks[start>>chunkShift]
-			lo := start & chunkMask
-			hi := min(len(c.accs), lo+end-start)
-			for t := lo; t < hi; {
-				p := c.paths[t]
-				r := t + 1
-				for r < hi && c.paths[r] == p {
-					r++
-				}
-				g.replayGroup(s, p, c.accs[t:r])
-				t = r
-			}
-			start += hi - lo
-		}
+		g.replaySM(ck, si, s)
 	}
 
 	g.finishResult(&res, before, ck.warpCount, g.resident())
 	return res
 }
 
+// replaySM restores SM si's compile-time accumulators and drives its part
+// of the stream through the batch cache kernels, run by run.
+func (g *GPU) replaySM(ck *CompiledKernel, si int, s *sm) {
+	s.computeCycles = ck.smCompute[si]
+	s.memLatency = 0
+	s.warps = ck.smWarps[si]
+	ck.walk(ck.smOps(si), &g.replay.accs, func(path uint8, accs []cache.Access) {
+		g.replayGroup(s, path, accs)
+	})
+}
+
 // replayGroup services one run of consecutive same-path transactions
 // through the batch cache kernels and accumulates their latencies into the
-// SM in transaction order. The access group is a direct slice of one stream
-// chunk — no per-launch copying — so it, and the result scratch, never
-// exceed chunkLen.
+// SM in transaction order. The run comes from the walker — a direct slice
+// of one pool chunk, or derived transactions expanded into the replay's
+// scratch — so it, and the result scratch, never exceed chunkLen.
 func (g *GPU) replayGroup(s *sm, path uint8, accs []cache.Access) {
 	rs := &g.replay
 	n := len(accs)

@@ -299,11 +299,10 @@ func testLauncherZeroAlloc(t *testing.T, shared bool, scope string) {
 
 // TestLauncherCrossRunReplay pins the cross-run reuse protocol on a
 // declared scope: across pinned-routing rebuilds that restore the same
-// routing (what soc.ResetState does between model runs), a key's first
-// compile lasts its run, its second compile marks it recurring, and from
-// the third run on the launcher replays the shared entry on the declaration
-// alone — no compile and no emitted program — with results identical to the
-// first run's from the same cold caches.
+// routing (what soc.ResetState does between model runs), a key compiles in
+// its first run, and from the second run on the launcher replays the shared
+// entry on the declaration alone — no compile and no emitted program — with
+// results identical to the first run's from the same cold caches.
 func TestLauncherCrossRunReplay(t *testing.T) {
 	_, g := twinGPUs()
 	lch := NewLauncher(g, "xrun/fuzz")
@@ -313,7 +312,7 @@ func TestLauncherCrossRunReplay(t *testing.T) {
 	var first Result
 	for run, want := range []Work{
 		{KernelsCompiled: 1, ProgramsEmitted: 64, KernelsReplayed: 1},
-		{KernelsCompiled: 1, ProgramsEmitted: 64, KernelsReplayed: 1},
+		{KernelsReplayed: 1},
 		{KernelsReplayed: 1},
 		{KernelsReplayed: 1},
 	} {
@@ -332,7 +331,7 @@ func TestLauncherCrossRunReplay(t *testing.T) {
 		} else if got != first {
 			t.Fatalf("run %d replayed %+v, first run %+v", run, got, first)
 		}
-		if e := c.entries[key]; g.validated[key] != e || e.repeat != (run > 0) {
+		if e := c.entries[key]; g.validated[key] != e {
 			t.Fatalf("run %d: record %p, shared entry %+v", run, g.validated[key], e)
 		}
 	}
@@ -388,7 +387,6 @@ func TestLauncherDeclaredScope(t *testing.T) {
 		want   Work
 	}{
 		{"first compile", "a", 8192, mk(0, 256), compile},
-		{"second compile marks the key recurring", "a", 8192, mk(0, 256), compile},
 		{"keyed hit replays", "a", 8192, mk(0, 256), replay},
 		{"changed scope compiles", "b", 8192, mk(64, 256), compile},
 		{"changed thread count recompiles", "a", 8192, mk(0, 128), compile},

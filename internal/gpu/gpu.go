@@ -158,12 +158,9 @@ type GPU struct {
 	// The compiled-kernel cache behind Launcher, private or shared with
 	// other GPUs of the same Config, and the entries this GPU validated
 	// under pinned epoch validatedEpoch, per key (see lookupKernel).
-	// firsts lists the keys whose first compile this GPU published under
-	// that epoch (see dropRecords).
 	kc             *KernelCache
 	validated      map[kernelKey]*cachedKernel
 	validatedEpoch uint64
-	firsts         []kernelKey
 	pinnedRoute    string // pinnedPath.Name(), compared by the kernel cache
 
 	work Work // compile-work counters, see Work
@@ -233,7 +230,7 @@ func (g *GPU) SetKernelCache(c *KernelCache) {
 	if !reflect.DeepEqual(c.cfg, g.cfg) {
 		panic(fmt.Sprintf("gpu %s: kernel cache belongs to a different config (%s)", g.cfg.Name, c.cfg.Name))
 	}
-	g.dropRecords()
+	clear(g.validated)
 	g.kc = c
 }
 
@@ -251,8 +248,10 @@ type Work struct {
 	// WarpsDerived counts full warps of declared affine kernels compiled
 	// by shifting warp 0's template instead of emitting their lanes.
 	WarpsDerived int64
-	// TxnsRecorded counts transactions appended to compiled streams,
-	// including warp 0's own template.
+	// TxnsRecorded counts transactions the compile pass coalesced and
+	// stored: every explicit warp's, and warp 0's once per template. A
+	// derived warp's transactions are not recorded; its ops refer to the
+	// template.
 	TxnsRecorded int64
 	// KernelsReplayed counts compiled kernels driven through the caches:
 	// every Launch, LaunchCompiled and Launcher launch outside reference

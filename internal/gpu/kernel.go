@@ -23,10 +23,12 @@ import (
 // thread 0's with every memory address plus tid*Stride — the same opcodes,
 // sizes and run structure, no lane masked off. Zero means undeclared. The
 // compile pass then emits and coalesces warp 0 only and derives every other
-// full warp by a uniform address shift (see compile.go). The declaration is
-// a promise the compiler does not re-check: declare it only where it holds
-// for every thread, and prove it with the declared-vs-undeclared
-// differential tests. The reference executor ignores it.
+// full warp by a uniform address shift, stored as a reference to warp 0's
+// template and applied as the stream is walked (see compile.go). The
+// declaration is a promise the compiler does not re-check: declare it only
+// where it holds for every thread, and prove it with the
+// declared-vs-undeclared differential tests. The reference executor
+// ignores it.
 type Kernel struct {
 	Name    string
 	Threads int

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"igpucomm/internal/cache"
 	"igpucomm/internal/isa"
 )
 
@@ -127,7 +129,7 @@ func TestSharedKernelCacheRerouted(t *testing.T) {
 		compiles int64
 	}{
 		{"A compiles", a, 8192, 1},
-		{"A recompiles, marking the key recurring", a, 8192, 1},
+		{"A's next run replays its first compile", a, 8192, 0},
 		{"B replays A's entry", b, 8192, 0},
 		{"A reroutes and recompiles", a, 4096, 1},
 		{"B keeps replaying the entry it validated", b, 0, 0},
@@ -180,48 +182,70 @@ func TestSetKernelCacheRejectsOtherConfig(t *testing.T) {
 	}
 }
 
-// TestKernelCacheDemotesFirstCompiles pins what the cache keeps of a key's
-// first compile: the full entry while its run lasts, and only a marker once
-// the compiling GPU moves to a new run, so a kernel that never recurs does
-// not hold its stream in the cache. The marker keeps the key known, so the
-// next compile marks the key recurring and its entry stays replayable.
-func TestKernelCacheDemotesFirstCompiles(t *testing.T) {
-	_, g := twinGPUs()
-	c := g.KernelCache()
-	lch := NewLauncher(g, "demote")
-	k, other := affineKernel(0), affineKernel(pinnedBase)
-	key := kernelKey{scope: "demote", idx: 0}
-	launch := func(idx int, k Kernel) {
-		t.Helper()
-		if _, err := lch.Launch(idx, k); err != nil {
-			t.Fatal(err)
+// TestKernelCacheKeepsFirstCompiles pins that a key's first compile is
+// the entry every later run replays: on its compiling GPU once a new run
+// restores the same routing, and on another GPU sharing the cache within
+// that GPU's first run. Only the first launch compiles, and the cache
+// holds one entry per key.
+func TestKernelCacheKeepsFirstCompiles(t *testing.T) {
+	c := NewKernelCache(testConfig(), 2)
+	a, b := sharedGPU(c), sharedGPU(c)
+	kernels := []Kernel{affineKernel(0), affineKernel(pinnedBase)}
+	for run := 0; run < 3; run++ {
+		for _, g := range []*GPU{a, b} {
+			newRun(8192, g)
+			l := NewLauncher(g, "keep")
+			for idx, k := range kernels {
+				if _, err := l.Launch(idx, k); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	launch(0, k)
-	first := c.entries[key]
-	if first.threads != k.Threads || first.repeat {
-		t.Fatalf("first compile published %+v, want the first compile", first)
+	if got := a.Work().KernelsCompiled + b.Work().KernelsCompiled; got != 2 {
+		t.Fatalf("%d compiles, want 2: each key's first launch", got)
 	}
-	newRun(8192, g)
-	launch(1, other)
-	if e := c.entries[key]; e == first || e.threads != 0 || e.ck.Transactions() != 0 {
-		t.Fatalf("first compile not demoted to a marker once its run ended: %+v", e)
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 0 {
+		t.Fatalf("cache stats %+v, want two entries and no evictions", st)
 	}
-	if want := (&cachedKernel{}).bytes() + g.validated[kernelKey{scope: "demote", idx: 1}].bytes(); c.Stats().Bytes != want {
-		t.Fatalf("cache accounts %d bytes, want %d: a marker plus one full entry", c.Stats().Bytes, want)
-	}
-	before := g.Work().KernelsCompiled
-	launch(0, k)
-	if e := c.entries[key]; !e.repeat || e.threads != k.Threads {
-		t.Fatalf("second compile published %+v, want the recurring kernel", e)
-	}
-	newRun(8192, g)
-	launch(0, k)
-	launch(1, other)
-	if got := g.Work().KernelsCompiled - before; got != 2 {
-		t.Fatalf("%d compiles, want 2: key 0's second compile, then key 1's", got)
-	}
-	if e := c.entries[key]; !e.repeat || e.threads != k.Threads {
-		t.Fatalf("recurring entry demoted: %+v", e)
+}
+
+// TestDeclaredKernelRetainsTemplate pins that a declared MB3-shaped
+// kernel's cache entry holds its warp template, not its derived warps: at
+// 2^16 and 2^20 threads, with the source pinned or cached, the entry's
+// accounted bytes and the transactions its compile records are the same,
+// while the stream it replays grows sixteenfold, and the entry is a small
+// fraction of that stream written out. The kernel-cache budget therefore
+// accounts what a declared entry actually holds.
+func TestDeclaredKernelRetainsTemplate(t *testing.T) {
+	const src, dst = int64(0), int64(1) << 24
+	for _, pinned := range []bool{true, false} {
+		g, _ := testGPU(t)
+		if pinned {
+			g.AddPinnedRange(src, src+(1<<20)*4)
+		}
+		l := NewLauncher(g, "template")
+		var bytes, recorded, txns [2]int64
+		for i, threads := range []int{1 << 16, 1 << 20} {
+			before := g.Work()
+			e, err := g.lookupKernel(l, i, mb3Stream(threads, src, dst, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := g.Work()
+			if derived := w.WarpsDerived - before.WarpsDerived; derived != int64(threads/32-1) {
+				t.Fatalf("pinned=%v threads=%d: %d warps derived, want every warp but warp 0", pinned, threads, derived)
+			}
+			bytes[i], recorded[i], txns[i] = e.bytes(), w.TxnsRecorded-before.TxnsRecorded, e.ck.Transactions()
+		}
+		if bytes[0] != bytes[1] || recorded[0] != recorded[1] {
+			t.Fatalf("pinned=%v: entry bytes %v and recorded transactions %v vary with the thread count", pinned, bytes, recorded)
+		}
+		if txns[1] != 16*txns[0] {
+			t.Fatalf("pinned=%v: streams of %v transactions, want the larger 16 times the smaller", pinned, txns)
+		}
+		if written := txns[1] * int64(unsafe.Sizeof(cache.Access{})); 1000*bytes[1] > written {
+			t.Fatalf("pinned=%v: entry holds %d bytes, over a thousandth of the %d its %d transactions take written out", pinned, bytes[1], written, txns[1])
+		}
 	}
 }

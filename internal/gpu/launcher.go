@@ -23,9 +23,12 @@ import (
 // GPU. Each GPU records which entry it last validated for a key, and under
 // which pinned epoch. Within one run the epoch cannot move after
 // allocation, so an epoch-current record replays on the record alone.
-// Otherwise (a new run, or no record for the key yet) the shared entry of a
-// recurring key replays when the thread count and the pinned routing match
-// by content; anything else recompiles into a fresh entry.
+// Otherwise (a new run, or no record for the key yet) the shared entry
+// replays when the thread count and the pinned routing match by content;
+// anything else recompiles into a fresh entry. A declared affine kernel's
+// entry holds its warp template, not its derived warps (see
+// CompiledKernel), so keeping every entry until the byte budget evicts it
+// costs little for the kernels whose streams would be largest.
 type Launcher struct {
 	g     *GPU
 	scope string
@@ -57,25 +60,23 @@ func (l *Launcher) Launch(idx int, k Kernel) (Result, error) {
 
 // cachedKernel is one kernel-cache entry: the compiled artifact plus the
 // launch shape and the pinned routing the compile saw, which a lookup
-// matches before replaying it. repeat reports whether the key already had an
-// entry when this one compiled: a key that compiles twice recurs across
-// runs, so its entry is kept past its run, while a key's first compile is
-// demoted once its run ends (see KernelCache.demote). An entry is never
-// written once published, so a GPU may keep replaying it after another GPU
-// replaced it or the cache evicted it. A marker is an entry with no compiled
-// kernel and zero threads, which no lookup replays.
+// matches before replaying it. An entry is never written once published,
+// so a GPU may keep replaying it after another GPU replaced it or the cache
+// evicted it.
 type cachedKernel struct {
 	ck      CompiledKernel
 	threads int
-	repeat  bool
 	route   string // the pinned route's Name()
 	ranges  []addrRange
 }
 
 // bytes approximates the entry's retained storage, for the cache budget:
-// the capacity of every transaction chunk it owns plus the per-SM arrays.
+// what its compiled kernel holds (see CompiledKernel.storageBytes) plus a
+// fixed overhead. A declared affine kernel holds its warp template and a
+// few ops, not its derived warps' transactions, so its entry is the same
+// size at any thread count.
 func (e *cachedKernel) bytes() int64 {
-	return e.ck.chunkBytes() + int64(cap(e.ck.smCompute))*20 + 64
+	return e.ck.storageBytes() + 64
 }
 
 // kernelKey names one launch of a launcher's sequence. own is set only for a
@@ -179,24 +180,6 @@ func (c *KernelCache) publish(key kernelKey, e *cachedKernel, own map[kernelKey]
 	}
 }
 
-// demote replaces e, if it is still key's entry, with a marker that holds
-// no compiled kernel. Every entry's content is declared by its scope, so
-// this is a memory policy, not a validity one: a key's first compile is
-// kept only while the run that compiled it lasts, which frees the streams
-// of single-use kernels (a characterization's, a cold session's) as soon as
-// their run ends. The marker keeps the key known, so its next compile marks
-// the key as recurring and publishes an entry that stays; the cost is one
-// extra compile per recurring key.
-func (c *KernelCache) demote(key kernelKey, e *cachedKernel) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e != nil && c.entries[key] == e {
-		m := &cachedKernel{}
-		c.bytes += m.bytes() - e.bytes()
-		c.entries[key] = m
-	}
-}
-
 // lookupKernel returns a compiled kernel for launch idx of l's sequence
 // that is valid for this GPU's current routing: one this GPU already
 // validated in the current pinned epoch, the shared entry once its launch
@@ -206,15 +189,12 @@ func (c *KernelCache) demote(key kernelKey, e *cachedKernel) {
 // current pinned epoch; such an entry replays with no further checks, even
 // if another GPU has since replaced it — within one run the layout cannot
 // move without the epoch moving, and kernels are deterministic per layout
-// by the Kernel contract. The record is dropped when the epoch moves (see
-// dropRecords). A shared entry of a recurring key replays on l's scope
-// declaration once the thread count matches and the pinned routing matches
-// by content: the same route name and the same ranges. No program is
-// emitted to check it. A first compile replays only through its compiling
-// GPU's record: it is demoted when that GPU's run ends, so replaying it
-// elsewhere would only move the key's second compile to an unpredictable
-// later run. A launcher with an empty scope never reads or publishes a
-// shared entry: its compiles live in this GPU's record only.
+// by the Kernel contract. The record is cleared when the epoch moves. A
+// shared entry replays on l's scope declaration once the thread count
+// matches and the pinned routing matches by content: the same route name
+// and the same ranges. No program is emitted to check it. A launcher with
+// an empty scope never reads or publishes a shared entry: its compiles live
+// in this GPU's record only.
 func (g *GPU) lookupKernel(l *Launcher, idx int, k Kernel) (*cachedKernel, error) {
 	if k.Threads <= 0 {
 		return nil, fmt.Errorf("kernel %s: thread count %d must be positive", k.Name, k.Threads)
@@ -223,7 +203,7 @@ func (g *GPU) lookupKernel(l *Launcher, idx int, k Kernel) (*cachedKernel, error
 		return nil, fmt.Errorf("kernel %s: nil program", k.Name)
 	}
 	if g.validatedEpoch != g.pinnedEpoch {
-		g.dropRecords()
+		clear(g.validated)
 		g.validatedEpoch = g.pinnedEpoch
 	}
 	key := kernelKey{scope: l.scope, idx: idx}
@@ -233,17 +213,15 @@ func (g *GPU) lookupKernel(l *Launcher, idx int, k Kernel) (*cachedKernel, error
 	if e := g.validated[key]; e != nil && e.threads == k.Threads {
 		return e, nil
 	}
-	var e *cachedKernel
 	if key.own == nil {
-		e = g.kc.get(key)
-		if e != nil && e.repeat && e.threads == k.Threads &&
+		if e := g.kc.get(key); e != nil && e.threads == k.Threads &&
 			e.route == g.pinnedRoute && rangesEqual(e.ranges, g.ranges) {
 			g.validated[key] = e
 			return e, nil
 		}
 	}
 	// Published entries are immutable, so a recompile goes into a fresh one.
-	n := &cachedKernel{repeat: e != nil}
+	n := &cachedKernel{}
 	if err := g.CompileInto(k, &n.ck); err != nil {
 		// The key's published entry, if any, stays for a later lookup.
 		return nil, err
@@ -256,22 +234,7 @@ func (g *GPU) lookupKernel(l *Launcher, idx int, k Kernel) (*cachedKernel, error
 		return n, nil
 	}
 	g.kc.publish(key, n, g.validated)
-	if !n.repeat {
-		g.firsts = append(g.firsts, key)
-	}
 	return n, nil
-}
-
-// dropRecords clears the GPU's validation record, first demoting the
-// first compiles it published under the record's epoch: their run is over,
-// and a key that never recurs should not hold its stream in the cache (see
-// KernelCache.demote).
-func (g *GPU) dropRecords() {
-	for _, key := range g.firsts {
-		g.kc.demote(key, g.validated[key])
-	}
-	g.firsts = g.firsts[:0]
-	clear(g.validated)
 }
 
 func rangesEqual(a, b []addrRange) bool {

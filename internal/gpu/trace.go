@@ -37,15 +37,17 @@ func (t Txn) Path() string {
 // validation, coalescing and issue order as Launch — and calls visit once
 // per transaction, in the order Launch issues them: SM by SM, resident batch
 // by batch, slot-major across a batch's warps. It touches no cache and no
-// clock, and keeps only one warp-instruction's transactions at a time.
+// clock. Each memory warp-instruction is walked, derived ones expanded from
+// the warp template, as soon as it joins the stream, and then cleared, so
+// only one warp-instruction's transactions are kept at a time.
 func (g *GPU) VisitTransactions(k Kernel, visit func(Txn)) error {
 	var ck CompiledKernel
 	g.comp.onMem = func(warp, slot int) {
-		for _, c := range ck.chunks[:ck.used] {
-			for i, a := range c.accs {
-				visit(Txn{Warp: warp, Instr: slot, Kind: a.Kind, Pinned: c.paths[i] == pathPinned, Addr: a.Addr, Size: a.Size})
+		ck.walk(ck.ops, &g.replay.accs, func(path uint8, accs []cache.Access) {
+			for _, a := range accs {
+				visit(Txn{Warp: warp, Instr: slot, Kind: a.Kind, Pinned: path == pathPinned, Addr: a.Addr, Size: a.Size})
 			}
-		}
+		})
 		ck.clearStream()
 	}
 	defer func() { g.comp.onMem = nil }()
