@@ -40,7 +40,8 @@ import (
 // transactions expanded into a chunkLen-bounded scratch. A run is split at
 // chunk boundaries, at the edge of an explicit op and when the scratch
 // fills, so neither a replay group nor the replay's result scratch ever
-// exceeds one chunk.
+// exceeds one chunk. Diff walks one kernel's ops and reads the other's
+// beside it a piece at a time (cursor), so it holds neither stream whole.
 //
 // Byte-identity argument, load-bearing for the differential suite:
 //
@@ -210,7 +211,8 @@ func (ck *CompiledKernel) Diff(o *CompiledKernel) error {
 	case len(ck.smCompute) != len(o.smCompute):
 		return fmt.Errorf("SMs %d vs %d", len(ck.smCompute), len(o.smCompute))
 	}
-	var a, b []pathAccess
+	var buf []cache.Access
+	other := cursor{ck: o, piece: make([]pathAccess, 0, chunkLen)}
 	for i := range ck.smCompute {
 		switch {
 		case ck.smCompute[i] != o.smCompute[i]:
@@ -218,17 +220,44 @@ func (ck *CompiledKernel) Diff(o *CompiledKernel) error {
 		case ck.smWarps[i] != o.smWarps[i]:
 			return fmt.Errorf("SM %d warps %d vs %d", i, ck.smWarps[i], o.smWarps[i])
 		}
-		a, b = ck.flat(a[:0], ck.smOps(i)), o.flat(b[:0], o.smOps(i))
-		if len(a) != len(b) {
-			return fmt.Errorf("SM %d transactions %d vs %d", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return fmt.Errorf("SM %d transaction %d: %+v path %d vs %+v path %d", i, j, a[j].Access, a[j].path, b[j].Access, b[j].path)
-			}
+		other.rest = o.smOps(i)
+		if err := ck.diffSM(i, &other, &buf); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// diffSM compares SM si's transactions in ck with what other reads, in
+// order. ck's stream is walked as replay walks it and the other kernel's is
+// read beside it a bounded piece at a time, so neither is copied whole.
+func (ck *CompiledKernel) diffSM(si int, other *cursor, buf *[]cache.Access) error {
+	var piece []pathAccess
+	var err error
+	n := 0 // transactions of ck compared so far
+	ck.walk(ck.smOps(si), buf, func(path uint8, accs []cache.Access) {
+		for _, a := range accs {
+			if err != nil {
+				return
+			}
+			if len(piece) == 0 {
+				if piece = other.next(); len(piece) == 0 {
+					err = fmt.Errorf("SM %d transactions: more than %d vs %d", si, n, n)
+					return
+				}
+			}
+			if b := piece[0]; b != (pathAccess{a, path}) {
+				err = fmt.Errorf("SM %d transaction %d: %+v path %d vs %+v path %d", si, n, a, path, b.Access, b.path)
+				return
+			}
+			piece = piece[1:]
+			n++
+		}
+	})
+	if err == nil && (len(piece) > 0 || len(other.next()) > 0) {
+		err = fmt.Errorf("SM %d transactions: %d vs more than %d", si, n, n)
+	}
+	return err
 }
 
 // pathAccess is one transaction of a walked stream and its path.
@@ -237,15 +266,48 @@ type pathAccess struct {
 	path uint8
 }
 
-// flat appends the transactions ops name to dst, in stream order.
-func (ck *CompiledKernel) flat(dst []pathAccess, ops []streamOp) []pathAccess {
-	var buf []cache.Access
-	ck.walk(ops, &buf, func(path uint8, accs []cache.Access) {
+// cursor reads the transactions of an op stream in order, one bounded
+// piece at a time: an op, with a pool range cut at chunkLen transactions
+// and a run of batches cut into single batches, walked as replay walks it.
+type cursor struct {
+	ck      *CompiledKernel
+	rest    []streamOp
+	head    streamOp // what is left of the op being read, while pending
+	pending bool
+	op      [1]streamOp // the piece being walked
+	piece   []pathAccess
+	buf     []cache.Access
+}
+
+// next returns the next piece of the stream, empty at its end. The piece is
+// valid until the following call.
+func (c *cursor) next() []pathAccess {
+	c.piece = c.piece[:0]
+	add := func(path uint8, accs []cache.Access) {
 		for _, a := range accs {
-			dst = append(dst, pathAccess{a, path})
+			c.piece = append(c.piece, pathAccess{a, path})
 		}
-	})
-	return dst
+	}
+	for len(c.piece) == 0 && (c.pending || len(c.rest) > 0) {
+		if !c.pending {
+			c.head, c.rest, c.pending = c.rest[0], c.rest[1:], true
+		}
+		op := c.head
+		switch {
+		case op.kind == opTxns && op.b-op.a > chunkLen:
+			op.b = op.a + chunkLen
+			c.head.a = op.b
+		case op.kind == opBatches && op.b > 1:
+			op.b = 1
+			c.head.a += int32(len(c.ck.smCompute) * c.ck.resident)
+			c.head.b--
+		default:
+			c.pending = false
+		}
+		c.op[0] = op
+		c.ck.walk(c.op[:], &c.buf, add)
+	}
+	return c.piece
 }
 
 // smOps returns SM si's part of the op stream.

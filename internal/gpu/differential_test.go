@@ -10,7 +10,10 @@ package gpu
 // the warp-template compile path is fuzzed against the same oracle.
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"igpucomm/internal/isa"
 	"igpucomm/internal/memdev"
@@ -157,6 +160,60 @@ func checkDeclared(t *testing.T, g *GPU, k Kernel) int64 {
 		t.Fatalf("declared stride %d compiles differently: %v", k.Stride, err)
 	}
 	return derived
+}
+
+// TestDiffStreamsPieces compares a declared MB3-shaped kernel, whose
+// stream spans many resident batches, with its undeclared twin, whose pool
+// spans many chunks, in both directions, and with a twin whose last warp
+// stores elsewhere. Diff must find the one differing transaction and read
+// both streams a bounded piece at a time, allocating far less than one
+// copy of either.
+func TestDiffStreamsPieces(t *testing.T) {
+	const threads = 1 << 19
+	const src, dst = pinnedBase, int64(1) << 24
+	g, _ := testGPU(t)
+	g.AddPinnedRange(src, src+threads*4)
+	declared, err := g.Compile(mb3Stream(threads, src, dst, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := mb3Stream(threads, src, dst, 0)
+	undeclared, err := g.Compile(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(undeclared.chunks) < 4 {
+		t.Fatalf("undeclared stream spans %d chunks; the test needs several", len(undeclared.chunks))
+	}
+	moved := twin
+	moved.Program = func(tid int, p *isa.Program) {
+		off := int64(tid) * 4
+		p.Ld(src+off, 4)
+		p.Compute(isa.FMA, 4)
+		if tid >= threads-32 {
+			off += 1 << 20
+		}
+		p.St(dst+off, 4)
+	}
+	other, err := g.Compile(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var err1, err2, err3 error
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	err1, err2, err3 = declared.Diff(undeclared), undeclared.Diff(declared), declared.Diff(other)
+	runtime.ReadMemStats(&ms1)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("twins differ: %v; %v", err1, err2)
+	}
+	if err3 == nil || !strings.Contains(err3.Error(), "transaction ") {
+		t.Fatalf("moved last warp: Diff = %v, want a differing transaction", err3)
+	}
+	flat := 2 * declared.Transactions() * int64(unsafe.Sizeof(pathAccess{}))
+	if alloc := int64(ms1.TotalAlloc - ms0.TotalAlloc); alloc > flat/8 {
+		t.Fatalf("three Diffs allocated %d bytes; one flat copy of both streams is %d", alloc, flat)
+	}
 }
 
 // FuzzBatchVsReference is the batch-vs-reference differential fuzzer: any

@@ -194,15 +194,6 @@ func (p *UncachedPort) Do(a cache.Access) cache.Result {
 	}
 }
 
-// DoBatch services accs in order, one Result per access into out: Do per
-// access, without an interface call each (cache.BatchLevel). The GPU's
-// replay hands it whole runs of pinned transactions.
-func (p *UncachedPort) DoBatch(accs []cache.Access, out []cache.Result, _ *cache.Batch) {
-	for i, a := range accs {
-		out[i] = p.Do(a)
-	}
-}
-
 // Stats returns the port's counters.
 func (p *UncachedPort) Stats() Stats { return p.stats }
 

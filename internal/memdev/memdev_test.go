@@ -109,37 +109,6 @@ func TestUncachedPortReads(t *testing.T) {
 	}
 }
 
-// TestUncachedPortBatchMatchesDo requires DoBatch to equal Do per access
-// in order: the same results, port counters and device counters, over
-// reads, writes, writebacks and degenerate sizes.
-func TestUncachedPortBatchMatchesDo(t *testing.T) {
-	accs := []cache.Access{
-		{Addr: 0, Size: 4, Kind: cache.Read},
-		{Addr: 64, Size: 8, Kind: cache.Write},
-		{Addr: 128, Size: 0, Kind: cache.Read},
-		{Addr: 192, Size: 64, Kind: cache.Writeback},
-		{Addr: 256, Size: -1, Kind: cache.Write},
-		{Addr: 320, Size: 16, Kind: cache.Read},
-	}
-	d1, d2 := newDRAM(), newDRAM()
-	serial, batch := d1.NewUncachedPortRW("u", 500, 50), d2.NewUncachedPortRW("u", 500, 50)
-	want := make([]cache.Result, len(accs))
-	for i, a := range accs {
-		want[i] = serial.Do(a)
-	}
-	got := make([]cache.Result, len(accs))
-	var bl cache.BatchLevel = batch
-	bl.DoBatch(accs, got, nil)
-	for i := range accs {
-		if got[i] != want[i] {
-			t.Fatalf("access %d: batch %+v, serial %+v", i, got[i], want[i])
-		}
-	}
-	if serial.Stats() != batch.Stats() || d1.Stats() != d2.Stats() {
-		t.Fatalf("counters differ: port %+v vs %+v, device %+v vs %+v", batch.Stats(), serial.Stats(), d2.Stats(), d1.Stats())
-	}
-}
-
 func TestDegenerateAccesses(t *testing.T) {
 	d := newDRAM()
 	p := d.NewPort("p")
