@@ -116,9 +116,12 @@ paperbench:
 	cd paperbench && $(GO) test .
 
 # One full iteration of every engine benchmark (the sweep pair is the
-# headline: serial vs memoized-parallel advisory sweep).
+# headline: serial vs memoized-parallel advisory sweep), then the two
+# per-layer kernels of a steady sweep at the default benchtime: a miss into a
+# full 16-way set and orbslam's CPU compute stretch.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine
+	$(GO) test -run '^$$' -bench '^(BenchmarkCacheFullSetMiss|BenchmarkCPUWork)$$' ./internal/cache ./internal/cpu
 
 # One quick-scale perfgate run: writes BENCH_<timestamp>.json and prints the
 # human table (see docs/BENCHMARKS.md for the methodology).

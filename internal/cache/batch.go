@@ -25,7 +25,9 @@ import "igpucomm/internal/units"
 //     line, out.Latency += HitLatency + lowerLatency — the exact expression
 //     and sequence Do uses — so results match bit for bit even for the
 //     fractional latencies some device catalogs use. A Result is only its
-//     latency, so nothing else is left to combine.
+//     latency, so nothing else is left to combine. Callers that sum the
+//     results (internal/gpu's replay) keep that order too: they may hold
+//     the running sum in a local, never reorder or multiply it.
 //
 // The property and fuzz suites in this package and internal/gpu hold DoBatch
 // to that contract against the serial path and the naive reference model.
@@ -80,48 +82,20 @@ func (c *Cache) DoBatch(accs []Access, out []Result, b *Batch) {
 		first := a.Addr >> c.offBits
 		last := (a.Addr + a.Size - 1) >> c.offBits
 		for ln := first; ln <= last; ln++ {
-			c.useClock++
-			set := ln & (c.setCount - 1)
-			tag := ln >> c.setBits
-			base := set * int64(c.ways)
-			ways := c.sets[base : base+int64(c.ways)]
-			c.stats.count(a.Kind, c.cfg.LineSize)
-
+			// step records heat at the same points, in the same order, as
+			// the serial doLine — the byte-identity contract extends to heat.
+			hit, wbAddr, wb := c.step(ln, a.Kind)
 			lowerIdx := int32(-1)
-			l := probe(ways, tag)
-			hit := l != nil
-			if hit {
-				l.lastUse = c.useClock
-				if a.Kind != Read {
-					l.dirty = true
-				}
-				c.stats.countHit(a.Kind)
-			}
-			// Heat records at the same points, in the same order, as the
-			// serial doLine — the byte-identity contract extends to heat.
-			if c.heat != nil {
-				c.heat.Record(ln<<c.offBits, c.cfg.LineSize, a.Kind != Read, !hit)
-			}
 			if !hit {
-				v := victim(ways)
-				if v.valid {
-					c.stats.Evictions++
-					if v.dirty {
-						c.stats.Writebacks++
-						wbAddr := (v.tag<<c.setBits | set) << c.offBits
-						if c.heat != nil {
-							c.heat.RecordWriteback(wbAddr, c.cfg.LineSize)
-						}
-						// Writeback latency is off the critical path —
-						// enqueued for state and traffic, no lineRef.
-						b.lower = append(b.lower, Access{Addr: wbAddr, Size: c.cfg.LineSize, Kind: Writeback})
-					}
+				if wb {
+					// Writeback latency is off the critical path —
+					// enqueued for state and traffic, no lineRef.
+					b.lower = append(b.lower, Access{Addr: wbAddr, Size: c.cfg.LineSize, Kind: Writeback})
 				}
 				if a.Kind != Writeback {
 					lowerIdx = int32(len(b.lower))
 					b.lower = append(b.lower, Access{Addr: ln << c.offBits, Size: c.cfg.LineSize, Kind: a.Kind})
 				}
-				*v = line{tag: tag, lastUse: c.useClock, valid: true, dirty: a.Kind != Read}
 			}
 			b.lines = append(b.lines, lineRef{acc: int32(i), lowerIdx: lowerIdx})
 		}

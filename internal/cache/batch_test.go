@@ -179,3 +179,31 @@ func TestDoBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("warm DoBatch allocates %v times per run, want 0", allocs)
 	}
 }
+
+// BenchmarkCacheFullSetMiss times DoBatch when every access misses into a
+// full set: the GPU LLC's shape (512 KiB, 16-way) under a cyclic stream over
+// twice its capacity, so LRU evicts each line before its reuse. This is the
+// LLC's common case in a steady Full sweep: of the 1,177,060 demand
+// accesses TestPrimedSweepReplaysFullScale pins per sweep, 996,010 miss,
+// and the LLC evicts 813,878 lines. One op is one access.
+func BenchmarkCacheFullSetMiss(b *testing.B) {
+	const size, line, batch = 512 << 10, 64, 256
+	c := New(Config{Name: "llc", Size: size, LineSize: line, Ways: 16, HitLatency: 60}, &countingSink{})
+	accs := make([]Access, 2*size/line)
+	for i := range accs {
+		accs[i] = Access{Addr: int64(i) * line, Size: line, Kind: Kind(i % 4 / 3)} // one write in four
+	}
+	out := make([]Result, batch)
+	var scratch Batch
+	for i := 0; i < len(accs); i += batch {
+		c.DoBatch(accs[i:i+batch], out, &scratch) // fill every set
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n += batch {
+		i := n % len(accs)
+		c.DoBatch(accs[i:i+batch], out, &scratch)
+	}
+	if c.Stats().Hits() != 0 {
+		b.Fatalf("%d hits, want every access to miss", c.Stats().Hits())
+	}
+}

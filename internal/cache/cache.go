@@ -17,6 +17,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"igpucomm/internal/heatmap"
@@ -88,6 +89,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %s: ways %d must be positive", c.Name, c.Ways)
 	case c.Size%(c.LineSize*int64(c.Ways)) != 0:
 		return fmt.Errorf("cache %s: size %d not divisible by line*ways %d", c.Name, c.Size, c.LineSize*int64(c.Ways))
+	case c.Size == int64(c.Ways):
+		return fmt.Errorf("cache %s: one set of 1-byte lines leaves no tag free to mark an invalid way", c.Name)
 	}
 	sets := c.Size / (c.LineSize * int64(c.Ways))
 	if sets&(sets-1) != 0 {
@@ -96,18 +99,25 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type line struct {
-	tag     int64
-	lastUse uint64
-	valid   bool
-	dirty   bool
-}
+// invalidTag marks an invalid way. A tag is an address shifted right
+// arithmetically by log2(Size/Ways) >= 1 bits (Validate rejects Size ==
+// Ways), so every real tag is above math.MinInt64 and a probe compares tags
+// alone.
+const invalidTag = math.MinInt64
 
 // Cache is one set-associative level.
 type Cache struct {
-	cfg      Config
-	lower    Level
-	sets     []line // sets*ways, laid out set-major
+	cfg   Config
+	lower Level
+	// Way state in parallel slices of sets*ways entries, set-major, so a
+	// probe scans one set's tags contiguously and a full set's victim
+	// search reads only lastUse. fill counts each set's valid ways. Only
+	// the tag marks a way invalid: its lastUse and dirty bit are not read
+	// until a fill rewrites them.
+	tags     []int64
+	lastUse  []uint64
+	dirty    []bool
+	fill     []int
 	ways     int
 	setCount int64
 	offBits  uint // log2(LineSize)
@@ -132,15 +142,23 @@ func New(cfg Config, lower Level) *Cache {
 		panic(fmt.Sprintf("cache %s: nil lower level", cfg.Name))
 	}
 	setCount := cfg.Size / (cfg.LineSize * int64(cfg.Ways))
-	return &Cache{
+	n := setCount * int64(cfg.Ways)
+	c := &Cache{
 		cfg:      cfg,
 		lower:    lower,
-		sets:     make([]line, setCount*int64(cfg.Ways)),
+		tags:     make([]int64, n),
+		lastUse:  make([]uint64, n),
+		dirty:    make([]bool, n),
+		fill:     make([]int, setCount),
 		ways:     cfg.Ways,
 		setCount: setCount,
 		offBits:  uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
 		setBits:  uint(bits.TrailingZeros64(uint64(setCount))),
 	}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
+	return c
 }
 
 // Name returns the configured level name.
@@ -173,78 +191,91 @@ func (c *Cache) Do(a Access) Result {
 
 // doLine services one line and returns its critical-path latency.
 func (c *Cache) doLine(lineAddr int64, kind Kind) units.Latency {
-	c.useClock++
-	set := lineAddr & (c.setCount - 1)
-	tag := lineAddr >> c.setBits
-	base := set * int64(c.ways)
-	ways := c.sets[base : base+int64(c.ways)]
-
-	c.stats.count(kind, c.cfg.LineSize)
-
-	// Hit path.
-	if l := probe(ways, tag); l != nil {
-		l.lastUse = c.useClock
-		if kind != Read {
-			l.dirty = true
-		}
-		c.stats.countHit(kind)
-		if c.heat != nil {
-			c.heat.Record(lineAddr<<c.offBits, c.cfg.LineSize, kind != Read, false)
-		}
+	hit, wbAddr, wb := c.step(lineAddr, kind)
+	if hit {
 		return c.cfg.HitLatency
 	}
-	if c.heat != nil {
-		c.heat.Record(lineAddr<<c.offBits, c.cfg.LineSize, kind != Read, true)
+	if wb {
+		c.lower.Do(Access{Addr: wbAddr, Size: c.cfg.LineSize, Kind: Writeback})
 	}
-
-	// Miss: fill the victim way.
-	v := victim(ways)
-	if v.valid {
-		c.stats.Evictions++
-		if v.dirty {
-			c.stats.Writebacks++
-			wbAddr := (v.tag<<c.setBits | set) << c.offBits
-			if c.heat != nil {
-				c.heat.RecordWriteback(wbAddr, c.cfg.LineSize)
-			}
-			c.lower.Do(Access{Addr: wbAddr, Size: c.cfg.LineSize, Kind: Writeback})
-		}
-	}
-
 	// Fill from below. Writebacks arriving here allocate without a demand
 	// fetch (the line is fully overwritten), so only Read/Write fetch.
 	var lowerRes Result
 	if kind != Writeback {
 		lowerRes = c.lower.Do(Access{Addr: lineAddr << c.offBits, Size: c.cfg.LineSize, Kind: kind})
 	}
-	*v = line{tag: tag, lastUse: c.useClock, valid: true, dirty: kind != Read}
 	return c.cfg.HitLatency + lowerRes.Latency
 }
 
-// probe returns the line of one set holding tag, or nil on a miss. doLine
-// and DoBatch share it, so the two paths cannot drift apart.
-func probe(ways []line, tag int64) *line {
-	for w := range ways {
-		if ways[w].valid && ways[w].tag == tag {
-			return &ways[w]
+// step services one line at this level alone: the counters, the LRU clock,
+// the dirty bit and the heat record. A miss fills the victim way; if the
+// evicted line was dirty, step returns its address, which the caller writes
+// back before fetching the fill. doLine and DoBatch share it, so the two
+// paths cannot drift apart.
+func (c *Cache) step(lineAddr int64, kind Kind) (hit bool, wbAddr int64, wb bool) {
+	c.useClock++
+	set := lineAddr & (c.setCount - 1)
+	tag := lineAddr >> c.setBits
+	base := set * int64(c.ways)
+	c.stats.count(kind, c.cfg.LineSize)
+
+	if w := probe(c.tags[base:base+int64(c.ways)], tag); w >= 0 {
+		c.lastUse[base+int64(w)] = c.useClock
+		if kind != Read {
+			c.dirty[base+int64(w)] = true
+		}
+		c.stats.countHit(kind)
+		hit = true
+	}
+	if c.heat != nil {
+		c.heat.Record(lineAddr<<c.offBits, c.cfg.LineSize, kind != Read, !hit)
+	}
+	if hit {
+		return true, 0, false
+	}
+
+	i := base + int64(c.victim(set, base))
+	if c.tags[i] == invalidTag {
+		c.fill[set]++
+	} else {
+		c.stats.Evictions++
+		if c.dirty[i] {
+			c.stats.Writebacks++
+			wbAddr, wb = (c.tags[i]<<c.setBits|set)<<c.offBits, true
+			if c.heat != nil {
+				c.heat.RecordWriteback(wbAddr, c.cfg.LineSize)
+			}
 		}
 	}
-	return nil
+	c.tags[i], c.lastUse[i], c.dirty[i] = tag, c.useClock, kind != Read
+	return false, wbAddr, wb
 }
 
-// victim returns the line a miss in one set fills: the first invalid way,
-// else the least recently used (the lowest way on a tie).
-func victim(ways []line) *line {
-	v := 0
-	for w := range ways {
-		if !ways[w].valid {
-			return &ways[w]
-		}
-		if ways[w].lastUse < ways[v].lastUse {
-			v = w
+// probe returns the way of one set's tags holding tag, or -1 on a miss.
+func probe(tags []int64, tag int64) int {
+	for w, t := range tags {
+		if t == tag {
+			return w
 		}
 	}
-	return &ways[v]
+	return -1
+}
+
+// victim returns the way a miss in set (its ways start at base) fills: the
+// first invalid way, else the least recently used. Valid ways' lastUse
+// values are distinct, so a full set's minimum is unique.
+func (c *Cache) victim(set, base int64) int {
+	if c.fill[set] < c.ways {
+		return probe(c.tags[base:base+int64(c.ways)], invalidTag)
+	}
+	lu := c.lastUse[base : base+int64(c.ways)]
+	v, m := 0, lu[0]
+	for w := 1; w < len(lu); w++ {
+		if x := lu[w]; x < m {
+			v, m = w, x
+		}
+	}
+	return v
 }
 
 // FlushRange writes back and invalidates only the lines holding addresses in
@@ -256,16 +287,17 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 	if hi <= lo {
 		return 0, 0
 	}
-	flush := func(l *line, addr int64) {
+	flush := func(i, addr int64) {
 		cost += perLineCost
-		if l.dirty {
+		if c.dirty[i] {
 			writebacks++
 			if c.heat != nil {
 				c.heat.RecordWriteback(addr, c.cfg.LineSize)
 			}
 			c.lower.Do(Access{Addr: addr, Size: c.cfg.LineSize, Kind: Writeback})
 		}
-		*l = line{}
+		c.tags[i] = invalidTag
+		c.fill[i/int64(c.ways)]--
 	}
 	firstLine := lo >> c.offBits
 	lastLine := (hi - 1) >> c.offBits
@@ -284,12 +316,9 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 			if la > lastLine {
 				return
 			}
-			tag := la >> c.setBits
 			base := set * int64(c.ways)
-			for w := int64(0); w < int64(c.ways); w++ {
-				if l := &c.sets[base+w]; l.valid && l.tag == tag {
-					flush(l, la<<c.offBits)
-				}
+			if w := probe(c.tags[base:base+int64(c.ways)], la>>c.setBits); w >= 0 {
+				flush(base+int64(w), la<<c.offBits)
 			}
 		}
 		if s0+n <= c.setCount {
@@ -305,15 +334,14 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 			}
 		}
 	} else {
-		for i := range c.sets {
-			l := &c.sets[i]
-			if !l.valid {
+		for i, tag := range c.tags {
+			if tag == invalidTag {
 				continue
 			}
 			set := int64(i) / int64(c.ways)
-			addr := (l.tag<<c.setBits | set) << c.offBits
+			addr := (tag<<c.setBits | set) << c.offBits
 			if addr+c.cfg.LineSize > lo && addr < hi {
-				flush(l, addr)
+				flush(int64(i), addr)
 			}
 		}
 	}
@@ -325,9 +353,10 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 // Invalidate drops all lines without writing anything back. Platform reset
 // (soc.SoC.ResetState) uses it to start each experiment with cold caches.
 func (c *Cache) Invalidate() {
-	for i := range c.sets {
-		c.sets[i] = line{}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
+	clear(c.fill)
 	c.stats.Invalidates++
 }
 
@@ -338,21 +367,15 @@ func (c *Cache) Contains(addr int64) bool {
 	set := lineAddr & (c.setCount - 1)
 	tag := lineAddr >> c.setBits
 	base := set * int64(c.ways)
-	for _, l := range c.sets[base : base+int64(c.ways)] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	return probe(c.tags[base:base+int64(c.ways)], tag) >= 0
 }
 
-// ResidentLines counts valid lines; tests use it to check capacity behaviour.
+// ResidentLines counts valid lines, the sum of the per-set fill counts;
+// tests use it to check capacity behaviour.
 func (c *Cache) ResidentLines() int64 {
 	var n int64
-	for i := range c.sets {
-		if c.sets[i].valid {
-			n++
-		}
+	for _, f := range c.fill {
+		n += int64(f)
 	}
 	return n
 }

@@ -43,11 +43,34 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "zero-ways", Size: 1024, LineSize: 64, Ways: 0},
 		{Name: "indivisible", Size: 1000, LineSize: 64, Ways: 4},
 		{Name: "npot-sets", Size: 3 * 64 * 4, LineSize: 64, Ways: 4},
+		// One set of 1-byte lines: a tag is the whole address, so no tag
+		// is free to mark an invalid way.
+		{Name: "tagless", Size: 4, LineSize: 1, Ways: 4},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %s accepted, want error", cfg.Name)
 		}
+	}
+}
+
+// TestExtremeTagsStayValid fills the smallest geometry Validate accepts,
+// where a tag is the address shifted by one bit, with the lowest and the
+// highest line addresses: neither tag may read as an invalid way.
+func TestExtremeTagsStayValid(t *testing.T) {
+	c := New(Config{Name: "tiny", Size: 4, LineSize: 2, Ways: 2, HitLatency: 1}, &sink{})
+	addrs := []int64{math.MinInt64, math.MaxInt64 - 1}
+	for _, addr := range addrs {
+		c.Do(Access{Addr: addr, Size: 1, Kind: Read})
+	}
+	for _, addr := range addrs {
+		c.Do(Access{Addr: addr, Size: 1, Kind: Read})
+		if !c.Contains(addr) {
+			t.Errorf("line at %#x not resident", addr)
+		}
+	}
+	if s := c.Stats(); s.Hits() != 2 || c.ResidentLines() != 2 {
+		t.Fatalf("%d hits, %d resident lines; want 2 and 2", s.Hits(), c.ResidentLines())
 	}
 }
 

@@ -208,7 +208,9 @@ func (c *CPU) Store(addr, size int64) { c.Exec(isa.Instr{Op: isa.StGlobal, Addr:
 // Work executes n copies of a compute op. With no tracer installed the loop
 // collapses to counter bumps plus n issue-latency additions — the additions
 // stay a loop (not a multiply) so the elapsed clock accumulates bit-for-bit
-// the same float sequence the per-instruction path produces.
+// the same float sequence the per-instruction path produces. The sum is kept
+// in a local and stored once, so the loop is register adds rather than a
+// load and store of c.elapsed per instruction; the add sequence is the same.
 func (c *CPU) Work(op isa.Op, n int) {
 	if c.tracer != nil || op.IsMemory() {
 		for i := 0; i < n; i++ {
@@ -218,10 +220,11 @@ func (c *CPU) Work(op isa.Op, n int) {
 	}
 	c.instrs += int64(n)
 	c.opCounts[op] += int64(n)
-	lat := c.issueLat[op]
+	lat, elapsed := c.issueLat[op], c.elapsed
 	for i := 0; i < n; i++ {
-		c.elapsed += lat
+		elapsed += lat
 	}
+	c.elapsed = elapsed
 }
 
 // Run executes a whole program, walking its run-length encoding: compute

@@ -69,6 +69,59 @@ func TestComputeTiming(t *testing.T) {
 	}
 }
 
+// fractionalCPU builds a 1.43 GHz core with a 2.5 ns L1 and a
+// memory-level parallelism of 3, so issue latencies and cached load times
+// are fractional nanoseconds.
+func fractionalCPU() *CPU {
+	d := memdev.New(memdev.Config{Name: "dram", Latency: 100, Bandwidth: 25 * units.GBps})
+	cfg := Config{
+		Name: "cpu", Freq: 1.43 * units.GHz,
+		L1:     cache.Config{Name: "l1", Size: 32 * units.KiB, LineSize: 64, Ways: 2, HitLatency: 2.5},
+		LLC:    cache.Config{Name: "llc", Size: 2 * units.MiB, LineSize: 64, Ways: 16, HitLatency: 18},
+		Costs:  isa.DefaultCPUCosts(),
+		MemMLP: 3,
+	}
+	return New(cfg, d.NewPort("dram"), nil)
+}
+
+// TestWorkMatchesExec checks that Work(op, n) leaves Elapsed bit-identical
+// to n Exec calls on fractionalCPU, starting from the fractional time a
+// cold load leaves behind. Each case first checks that one multiply would
+// round differently from n adds, so a change in add order cannot pass
+// unseen.
+func TestWorkMatchesExec(t *testing.T) {
+	for _, tc := range []struct {
+		op isa.Op
+		n  int
+	}{{isa.AddS32, 16}, {isa.FMA, 8}, {isa.SqrtF32, 5}, {isa.DivF32, 1000}} {
+		work, exec := fractionalCPU(), fractionalCPU()
+		work.Load(0, 4)
+		exec.Load(0, 4)
+		start := work.Elapsed()
+		if start == units.Latency(math.Trunc(float64(start))) {
+			t.Fatalf("start time %v is integral, want a fractional one", start)
+		}
+		lat := work.issueLat[tc.op]
+		sum := start
+		for i := 0; i < tc.n; i++ {
+			sum += lat
+		}
+		if start+units.Latency(tc.n)*lat == sum {
+			t.Fatalf("%s x%d: one multiply rounds like %d adds, so the case cannot see the add order", tc.op, tc.n, tc.n)
+		}
+		work.Work(tc.op, tc.n)
+		for i := 0; i < tc.n; i++ {
+			exec.Exec(isa.Instr{Op: tc.op})
+		}
+		if got, want := work.Elapsed(), exec.Elapsed(); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Errorf("%s x%d: Work elapsed %v, %d Exec calls %v", tc.op, tc.n, got, tc.n, want)
+		}
+		if work.Instructions() != exec.Instructions() {
+			t.Errorf("%s x%d: Work retired %d instructions, Exec %d", tc.op, tc.n, work.Instructions(), exec.Instructions())
+		}
+	}
+}
+
 func TestMemoryTimingColdThenWarm(t *testing.T) {
 	c, _ := testCPU(t)
 	c.Load(0, 4)
@@ -393,5 +446,16 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm CPU.Run allocates %v times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkCPUWork times orbslam's compute pattern, Work(AddS32, 16) then
+// Work(FMA, 8), on fractionalCPU. One op is both calls.
+func BenchmarkCPUWork(b *testing.B) {
+	c := fractionalCPU()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Work(isa.AddS32, 16)
+		c.Work(isa.FMA, 8)
 	}
 }

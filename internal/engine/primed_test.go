@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"igpucomm/internal/apps/catalog"
+	"igpucomm/internal/cache"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/gpu"
@@ -53,44 +54,87 @@ func workDelta(a, b gpu.Work) gpu.Work {
 	}
 }
 
+// levelWork is one cache level's demand traffic and replacements.
+type levelWork struct {
+	Reads, Writes, Hits, Evictions, Writebacks int64
+}
+
+func (l *levelWork) add(s cache.Stats) {
+	l.Reads += s.Reads
+	l.Writes += s.Writes
+	l.Hits += s.Hits()
+	l.Evictions += s.Evictions
+	l.Writebacks += s.Writebacks
+}
+
+// cacheWork is the simulated work a sweep's Reports record: the GPU L1s'
+// and LLC's traffic and the CPU's retired instructions.
+type cacheWork struct {
+	GPUL1, GPULLC levelWork
+	CPUInstrs     int64
+}
+
+// sweepLedger is what one measured sweep added: the GPU work and
+// kernel-cache evictions over the pool, and the cache work of its Reports.
+type sweepLedger struct {
+	work      gpu.Work
+	evictions int64
+	caches    cacheWork
+}
+
 // primedSweep runs the 45-combo sweep at scale sc three times on one
-// engine with two workers and returns the GPU work the second and third
-// sweeps each added and the evictions the third added, summed over every
-// pooled clone and kernel cache.
-func primedSweep(t *testing.T, sc catalog.Scale) (second, third gpu.Work, evictions int64) {
+// engine with two workers and returns what the second and third sweeps
+// each added, summed over every pooled clone and kernel cache and over
+// every Report.
+func primedSweep(t *testing.T, sc catalog.Scale) (second, third sweepLedger) {
 	t.Helper()
 	e := New(Options{Workers: 2})
-	sweep := func() {
+	// Give every device its two platforms up front. Otherwise a device whose
+	// jobs never overlapped in the first sweep builds its second platform in
+	// a measured one, depending on scheduling.
+	for _, cfg := range devices.All() {
+		s1, k1 := e.pool.get(cfg)
+		s2, k2 := e.pool.get(cfg)
+		e.pool.put(k1, s1, nil)
+		e.pool.put(k2, s2, nil)
+	}
+	sweep := func() cacheWork {
 		t.Helper()
+		var cw cacheWork
 		for _, cfg := range devices.All() {
 			for _, app := range catalog.Names() {
 				w, err := catalog.ByName(app, sc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := e.Explore(context.Background(), cfg, w, comm.AllModels()); err != nil {
+				exp, err := e.Explore(context.Background(), cfg, w, comm.AllModels())
+				if err != nil {
 					t.Fatal(err)
+				}
+				for _, c := range exp.Ranked {
+					cw.GPUL1.add(c.Report.GPU.L1)
+					cw.GPULLC.add(c.Report.GPU.LLC)
+					cw.CPUInstrs += c.Report.CPUInstrs
 				}
 			}
 		}
+		return cw
 	}
 	// measured runs one sweep and returns what it added to the ledger.
-	measured := func() poolLedger {
+	measured := func() sweepLedger {
 		t.Helper()
 		before := e.pool.ledger()
-		sweep()
+		cw := sweep()
 		after := e.pool.ledger()
 		// A platform built or dropped during the sweep would escape the
 		// difference.
 		if after.platforms != before.platforms {
 			t.Fatalf("sweep changed the pool from %d to %d platforms", before.platforms, after.platforms)
 		}
-		return poolLedger{work: workDelta(after.work, before.work), evictions: after.evictions - before.evictions}
+		return sweepLedger{work: workDelta(after.work, before.work), evictions: after.evictions - before.evictions, caches: cw}
 	}
 	sweep()
-	s2 := measured()
-	s3 := measured()
-	return s2.work, s3.work, s3.evictions
+	return measured(), measured()
 }
 
 // TestPrimedSweepReplays pins the work of a primed sweep at catalog.Micro:
@@ -103,14 +147,29 @@ func primedSweep(t *testing.T, sc catalog.Scale) (second, third gpu.Work, evicti
 // which clone each task landed on (5 measured runs). While the cache
 // dropped each key's first compile at the end of its run, the second sweep
 // compiled 75 kernels and emitted 32280 programs.
+//
+// The same two sweeps' Reports pin the cache work exactly: any change to
+// the cache model's hits, victims or writebacks moves these counters. At
+// this scale the LLC evicts nothing; the FullScale twin covers its
+// replacements.
 func TestPrimedSweepReplays(t *testing.T) {
-	second, third, evictions := primedSweep(t, catalog.Micro)
+	second, third := primedSweep(t, catalog.Micro)
 	want := gpu.Work{KernelsReplayed: 150, TxnsReplayed: 101376}
-	if second != want {
-		t.Errorf("second sweep: work %+v, want %+v", second, want)
+	if second.work != want {
+		t.Errorf("second sweep: work %+v, want %+v", second.work, want)
 	}
-	if third != want || evictions != 0 {
-		t.Fatalf("third sweep: work %+v, %d evictions; want %+v, 0 evictions", third, evictions, want)
+	if third.work != want || third.evictions != 0 {
+		t.Errorf("third sweep: work %+v, %d evictions; want %+v, 0 evictions", third.work, third.evictions, want)
+	}
+	wantCaches := cacheWork{
+		GPUL1:     levelWork{Reads: 7512, Writes: 11976, Hits: 17495, Evictions: 55, Writebacks: 26},
+		GPULLC:    levelWork{Reads: 1305, Writes: 688, Hits: 1165},
+		CPUInstrs: 48300,
+	}
+	for i, s := range []sweepLedger{second, third} {
+		if s.caches != wantCaches {
+			t.Errorf("sweep %d: cache work %+v, want %+v", i+2, s.caches, wantCaches)
+		}
 	}
 }
 
@@ -120,19 +179,30 @@ func TestPrimedSweepReplays(t *testing.T) {
 // 146 to 202 kernels (4 measured runs), and fingerprinting the replayed
 // kernels emitted 6243900 thread programs. While the cache dropped each
 // key's first compile at the end of its run, the second sweep compiled all
-// 210 kernels and emitted 6245760 programs. Skipped under -short and the
-// race detector; `make declared-full` runs it.
+// 210 kernels and emitted 6245760 programs. Its Reports' cache work is
+// pinned as well; at this scale the LLC's replacement path runs too.
+// Skipped under -short and the race detector; `make declared-full` runs it.
 func TestPrimedSweepReplaysFullScale(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("paper-scale sweeps: skipped under -short and -race")
 	}
-	second, third, evictions := primedSweep(t, catalog.Full)
+	second, third := primedSweep(t, catalog.Full)
 	want := gpu.Work{KernelsReplayed: 420, TxnsReplayed: 23671236}
-	if second != want {
-		t.Errorf("second sweep: work %+v, want %+v", second, want)
+	if second.work != want {
+		t.Errorf("second sweep: work %+v, want %+v", second.work, want)
 	}
-	if third != want || evictions != 0 {
-		t.Fatalf("third sweep: work %+v, %d evictions; want %+v, 0 evictions", third, evictions, want)
+	if third.work != want || third.evictions != 0 {
+		t.Errorf("third sweep: work %+v, %d evictions; want %+v, 0 evictions", third.work, third.evictions, want)
+	}
+	wantCaches := cacheWork{
+		GPUL1:     levelWork{Reads: 1011144, Writes: 4796874, Hits: 4630958, Evictions: 1138492, Writebacks: 372687},
+		GPULLC:    levelWork{Reads: 795945, Writes: 381115, Hits: 181050, Evictions: 813878, Writebacks: 348799},
+		CPUInstrs: 38055120,
+	}
+	for i, s := range []sweepLedger{second, third} {
+		if s.caches != wantCaches {
+			t.Errorf("sweep %d: cache work %+v, want %+v", i+2, s.caches, wantCaches)
+		}
 	}
 }
 

@@ -1186,7 +1186,11 @@ func (g *GPU) replayGroup(s *sm, path uint8, accs []cache.Access) {
 			}
 		}
 	}
-	for j := 0; j < n; j++ {
-		s.memLatency += outs[j].Latency
+	// In global order, one add at a time, into a local stored once: the
+	// same float sequence as the reference executor's per-access adds.
+	lat := s.memLatency
+	for j := range outs {
+		lat += outs[j].Latency
 	}
+	s.memLatency = lat
 }
