@@ -140,19 +140,19 @@ perf-smoke:
 trace:
 	$(GO) run ./cmd/advisor sweep -quick -trace trace.json
 
-# Fleet storm harness: a 3-shard advisord fleet under closed-loop load while
-# a cold shard joins (warm handoff) and another is killed mid-run, plus the
-# same load shape under the chaos suite's flaky-engine schedule — all under
-# the race detector. Runs the short smoke profile by default (correctness
-# under churn lives in `make dst` now); FLEET_STORM=full restores the long
-# window. FLEET_SUMMARY receives the latency artifact CI uploads.
+# Fleet storm harness: a 3-shard advisord fleet under one second of
+# closed-loop load while a cold shard joins (warm handoff) and another is
+# killed mid-run, under the race detector (correctness under churn and fault
+# plans lives in `make dst`). FLEET_SUMMARY receives the latency artifact CI
+# uploads.
 FLEET_SUMMARY ?= fleet-summary.json
 fleet:
 	FLEET_SUMMARY=$(FLEET_SUMMARY) $(GO) test -race -run 'TestFleetStorm' -v ./internal/fleet/
 
 # Deterministic simulation suite: DST_SEEDS seeded fleet scenarios (crash,
-# restart, partition, link faults, drain, warm handoff) in virtual time,
-# invariant-checked after every step, under the race detector. A failing
+# restart from disk, partition, link faults, drain, warm handoff, named fault
+# plans) in virtual time, invariant-checked after every step, plus the fired
+# gate that every plan's rules inject, under the race detector. A failing
 # seed is shrunk and its repro artifact written to DST_ARTIFACT; replay it
 # with the `go test ./internal/dst -run TestDSTSeedSweep -dst.seed=N`
 # command the artifact carries.

@@ -1,8 +1,9 @@
 // Package client is a resilient HTTP client for the advisord service:
 // exponential backoff with full jitter, a total retry budget, and honoring
 // of the server's Retry-After hints, so a fleet of callers backs off
-// politely instead of hammering a struggling server in lockstep. The chaos
-// suite drives the 45-combination sweep through it under injected faults.
+// politely instead of hammering a struggling server in lockstep. The
+// deterministic simulation suite drives every advisory question through it
+// under injected faults.
 package client
 
 import (

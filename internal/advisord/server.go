@@ -233,7 +233,7 @@ func (s *Server) observe(next http.Handler) http.Handler {
 
 // recoverPanics converts a handler panic into a 500 instead of an aborted
 // connection, counts it, and keeps the process alive — the last line of the
-// no-escaped-panics invariant the chaos suite asserts.
+// no-escaped-panics invariant the fault plans assert.
 func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {

@@ -141,14 +141,13 @@ func TestRepositoryIsClean(t *testing.T) {
 // TestNoOrphanInternalPackages keeps shadow implementations from growing
 // back: every internal package must be imported by at least one non-test
 // package of the module (a binary, an example, the facade, the benchmark or
-// another internal package). internal/dst is exempt because it is a test
-// harness by design: only its own tests drive it.
+// another internal package). A test-only package (internal/dst) has no
+// non-test files, so the loader never sees it.
 func TestNoOrphanInternalPackages(t *testing.T) {
 	m, err := LoadModule(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exempt := map[string]bool{"internal/dst": true}
 	imported := map[string]bool{}
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
@@ -162,7 +161,7 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 		}
 	}
 	for _, pkg := range m.Packages {
-		if !strings.HasPrefix(pkg.Dir, "internal/") || exempt[pkg.Dir] {
+		if !strings.HasPrefix(pkg.Dir, "internal/") {
 			continue
 		}
 		if !imported[pkg.Path] {

@@ -10,11 +10,11 @@ import (
 )
 
 // faultPointAnalyzer enforces the fault-point contract between the
-// production code and the chaos suite: every point name passed to
+// production code and the fault plans: every point name passed to
 // faults.Register / faults.Fire / faults.FireData must be a compile-time
 // string constant, every registered point must appear in the committed
 // catalog (faults.Catalog), and the catalog must carry no orphans. A
-// dynamic name would make a chaos schedule silently miss its target; an
+// dynamic name would make a fault plan silently miss its target; an
 // orphan catalog entry documents a failure mode that no longer exists. Both
 // are invisible to the compiler because point names are just strings.
 func faultPointAnalyzer() *Analyzer {

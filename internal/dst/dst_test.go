@@ -10,6 +10,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"igpucomm/internal/devices"
+	"igpucomm/internal/faults"
+	"igpucomm/internal/fleet"
 )
 
 var (
@@ -122,17 +126,19 @@ func TestDSTSeedSweep(t *testing.T) {
 // TestDSTDeterminism is the property everything else rests on: the same
 // seed must produce byte-identical reports, violations included.
 func TestDSTDeterminism(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		a, err := Run(Options{Seed: seed})
+	// The corrupt-persistence run pins that a failing save leaves the cache
+	// directories a function of the schedule alone.
+	for _, opt := range []Options{{Seed: 1}, {Seed: 7}, {Seed: 42}, firedRun(t, "corrupt-persistence")} {
+		a, err := Run(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(Options{Seed: seed})
+		b, err := Run(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d not deterministic:\n first %+v\nsecond %+v", seed, a, b)
+			t.Fatalf("seed %d not deterministic:\n first %+v\nsecond %+v", opt.Seed, a, b)
 		}
 	}
 }
@@ -158,60 +164,83 @@ func TestDSTRunsInVirtualTime(t *testing.T) {
 	}
 }
 
-// TestDSTCatchesInjectedBug is the harness's acceptance test: plant an
-// ack-before-durable-write bug in the warm-handoff path and require the
-// seed sweep to catch it, the shrinker to keep the failure while removing
-// events, and the shrunk schedule to replay identically.
+// TestDSTCatchesInjectedBug is the harness's acceptance test: plant each
+// runner-side bug and require a run to catch it by the invariant that
+// exists for it, the shrinker to keep the failure while removing events,
+// and the shrunk schedule to replay identically. The ack-before-install
+// bug must fall to the seed sweep; the skip-quarantine bug needs a restart
+// under corrupt-persistence, which the first two steps of the fired gate's
+// schedule provide.
 func TestDSTCatchesInjectedBug(t *testing.T) {
-	var failing *Report
-	var opt Options
-	for seed := int64(1); seed <= 200; seed++ {
-		o := Options{Seed: seed, Bug: BugAckBeforeInstall}
-		rep, err := Run(o)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if rep.Failed() {
-			failing, opt = rep, o
-			break
+	sweep := make([]Options, 200)
+	for i := range sweep {
+		sweep[i] = Options{Seed: int64(i + 1)}
+	}
+	restart := firedRun(t, "corrupt-persistence")
+	var evs []Event
+	for _, ev := range restart.Schedule.Events {
+		if ev.Step < 2 {
+			evs = append(evs, ev)
 		}
 	}
-	if failing == nil {
-		t.Fatal("ack-before-install bug survived 200 seeds — the harness is blind to lost handoff entries")
-	}
-	t.Logf("bug caught by seed %d at step %d", failing.Seed, failing.Violations[0].Step)
+	restart.Schedule.Events = evs
+	for _, tc := range []struct {
+		bug, invariant string
+		runs           []Options // tried in order until one fails
+	}{
+		{BugAckBeforeInstall, "handoff-acked-entry-lost", sweep},
+		{BugSkipQuarantine, "cache-integrity", []Options{restart}},
+	} {
+		t.Run(tc.bug, func(t *testing.T) {
+			var failing *Report
+			var opt Options
+			for _, o := range tc.runs {
+				o.Bug = tc.bug
+				rep, err := Run(o)
+				if err != nil {
+					t.Fatalf("seed %d: %v", o.Seed, err)
+				}
+				if rep.Failed() {
+					failing, opt = rep, o
+					break
+				}
+			}
+			if failing == nil {
+				t.Fatalf("%s bug survived — the harness is blind to it", tc.bug)
+			}
+			t.Logf("bug caught by seed %d at step %d", failing.Seed, failing.Violations[0].Step)
 
-	found := false
-	for _, v := range failing.Violations {
-		if v.Invariant == "handoff-acked-entry-lost" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("bug caught, but by the wrong invariant: %v", failing.Violations)
-	}
+			found := false
+			for _, v := range failing.Violations {
+				found = found || v.Invariant == tc.invariant
+			}
+			if !found {
+				t.Fatalf("bug caught, but not by %s: %v", tc.invariant, failing.Violations)
+			}
 
-	shrunk, shrunkRep, err := Shrink(opt, failing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !shrunkRep.Failed() {
-		t.Fatal("shrinker returned a passing schedule")
-	}
-	if len(shrunk.Events) > len(failing.Schedule.Events) {
-		t.Fatalf("shrinker grew the schedule: %d -> %d events",
-			len(failing.Schedule.Events), len(shrunk.Events))
-	}
-	// The shrunk schedule must replay: same violations, twice in a row.
-	ropt := opt
-	ropt.Schedule = &shrunk
-	again, err := Run(ropt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Violations, shrunkRep.Violations) {
-		t.Fatalf("shrunk schedule does not replay:\n first %v\nsecond %v",
-			shrunkRep.Violations, again.Violations)
+			shrunk, shrunkRep, err := Shrink(opt, failing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !shrunkRep.Failed() {
+				t.Fatal("shrinker returned a passing schedule")
+			}
+			if len(shrunk.Events) > len(failing.Schedule.Events) {
+				t.Fatalf("shrinker grew the schedule: %d -> %d events",
+					len(failing.Schedule.Events), len(shrunk.Events))
+			}
+			// The shrunk schedule must replay: same violations, twice in a row.
+			ropt := opt
+			ropt.Schedule = &shrunk
+			again, err := Run(ropt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again.Violations, shrunkRep.Violations) {
+				t.Fatalf("shrunk schedule does not replay:\n first %v\nsecond %v",
+					shrunkRep.Violations, again.Violations)
+			}
+		})
 	}
 }
 
@@ -291,5 +320,71 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("artifact missing %q:\n%s", want, data)
 		}
+	}
+}
+
+// firedRun is the fixed run the fired gate puts a plan through: the plan
+// goes live, every shard restarts from its cache directory, the survivor —
+// the shard owning the fewest devices — pulls a warm handoff, and then
+// every other shard dies, so the survivor characterizes the rest of the
+// devices cold.
+func firedRun(t *testing.T, plan string) Options {
+	t.Helper()
+	const shards = 3
+	ids := make([]string, shards)
+	for i := range ids {
+		ids[i] = idOf(i)
+	}
+	ring, err := fleet.NewRing(ids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := make(map[string]int)
+	for _, cfg := range devices.All() {
+		owned[ring.Owner(cfg.Name)]++
+	}
+	survivor := 0
+	for i, id := range ids {
+		if owned[id] < owned[ids[survivor]] {
+			survivor = i
+		}
+	}
+	evs := []Event{{Step: 0, Kind: EvFault, Plan: plan}}
+	for i := 0; i < shards; i++ {
+		evs = append(evs, Event{Step: 0, Kind: EvCrash, Shard: i}, Event{Step: 1, Kind: EvRestart, Shard: i})
+	}
+	evs = append(evs, Event{Step: 2, Kind: EvHandoff, Shard: survivor})
+	for i := 0; i < shards; i++ {
+		if i != survivor {
+			evs = append(evs, Event{Step: 3, Kind: EvCrash, Shard: i})
+		}
+	}
+	sortEvents(evs)
+	sched := Schedule{Seed: 1, Shards: shards, Steps: 8, Events: evs}
+	return Options{Seed: sched.Seed, Shards: shards, Steps: sched.Steps, Schedule: &sched}
+}
+
+// TestFaultPlansFire is the fired gate: on one fixed schedule, every rule
+// of every named plan must inject at least once, so no plan can pass by
+// never reaching its fault points.
+func TestFaultPlansFire(t *testing.T) {
+	for _, p := range faultPlans {
+		t.Run(p.name, func(t *testing.T) {
+			faults.ResetInjected()
+			rep, err := Run(firedRun(t, p.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			injected := faults.Injected()
+			t.Logf("calls=%d errors=%d degraded=%d injected=%v", rep.Calls, rep.CallErrors, rep.Degraded, injected)
+			for _, v := range rep.Violations {
+				t.Errorf("%s", v)
+			}
+			for _, rule := range p.rules {
+				if injected[rule.Point] == 0 {
+					t.Errorf("%s rule at %s never fired", rule.Mode, rule.Point)
+				}
+			}
+		})
 	}
 }

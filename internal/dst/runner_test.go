@@ -1,19 +1,29 @@
 package dst
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"igpucomm/internal/advisord"
 	"igpucomm/internal/advisord/client"
 	"igpucomm/internal/apps/catalog"
+	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/engine"
 	"igpucomm/internal/faults"
@@ -26,14 +36,19 @@ import (
 )
 
 // Injectable bugs the acceptance suite plants to prove the harness catches
-// them. Production code paths contain none of these; the bug lives in the
-// runner's handoff plumbing.
+// them. Production code paths contain none of these; each bug lives in the
+// runner's own plumbing.
 const (
 	// BugAckBeforeInstall makes the warm-handoff pull acknowledge every
 	// third entry without installing it — the classic
 	// acked-before-durable-write bug the no-acked-entry-lost invariant
 	// exists to catch.
 	BugAckBeforeInstall = "ack-before-install"
+	// BugSkipQuarantine makes a restart decode its cache directory itself,
+	// with no checksum, and install every entry even when it fails to
+	// decode — the warm-start bug the cache-integrity invariant exists to
+	// catch.
+	BugSkipQuarantine = "skip-quarantine"
 )
 
 // Options configures one DST run.
@@ -99,23 +114,23 @@ func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 
 // reference is the fault-free ground truth, computed once per process: the
 // device characterizations shards warm-start with and the byte-exact
-// advice a healthy fleet returns for each workload question. Advice is a
-// pure function of (device, params, app), so one computation serves every
+// answer a healthy advisord gives each workload question — advice, or a
+// typed error for a current model the framework does not accept. Answers
+// are a pure function of the question, so one computation serves every
 // seed.
 type reference struct {
 	params microbench.Params
-	chars  map[string]charEntry // by device name
-	advice map[string][]byte    // canonical AdviseResult JSON, by device name
+	chars  map[string]framework.Characterization // device characterizations, by cache key
+	// combos is the workload: every device x app x current-model question,
+	// ordered so consecutive questions change device and model. advice
+	// holds each one's canonical AdviseResult JSON.
+	combos []advisord.AdviseRequest
+	advice [][]byte
 	// synthetic is extra cache freight — entries that exist only to give
 	// warm handoff something to move, so the acked-entry invariant has
 	// real traffic to audit. Each carries its own synthetic platform
 	// name, so ownership spreads the entries across the ring.
 	synthetic map[string]framework.Characterization
-}
-
-type charEntry struct {
-	key  string
-	char framework.Characterization
 }
 
 var (
@@ -125,57 +140,69 @@ var (
 )
 
 func loadReference() (*reference, error) {
-	refOnce.Do(func() {
-		params := microbench.TestParams()
-		eng := engine.New(engine.Options{Workers: 2, Clock: simnet.NewSim().AutoAdvance(true)})
-		ref := &reference{
-			params:    params,
-			chars:     make(map[string]charEntry),
-			advice:    make(map[string][]byte),
-			synthetic: make(map[string]framework.Characterization),
-		}
-		for i := 0; i < syntheticEntries; i++ {
-			// Shaped like a real characterization so the handoff wire's
-			// persist-format validation accepts it.
-			ref.synthetic[fmt.Sprintf("dst-syn-%03d", i)] = framework.Characterization{
-				Platform:            fmt.Sprintf("synthetic-%03d", i),
-				Thresholds:          perfmodel.Thresholds{CPUCache: 0.10, GPUCacheLow: 0.10, GPUCacheHigh: 0.30},
-				PeakGPUThroughput:   100 * units.GBps,
-				PinnedGPUThroughput: 10 * units.GBps,
-				ZCSCMaxSpeedup:      10,
-				SCZCMaxSpeedup:      2.5,
-			}
-		}
-		//igpulint:ignore ctxflow the reference build is a run's root; there is no caller context to thread
-		ctx := context.Background()
-		for _, cfg := range devices.All() {
-			rec, err := eng.Advise(ctx, engine.Request{
-				Config: cfg, Params: params, App: dstApp, Scale: catalog.Micro, Current: "sc",
-			})
-			if err != nil {
-				refErr = err
-				return
-			}
-			res := advisord.AdviseResult{Recommendation: &rec, Zone: rec.Zone.String()}
-			data, err := json.Marshal(res)
-			if err != nil {
-				refErr = err
-				return
-			}
-			ref.advice[cfg.Name] = data
-		}
-		// Answering each device characterized it: the engine's cache holds
-		// one entry per device, under its content-hash key.
-		for key, char := range eng.CacheExport() {
-			ref.chars[char.Platform] = charEntry{key: key, char: char}
-		}
-		refVal = ref
-	})
+	refOnce.Do(func() { refVal, refErr = buildReference() })
 	return refVal, refErr
 }
 
-// dstApp is the catalog workload every advisory question asks about.
-const dstApp = "shwfs"
+func buildReference() (*reference, error) {
+	ref := &reference{
+		params:    microbench.TestParams(),
+		synthetic: make(map[string]framework.Characterization),
+	}
+	for i := 0; i < syntheticEntries; i++ {
+		// Shaped like a real characterization so the handoff wire's
+		// persist-format validation accepts it.
+		ref.synthetic[fmt.Sprintf("dst-syn-%03d", i)] = framework.Characterization{
+			Platform:            fmt.Sprintf("synthetic-%03d", i),
+			Thresholds:          perfmodel.Thresholds{CPUCache: 0.10, GPUCacheLow: 0.10, GPUCacheHigh: 0.30},
+			PeakGPUThroughput:   100 * units.GBps,
+			PinnedGPUThroughput: 10 * units.GBps,
+			ZCSCMaxSpeedup:      10,
+			SCZCMaxSpeedup:      2.5,
+		}
+	}
+	// 3 devices and 5 models are coprime, so i%3 and i%5 visit every
+	// device x model pair once per 15 questions; the app advances every 15.
+	devs, apps, models := devices.All(), catalog.Names(), comm.AllModels()
+	for i := 0; i < len(devs)*len(apps)*len(models); i++ {
+		ref.combos = append(ref.combos, advisord.AdviseRequest{
+			Device:  devs[i%len(devs)].Name,
+			App:     apps[i/(len(devs)*len(models))],
+			Current: models[i%len(models)].Name(),
+		})
+	}
+
+	// One healthy advisord answers every question in one batch.
+	eng := engine.New(engine.Options{Workers: 2, Clock: simnet.NewSim().AutoAdvance(true)})
+	srv := advisord.New(eng, advisord.Options{Params: ref.params, Scale: catalog.Micro, Logger: quietLogger()})
+	body, err := json.Marshal(advisord.AdviseBody{Requests: ref.combos})
+	if err != nil {
+		return nil, err
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/advise", bytes.NewReader(body)))
+	var resp advisord.AdviseResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		return nil, fmt.Errorf("reference answers (status %d): %w", rec.Code, err)
+	}
+	if len(resp.Results) != len(ref.combos) {
+		return nil, fmt.Errorf("reference: %d answers for %d questions", len(resp.Results), len(ref.combos))
+	}
+	for i, res := range resp.Results {
+		if res.Degraded {
+			return nil, fmt.Errorf("reference answer to %+v is degraded: %s", ref.combos[i], res.DegradedReason)
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			return nil, err
+		}
+		ref.advice = append(ref.advice, data)
+	}
+	// Answering each device characterized it: the engine's cache holds
+	// one entry per device, under its content-hash key.
+	ref.chars = eng.CacheExport()
+	return ref, nil
+}
 
 // syntheticEntries is how much synthetic cache freight every shard carries
 // for handoff to move.
@@ -183,16 +210,20 @@ const syntheticEntries = 30
 
 // shard is one simulated advisord replica.
 type shard struct {
-	idx  int
-	id   string
-	host string
-	st   *fleet.State
-	eng  *engine.Engine
-	down bool
+	idx     int
+	id      string
+	host    string
+	st      *fleet.State
+	eng     *engine.Engine
+	handler http.Handler
+	down    bool
 	// acked tracks handoff entries this shard acknowledged; the
 	// no-acked-entry-lost invariant holds the cache to it. Cleared on
 	// crash — a dead shard owes nothing.
 	acked map[string]bool
+	// verified holds the keys cache-integrity has checked since the
+	// shard's boot or last handoff, the only event that replaces an entry.
+	verified map[string]bool
 }
 
 // runner is one run's live state.
@@ -204,9 +235,11 @@ type runner struct {
 	ref     *reference
 	members []fleet.Shard
 	shards  []*shard
-	router  *fleet.Router
-	cl      *client.Client
-	rep     *Report
+	// dir holds each shard's cache directory, one per shard ID.
+	dir    string
+	router *fleet.Router
+	cl     *client.Client
+	rep    *Report
 
 	// slept accumulates the client's virtual backoff per call, for the
 	// retry-budget invariant.
@@ -232,17 +265,14 @@ func quietLogger() *slog.Logger {
 // (Options, Schedule).
 func Run(opt Options) (*Report, error) {
 	opt.applyDefaults()
-	ref, err := loadReference()
-	if err != nil {
-		return nil, fmt.Errorf("dst: reference: %w", err)
-	}
 	sched := Generate(opt.Seed, opt.Shards, opt.Steps)
 	if opt.Schedule != nil {
 		sched = *opt.Schedule
 	}
 	// The injected faults plan is process-global; a schedule that touches
 	// it runs exclusively, everyone else shares. Exclusive runs also clean
-	// up after themselves so no plan leaks into the next run.
+	// up after themselves so no plan leaks into the next run. Either way
+	// no plan is active here, so the reference is built fault-free.
 	if usesFaultPlan(sched) {
 		faultPlanMu.Lock()
 		defer faultPlanMu.Unlock()
@@ -251,6 +281,15 @@ func Run(opt Options) (*Report, error) {
 		faultPlanMu.RLock()
 		defer faultPlanMu.RUnlock()
 	}
+	ref, err := loadReference()
+	if err != nil {
+		return nil, fmt.Errorf("dst: reference: %w", err)
+	}
+	dir, err := os.MkdirTemp("", "dst-cache-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
 
 	goroutinesBefore := runtime.NumGoroutine()
 
@@ -259,6 +298,7 @@ func Run(opt Options) (*Report, error) {
 		sched: sched,
 		sim:   simnet.NewSim().AutoAdvance(true),
 		ref:   ref,
+		dir:   dir,
 		rep:   &Report{Seed: opt.Seed, Schedule: sched},
 	}
 	r.nw = simnet.NewNetwork(r.sim, opt.Seed)
@@ -268,7 +308,7 @@ func Run(opt Options) (*Report, error) {
 		r.members = append(r.members, fleet.Shard{ID: idOf(i), URL: "http://" + hostOf(i)})
 	}
 	for i := 0; i < opt.Shards; i++ {
-		sh, err := r.bootShard(i, true)
+		sh, err := r.bootShard(i, false)
 		if err != nil {
 			return nil, err
 		}
@@ -299,18 +339,21 @@ func Run(opt Options) (*Report, error) {
 		RefreshMinInterval: 500 * time.Millisecond,
 	})
 
-	devs := devices.All()
 	evIdx := 0
 	for step := 0; step < opt.Steps; step++ {
 		for evIdx < len(sched.Events) && sched.Events[evIdx].Step <= step {
 			r.applyEvent(step, sched.Events[evIdx])
 			evIdx++
 		}
-		dev := devs[step%len(devs)].Name
-		r.workloadStep(step, dev)
+		// A run rotates through three consecutive questions, one per
+		// device, so later asks must serve the first answer again from
+		// the advice memo or a reroute; seeds walk the whole list.
+		r.workloadStep(step, int(3*opt.Seed+int64(step%3))%len(ref.combos))
 		r.checkTopologyMonotonic(step)
 		r.checkAckedEntries(step)
+		r.checkCacheIntegrity(step)
 	}
+	r.checkHealth()
 
 	r.rep.VirtualElapsed = r.sim.Since(start)
 	if !opt.Parallel {
@@ -355,12 +398,11 @@ func (r *runner) violate(step int, invariant, format string, args ...interface{}
 }
 
 // bootShard builds shard i: fleet state over the full membership, an
-// engine warm-started with the device characterizations (as a disk
-// warm start would), and an advisord server registered on the network.
-// withFreight additionally seeds the synthetic handoff cargo — true at
-// fleet bringup, false on restart, so a restarted shard has lost exactly
-// the entries a warm handoff exists to restore.
-func (r *runner) bootShard(i int, withFreight bool) (*shard, error) {
+// engine, and an advisord server persisting to the shard's cache
+// directory, registered on the network. A restart warm-starts from that
+// directory alone, so a restarted shard has lost every entry it did not
+// persist — in particular the ones a warm handoff exists to restore.
+func (r *runner) bootShard(i int, restart bool) (*shard, error) {
 	st, err := fleet.NewState(idOf(i), r.members, 0)
 	if err != nil {
 		return nil, err
@@ -370,24 +412,19 @@ func (r *runner) bootShard(i int, withFreight bool) (*shard, error) {
 		CacheEntries: 4096,
 		Clock:        r.sim,
 	})
-	for _, ce := range r.ref.chars {
-		eng.CachePut(ce.key, ce.char)
+	dir := filepath.Join(r.dir, idOf(i))
+	if restart {
+		err = r.warmStart(eng, dir)
+	} else {
+		err = r.bringUp(eng, st, dir)
 	}
-	if withFreight {
-		// A shard's synthetic freight is the entries it does NOT own —
-		// remote platforms accumulated by serving rerouted traffic. Its owned
-		// entries live on its peers until a warm handoff pulls them home,
-		// which is exactly the install path the acked-entry invariant
-		// audits.
-		for key, char := range r.ref.synthetic {
-			if !st.Owns(char.Platform) {
-				eng.CachePut(key, char)
-			}
-		}
+	if err != nil {
+		return nil, err
 	}
 	srv := advisord.New(eng, advisord.Options{
 		Params:           r.ref.params,
 		Scale:            catalog.Micro,
+		CacheDir:         dir,
 		Logger:           quietLogger(),
 		RequestTimeout:   5 * time.Second,
 		BreakerThreshold: 3,
@@ -395,9 +432,63 @@ func (r *runner) bootShard(i int, withFreight bool) (*shard, error) {
 		Clock:            r.sim,
 		Fleet:            st,
 	})
-	sh := &shard{idx: i, id: idOf(i), host: hostOf(i), st: st, eng: eng, acked: make(map[string]bool)}
-	r.nw.Register(sh.host, srv.Handler())
+	sh := &shard{idx: i, id: idOf(i), host: hostOf(i), st: st, eng: eng,
+		handler: srv.Handler(), acked: make(map[string]bool), verified: make(map[string]bool)}
+	r.nw.Register(sh.host, sh.handler)
 	return sh, nil
+}
+
+// bringUp seeds a first-boot engine. The characterizations of the devices
+// the shard owns are its warm-start entries, saved to dir. The rest is
+// what it learned serving rerouted traffic and never persisted: its peers'
+// device characterizations and synthetic freight for platforms it does
+// NOT own. Its owned freight lives on its peers until a warm handoff pulls
+// it home, which is exactly the install path the acked-entry invariant
+// audits.
+func (r *runner) bringUp(eng *engine.Engine, st *fleet.State, dir string) error {
+	for key, char := range r.ref.chars {
+		if st.Owns(char.Platform) {
+			eng.CachePut(key, char)
+		}
+	}
+	if _, err := eng.SaveCache(dir); err != nil {
+		return err
+	}
+	for key, char := range r.ref.chars {
+		eng.CachePut(key, char)
+	}
+	for key, char := range r.ref.synthetic {
+		if !st.Owns(char.Platform) {
+			eng.CachePut(key, char)
+		}
+	}
+	return nil
+}
+
+// warmStart loads a restarting shard's cache directory through LoadCache,
+// which quarantines every entry that fails its checksum or decode. Under
+// BugSkipQuarantine it reads the directory itself instead: the same
+// fault-injected read, no checksum, and every entry installed, decodable
+// or not.
+func (r *runner) warmStart(eng *engine.Engine, dir string) error {
+	if r.opt.Bug != BugSkipQuarantine {
+		_, err := eng.LoadCache(dir)
+		return err
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			return err
+		}
+		data, _ = faults.FireData("engine.cache.load", data)
+		char, _ := framework.LoadCharacterization(bytes.NewReader(data))
+		eng.CachePut(strings.TrimSuffix(filepath.Base(name), ".json"), char)
+	}
+	return nil
 }
 
 // applyEvent mutates the simulated world per one schedule event.
@@ -414,7 +505,7 @@ func (r *runner) applyEvent(step int, ev Event) {
 		if !sh.down {
 			return
 		}
-		fresh, err := r.bootShard(sh.idx, false)
+		fresh, err := r.bootShard(sh.idx, true)
 		if err != nil {
 			r.violate(step, "restart", "reboot %s: %v", sh.id, err)
 			return
@@ -445,8 +536,10 @@ func (r *runner) applyEvent(step int, ev Event) {
 	case EvHandoff:
 		r.handoff(step, sh)
 	case EvFault:
-		_ = faults.Activate(faults.NewPlan(r.opt.Seed,
-			faults.Rule{Point: "advisord.fleet.export", Mode: faults.ModeError, Every: 2}))
+		p := planNamed(ev.Plan)
+		if err := faults.Activate(faults.NewPlan(p.seed, p.rules...)); err != nil {
+			r.violate(step, "fault-plan", "activate %s: %v", p.name, err)
+		}
 	case EvFaultHeal:
 		faults.Deactivate()
 	}
@@ -468,6 +561,7 @@ func (r *runner) handoff(step int, sh *shard) {
 	if sh.down {
 		return
 	}
+	sh.verified = make(map[string]bool)
 	put := func(key string, char framework.Characterization) {
 		r.handoffSeq++
 		sh.acked[key] = true
@@ -476,7 +570,6 @@ func (r *runner) handoff(step int, sh *shard) {
 		}
 		sh.eng.CachePut(key, char)
 	}
-	//igpulint:ignore ctxflow the harness is the root of its virtual world; each handoff gets a fresh root under the simulated clock
 	ctx, cancel := r.sim.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	rep, err := fleet.Pull(ctx, sh.st, r.nw.Client(sh.host), put)
@@ -488,26 +581,31 @@ func (r *runner) handoff(step int, sh *shard) {
 		sh.id, rep.Pulled, rep.Quarantined, rep.PeerErrors)
 }
 
-// workloadStep issues one advisory question and checks the per-response
-// invariants: every result is complete advice or a typed error, and
-// non-degraded advice is byte-identical to the fault-free reference.
-func (r *runner) workloadStep(step int, device string) {
+// workloadStep issues workload question q and checks the per-call
+// invariants: a failed call fails with a typed error, every result is
+// complete advice or a typed error, and every non-degraded result is
+// byte-identical to the fault-free reference.
+func (r *runner) workloadStep(step, q int) {
+	ar := r.ref.combos[q]
 	r.slept = 0
 	r.rep.Calls++
-	//igpulint:ignore ctxflow the harness is the root of its virtual world; each step gets a fresh root under the simulated clock
 	ctx, cancel := r.sim.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	resp, err := r.cl.Advise(ctx, advisord.AdviseBody{Requests: []advisord.AdviseRequest{
-		{Device: device, App: dstApp, Current: "sc"},
-	}})
+	resp, err := r.cl.Advise(ctx, advisord.AdviseBody{Requests: []advisord.AdviseRequest{ar}})
 	if r.slept > r.budget {
 		r.violate(step, "retry-budget", "client slept %s of a %s budget", r.slept, r.budget)
 	}
 	if err != nil {
 		// A fleet that cannot answer fails loudly — acceptable under
-		// faults, as long as the failure is an error, not bad advice.
+		// faults, as long as the failure is an HTTP-level APIError, an
+		// exhausted retry budget or the network refusing the call.
 		r.rep.CallErrors++
-		r.tracef("step %d %s: call error: %v", step, device, err)
+		r.tracef("step %d %+v: call error: %v", step, ar, err)
+		var apiErr *client.APIError
+		var netErr *url.Error
+		if !errors.As(err, &apiErr) && !errors.Is(err, client.ErrBudgetExhausted) && !errors.As(err, &netErr) {
+			r.violate(step, "typed-call-error", "%+v: untyped client error: %v", ar, err)
+		}
 		return
 	}
 	if len(resp.Results) != 1 {
@@ -516,16 +614,12 @@ func (r *runner) workloadStep(step int, device string) {
 	}
 	res := resp.Results[0]
 	if verr := res.Check(); verr != nil {
-		r.violate(step, "typed-result", "device %s: %v", device, verr)
-		return
-	}
-	if res.Error != "" {
-		r.tracef("step %d %s: typed error %s (%s)", step, device, res.Error, res.ErrorKind)
+		r.violate(step, "typed-result", "%+v: %v", ar, verr)
 		return
 	}
 	if res.Degraded {
 		r.rep.Degraded++
-		r.tracef("step %d %s: degraded: %s", step, device, res.DegradedReason)
+		r.tracef("step %d %+v: degraded: %s", step, ar, res.DegradedReason)
 		return
 	}
 	got, merr := json.Marshal(res)
@@ -533,10 +627,9 @@ func (r *runner) workloadStep(step int, device string) {
 		r.violate(step, "advice-identity", "marshal result: %v", merr)
 		return
 	}
-	want := r.ref.advice[device]
-	if string(got) != string(want) {
+	if want := r.ref.advice[q]; !bytes.Equal(got, want) {
 		r.violate(step, "advice-identity",
-			"device %s advice diverged from fault-free run:\n got %s\nwant %s", device, got, want)
+			"%+v answer diverged from fault-free run:\n got %s\nwant %s", ar, got, want)
 	}
 }
 
@@ -577,6 +670,53 @@ func (r *runner) checkAckedEntries(step int) {
 			if _, ok := have[key]; !ok {
 				r.violate(step, "handoff-acked-entry-lost",
 					"%s acknowledged %s but does not hold it", sh.id, key)
+			}
+		}
+	}
+}
+
+// checkCacheIntegrity asserts every entry a live shard holds equals its
+// reference characterization or its synthetic original: whatever a fault
+// did to a cache file on its way in, no shard serves it.
+func (r *runner) checkCacheIntegrity(step int) {
+	for _, sh := range r.shards {
+		if sh.down {
+			continue
+		}
+		have := sh.eng.CacheExport()
+		keys := make([]string, 0, len(have))
+		for key := range have {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			if sh.verified[key] {
+				continue
+			}
+			sh.verified[key] = true
+			want, ok := r.ref.chars[key]
+			if !ok {
+				want, ok = r.ref.synthetic[key]
+			}
+			if !ok || !reflect.DeepEqual(have[key], want) {
+				r.violate(step, "cache-integrity", "%s holds entry %s unlike any reference entry", sh.id, key)
+			}
+		}
+	}
+}
+
+// checkHealth asserts every live shard still answers /healthz and /metrics
+// once the run is over: no fault took a process down or broke its scrape.
+func (r *runner) checkHealth() {
+	for _, sh := range r.shards {
+		if sh.down {
+			continue
+		}
+		for _, path := range []string{"/healthz", "/metrics"} {
+			rec := httptest.NewRecorder()
+			sh.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				r.violate(r.opt.Steps-1, "health", "%s: GET %s = %d", sh.id, path, rec.Code)
 			}
 		}
 	}

@@ -1,18 +1,22 @@
 // Package dst is the deterministic simulation test (DST) harness over the
-// advisord fleet: it boots N in-process shards plus a routing client on a
-// virtual clock (internal/simnet), runs the storm workload entirely in
+// advisord fleet, and the repository's one harness for seeded fault
+// schedules: it boots N in-process shards plus a routing client on a
+// virtual clock (internal/simnet), runs an advisory workload entirely in
 // virtual time under a seeded schedule of failures — link drops, delays,
-// duplicates, one-way response losses, partitions, shard crash/restart,
-// drain, warm handoff, injected engine faults — and checks global
-// invariants after every step. A failing seed is shrunk automatically to a
-// minimal schedule and emitted as a repro artifact with a replay command,
-// so a CI failure is reproducible from its log line alone.
+// duplicates, one-way response losses, partitions, shard crash/restart
+// from disk, drain, warm handoff, named internal/faults plans — and checks
+// global invariants after every step. A failing seed is shrunk
+// automatically to a minimal schedule and emitted as a repro artifact with
+// a replay command, so a CI failure is reproducible from its log line
+// alone. The package is test-only: nothing outside it imports it.
 package dst
 
 import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"igpucomm/internal/faults"
 )
 
 // Event kinds a schedule can contain.
@@ -21,8 +25,8 @@ const (
 	// its cache (and acked-handoff bookkeeping) is forgotten.
 	EvCrash = "crash"
 	// EvRestart reboots a crashed shard with a fresh engine, warm-started
-	// with the device characterizations (as a disk warm start would) but
-	// without any handoff freight.
+	// by LoadCache from the shard's cache directory, without any handoff
+	// freight.
 	EvRestart = "restart"
 	// EvPartition cuts the directed link From -> To.
 	EvPartition = "partition"
@@ -39,8 +43,7 @@ const (
 	// EvHandoff warm-pulls the entries a shard owns from its peers — the
 	// operation the no-acked-entry-lost invariant audits.
 	EvHandoff = "handoff"
-	// EvFault activates a seeded internal/faults plan erroring the
-	// advisord.fleet.export point (handoff streams fail server-side);
+	// EvFault activates the named fault plan Event.Plan (see faultPlans);
 	// EvFaultHeal deactivates it.
 	EvFault     = "fault"
 	EvFaultHeal = "fault-heal"
@@ -63,6 +66,8 @@ type Event struct {
 	RespLoss float64       `json:"resp_loss,omitempty"`
 	Dup      float64       `json:"dup,omitempty"`
 	Delay    time.Duration `json:"delay,omitempty"`
+	// Plan names the fault plan an EvFault activates.
+	Plan string `json:"plan,omitempty"`
 }
 
 // String renders the event for trace logs.
@@ -71,6 +76,8 @@ func (e Event) String() string {
 	case EvPartition, EvLink:
 		return fmt.Sprintf("step %d: %s %s->%s drop=%.2f loss=%.2f dup=%.2f delay=%s",
 			e.Step, e.Kind, e.From, e.To, e.Drop, e.RespLoss, e.Dup, e.Delay)
+	case EvFault:
+		return fmt.Sprintf("step %d: %s plan=%s", e.Step, e.Kind, e.Plan)
 	default:
 		return fmt.Sprintf("step %d: %s shard=%d", e.Step, e.Kind, e.Shard)
 	}
@@ -133,6 +140,7 @@ func Generate(seed int64, shards, steps int) Schedule {
 			ev.Kind = EvHandoff
 		case w < 97:
 			ev.Kind = EvFault
+			ev.Plan = faultPlans[w-93].name
 		default:
 			ev.Kind = EvFaultHeal
 		}
@@ -140,6 +148,57 @@ func Generate(seed int64, shards, steps int) Schedule {
 	}
 	sortEvents(sched.Events)
 	return sched
+}
+
+// faultPlan is one named internal/faults plan an EvFault activates.
+type faultPlan struct {
+	name  string
+	seed  int64
+	rules []faults.Rule
+}
+
+// faultPlans is the fixed plan table, one entry per Generate weight slot.
+// Every rule aims at a point the DST workload reaches; TestFaultPlansFire
+// holds each plan to firing every rule on one fixed schedule, so points
+// that schedule hits only a few times (cache reads, fresh platforms, cold
+// characterizations) fire on an Every count, not a probability.
+// engine.explore is in none: /v1/advise never explores.
+//
+// corrupt-persistence fails every save: framework.persist.save fires on
+// every hit, so a SaveCache under the plan stops at its first entry
+// whatever the map order, and the cache directory's contents stay a pure
+// function of the schedule.
+var faultPlans = []faultPlan{
+	{name: "fleet-export", seed: 404, rules: []faults.Rule{
+		{Point: "advisord.fleet.export", Mode: faults.ModeError, Every: 2},
+	}},
+	{name: "flaky-engine", seed: 101, rules: []faults.Rule{
+		{Point: "engine.characterize", Mode: faults.ModeError, Prob: 0.3},
+		{Point: "profile.collect", Mode: faults.ModeError, Prob: 0.2},
+	}},
+	{name: "slow-and-panicky", seed: 202, rules: []faults.Rule{
+		{Point: "engine.characterize", Mode: faults.ModePanic, Every: 2},
+		{Point: "profile.collect", Mode: faults.ModePanic, Prob: 0.1},
+		{Point: "soc.clone", Mode: faults.ModeLatency, Every: 4, Delay: 2 * time.Millisecond},
+		{Point: "engine.characterize", Mode: faults.ModeLatency, Every: 1, Delay: 5 * time.Millisecond},
+	}},
+	{name: "corrupt-persistence", seed: 303, rules: []faults.Rule{
+		{Point: "engine.cache.load", Mode: faults.ModeCorrupt, Every: 2},
+		{Point: "engine.cache.store", Mode: faults.ModeError, Every: 2},
+		{Point: "framework.persist.save", Mode: faults.ModeError, Every: 1},
+		{Point: "engine.characterize", Mode: faults.ModeError, Prob: 0.2},
+	}},
+}
+
+// planNamed returns the fault plan with the given name (no rules when the
+// name is unknown).
+func planNamed(name string) faultPlan {
+	for _, p := range faultPlans {
+		if p.name == name {
+			return p
+		}
+	}
+	return faultPlan{name: name}
 }
 
 // sortEvents orders events by step, stably, so application order is the

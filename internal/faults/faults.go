@@ -4,10 +4,10 @@
 // that stay inert — one atomic load, no allocation — until a seeded Plan is
 // activated. A plan maps points to rules (error returns, latency spikes,
 // corrupted or truncated bytes, panics) with deterministic or probabilistic
-// schedules, so every failure mode the chaos suite asserts against is
+// schedules, so every failure mode the fault plans assert against is
 // reproducible from a seed.
 //
-// Activation is process-global by design: the chaos tests exercise the whole
+// Activation is process-global by design: the fault plans exercise the whole
 // advisord stack (HTTP surface, engine fan-out, cache persistence) and the
 // fault points live many layers below where a plan could be threaded through.
 package faults
