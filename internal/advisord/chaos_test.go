@@ -1,21 +1,19 @@
 package advisord_test
 
-// The chaos suite: the full device x app x current-model advisory sweep
-// driven through the retrying client against an advisord instance with the
-// fault-injection layer active. It asserts the service's resilience
-// invariants — no panic escapes, every response is valid advice (possibly
-// degraded) or a typed error, and the cache never serves corrupt entries —
-// under several deterministic, seeded fault schedules.
+// The live-socket chaos sweep: the full device x app x current-model
+// advisory sweep driven through the retrying client against a real
+// advisord listener with the flaky-engine fault plan active. The other
+// plans (and this one, in virtual time) run in the deterministic
+// simulation suite under internal/dst; this sweep keeps one plan on the
+// real HTTP stack and concurrent clients.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -37,9 +35,9 @@ type schedule struct {
 	rules []faults.Rule
 }
 
-// schedules returns the fixed schedules the chaos suite sweeps under. Each
-// mixes fault modes across layers: engine errors, injected panics, latency
-// spikes, and persistence corruption.
+// schedules returns the schedules the live sweep runs under. Every rule
+// aims at a point /v1/advise reaches (it never explores), and the sweep
+// fails if a rule never fires.
 func schedules() []schedule {
 	return []schedule{
 		{
@@ -47,28 +45,7 @@ func schedules() []schedule {
 			seed: 101,
 			rules: []faults.Rule{
 				{Point: "engine.characterize", Mode: faults.ModeError, Prob: 0.3},
-				{Point: "engine.explore", Mode: faults.ModeError, Prob: 0.2},
 				{Point: "profile.collect", Mode: faults.ModeError, Prob: 0.2},
-			},
-		},
-		{
-			name: "slow-and-panicky",
-			seed: 202,
-			rules: []faults.Rule{
-				{Point: "engine.characterize", Mode: faults.ModePanic, Prob: 0.15},
-				{Point: "profile.collect", Mode: faults.ModePanic, Prob: 0.1},
-				{Point: "soc.clone", Mode: faults.ModeLatency, Prob: 0.05, Delay: 2 * time.Millisecond},
-				{Point: "engine.characterize", Mode: faults.ModeLatency, Prob: 0.2, Delay: 5 * time.Millisecond},
-			},
-		},
-		{
-			name: "corrupt-persistence",
-			seed: 303,
-			rules: []faults.Rule{
-				{Point: "engine.cache.load", Mode: faults.ModeCorrupt, Prob: 0.5},
-				{Point: "engine.cache.store", Mode: faults.ModeError, Prob: 0.3},
-				{Point: "framework.persist.save", Mode: faults.ModeError, Prob: 0.2},
-				{Point: "engine.characterize", Mode: faults.ModeError, Prob: 0.2},
 			},
 		},
 	}
@@ -94,32 +71,29 @@ func combos() []advisord.AdviseRequest {
 	return out
 }
 
-func quietLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
-
 // chaosServer boots an advisord instance tuned for fast failure cycling:
 // short breaker cooldown so open periods do not dominate the run.
-func chaosServer(t *testing.T, cacheDir string) (*engine.Engine, *httptest.Server) {
+func chaosServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	eng := engine.New(engine.Options{Workers: 4})
 	srv := advisord.New(eng, advisord.Options{
 		Params:           microbench.TestParams(),
 		Scale:            catalog.Quick,
-		CacheDir:         cacheDir,
-		Logger:           quietLogger(),
+		Logger:           slog.New(slog.NewTextHandler(io.Discard, nil)),
 		RequestTimeout:   10 * time.Second,
 		BreakerThreshold: 5,
 		BreakerCooldown:  50 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return eng, ts
+	return ts
 }
 
-// activateSchedule installs a schedule's plan for the duration of the test.
+// activateSchedule installs a schedule's plan, with zeroed injection
+// counters, for the duration of the test.
 func activateSchedule(t *testing.T, s schedule) {
 	t.Helper()
+	faults.ResetInjected()
 	if err := faults.Activate(faults.NewPlan(s.seed, s.rules...)); err != nil {
 		t.Fatal(err)
 	}
@@ -129,19 +103,11 @@ func activateSchedule(t *testing.T, s schedule) {
 	})
 }
 
-// checkResult asserts the per-response invariant: valid advice (possibly
-// degraded, then with a reason) or a typed error, never a half-answer.
-func checkResult(t *testing.T, combo advisord.AdviseRequest, res advisord.AdviseResult) {
-	t.Helper()
-	if err := res.Check(); err != nil {
-		t.Errorf("%+v: %v", combo, err)
-	}
-}
-
 // TestSweepUnderFaultSchedules drives the full 45-combination sweep through
-// the retrying client under each fault schedule, asserting that no panic
-// escapes (the process and server survive), every response is valid advice
-// or a typed error, and the server still answers health checks afterwards.
+// the retrying client under each fault schedule, asserting that every rule
+// fired, no panic escapes (the process and server survive), every response
+// is valid advice or a typed error, and the server still answers health
+// checks afterwards.
 func TestSweepUnderFaultSchedules(t *testing.T) {
 	all := combos()
 	if len(all) != 45 {
@@ -151,7 +117,7 @@ func TestSweepUnderFaultSchedules(t *testing.T) {
 	for _, sched := range schedules() {
 		t.Run(sched.name, func(t *testing.T) {
 			activateSchedule(t, sched)
-			_, ts := chaosServer(t, "")
+			ts := chaosServer(t)
 
 			const workers = 6
 			var wg sync.WaitGroup
@@ -184,7 +150,9 @@ func TestSweepUnderFaultSchedules(t *testing.T) {
 							t.Errorf("%+v: %d results", combo, len(out.Results))
 							continue
 						}
-						checkResult(t, combo, out.Results[0])
+						if err := out.Results[0].Check(); err != nil {
+							t.Errorf("%+v: %v", combo, err)
+						}
 					}
 				}(w)
 			}
@@ -194,97 +162,27 @@ func TestSweepUnderFaultSchedules(t *testing.T) {
 			close(jobs)
 			wg.Wait()
 
+			// A rule that never fired tested nothing.
+			injected := faults.Injected()
+			t.Logf("faults injected: %v", injected)
+			for _, rule := range sched.rules {
+				if injected[rule.Point] == 0 {
+					t.Errorf("%s rule at %s never fired", rule.Mode, rule.Point)
+				}
+			}
+
 			// The process survived the schedule; the server must still be
 			// healthy and scrapeable.
-			resp, err := http.Get(ts.URL + "/healthz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("healthz after sweep = %d", resp.StatusCode)
-			}
-			resp, err = http.Get(ts.URL + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("metrics after sweep = %d", resp.StatusCode)
+			for _, path := range []string{"/healthz", "/metrics"} {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s after sweep = %d", path, resp.StatusCode)
+				}
 			}
 		})
-	}
-}
-
-// TestCacheNeverServesCorruptEntries populates a cache directory under the
-// corrupt-persistence schedule, then warm-starts a fresh engine from it with
-// load-path corruption still firing, and asserts that every characterization
-// the warm engine serves is byte-identical to a clean engine's — quarantine
-// must catch everything the injector mangles.
-func TestCacheNeverServesCorruptEntries(t *testing.T) {
-	params := microbench.TestParams()
-
-	// Clean baselines, computed with injection off.
-	baseline := map[string]string{}
-	cleanEng := engine.New(engine.Options{Workers: 4})
-	for _, cfg := range devices.All() {
-		char, err := cleanEng.Characterize(context.Background(), cfg, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		baseline[cfg.Name] = fmt.Sprintf("%+v", char)
-	}
-
-	// Populate the cache dir through the server under persistence faults.
-	dir := t.TempDir()
-	var sched schedule
-	for _, s := range schedules() {
-		if s.name == "corrupt-persistence" {
-			sched = s
-		}
-	}
-	if sched.name == "" {
-		t.Fatal("corrupt-persistence schedule missing")
-	}
-	activateSchedule(t, sched)
-	_, ts := chaosServer(t, dir)
-	cl := client.New(client.Options{BaseURL: ts.URL, MaxAttempts: 3,
-		BaseDelay: 2 * time.Millisecond, Budget: 2 * time.Second, Seed: sched.seed})
-	for _, cfg := range devices.All() {
-		out, err := cl.Advise(context.Background(), advisord.AdviseBody{
-			Requests: []advisord.AdviseRequest{{Device: cfg.Name, App: "shwfs", Current: "sc"}},
-		})
-		if err == nil && len(out.Results) == 1 {
-			checkResult(t, advisord.AdviseRequest{Device: cfg.Name}, out.Results[0])
-		}
-	}
-
-	// Warm start a fresh engine with load-path corruption still active.
-	warm := engine.New(engine.Options{Workers: 4})
-	loaded, err := warm.LoadCache(dir)
-	if err != nil {
-		t.Fatalf("warm start must quarantine, not fail: %v", err)
-	}
-	quarantined := warm.Stats().CacheCorruptEntries
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded+int(quarantined) != len(entries) {
-		t.Errorf("loaded %d + quarantined %d != %d entries on disk",
-			loaded, quarantined, len(entries))
-	}
-
-	// Injection off: whatever the warm engine now answers — cache hit or
-	// recomputation after quarantine — must equal the clean baseline.
-	faults.Deactivate()
-	for _, cfg := range devices.All() {
-		char, err := warm.Characterize(context.Background(), cfg, params)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		if got := fmt.Sprintf("%+v", char); got != baseline[cfg.Name] {
-			t.Errorf("%s: warm characterization diverges from clean baseline", cfg.Name)
-		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/engine"
+	"igpucomm/internal/faults"
 	"igpucomm/internal/fleet"
 	"igpucomm/internal/framework"
 	"igpucomm/internal/microbench"
@@ -380,4 +381,73 @@ func TestFleetStormJoinAndDeath(t *testing.T) {
 		ServerReroutes:  serverReroutes,
 		HandoffImported: imported,
 	})
+}
+
+// TestFleetStormUnderChaosSchedule replays the storm's load shape with the
+// flaky-engine plan's profiling rule (seed 101) active: injected engine
+// errors must surface as degraded advice or typed errors — the fleet layer
+// must not amplify them into invariant violations or corrupt cache
+// entries. The fleet is warmed on a different current model than the
+// storm asks about, so the device characterizations are hot (a cold one
+// under the race detector outlasts the window) while the storm's own
+// questions miss the advice memo and reach profile.collect; the test fails
+// if the plan never fires.
+func TestFleetStormUnderChaosSchedule(t *testing.T) {
+	a := startStormShard(t, "shard-a")
+	b := startStormShard(t, "shard-b")
+	c := startStormShard(t, "shard-c")
+	core := []*stormShard{a, b, c}
+	pushMembership(t, membership(core...), core...)
+
+	rt, err := fleet.NewRouter(fleet.RouterOptions{Shards: membership(core...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := stormClient(rt)
+	reqs := deviceRequests()
+	warm := make([]advisord.AdviseRequest, len(reqs))
+	for i, ar := range reqs {
+		ar.Current = "um"
+		warm[i] = ar
+	}
+	warmFleet(t, cl, warm)
+
+	faults.ResetInjected()
+	flakyProfiling := faults.NewPlan(101,
+		faults.Rule{Point: "profile.collect", Mode: faults.ModeError, Prob: 0.2},
+	)
+	if err := faults.Activate(flakyProfiling); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		faults.Deactivate()
+		faults.ResetInjected()
+	})
+
+	var violations atomic.Int64
+	sum, err := fleet.RunLoad(context.Background(), fleet.LoadOptions{
+		Workers:  4,
+		Duration: stormDuration / 2,
+		Do:       stormDo(cl, reqs, &violations),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("chaos storm: %.0f rps over %d calls, %d errors, %d faults injected",
+		sum.AchievedRPS, sum.Calls, sum.Errors, faults.InjectedTotal())
+
+	if sum.Calls == 0 {
+		t.Fatal("chaos storm completed no calls")
+	}
+	if faults.InjectedTotal() == 0 {
+		t.Error("the chaos plan injected no faults")
+	}
+	if violations.Load() != 0 {
+		t.Errorf("%d responses broke the advice-or-typed-error invariant under chaos", violations.Load())
+	}
+	for _, sh := range core {
+		if corrupt := sh.eng.Stats().CacheCorruptEntries; corrupt != 0 {
+			t.Errorf("%s quarantined %d corrupt cache entries", sh.id, corrupt)
+		}
+	}
 }
