@@ -14,11 +14,8 @@ import (
 	"testing"
 
 	"igpucomm/internal/comm"
-	"igpucomm/internal/cpu"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/experiments"
-	"igpucomm/internal/gpu"
-	"igpucomm/internal/isa"
 	"igpucomm/internal/microbench"
 	"igpucomm/internal/soc"
 	"igpucomm/internal/tiling"
@@ -293,46 +290,5 @@ func BenchmarkAblationUMPageSize(b *testing.B) {
 				b.ReportMetric(rep.CopyTime.Seconds()*1e6, "migration-µs")
 			}
 		})
-	}
-}
-
-// BenchmarkAblationPhaseAccuracy compares the §III-C pattern's phase-accurate
-// SoC simulation against the whole-iteration overlap approximation comm.ZC
-// uses, on the same tiled producer/consumer work.
-func BenchmarkAblationPhaseAccuracy(b *testing.B) {
-	s, err := devices.NewSoC(devices.XavierName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf, err := s.AllocPinned("phase-tiles", 1<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	geo, err := tiling.NewGeometry(2048, 128, 4, 64, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pattern := tiling.Pattern{Geo: geo, Phases: 4}
-	work := tiling.SoCWork{
-		Barrier: 1000,
-		CPUTile: func(c *cpu.CPU, t tiling.Tile) {
-			c.Load(buf.Addr+int64(t.Y0*geo.Width+t.X0)*4, 4)
-			c.Work(isa.FMA, 6)
-		},
-		GPUKernel: func(phase int, tiles []tiling.Tile) gpu.Kernel {
-			return gpu.Kernel{Name: "phase", Threads: len(tiles), Program: func(tid int, p *isa.Program) {
-				t := tiles[tid]
-				p.Ld(buf.Addr+int64(t.Y0*geo.Width+t.X0)*4, 4)
-				p.Compute(isa.FMA, 4)
-			}}
-		},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total, _, err := pattern.SimulateOnSoC(s, work)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(total.Seconds()*1e6, "phase-accurate-µs")
 	}
 }

@@ -210,8 +210,8 @@ func (c *config) fleetState() (*fleet.State, error) {
 
 // checkCacheDir verifies that an existing -cache-dir is a writable directory
 // by probing with a temp file, so permission problems surface at boot instead
-// of as a failed persist hours later. A missing directory is fine — SaveCache
-// creates it.
+// of as a failed store hours later. A missing directory is fine — the
+// engine creates it at its first store.
 func checkCacheDir(dir string) error {
 	fi, err := os.Stat(dir)
 	if os.IsNotExist(err) {

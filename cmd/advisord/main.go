@@ -110,17 +110,16 @@ func main() {
 		Workers:      cfg.workers,
 		CacheEntries: cfg.cacheEntries,
 		TTL:          cfg.ttl,
+		CacheDir:     cfg.cacheDir,
 	})
 	if cfg.cacheDir != "" {
-		if _, err := os.Stat(cfg.cacheDir); err == nil {
-			n, err := eng.LoadCache(cfg.cacheDir)
-			if err != nil {
-				logger.Error("warm start failed", "dir", cfg.cacheDir, "err", err)
-				os.Exit(1)
-			}
-			logger.Info("warm start", "characterizations", n,
-				"quarantined", eng.Stats().CacheCorruptEntries, "dir", cfg.cacheDir)
+		n, err := eng.LoadCache()
+		if err != nil {
+			logger.Error("warm start failed", "dir", cfg.cacheDir, "err", err)
+			os.Exit(1)
 		}
+		logger.Info("warm start", "characterizations", n,
+			"quarantined", eng.Stats().CacheCorruptEntries, "dir", cfg.cacheDir)
 	}
 
 	fleetState, err := cfg.fleetState()
@@ -136,7 +135,6 @@ func main() {
 	srv := advisord.New(eng, advisord.Options{
 		Params:           params,
 		Scale:            scale,
-		CacheDir:         cfg.cacheDir,
 		Logger:           logger,
 		RequestTimeout:   cfg.requestTimeout,
 		MaxConcurrent:    cfg.maxConcurrent,

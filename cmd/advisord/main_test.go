@@ -60,7 +60,7 @@ func TestParseConfigFlagErrorsAreMarked(t *testing.T) {
 }
 
 func TestParseConfigCacheDir(t *testing.T) {
-	// A missing directory is fine: SaveCache creates it.
+	// A missing directory is fine: the engine's first store creates it.
 	if _, err := parseConfig([]string{"-cache-dir", filepath.Join(t.TempDir(), "nope")}); err != nil {
 		t.Errorf("missing cache dir rejected: %v", err)
 	}

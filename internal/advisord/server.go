@@ -4,9 +4,9 @@
 // (/v1/characterize), per-buffer heat exploration (/v1/heatmap), health,
 // status and Prometheus metrics, all wrapped in
 // the per-request observability middleware (trace IDs, latency histograms,
-// structured request log). All state lives in the execution engine; the
-// server only translates requests, records telemetry, and persists the
-// cache.
+// structured request log). All state lives in the execution engine, which
+// also persists its characterizations; the server only translates requests
+// and records telemetry.
 //
 // The /v1 endpoints sit behind a resilience layer: per-request deadlines, a
 // bounded admission queue that sheds overload with 429 + Retry-After, a
@@ -48,9 +48,6 @@ type Options struct {
 	Params microbench.Params
 	// Scale selects the workload catalog scale (catalog.Full or Quick).
 	Scale catalog.Scale
-	// CacheDir, when non-empty, receives cache snapshots after requests
-	// that executed new characterizations.
-	CacheDir string
 	// Logger receives the structured request log (nil: slog.Default).
 	Logger *slog.Logger
 
@@ -106,8 +103,7 @@ func (o *Options) applyDefaults() {
 }
 
 // Server wires the execution engine to the HTTP surface. All state lives in
-// the engine; the server only translates requests, records telemetry, and
-// persists the cache.
+// the engine; the server only translates requests and records telemetry.
 type Server struct {
 	eng     *engine.Engine
 	opt     Options
@@ -119,11 +115,6 @@ type Server struct {
 	breaker *Breaker
 	admit   *admission
 	fleet   *fleet.State // nil outside a fleet
-
-	// persistMu serializes SaveCache writers and lastSaved tracks the
-	// execution count already on disk.
-	persistMu sync.Mutex
-	lastSaved uint64
 }
 
 // New builds a server answering with the given engine under the given
@@ -436,7 +427,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		}(i, req)
 	}
 	wg.Wait()
-	s.maybePersist()
 	writeJSON(w, http.StatusOK, AdviseResponse{Results: results})
 }
 
@@ -558,7 +548,6 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.maybePersist()
 	w.Header().Set("Content-Type", "application/json")
 	if err := framework.SaveCharacterization(w, char); err != nil {
 		s.log.Error("write characterization", "err", err)
@@ -626,25 +615,6 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	if err := framework.SaveHeatArtifact(w, art); err != nil {
 		s.log.Error("write heat artifact", "err", err)
 	}
-}
-
-// maybePersist snapshots the cache to disk when new characterizations were
-// executed since the last snapshot.
-func (s *Server) maybePersist() {
-	if s.opt.CacheDir == "" {
-		return
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	execs := s.eng.Stats().Characterizations.Executions
-	if execs == s.lastSaved {
-		return
-	}
-	if _, err := s.eng.SaveCache(s.opt.CacheDir); err != nil {
-		s.log.Error("persist cache", "err", err)
-		return
-	}
-	s.lastSaved = execs
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

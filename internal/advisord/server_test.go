@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -224,13 +226,15 @@ func TestCharacterizeEndpointRoundTrips(t *testing.T) {
 	}
 }
 
-// With a cache directory configured, a characterization must be persisted in
-// the framework format and a fresh server must warm-start from it without
-// re-executing.
+// With a cache directory configured, a characterization the server computes
+// and an entry a warm handoff puts must both be stored in the framework
+// format, and a fresh server must warm-start from them without re-executing
+// and without rewriting a file; putting a key the memo holds rewrites
+// nothing either.
 func TestCachePersistenceAcrossServers(t *testing.T) {
 	dir := t.TempDir()
-	eng := engine.New(engine.Options{Workers: 2})
-	srv := New(eng, Options{Params: microbench.TestParams(), Scale: catalog.Quick, CacheDir: dir, Logger: testLogger()})
+	eng := engine.New(engine.Options{Workers: 2, CacheDir: dir})
+	srv := New(eng, Options{Params: microbench.TestParams(), Scale: catalog.Quick, Logger: testLogger()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -242,14 +246,22 @@ func TestCachePersistenceAcrossServers(t *testing.T) {
 	if n := eng.Stats().Characterizations.Executions; n != 1 {
 		t.Fatalf("executions = %d, want 1", n)
 	}
+	eng.CachePut("handoff", synthCharForDevice(t, "board-handoff"))
+	if _, err := os.Stat(filepath.Join(dir, "handoff.json")); err != nil {
+		t.Fatalf("CachePut entry not stored: %v", err)
+	}
+	before := statDir(t, dir)
+	if len(before) != 4 {
+		t.Fatalf("cache directory holds %d files, want 2 entries with sidecars", len(before))
+	}
 
-	eng2 := engine.New(engine.Options{Workers: 2})
-	n, err := eng2.LoadCache(dir)
+	eng2 := engine.New(engine.Options{Workers: 2, CacheDir: dir})
+	n, err := eng2.LoadCache()
 	if err != nil {
 		t.Fatalf("warm start: %v", err)
 	}
-	if n != 1 {
-		t.Fatalf("warm start loaded %d entries, want 1", n)
+	if n != 2 {
+		t.Fatalf("warm start loaded %d entries, want 2", n)
 	}
 	srv2 := New(eng2, Options{Params: microbench.TestParams(), Scale: catalog.Quick, Logger: testLogger()})
 	ts2 := httptest.NewServer(srv2.Handler())
@@ -259,6 +271,8 @@ func TestCachePersistenceAcrossServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
+	eng.CachePut("handoff", synthCharForDevice(t, "board-handoff"))
+	eng2.CachePut("handoff", synthCharForDevice(t, "board-handoff"))
 	st := eng2.Stats()
 	if st.Characterizations.Executions != 0 {
 		t.Errorf("warm server executions = %d, want 0", st.Characterizations.Executions)
@@ -266,6 +280,71 @@ func TestCachePersistenceAcrossServers(t *testing.T) {
 	if st.Characterizations.Hits != 1 {
 		t.Errorf("warm server hits = %d, want 1", st.Characterizations.Hits)
 	}
+	after := statDir(t, dir)
+	if len(after) != len(before) {
+		t.Errorf("the directory went from %d files to %d", len(before), len(after))
+	}
+	for name, fi := range before {
+		if !os.SameFile(fi, after[name]) {
+			t.Errorf("%s was rewritten", name)
+		}
+	}
+}
+
+// Every characterization is stored once, as it enters the engine's memo: a
+// second characterization through the server adds its own entry and leaves
+// the first entry's file and sidecar untouched.
+func TestCacheStoresEachEntryOnce(t *testing.T) {
+	dir := t.TempDir()
+	eng := engine.New(engine.Options{Workers: 2, CacheDir: dir})
+	srv := New(eng, Options{Params: microbench.TestParams(), Scale: catalog.Quick, Logger: testLogger()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	characterize := func(device string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/characterize?device=" + device)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("characterize %s: status %d", device, resp.StatusCode)
+		}
+	}
+	characterize(devices.TX2Name)
+	first := statDir(t, dir)
+	if len(first) != 2 {
+		t.Fatalf("after one characterization the directory holds %d files, want 2", len(first))
+	}
+	characterize(devices.NanoName)
+	second := statDir(t, dir)
+	if len(second) != 4 {
+		t.Fatalf("after two characterizations the directory holds %d files, want 4", len(second))
+	}
+	for name, fi := range first {
+		if !os.SameFile(fi, second[name]) {
+			t.Errorf("%s was rewritten by the second characterization", name)
+		}
+	}
+}
+
+// statDir stats every file in dir, by name.
+func statDir(t *testing.T, dir string) map[string]os.FileInfo {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]os.FileInfo, len(entries))
+	for _, e := range entries {
+		fi, err := os.Stat(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fi
+	}
+	return out
 }
 
 // testLogger keeps request logging out of test output.

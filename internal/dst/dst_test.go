@@ -59,6 +59,20 @@ func failRun(t *testing.T, opt Options, rep *Report) {
 	t.Fatalf("seed %d violated invariants; replay: %s", opt.Seed, art.Replay)
 }
 
+// TestMain gives the package's runs the reference's cache directory and
+// removes it when they are done.
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "dst-ref-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	refCacheDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
 // TestDSTSeedSweep is the harness's front door: K seeded fleet scenarios,
 // every step invariant-checked, entirely in virtual time. With -dst.seed it
 // replays exactly one seed (plus -dst.bug to re-plant a bug), which is what

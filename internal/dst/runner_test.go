@@ -131,7 +131,15 @@ type reference struct {
 	// real traffic to audit. Each carries its own synthetic platform
 	// name, so ownership spreads the entries across the ring.
 	synthetic map[string]framework.Characterization
+	// cacheFiles name the files an engine's store wrote to refCacheDir
+	// for every device characterization and synthetic entry: the stock a
+	// first boot's cache directory is linked from.
+	cacheFiles []string
 }
+
+// refCacheDir is the reference engine's cache directory, made and removed
+// by TestMain.
+var refCacheDir string
 
 var (
 	refOnce sync.Once
@@ -172,8 +180,10 @@ func buildReference() (*reference, error) {
 		})
 	}
 
-	// One healthy advisord answers every question in one batch.
-	eng := engine.New(engine.Options{Workers: 2, Clock: simnet.NewSim().AutoAdvance(true)})
+	// One healthy advisord answers every question in one batch. Its engine
+	// stores what it characterizes, and the synthetic freight put into it,
+	// in refCacheDir.
+	eng := engine.New(engine.Options{Workers: 2, Clock: simnet.NewSim().AutoAdvance(true), CacheDir: refCacheDir})
 	srv := advisord.New(eng, advisord.Options{Params: ref.params, Scale: catalog.Micro, Logger: quietLogger()})
 	body, err := json.Marshal(advisord.AdviseBody{Requests: ref.combos})
 	if err != nil {
@@ -201,6 +211,16 @@ func buildReference() (*reference, error) {
 	// Answering each device characterized it: the engine's cache holds
 	// one entry per device, under its content-hash key.
 	ref.chars = eng.CacheExport()
+	for key, char := range ref.synthetic {
+		eng.CachePut(key, char)
+	}
+	names, err := os.ReadDir(refCacheDir)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range names {
+		ref.cacheFiles = append(ref.cacheFiles, name.Name())
+	}
 	return ref, nil
 }
 
@@ -407,12 +427,13 @@ func (r *runner) bootShard(i int, restart bool) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
+	dir := filepath.Join(r.dir, idOf(i))
 	eng := engine.New(engine.Options{
 		Workers:      2,
 		CacheEntries: 4096,
 		Clock:        r.sim,
+		CacheDir:     dir,
 	})
-	dir := filepath.Join(r.dir, idOf(i))
 	if restart {
 		err = r.warmStart(eng, dir)
 	} else {
@@ -424,7 +445,6 @@ func (r *runner) bootShard(i int, restart bool) (*shard, error) {
 	srv := advisord.New(eng, advisord.Options{
 		Params:           r.ref.params,
 		Scale:            catalog.Micro,
-		CacheDir:         dir,
 		Logger:           quietLogger(),
 		RequestTimeout:   5 * time.Second,
 		BreakerThreshold: 3,
@@ -438,31 +458,34 @@ func (r *runner) bootShard(i int, restart bool) (*shard, error) {
 	return sh, nil
 }
 
-// bringUp seeds a first-boot engine. The characterizations of the devices
-// the shard owns are its warm-start entries, saved to dir. The rest is
-// what it learned serving rerouted traffic and never persisted: its peers'
-// device characterizations and synthetic freight for platforms it does
-// NOT own. Its owned freight lives on its peers until a warm handoff pulls
-// it home, which is exactly the install path the acked-entry invariant
-// audits.
+// bringUp gives a first-boot shard the cache directory an earlier life
+// would have left it — the stored characterizations of the devices it owns
+// and synthetic freight for platforms it does NOT own — and warm-starts
+// from it through LoadCache. Its owned freight lives on its peers until a
+// warm handoff pulls it home, which is exactly the install path the
+// acked-entry invariant audits. It holds no peer device's characterization:
+// the first rerouted question for one characterizes it cold, and the engine
+// stores it then. The files are hard links: the engine replaces a file by
+// rename and never writes one in place, so no run changes the stock.
 func (r *runner) bringUp(eng *engine.Engine, st *fleet.State, dir string) error {
-	for key, char := range r.ref.chars {
-		if st.Owns(char.Platform) {
-			eng.CachePut(key, char)
-		}
-	}
-	if _, err := eng.SaveCache(dir); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for key, char := range r.ref.chars {
-		eng.CachePut(key, char)
-	}
-	for key, char := range r.ref.synthetic {
-		if !st.Owns(char.Platform) {
-			eng.CachePut(key, char)
+	for _, name := range r.ref.cacheFiles {
+		key, _, _ := strings.Cut(name, ".")
+		char, device := r.ref.chars[key]
+		if !device {
+			char = r.ref.synthetic[key]
+		}
+		if st.Owns(char.Platform) != device {
+			continue
+		}
+		if err := os.Link(filepath.Join(refCacheDir, name), filepath.Join(dir, name)); err != nil {
+			return err
 		}
 	}
-	return nil
+	_, err := eng.LoadCache()
+	return err
 }
 
 // warmStart loads a restarting shard's cache directory through LoadCache,
@@ -472,7 +495,7 @@ func (r *runner) bringUp(eng *engine.Engine, st *fleet.State, dir string) error 
 // or not.
 func (r *runner) warmStart(eng *engine.Engine, dir string) error {
 	if r.opt.Bug != BugSkipQuarantine {
-		_, err := eng.LoadCache(dir)
+		_, err := eng.LoadCache()
 		return err
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "*.json"))

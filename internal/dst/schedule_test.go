@@ -164,10 +164,11 @@ type faultPlan struct {
 // characterizations) fire on an Every count, not a probability.
 // engine.explore is in none: /v1/advise never explores.
 //
-// corrupt-persistence fails every save: framework.persist.save fires on
-// every hit, so a SaveCache under the plan stops at its first entry
-// whatever the map order, and the cache directory's contents stay a pure
-// function of the schedule.
+// corrupt-persistence fails every store: engine.cache.store fails every
+// second one, and framework.persist.save fails each of the rest. A shard's
+// engine stores each entry on its own as it enters the memo, and a run is
+// one step at a time, so whichever stores fail, the cache directory's
+// contents stay a pure function of the schedule.
 var faultPlans = []faultPlan{
 	{name: "fleet-export", seed: 404, rules: []faults.Rule{
 		{Point: "advisord.fleet.export", Mode: faults.ModeError, Every: 2},

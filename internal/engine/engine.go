@@ -71,6 +71,10 @@ type Options struct {
 	// Clock is the time source for TTL bookkeeping (nil: simnet.Real()).
 	// The DST harness injects a virtual clock here.
 	Clock simnet.Clock
+	// CacheDir, when non-empty, is where each characterization entering
+	// the memo (computed, or by CachePut) is stored once, and what
+	// LoadCache warm-starts from.
+	CacheDir string
 }
 
 // Engine executes characterizations, explorations and advisory requests with
@@ -83,6 +87,7 @@ type Engine struct {
 	mb1s    *memo[microbench.MB1Result]
 	advice  *memo[framework.Recommendation]
 
+	cacheDir     string
 	requests     atomic.Uint64
 	batches      atomic.Uint64
 	cacheCorrupt atomic.Uint64
@@ -103,6 +108,8 @@ func New(o Options) *Engine {
 		chars:   newMemo[framework.Characterization](o.CacheEntries, o.TTL, o.Clock.Now),
 		mb1s:    newMemo[microbench.MB1Result](o.CacheEntries, o.TTL, o.Clock.Now),
 		advice:  newMemo[framework.Recommendation](o.CacheEntries, o.TTL, o.Clock.Now),
+
+		cacheDir: o.CacheDir,
 	}
 }
 
@@ -151,12 +158,15 @@ func (e *Engine) CacheExport() map[string]framework.Characterization {
 
 // CachePut inserts a characterization under its cache key, as a warm-handoff
 // pull (or any other out-of-band warm start) does. The entry joins the LRU
-// under the same capacity and TTL rules as a computed one.
+// under the same capacity and TTL rules as a computed one, and is stored in
+// the cache directory unless the memo already held the key.
 func (e *Engine) CachePut(key string, char framework.Characterization) {
 	if key == "" {
 		return
 	}
-	e.chars.put(key, char)
+	if e.chars.put(key, char) {
+		e.store(key, char)
+	}
 }
 
 // Characterize returns the device characterization for (cfg, p), from the
@@ -178,7 +188,11 @@ func (e *Engine) characterizeKeyed(ctx context.Context, key string, cfg soc.Conf
 		telemetry.String("device", cfg.Name))
 	defer span.End()
 	return e.chars.do(ctx, key, func() (framework.Characterization, error) {
-		return e.characterize(ctx, cfg, p)
+		char, err := e.characterize(ctx, cfg, p)
+		if err == nil {
+			e.store(key, char)
+		}
+		return char, err
 	})
 }
 

@@ -192,23 +192,15 @@ func TestEnginePersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := microbench.TestParams()
-	e := New(Options{Workers: 2})
+	dir := t.TempDir()
+	e := New(Options{Workers: 2, CacheDir: dir})
 	want, err := e.Characterize(context.Background(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	n, err := e.SaveCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("saved %d entries, want 1", n)
-	}
-
-	e2 := New(Options{Workers: 2})
-	n, err = e2.LoadCache(dir)
+	e2 := New(Options{Workers: 2, CacheDir: dir})
+	n, err := e2.LoadCache()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +230,8 @@ func TestLoadCacheQuarantinesGarbage(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "deadbeef.json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{})
-	n, err := e.LoadCache(dir)
+	e := New(Options{CacheDir: dir})
+	n, err := e.LoadCache()
 	if err != nil {
 		t.Fatalf("LoadCache failed on a corrupt entry instead of quarantining: %v", err)
 	}

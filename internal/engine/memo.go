@@ -125,11 +125,14 @@ func (m *memo[V]) deadline() time.Time {
 	return m.now().Add(m.ttl)
 }
 
-// put inserts a precomputed value (warm-start loading).
-func (m *memo[V]) put(key string, val V) {
+// put inserts a precomputed value (warm-start loading), reporting whether
+// the key was new to the cache.
+func (m *memo[V]) put(key string, val V) bool {
 	m.lock()
 	defer m.unlock()
+	_, held := m.entries[key]
 	m.putLocked(key, val)
+	return !held
 }
 
 // do returns the cached value for key, or computes it via fn. Concurrent

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -14,11 +16,13 @@ import (
 	"igpucomm/internal/framework"
 )
 
-// Cache persistence: each cached characterization is written as one file,
-// named by its cache key, in the exact format framework.SaveCharacterization
-// defines — so the files are interchangeable with `advisor advise -char` files
-// and inherit the persist format's versioning (a stale cache fails loudly at
-// load instead of silently advising from old physics).
+// Cache persistence: each characterization is written as one file when it
+// enters the memo (computed, or inserted by CachePut) and never rewritten
+// while the memo holds it. The file is named by its cache key and written in
+// the exact format framework.SaveCharacterization defines — so the files are
+// interchangeable with `advisor advise -char` files and inherit the persist
+// format's versioning (a stale cache fails loudly at load instead of
+// silently advising from old physics).
 //
 // Crash safety: every entry is written to a temp file in the same directory
 // and atomically renamed into place, so a crash mid-write never leaves a
@@ -31,35 +35,44 @@ import (
 // checksumSuffix names the per-entry checksum sidecar files.
 const checksumSuffix = ".sha256"
 
-// SaveCache writes every live characterization entry into dir (created if
-// missing) as <key>.json plus a <key>.json.sha256 checksum sidecar, each via
-// an atomic temp-file + rename. It returns the number of entries written.
-func (e *Engine) SaveCache(dir string) (int, error) {
+// store writes one characterization entering the memo into the cache
+// directory as <key>.json plus a <key>.json.sha256 checksum sidecar, each via
+// an atomic temp-file + rename (the directory is created if missing). A
+// failed store — error or panic — is logged and dropped: the entry still
+// serves from memory, no other entry is affected, and nothing retries it.
+func (e *Engine) store(key string, char framework.Characterization) {
+	if e.cacheDir == "" {
+		return
+	}
+	if err := writeEntry(e.cacheDir, key, char); err != nil {
+		slog.Warn("engine: cache entry not stored", "entry", key, "err", err)
+	}
+}
+
+// writeEntry is one store: the payload, then its checksum sidecar. A panic
+// (the fault point's panic mode) comes back as a *PanicError.
+func writeEntry(dir, key string, char framework.Characterization) (err error) {
+	defer func() {
+		if perr := recovered(recover()); perr != nil {
+			err = perr
+		}
+	}()
+	if err := faults.Fire(faultCacheStore); err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("engine: save cache: %w", err)
+		return err
 	}
-	entries := e.chars.dump()
-	n := 0
-	for key, char := range entries {
-		if err := faults.Fire(faultCacheStore); err != nil {
-			return n, fmt.Errorf("engine: save cache entry %s: %w", key, err)
-		}
-		var buf bytes.Buffer
-		if err := framework.SaveCharacterization(&buf, char); err != nil {
-			return n, fmt.Errorf("engine: save cache entry %s: %w", key, err)
-		}
-		payload := buf.Bytes()
-		if err := writeAtomic(filepath.Join(dir, key+".json"), payload); err != nil {
-			return n, fmt.Errorf("engine: save cache entry %s: %w", key, err)
-		}
-		sum := sha256.Sum256(payload)
-		sumLine := []byte(hex.EncodeToString(sum[:]) + "\n")
-		if err := writeAtomic(filepath.Join(dir, key+".json"+checksumSuffix), sumLine); err != nil {
-			return n, fmt.Errorf("engine: save cache entry %s: %w", key, err)
-		}
-		n++
+	var buf bytes.Buffer
+	if err := framework.SaveCharacterization(&buf, char); err != nil {
+		return err
 	}
-	return n, nil
+	payload := buf.Bytes()
+	if err := writeAtomic(filepath.Join(dir, key+".json"), payload); err != nil {
+		return err
+	}
+	sum := sha256.Sum256(payload)
+	return writeAtomic(filepath.Join(dir, key+".json"+checksumSuffix), []byte(hex.EncodeToString(sum[:])+"\n"))
 }
 
 // writeAtomic writes data to path via a same-directory temp file, fsync and
@@ -88,29 +101,39 @@ func writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// LoadCache warm-starts the characterization cache from a directory written
-// by SaveCache. Every *.json file is checked against its checksum sidecar
-// (when present) and validated through framework.LoadCharacterization; a
+// LoadCache warm-starts the characterization memo from the cache directory
+// (Options.CacheDir); a missing directory, or none configured, loads
+// nothing. Loaded entries are already on disk, so none is stored again.
+// Every *.json file is checked against its checksum sidecar (when present)
+// and validated through framework.LoadCharacterization; a
 // corrupt entry — torn bytes, checksum mismatch, undecodable or
 // version-mismatched payload — is quarantined: skipped, logged and counted
 // in Stats.CacheCorruptEntries. All healthy entries still load. It returns
 // the number of entries loaded; the error reports directory-level failures
 // only.
-func (e *Engine) LoadCache(dir string) (int, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
+func (e *Engine) LoadCache() (int, error) {
+	if e.cacheDir == "" {
+		return 0, nil
+	}
+	files, err := os.ReadDir(e.cacheDir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
 	if err != nil {
 		return 0, fmt.Errorf("engine: load cache: %w", err)
 	}
 	n := 0
-	for _, name := range names {
-		char, err := loadEntry(name)
-		if err != nil {
-			e.cacheCorrupt.Add(1)
-			slog.Warn("engine: quarantined corrupt cache entry",
-				"entry", filepath.Base(name), "err", err)
+	for _, f := range files {
+		key, ok := strings.CutSuffix(f.Name(), ".json")
+		if !ok {
 			continue
 		}
-		key := strings.TrimSuffix(filepath.Base(name), ".json")
+		char, err := loadEntry(filepath.Join(e.cacheDir, f.Name()))
+		if err != nil {
+			e.cacheCorrupt.Add(1)
+			slog.Warn("engine: quarantined corrupt cache entry", "entry", f.Name(), "err", err)
+			continue
+		}
 		e.chars.put(key, char)
 		n++
 	}

@@ -9,12 +9,13 @@ import (
 	"testing"
 )
 
-// FuzzLoadCache feeds arbitrary bytes — and mutations of a cache entry
-// SaveCache wrote — to Engine.LoadCache as one entry of a warm-start
+// FuzzLoadCache feeds arbitrary bytes — and mutations of a cache entry the
+// engine's store wrote — to Engine.LoadCache as one entry of a warm-start
 // directory, with a matching checksum sidecar and without one. The contract
 // under fuzz: no entry panics the load or fails it as a whole; the entry is
-// either loaded, and then survives SaveCache → LoadCache unchanged, or
-// quarantined and counted in Stats().CacheCorruptEntries.
+// either loaded, and then survives store (CachePut into a second engine's
+// directory) → LoadCache unchanged, or quarantined and counted in
+// Stats().CacheCorruptEntries.
 func FuzzLoadCache(f *testing.F) {
 	_, entry := saveOneEntry(f, f.TempDir())
 	saved, err := os.ReadFile(entry)
@@ -40,8 +41,8 @@ func FuzzLoadCache(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		e := New(Options{Workers: 1})
-		n, err := e.LoadCache(dir)
+		e := New(Options{Workers: 1, CacheDir: dir})
+		n, err := e.LoadCache()
 		if err != nil {
 			t.Fatalf("one entry failed the whole load: %v", err)
 		}
@@ -57,11 +58,12 @@ func FuzzLoadCache(f *testing.F) {
 		}
 		loaded := e.chars.dump()
 		again := t.TempDir()
-		if n, err := e.SaveCache(again); err != nil || n != 1 {
-			t.Fatalf("SaveCache = %d, %v", n, err)
+		stored := New(Options{Workers: 1, CacheDir: again})
+		for key, char := range loaded {
+			stored.CachePut(key, char)
 		}
-		e2 := New(Options{Workers: 1})
-		if n, err := e2.LoadCache(again); err != nil || n != 1 || e2.Stats().CacheCorruptEntries != 0 {
+		e2 := New(Options{Workers: 1, CacheDir: again})
+		if n, err := e2.LoadCache(); err != nil || n != 1 || e2.Stats().CacheCorruptEntries != 0 {
 			t.Fatalf("saved entry does not reload: %d loaded, %v, %d corrupt", n, err, e2.Stats().CacheCorruptEntries)
 		}
 		if reloaded := e2.chars.dump(); !reflect.DeepEqual(reloaded, loaded) {
