@@ -115,12 +115,14 @@ fuzz:
 paperbench:
 	cd paperbench && $(GO) test .
 
-# One full iteration of every engine benchmark (the sweep pair is the
-# headline: serial vs memoized-parallel advisory sweep), then the two
-# per-layer kernels of a steady sweep at the default benchtime: a miss into a
-# full 16-way set and orbslam's CPU compute stretch.
+# One full iteration of every engine sweep, batch, characterize and explore
+# benchmark (the sweep pair is the headline: serial vs memoized-parallel
+# advisory sweep), then at the default benchtime the warm advice-memo read
+# path and the two per-layer kernels of a steady sweep: a miss into a full
+# 16-way set and orbslam's CPU compute stretch.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine
+	$(GO) test -run '^$$' -bench '^Benchmark(Sweep|AdviseBatch|Characterize|Explore)' -benchtime 1x ./internal/engine
+	$(GO) test -run '^$$' -bench '^BenchmarkAdviseWarmHit$$' ./internal/engine
 	$(GO) test -run '^$$' -bench '^(BenchmarkCacheFullSetMiss|BenchmarkCPUWork)$$' ./internal/cache ./internal/cpu
 
 # One quick-scale perfgate run: writes BENCH_<timestamp>.json and prints the

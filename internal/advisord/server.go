@@ -115,6 +115,10 @@ type Server struct {
 	breaker *Breaker
 	admit   *admission
 	fleet   *fleet.State // nil outside a fleet
+
+	// devices resolves /v1/advise device names: every platform
+	// devices.ByName knows, each built once at opt.Params.
+	devices map[string]engine.Device
 }
 
 // New builds a server answering with the given engine under the given
@@ -124,6 +128,17 @@ func New(eng *engine.Engine, opt Options) *Server {
 	start := opt.Clock.Now()
 	info := buildinfo.Get()
 	br := newBreaker(opt.BreakerThreshold, opt.BreakerCooldown, opt.Clock.Now)
+	devs := make(map[string]engine.Device)
+	for _, cfg := range append(devices.All(), devices.APU()) {
+		// A device whose key cannot be derived stays in the table: its
+		// every Advise fails with the derivation error, so each question
+		// on it degrades, naming that error.
+		d, err := engine.NewDevice(cfg, opt.Params)
+		if err != nil {
+			opt.Logger.Warn("device key", "device", cfg.Name, "err", err)
+		}
+		devs[cfg.Name] = d
+	}
 	return &Server{
 		eng:     eng,
 		opt:     opt,
@@ -134,6 +149,7 @@ func New(eng *engine.Engine, opt Options) *Server {
 		breaker: br,
 		admit:   newAdmission(opt.MaxConcurrent, opt.MaxQueue),
 		fleet:   opt.Fleet,
+		devices: devs,
 	}
 }
 
@@ -465,7 +481,7 @@ func (s *Server) degraded(ctx context.Context, req engine.Request, reason string
 	var rec framework.Recommendation
 	w, err := catalog.ByName(req.App, req.Scale)
 	if err == nil {
-		rec, err = framework.HeuristicAdvise(req.Config, w, req.Current)
+		rec, err = framework.HeuristicAdvise(req.Device.Config(), w, req.Current)
 	}
 	if err != nil {
 		// Even the fallback needs a valid app and current model; this is a
@@ -474,11 +490,11 @@ func (s *Server) degraded(ctx context.Context, req engine.Request, reason string
 	}
 	s.metrics.degraded.Inc()
 	_, span := telemetry.Start(ctx, "advisord.degraded",
-		telemetry.String("device", req.Config.Name),
+		telemetry.String("device", req.Device.Name()),
 		telemetry.String("workload", req.App))
 	span.SetAttr("degraded", reason)
 	span.End()
-	s.log.Warn("degraded advice", "device", req.Config.Name,
+	s.log.Warn("degraded advice", "device", req.Device.Name(),
 		"workload", req.App, "reason", reason)
 	return AdviseResult{
 		Recommendation: &rec,
@@ -500,9 +516,12 @@ func guard(f func() error) (err error) {
 	return f()
 }
 
+// toEngineRequest resolves a wire question against the server's device
+// table. An unknown device gets devices.ByName's error.
 func (s *Server) toEngineRequest(ar AdviseRequest) (engine.Request, error) {
-	cfg, err := devices.ByName(ar.Device)
-	if err != nil {
+	d, ok := s.devices[ar.Device]
+	if !ok {
+		_, err := devices.ByName(ar.Device)
 		return engine.Request{}, err
 	}
 	if _, err := catalog.ByName(ar.App, s.opt.Scale); err != nil {
@@ -512,7 +531,7 @@ func (s *Server) toEngineRequest(ar AdviseRequest) (engine.Request, error) {
 	if current == "" {
 		current = "sc"
 	}
-	return engine.Request{Config: cfg, Params: s.opt.Params, App: ar.App, Scale: s.opt.Scale, Current: current}, nil
+	return engine.Request{Device: d, App: ar.App, Scale: s.opt.Scale, Current: current}, nil
 }
 
 // handleCharacterize serves the (cached) device characterization in the

@@ -276,13 +276,19 @@ func All() []soc.Config {
 	return cfgs
 }
 
-// ByName looks a platform up by its catalog name. It also resolves the
-// extra-catalog APU profile, which All() deliberately omits.
+// ByName looks a platform up by its catalog name, building only that
+// platform. It also resolves the extra-catalog APU profile, which All()
+// deliberately omits.
 func ByName(name string) (soc.Config, error) {
-	for _, c := range append(All(), APU()) {
-		if c.Name == name {
-			return c, nil
-		}
+	switch name {
+	case NanoName:
+		return Nano(), nil
+	case TX2Name:
+		return TX2(), nil
+	case XavierName:
+		return Xavier(), nil
+	case APUName:
+		return APU(), nil
 	}
 	return soc.Config{}, fmt.Errorf("devices: unknown platform %q (have %s, %s, %s, %s)",
 		name, NanoName, TX2Name, XavierName, APUName)

@@ -1,7 +1,7 @@
 package devices
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"igpucomm/internal/soc"
@@ -19,19 +19,23 @@ func TestAllConfigsValid(t *testing.T) {
 	}
 }
 
+// ByName returns, for every name it knows, the same config as that
+// platform's All() or APU() entry, and refuses anything else with the
+// catalog's list of names.
 func TestByName(t *testing.T) {
-	for _, name := range []string{NanoName, TX2Name, XavierName} {
-		cfg, err := ByName(name)
+	for _, want := range append(All(), APU()) {
+		cfg, err := ByName(want.Name)
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", want.Name, err)
 		}
-		if cfg.Name != name {
-			t.Errorf("ByName(%q).Name = %q", name, cfg.Name)
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("ByName(%q) = %+v, want %+v", want.Name, cfg, want)
 		}
 	}
 	_, err := ByName("jetson-orin")
-	if err == nil || !strings.Contains(err.Error(), "unknown platform") {
-		t.Errorf("unknown platform error = %v", err)
+	const want = `devices: unknown platform "jetson-orin" (have jetson-nano, jetson-tx2, jetson-agx-xavier, embedded-apu)`
+	if err == nil || err.Error() != want {
+		t.Errorf("unknown platform error = %v, want %s", err, want)
 	}
 }
 

@@ -26,7 +26,7 @@ func sweepRequests(b *testing.B, p microbench.Params) []Request {
 	for _, cfg := range devices.All() {
 		for _, app := range catalog.Names() {
 			for _, cur := range []string{"sc", "um", "zc"} {
-				reqs = append(reqs, Request{Config: cfg, Params: p, App: app, Scale: catalog.Quick, Current: cur})
+				reqs = append(reqs, Request{Device: mustDevice(b, cfg, p), App: app, Scale: catalog.Quick, Current: cur})
 			}
 		}
 	}
@@ -39,7 +39,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, req := range reqs {
-			char, err := framework.Characterize(context.Background(), soc.New(req.Config), req.Params)
+			char, err := framework.Characterize(context.Background(), soc.New(req.Device.Config()), p)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := framework.AdviseWorkload(context.Background(), char, soc.New(req.Config), w, req.Current); err != nil {
+			if _, err := framework.AdviseWorkload(context.Background(), char, soc.New(req.Device.Config()), w, req.Current); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -174,6 +174,25 @@ func BenchmarkExploreEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Explore(context.Background(), cfg, w, models); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAdviseWarmHit is the warm read path a serving advisord takes
+// for every repeated question: one Advise on a resolved Device that the
+// advice memo already answers, so it measures the memo lookup alone.
+func BenchmarkAdviseWarmHit(b *testing.B) {
+	e := New(Options{})
+	req := Request{Device: mustDevice(b, devices.TX2(), microbench.TestParams()), App: "shwfs", Scale: catalog.Micro, Current: "sc"}
+	ctx := context.Background()
+	if _, err := e.Advise(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Advise(ctx, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,9 +6,10 @@
 // profile-and-decide recommendation on top of it (plus MB1 alone, for
 // calibration) — the machinery that turns the paper's one-shot tuning flow
 // (Fig 2) into something that can serve sustained advisory traffic. One
-// Advise call answers one question: it derives the content-hash cache key
-// once, serves repeats from the advice memo, and characterizes (from the
-// characterization memo) only on an advice miss.
+// Advise call answers one question on a Device whose content-hash cache key
+// was derived once, when the Device was built: it serves repeats from the
+// advice memo, and characterizes (from the characterization memo) only on
+// an advice miss.
 //
 // Correctness contract: the engine runs the framework's plans and only swaps
 // the executor. Characterization is microbench.Characterize, exploration
@@ -300,13 +301,13 @@ func withHeat(run microbench.Runner) microbench.Runner {
 }
 
 // Request is one advisory question: which communication model should the
-// named catalog application, at the given scale, use on this platform,
+// named catalog application, at the given scale, use on this device,
 // given it currently uses Current? Naming the workload (rather than
-// carrying its closures) gives the question an identity the advice memo
-// can key on.
+// carrying its closures) and resolving the device up front (NewDevice)
+// give the question an identity the advice memo can key on without
+// deriving anything.
 type Request struct {
-	Config  soc.Config
-	Params  microbench.Params
+	Device  Device
 	App     string
 	Scale   catalog.Scale
 	Current string
@@ -318,22 +319,23 @@ type Request struct {
 // for it with errors.Is; advisord's circuit breaker counts only these.
 var ErrCharacterization = errors.New("characterization failed")
 
-// Advise answers a request from the advice memo when possible. It derives
-// the question's content key once: a hit returns without touching the
-// characterization memo. A miss resolves the workload with catalog.ByName,
-// gets the device characterization from the characterization memo (a nested
-// engine.characterize span) and runs framework.AdviseOn on pooled clones, so
-// each profiling run gets its own platform under the engine's worker bound.
-// Concurrent misses for one question share that run, and errors are not
-// cached.
+// Advise answers a request from the advice memo when possible, keyed by
+// the cache key its Device carries: a hit returns without deriving
+// anything or touching the characterization memo. A miss resolves the
+// workload with catalog.ByName, gets the device characterization from the
+// characterization memo (a nested engine.characterize span) and runs
+// framework.AdviseOn on pooled clones, so each profiling run gets its own
+// platform under the engine's worker bound. Concurrent misses for one
+// question share that run, and errors are not cached.
 func (e *Engine) Advise(ctx context.Context, req Request) (framework.Recommendation, error) {
 	e.requests.Add(1)
-	key, err := CacheKey(req.Config, req.Params)
+	d := req.Device
+	key, err := d.cacheKey()
 	if err != nil {
 		return framework.Recommendation{}, err
 	}
 	ctx, span := telemetry.Start(ctx, "engine.advise",
-		telemetry.String("device", req.Config.Name),
+		telemetry.String("device", d.cfg.Name),
 		telemetry.String("workload", req.App),
 		telemetry.String("current", req.Current))
 	defer span.End()
@@ -343,11 +345,11 @@ func (e *Engine) Advise(ctx context.Context, req Request) (framework.Recommendat
 		if err != nil {
 			return framework.Recommendation{}, fmt.Errorf("engine: %w", err)
 		}
-		char, err := e.characterizeKeyed(ctx, key, req.Config, req.Params)
+		char, err := e.characterizeKeyed(ctx, key, d.cfg, d.p)
 		if err != nil {
 			return framework.Recommendation{}, fmt.Errorf("%w: %w", ErrCharacterization, err)
 		}
-		rec, _, _, err := framework.AdviseOn(ctx, char, w, req.Current, e.onClones(req.Config))
+		rec, _, _, err := framework.AdviseOn(ctx, char, w, req.Current, e.onClones(d.cfg))
 		return rec, err
 	})
 }

@@ -110,7 +110,7 @@ func TestGoldenAdviseMatchesSerial(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						par, err := e.Advise(context.Background(), Request{Config: cfg, Params: p, App: app, Scale: catalog.Quick, Current: current})
+						par, err := e.Advise(context.Background(), Request{Device: mustDevice(t, cfg, p), App: app, Scale: catalog.Quick, Current: current})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -183,7 +183,7 @@ func TestPlanErrorsMatchSerial(t *testing.T) {
 	defer faults.ResetInjected()
 	defer faults.Deactivate()
 	_, serial = framework.AdviseWorkload(context.Background(), char, soc.New(cfg), w, "zc")
-	_, par = e.Advise(context.Background(), Request{Config: cfg, Params: p, App: "shwfs", Scale: catalog.Micro, Current: "zc"})
+	_, par = e.Advise(context.Background(), Request{Device: mustDevice(t, cfg, p), App: "shwfs", Scale: catalog.Micro, Current: "zc"})
 	if serial == nil || !strings.Contains(serial.Error(), "classification profile") ||
 		par == nil || par.Error() != serial.Error() || errors.Is(par, ErrCharacterization) {
 		t.Errorf("advise errors: serial %v, engine %v", serial, par)

@@ -174,7 +174,7 @@ func TestAdviceMemoDoesNotCacheFaults(t *testing.T) {
 	cfg := devices.TX2()
 	p := microbench.TestParams()
 	e := New(Options{Workers: 2})
-	req := Request{Config: cfg, Params: p, App: "shwfs", Scale: catalog.Micro, Current: "zc"}
+	req := Request{Device: mustDevice(t, cfg, p), App: "shwfs", Scale: catalog.Micro, Current: "zc"}
 	if err := faults.Activate(faults.NewPlan(1,
 		faults.Rule{Point: "profile.collect", Mode: faults.ModeError, Every: 1, Count: 1})); err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestAdviseCharacterizesOnlyOnAdviceMiss(t *testing.T) {
 	e := New(Options{Workers: 2})
 	tr := telemetry.NewTracer(telemetry.TracerOptions{})
 	ctx := telemetry.WithTracer(context.Background(), tr)
-	req := Request{Config: devices.TX2(), Params: microbench.TestParams(), App: "shwfs", Scale: catalog.Micro, Current: "sc"}
+	req := Request{Device: mustDevice(t, devices.TX2(), microbench.TestParams()), App: "shwfs", Scale: catalog.Micro, Current: "sc"}
 	for i := 0; i < 3; i++ {
 		if _, err := e.Advise(ctx, req); err != nil {
 			t.Fatal(err)
@@ -253,7 +253,7 @@ func hasAttr(sp *telemetry.Span, key, value string) bool {
 // injected error, a recovered panic (still a *PanicError) and an ended
 // context (still the context's error) — while a profiling failure does not.
 func TestAdviseMarksCharacterizationFailures(t *testing.T) {
-	req := Request{Config: devices.TX2(), Params: microbench.TestParams(), App: "shwfs", Scale: catalog.Micro, Current: "zc"}
+	req := Request{Device: mustDevice(t, devices.TX2(), microbench.TestParams()), App: "shwfs", Scale: catalog.Micro, Current: "zc"}
 	for _, tc := range []struct {
 		point    string
 		mode     faults.Mode

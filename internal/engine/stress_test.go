@@ -55,7 +55,7 @@ func TestAdviseBatchStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, an := range apps {
-			reqs = append(reqs, Request{Config: cfg, Params: p, App: an, Scale: catalog.Quick, Current: "sc"})
+			reqs = append(reqs, Request{Device: mustDevice(t, cfg, p), App: an, Scale: catalog.Quick, Current: "sc"})
 		}
 	}
 
@@ -72,8 +72,8 @@ func TestAdviseBatchStress(t *testing.T) {
 				return
 			}
 			for i, rec := range recs {
-				if rec.Suggested == "" || rec.Platform != reqs[i].Config.Name {
-					errs <- errMismatch(rec.Platform, reqs[i].Config.Name)
+				if rec.Suggested == "" || rec.Platform != reqs[i].Device.Name() {
+					errs <- errMismatch(rec.Platform, reqs[i].Device.Name())
 				}
 			}
 		}()
