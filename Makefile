@@ -118,12 +118,15 @@ paperbench:
 # One full iteration of every engine sweep, batch, characterize and explore
 # benchmark (the sweep pair is the headline: serial vs memoized-parallel
 # advisory sweep), then at the default benchtime the warm advice-memo read
-# path and the two per-layer kernels of a steady sweep: a miss into a full
-# 16-way set and orbslam's CPU compute stretch.
+# path, the two per-layer kernels of a steady sweep (a miss into a full
+# 16-way set and orbslam's CPU compute stretch), and the replay of a
+# declared MB3-shaped stream per route (ns/txn): pinned on an uncached
+# port, pinned on an I/O-coherence port, and cached.
 bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(Sweep|AdviseBatch|Characterize|Explore)' -benchtime 1x ./internal/engine
 	$(GO) test -run '^$$' -bench '^BenchmarkAdviseWarmHit$$' ./internal/engine
 	$(GO) test -run '^$$' -bench '^(BenchmarkCacheFullSetMiss|BenchmarkCPUWork)$$' ./internal/cache ./internal/cpu
+	$(GO) test -run '^$$' -bench '^BenchmarkReplayDeclaredStream$$' ./internal/gpu
 
 # One quick-scale perfgate run: writes BENCH_<timestamp>.json and prints the
 # human table (see docs/BENCHMARKS.md for the methodology).

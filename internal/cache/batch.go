@@ -31,14 +31,11 @@ import "igpucomm/internal/units"
 //
 // The property and fuzz suites in this package and internal/gpu hold DoBatch
 // to that contract against the serial path and the naive reference model.
-
-// BatchLevel is a Level that can service a whole ordered group of accesses
-// in one call. The results must be byte-identical to calling Do per access
-// in order.
-type BatchLevel interface {
-	Level
-	DoBatch(accs []Access, out []Result, b *Batch)
-}
+//
+// DoBatch serves the GPU's cacheable path, entered at a per-SM L1. The
+// pinned path never enters a cache through it: on I/O-coherent devices it
+// reaches the CPU LLC through the coherence port, one Do per run head plus
+// RepeatHit for the rest of the run (internal/coherence).
 
 // Batch is reusable scratch for DoBatch. The zero value is ready to use; a
 // Batch may be reused across calls and levels but not concurrently.

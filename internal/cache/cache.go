@@ -251,6 +251,43 @@ func (c *Cache) step(lineAddr int64, kind Kind) (hit bool, wbAddr int64, wb bool
 	return false, wbAddr, wb
 }
 
+// RepeatHit applies n more accesses like a to the resident line holding
+// it, in closed form, and returns the Result each of them gets. It is
+// byte-identical to n calls of Do(a): a lies in one line, which hits every
+// time, so each call advances the LRU clock and stamps the line's lastUse
+// with it, dirties the line unless a is a read, counts one access and its
+// hit and records one heat sample, and none of them evicts or reaches the
+// lower level. The I/O-coherence port applies a run of GPU lanes in the
+// line the run's head just touched this way. Panics unless a is a
+// non-empty access within one resident line.
+func (c *Cache) RepeatHit(a Access, n int64) Result {
+	lineAddr := a.Addr >> c.offBits
+	set := lineAddr & (c.setCount - 1)
+	base := set * int64(c.ways)
+	w := -1
+	if a.Size > 0 && (a.Addr+a.Size-1)>>c.offBits == lineAddr {
+		w = probe(c.tags[base:base+int64(c.ways)], lineAddr>>c.setBits)
+	}
+	if w < 0 {
+		panic(fmt.Sprintf("cache %s: RepeatHit of %+v, not within one resident line", c.cfg.Name, a))
+	}
+	if n <= 0 {
+		return Result{Latency: c.cfg.HitLatency}
+	}
+	c.useClock += uint64(n)
+	c.lastUse[base+int64(w)] = c.useClock
+	if a.Kind != Read {
+		c.dirty[base+int64(w)] = true
+	}
+	c.stats.countHits(a.Kind, c.cfg.LineSize, n)
+	if c.heat != nil {
+		for i := int64(0); i < n; i++ {
+			c.heat.Record(lineAddr<<c.offBits, c.cfg.LineSize, a.Kind != Read, false)
+		}
+	}
+	return Result{Latency: c.cfg.HitLatency}
+}
+
 // probe returns the way of one set's tags holding tag, or -1 on a miss.
 func probe(tags []int64, tag int64) int {
 	for w, t := range tags {

@@ -43,6 +43,22 @@ func (s *Stats) countHit(kind Kind) {
 	}
 }
 
+// countHits counts n hits of kind at once, as n count and countHit calls
+// would.
+func (s *Stats) countHits(kind Kind, lineSize, n int64) {
+	switch kind {
+	case Read:
+		s.Reads += n
+		s.ReadHits += n
+	case Write:
+		s.Writes += n
+		s.WriteHits += n
+	case Writeback:
+		s.WritebacksIn += n
+	}
+	s.BytesIn += lineSize * n
+}
+
 // Accesses is the total number of demand accesses (reads + writes).
 func (s Stats) Accesses() int64 { return s.Reads + s.Writes }
 

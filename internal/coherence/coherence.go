@@ -8,6 +8,19 @@
 //     instead of uncached DRAM — the reason ZC remains usable on Xavier
 //     (Table I: 32.29 GB/s vs TX2's 1.28 GB/s).
 //
+// The GPU's compiled replay services pinned transactions through DoRun, a
+// run at a time. A pinned read is one uncoalesced 4-byte transaction per
+// lane, so consecutive lanes fall in the same 64 B CPU-LLC line. DoRun
+// services the run's head with Do, exactly as a lone request, and takes
+// every following request of the same kind and size that lies within the
+// head's line. After the head, that line is resident (a fill below the LLC
+// never evicts from it), so each later request is a hit on it: no eviction,
+// no lower-level traffic, latency HitLatency plus the hop. cache.RepeatHit
+// applies those hits in closed form and the port's counters grow by the
+// run's length in one step, so the port, the LLC (LRU clock, lastUse,
+// dirty bit, counters, heat) and DRAM end exactly as a Do per request
+// leaves them.
+//
 // The other two mechanisms need nothing here. Software coherence (standard
 // copy) is range flushes of the shared buffers around each launch, which the
 // communication models issue through the CPU and GPU FlushRange methods. On
@@ -25,12 +38,13 @@ import (
 )
 
 // IOPort routes device (GPU) memory requests through the CPU's LLC, the way
-// hardware I/O coherence does. It satisfies gpu.MemPath.
+// hardware I/O coherence does. It satisfies gpu.PinnedPath.
 type IOPort struct {
-	name   string
-	target *cache.Cache  // the CPU LLC
-	extra  units.Latency // interconnect hop cost per request
-	stats  memdev.Stats
+	name     string
+	target   *cache.Cache  // the CPU LLC
+	extra    units.Latency // interconnect hop cost per request
+	lineSize int64         // the target's line size
+	stats    memdev.Stats
 }
 
 // NewIOPort builds the coherence port. target is the CPU LLC; extra is the
@@ -43,27 +57,24 @@ func NewIOPort(name string, target *cache.Cache, extra units.Latency) *IOPort {
 	if extra < 0 {
 		panic(fmt.Sprintf("ioport %s: negative latency", name))
 	}
-	return &IOPort{name: name, target: target, extra: extra}
+	return &IOPort{name: name, target: target, extra: extra, lineSize: target.Config().LineSize}
 }
 
 // Name returns the port name.
 func (p *IOPort) Name() string { return p.name }
 
-// count records one request in the port's traffic counters.
-func (p *IOPort) count(a cache.Access) {
-	if a.Size <= 0 {
-		return
-	}
+// count records n requests like a in the port's traffic counters.
+func (p *IOPort) count(a cache.Access, n int64) {
 	switch a.Kind {
 	case cache.Read:
-		p.stats.Reads++
-		p.stats.BytesRead += a.Size
+		p.stats.Reads += n
+		p.stats.BytesRead += a.Size * n
 	case cache.Write:
-		p.stats.Writes++
-		p.stats.BytesWritten += a.Size
+		p.stats.Writes += n
+		p.stats.BytesWritten += a.Size * n
 	case cache.Writeback:
-		p.stats.Writebacks++
-		p.stats.BytesWritten += a.Size
+		p.stats.Writebacks += n
+		p.stats.BytesWritten += a.Size * n
 	}
 }
 
@@ -73,25 +84,34 @@ func (p *IOPort) Do(a cache.Access) cache.Result {
 	if a.Size <= 0 {
 		return cache.Result{}
 	}
-	p.count(a)
+	p.count(a, 1)
 	r := p.target.Do(a)
 	r.Latency += p.extra
 	return r
 }
 
-// DoBatch services an ordered group of accesses through the CPU LLC's batch
-// path. Latencies, counters and cache state are byte-identical to calling Do
-// per access in order.
-func (p *IOPort) DoBatch(accs []cache.Access, out []cache.Result, b *cache.Batch) {
-	for i := range accs {
-		p.count(accs[i])
-	}
-	p.target.DoBatch(accs, out, b)
-	for i := range accs {
-		if accs[i].Size > 0 {
-			out[i].Latency += p.extra
+// DoRun services accs[0] with Do and then every following request of the
+// same kind and size within the CPU-LLC line accs[0] lies in (none when it
+// spans two lines), as cache hits in closed form. It returns how many
+// requests it serviced, the first one's latency and each later one's; the
+// port, the LLC and DRAM end exactly as a Do per request leaves them (see
+// the package comment).
+func (p *IOPort) DoRun(accs []cache.Access) (n int, first, rest units.Latency) {
+	a := accs[0]
+	first = p.Do(a).Latency
+	lo := a.Addr &^ (p.lineSize - 1)
+	hi := lo + p.lineSize - a.Size // the last start address within the line
+	n = 1
+	if a.Size > 0 && a.Addr <= hi {
+		for n < len(accs) && accs[n].Kind == a.Kind && accs[n].Size == a.Size && accs[n].Addr >= lo && accs[n].Addr <= hi {
+			n++
 		}
 	}
+	if n > 1 {
+		p.count(a, int64(n-1))
+		rest = p.target.RepeatHit(a, int64(n-1)).Latency + p.extra
+	}
+	return n, first, rest
 }
 
 // Stats returns the traffic the port has carried.

@@ -86,11 +86,41 @@ func TestIOPortDegenerateAccess(t *testing.T) {
 	}
 }
 
-// TestIOPortDoBatchMatchesDo drives seeded transaction groups through two
-// identical LLC-over-DRAM hierarchies, one per access with Do and one with
-// DoBatch: latencies, port counters, CPU-LLC and DRAM counters and LLC
-// residency must match exactly.
-func TestIOPortDoBatchMatchesDo(t *testing.T) {
+// runStream is a seeded group of pinned-path requests shaped like the
+// GPU's: runs of 4- or 8-byte lane requests, from aligned or misaligned
+// starts, so runs cross line boundaries and single lanes straddle two
+// lines, some of one kind and some switching kind or size mid-line; lone
+// requests of any size up to two lines; and degenerate sizes.
+func runStream(next func() uint64, span int64) []cache.Access {
+	var accs []cache.Access
+	for len(accs) < 64 {
+		kind := cache.Kind(next() % 3)
+		addr := int64(next() % uint64(span))
+		switch next() % 4 {
+		case 0, 1:
+			mixed, size := next()%2 == 0, int64(4+4*(next()%2))
+			for l := next() % 40; l > 0; l-- {
+				if mixed && next()%4 == 0 {
+					kind, size = cache.Kind(next()%3), int64(4+4*(next()%2))
+				}
+				accs = append(accs, cache.Access{Addr: addr, Size: size, Kind: kind})
+				addr += size
+			}
+		case 2:
+			accs = append(accs, cache.Access{Addr: addr, Size: int64(next()%130) + 1, Kind: kind})
+		default:
+			accs = append(accs, cache.Access{Addr: addr, Size: -int64(next() % 2), Kind: kind})
+		}
+	}
+	return accs
+}
+
+// TestIOPortDoRunMatchesDo drives seeded request groups through two
+// identical LLC-over-DRAM hierarchies, one a Do per request and one run by
+// run with DoRun: every request's latency, the port, CPU-LLC and DRAM
+// counters and LLC residency must match exactly, and the runs must
+// actually batch requests.
+func TestIOPortDoRunMatchesDo(t *testing.T) {
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
 		rng ^= rng << 13
@@ -100,45 +130,48 @@ func TestIOPortDoBatchMatchesDo(t *testing.T) {
 	}
 	const span = 64 * units.KiB
 	serialLLC, serialDRAM := cpuLLC(t)
-	batchLLC, batchDRAM := cpuLLC(t)
+	runLLC, runDRAM := cpuLLC(t)
 	serial := NewIOPort("io", serialLLC, 30)
-	batch := NewIOPort("io", batchLLC, 30)
-	var scratch cache.Batch
-	for group := 0; group < 200; group++ {
-		accs := make([]cache.Access, int(next()%48)+1)
-		for i := range accs {
-			accs[i] = cache.Access{
-				Addr: int64(next() % uint64(span)),
-				Size: int64(next()%130) - 1, // -1 and 0 are degenerate
-				Kind: cache.Kind(next() % 3),
+	run := NewIOPort("io", runLLC, 30)
+	var reqs, runs int
+	for group := 0; group < 300; group++ {
+		accs := runStream(next, span)
+		for j := 0; j < len(accs); runs++ {
+			n, first, rest := run.DoRun(accs[j:])
+			if n < 1 || j+n > len(accs) {
+				t.Fatalf("group %d: DoRun at %d serviced %d of %d requests", group, j, n, len(accs)-j)
 			}
-		}
-		out := make([]cache.Result, len(accs))
-		batch.DoBatch(accs, out, &scratch)
-		for i, a := range accs {
-			if want := serial.Do(a); out[i] != want {
-				t.Fatalf("group %d access %d (%+v): batch %+v, per access %+v", group, i, a, out[i], want)
+			for k := 0; k < n; k++ {
+				got := first
+				if k > 0 {
+					got = rest
+				}
+				if want := serial.Do(accs[j+k]).Latency; got != want {
+					t.Fatalf("group %d request %d (%+v, run of %d): DoRun latency %v, Do %v", group, j+k, accs[j+k], n, got, want)
+				}
 			}
+			j += n
 		}
-		if batch.Stats() != serial.Stats() {
-			t.Fatalf("group %d: port stats batch %+v, per access %+v", group, batch.Stats(), serial.Stats())
+		reqs += len(accs)
+		if run.Stats() != serial.Stats() {
+			t.Fatalf("group %d: port stats DoRun %+v, Do %+v", group, run.Stats(), serial.Stats())
 		}
-		if batchLLC.Stats() != serialLLC.Stats() {
-			t.Fatalf("group %d: LLC stats batch %+v, per access %+v", group, batchLLC.Stats(), serialLLC.Stats())
+		if runLLC.Stats() != serialLLC.Stats() {
+			t.Fatalf("group %d: LLC stats DoRun %+v, Do %+v", group, runLLC.Stats(), serialLLC.Stats())
 		}
-		if batchDRAM.Stats() != serialDRAM.Stats() {
-			t.Fatalf("group %d: DRAM stats batch %+v, per access %+v", group, batchDRAM.Stats(), serialDRAM.Stats())
+		if runDRAM.Stats() != serialDRAM.Stats() {
+			t.Fatalf("group %d: DRAM stats DoRun %+v, Do %+v", group, runDRAM.Stats(), serialDRAM.Stats())
 		}
-	}
-	if batchLLC.ResidentLines() != serialLLC.ResidentLines() {
-		t.Fatalf("resident lines batch %d, per access %d", batchLLC.ResidentLines(), serialLLC.ResidentLines())
 	}
 	for addr := int64(0); addr < span; addr += 64 {
-		if batchLLC.Contains(addr) != serialLLC.Contains(addr) {
-			t.Fatalf("line %#x: resident in batch %v, per access %v", addr, batchLLC.Contains(addr), serialLLC.Contains(addr))
+		if runLLC.Contains(addr) != serialLLC.Contains(addr) {
+			t.Fatalf("line %#x: resident after DoRun %v, after Do %v", addr, runLLC.Contains(addr), serialLLC.Contains(addr))
 		}
 	}
 	if serial.Stats().Writebacks == 0 || serialLLC.Stats().Writebacks == 0 {
 		t.Fatal("stream exercised no writebacks")
+	}
+	if runs*2 > reqs {
+		t.Fatalf("%d DoRun calls for %d requests: the runs barely batch", runs, reqs)
 	}
 }

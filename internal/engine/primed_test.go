@@ -34,6 +34,7 @@ func (p *socPool) ledger() poolLedger {
 			l.work.TxnsRecorded += w.TxnsRecorded
 			l.work.KernelsReplayed += w.KernelsReplayed
 			l.work.TxnsReplayed += w.TxnsReplayed
+			l.work.PinnedRuns += w.PinnedRuns
 		}
 	}
 	for _, kc := range p.caches {
@@ -51,6 +52,7 @@ func workDelta(a, b gpu.Work) gpu.Work {
 		TxnsRecorded:    a.TxnsRecorded - b.TxnsRecorded,
 		KernelsReplayed: a.KernelsReplayed - b.KernelsReplayed,
 		TxnsReplayed:    a.TxnsReplayed - b.TxnsReplayed,
+		PinnedRuns:      a.PinnedRuns - b.PinnedRuns,
 	}
 }
 
@@ -146,7 +148,8 @@ func primedSweep(t *testing.T, sc catalog.Scale) (second, third sweepLedger) {
 // per clone the third sweep still compiled 45 to 72 kernels, varying with
 // which clone each task landed on (5 measured runs). While the cache
 // dropped each key's first compile at the end of its run, the second sweep
-// compiled 75 kernels and emitted 32280 programs.
+// compiled 75 kernels and emitted 32280 programs. The pinned route takes a
+// run per call (PinnedRuns); it took one call per pinned transaction, 62400.
 //
 // The same two sweeps' Reports pin the cache work exactly: any change to
 // the cache model's hits, victims or writebacks moves these counters. At
@@ -154,7 +157,7 @@ func primedSweep(t *testing.T, sc catalog.Scale) (second, third sweepLedger) {
 // replacements.
 func TestPrimedSweepReplays(t *testing.T) {
 	second, third := primedSweep(t, catalog.Micro)
-	want := gpu.Work{KernelsReplayed: 150, TxnsReplayed: 101376}
+	want := gpu.Work{KernelsReplayed: 150, TxnsReplayed: 101376, PinnedRuns: 5984}
 	if second.work != want {
 		t.Errorf("second sweep: work %+v, want %+v", second.work, want)
 	}
@@ -179,7 +182,8 @@ func TestPrimedSweepReplays(t *testing.T) {
 // 146 to 202 kernels (4 measured runs), and fingerprinting the replayed
 // kernels emitted 6243900 thread programs. While the cache dropped each
 // key's first compile at the end of its run, the second sweep compiled all
-// 210 kernels and emitted 6245760 programs. Its Reports' cache work is
+// 210 kernels and emitted 6245760 programs. The pinned route took one call
+// per pinned transaction, 12055200, where it now takes one per run. Its Reports' cache work is
 // pinned as well; at this scale the LLC's replacement path runs too.
 // Skipped under -short and the race detector; `make declared-full` runs it.
 func TestPrimedSweepReplaysFullScale(t *testing.T) {
@@ -187,7 +191,7 @@ func TestPrimedSweepReplaysFullScale(t *testing.T) {
 		t.Skip("paper-scale sweeps: skipped under -short and -race")
 	}
 	second, third := primedSweep(t, catalog.Full)
-	want := gpu.Work{KernelsReplayed: 420, TxnsReplayed: 23671236}
+	want := gpu.Work{KernelsReplayed: 420, TxnsReplayed: 23671236, PinnedRuns: 2235886}
 	if second.work != want {
 		t.Errorf("second sweep: work %+v, want %+v", second.work, want)
 	}
@@ -225,11 +229,13 @@ func coldCharacterize(t *testing.T, p microbench.Params) gpu.Work {
 // compiles record (explicit warps' only: a derived warp is stored as a
 // reference to its template) and the replays. When derived warps were
 // written out in full, the same characterizations recorded 579276
-// transactions; every other count is unchanged.
+// transactions; every other count is unchanged. PinnedRuns counts the calls
+// into the pinned route: it takes a run of lanes per call, where it took one
+// per pinned transaction, 859968 of them.
 func TestColdCharacterizeWork(t *testing.T) {
 	got := coldCharacterize(t, microbench.TestParams())
 	want := gpu.Work{KernelsCompiled: 48, ProgramsEmitted: 1536, WarpsDerived: 9792, TxnsRecorded: 26604,
-		KernelsReplayed: 87, TxnsReplayed: 976320}
+		KernelsReplayed: 87, TxnsReplayed: 976320, PinnedRuns: 32626}
 	if got != want {
 		t.Fatalf("cold characterization work %+v, want %+v", got, want)
 	}
@@ -239,15 +245,16 @@ func TestColdCharacterizeWork(t *testing.T) {
 // microbench.DefaultParams, the scale advisord characterizes at. When
 // derived warps were written out in full, the same characterizations
 // recorded 30993204 transactions, about 775 MB of cache.Access records
-// and path bytes. Skipped under -short and the race detector;
-// `make declared-full` runs it.
+// and path bytes. The pinned route took one call per pinned transaction,
+// 38860032 of them, where it now takes one per run. Skipped under -short
+// and the race detector; `make declared-full` runs it.
 func TestColdCharacterizeWorkFullScale(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("paper-scale characterization: skipped under -short and -race")
 	}
 	got := coldCharacterize(t, microbench.DefaultParams())
 	want := gpu.Work{KernelsCompiled: 132, ProgramsEmitted: 4224, WarpsDerived: 1187676, TxnsRecorded: 215988,
-		KernelsReplayed: 255, TxnsReplayed: 45039360}
+		KernelsReplayed: 255, TxnsReplayed: 45039360, PinnedRuns: 1531022}
 	if got != want {
 		t.Fatalf("cold characterization work %+v, want %+v", got, want)
 	}

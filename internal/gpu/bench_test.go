@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 
+	"igpucomm/internal/cache"
+	"igpucomm/internal/coherence"
 	"igpucomm/internal/isa"
 	"igpucomm/internal/memdev"
 	"igpucomm/internal/units"
@@ -141,18 +143,23 @@ func benchCompile(b *testing.B, g *GPU, k Kernel) {
 // BenchmarkReplayDeclaredStream replays BenchmarkCompileDeclaredStream's
 // kernel at 1<<18 threads, compiled once, through the caches each
 // iteration: the per-launch cost of a cached declared kernel, whose derived
-// warps are expanded from the warp template as the stream is walked.
+// warps are expanded from the warp template as the stream is walked. zc
+// pins the source on an uncached port, io pins it on an I/O-coherence port
+// into a 2 MiB CPU LLC over DRAM, and cached routes both buffers through
+// the GPU caches.
 func BenchmarkReplayDeclaredStream(b *testing.B) {
 	const threads = 1 << 18
 	const src, dst = int64(0), int64(1) << 24
-	for _, pinned := range []bool{true, false} {
-		name := "cached"
-		if pinned {
-			name = "zc"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, route := range []string{"zc", "io", "cached"} {
+		b.Run(route, func(b *testing.B) {
 			g := benchGPU(b)
-			if pinned {
+			switch route {
+			case "io":
+				d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
+				llc := cache.New(cache.Config{Name: "cpuLLC", Size: 2 * units.MiB, LineSize: 64, Ways: 16, HitLatency: 30}, d.NewPort("cpu"))
+				g.SetPinnedPath(coherence.NewIOPort("io", llc, 20), 32*units.GBps)
+				fallthrough
+			case "zc":
 				g.AddPinnedRange(src, src+threads*4)
 			}
 			ck, err := g.Compile(mb3Stream(threads, src, dst, 4))

@@ -62,10 +62,11 @@ import (
 //   - Transactions on the cached path and the pinned path share no mutable
 //     state below except DRAM's integer counters, so servicing consecutive
 //     same-path groups together preserves every observable.
-//   - DoBatch is byte-identical to per-access Do in order, so splitting an
-//     ordered same-path group anywhere — at a chunk boundary, an op's edge
-//     or a full scratch — into consecutive batches issues the same sequence
-//     of accesses, and the latencies are still summed in global order.
+//   - DoBatch, and the pinned route's DoRun, are byte-identical to
+//     per-access Do in order, so splitting an ordered same-path group
+//     anywhere — at a chunk boundary, an op's edge or a full scratch —
+//     issues the same sequence of accesses, and the latencies are still
+//     summed in global order.
 //   - A kernel declaring Stride (see Kernel) compiles warp 0 the normal way
 //     into a template and derives each other full warp w as every template
 //     transaction with its address plus D = w*WarpSize*Stride. Under the
@@ -1036,7 +1037,7 @@ func (g *GPU) emitTxns(ck *CompiledKernel, ev *memEvent) {
 		if g.pinned(la.Addr) {
 			if kind == cache.Write {
 				wcLine := la.Addr / wcGranule
-				if !containsInt64(c.wcBuf, wcLine) {
+				if !slices.Contains(c.wcBuf, wcLine) {
 					c.wcBuf = append(c.wcBuf, wcLine)
 					wcBytes += la.Size
 				}
@@ -1048,7 +1049,7 @@ func (g *GPU) emitTxns(ck *CompiledKernel, ev *memEvent) {
 		first := la.Addr >> g.lineShift
 		last := (la.Addr + la.Size - 1) >> g.lineShift
 		for ln := first; ln <= last; ln++ {
-			if !containsInt64(c.lineBuf, ln) {
+			if !slices.Contains(c.lineBuf, ln) {
 				c.lineBuf = append(c.lineBuf, ln)
 			}
 		}
@@ -1128,12 +1129,8 @@ func (g *GPU) replayKernel(ck *CompiledKernel) Result {
 	g.work.KernelsReplayed++
 	g.work.TxnsReplayed += ck.txns
 	before := g.snapStats()
-	var res Result
-	res.Warps = ck.warpCount
-	res.Instructions = ck.instructions
-	res.Transactions = ck.txns
-	res.TransactionBytes = ck.txnBytes
-	res.BytesRequested = ck.bytesRequested
+	res := Result{Warps: ck.warpCount, Instructions: ck.instructions, Transactions: ck.txns,
+		TransactionBytes: ck.txnBytes, BytesRequested: ck.bytesRequested}
 
 	for si, s := range g.sms {
 		g.replaySM(ck, si, s)
@@ -1154,41 +1151,42 @@ func (g *GPU) replaySM(ck *CompiledKernel, si int, s *sm) {
 	})
 }
 
-// replayGroup services one run of consecutive same-path transactions
-// through the batch cache kernels and accumulates their latencies into the
-// SM in transaction order. The run comes from the walker — a direct slice
-// of one pool chunk, or derived transactions expanded into the replay's
-// scratch — so it, and the result scratch, never exceed chunkLen.
+// replayGroup services one run of consecutive same-path transactions, from
+// the walker, so never over chunkLen: cached ones through the batch cache
+// kernels, pinned ones through DoRun. It adds their latencies into the SM
+// in global order, one add at a time, into a local stored once: the same
+// float sequence as the reference executor's per-access adds.
 func (g *GPU) replayGroup(s *sm, path uint8, accs []cache.Access) {
-	rs := &g.replay
-	n := len(accs)
-	if cap(rs.outs) < n {
-		rs.outs = make([]cache.Result, n)
-	}
-	outs := rs.outs[:n]
-	if g.heat != nil && path == pathPinned {
-		// Pinned transactions bypass the caches, so the replay records them
-		// directly — in stream order, the same order the reference executor
-		// records at issue, keeping heat under the byte-identity contract.
-		for j := range accs {
-			g.heat.Record(accs[j].Addr, accs[j].Size, accs[j].Kind == cache.Write, true)
-		}
-	}
-	switch {
-	case path == pathCached:
-		s.l1.DoBatch(accs, outs, &rs.batch)
-	default:
-		if bl, ok := g.pinnedPath.(cache.BatchLevel); ok {
-			bl.DoBatch(accs, outs, &rs.batch)
-		} else {
-			for j := range accs {
-				outs[j] = g.pinnedPath.Do(accs[j])
+	lat := s.memLatency
+	if path == pathPinned {
+		if g.heat != nil {
+			// Pinned transactions bypass the caches, so the replay records
+			// them, a run of equal ones on one page at once, in stream order.
+			for j, k := 0, 0; j < len(accs); j = k {
+				a, pg := accs[j], g.heat.Page(accs[j].Addr)
+				for k = j + 1; k < len(accs) && accs[k].Kind == a.Kind && accs[k].Size == a.Size && g.heat.Page(accs[k].Addr) == pg; k++ {
+				}
+				g.heat.RecordRun(a.Addr, a.Size, a.Kind == cache.Write, true, int64(k-j))
 			}
 		}
+		for j := 0; j < len(accs); {
+			n, first, rest := g.pinnedPath.DoRun(accs[j:])
+			g.work.PinnedRuns++
+			lat += first
+			for k := 1; k < n; k++ {
+				lat += rest
+			}
+			j += n
+		}
+		s.memLatency = lat
+		return
 	}
-	// In global order, one add at a time, into a local stored once: the
-	// same float sequence as the reference executor's per-access adds.
-	lat := s.memLatency
+	rs := &g.replay
+	if cap(rs.outs) < len(accs) {
+		rs.outs = make([]cache.Result, len(accs))
+	}
+	outs := rs.outs[:len(accs)]
+	s.l1.DoBatch(accs, outs, &rs.batch)
 	for j := range outs {
 		lat += outs[j].Latency
 	}

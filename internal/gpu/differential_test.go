@@ -10,11 +10,15 @@ package gpu
 // the warp-template compile path is fuzzed against the same oracle.
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"igpucomm/internal/cache"
+	"igpucomm/internal/coherence"
+	"igpucomm/internal/heatmap"
 	"igpucomm/internal/isa"
 	"igpucomm/internal/memdev"
 	"igpucomm/internal/units"
@@ -25,18 +29,101 @@ import (
 const pinnedBase = int64(1) << 20
 
 // twinGPUs builds two identically configured GPUs over separate DRAMs, the
-// first forced onto the per-access reference path.
+// first forced onto the per-access reference path, both with an uncached
+// pinned port.
 func twinGPUs() (ref, batch *GPU) {
-	build := func() *GPU {
-		d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
-		g := New(testConfig(), d.NewPort("gpu-dram"))
-		g.SetPinnedPath(d.NewUncachedPortRW("pinned", 600, 60), 2*units.GBps)
-		g.AddPinnedRange(pinnedBase, pinnedBase+8192)
-		return g
+	r, b := twinPlatforms(false)
+	return r.g, b.g
+}
+
+// twinPlatform is one side of a differential pair: a GPU and every counter
+// below it. With ioCoherent, the pinned path is an I/O-coherence port into
+// a small CPU-LLC-shaped cache over its own DRAM port, as on Xavier, so
+// pinned runs cross its lines, straddle them and evict dirty victims;
+// otherwise it is an uncached DRAM port, as on Nano and TX2. Latencies are
+// fractional so any change in the float addition order shows.
+type twinPlatform struct {
+	g       *GPU
+	dram    *memdev.DRAM
+	gpuDRAM *memdev.Port
+	pinned  PinnedPath
+	cpuLLC  *cache.Cache         // nil without ioCoherent
+	heat    *heatmap.Accumulator // nil until diffLaunch attaches one
+}
+
+// twinPlatforms builds a differential pair, the first forced onto the
+// per-access reference path.
+func twinPlatforms(ioCoherent bool) (ref, batch *twinPlatform) {
+	build := func() *twinPlatform {
+		p := &twinPlatform{dram: memdev.New(memdev.Config{Name: "dram", Latency: 200.5, Bandwidth: 25 * units.GBps})}
+		p.gpuDRAM = p.dram.NewPort("gpu-dram")
+		p.g = New(testConfig(), p.gpuDRAM)
+		if ioCoherent {
+			p.cpuLLC = cache.New(cache.Config{Name: "cpuLLC", Size: 2 * units.KiB, LineSize: 64, Ways: 2, HitLatency: 25.25}, p.dram.NewPort("cpu-dram"))
+			p.pinned = coherence.NewIOPort("io", p.cpuLLC, 7.125)
+		} else {
+			p.pinned = p.dram.NewUncachedPortRW("pinned", 600.5, 60.25)
+		}
+		p.g.SetPinnedPath(p.pinned, 2*units.GBps)
+		p.g.AddPinnedRange(pinnedBase, pinnedBase+8192)
+		return p
 	}
 	ref = build()
-	ref.SetReferenceMode(true)
+	ref.g.SetReferenceMode(true)
 	return ref, build()
+}
+
+// state is every counter a launch moves below the GPU's Result.
+type state struct {
+	l1                 []cache.Stats
+	llc, cpuLLC        cache.Stats
+	gpuDRAM, pinned, d memdev.Stats
+}
+
+func (p *twinPlatform) state() state {
+	st := state{llc: p.g.LLC().Stats(), gpuDRAM: p.gpuDRAM.Stats(), pinned: p.pinned.Stats(), d: p.dram.Stats()}
+	for _, s := range p.g.sms {
+		st.l1 = append(st.l1, s.l1.Stats())
+	}
+	if p.cpuLLC != nil {
+		st.cpuLLC = p.cpuLLC.Stats()
+	}
+	return st
+}
+
+// diffLaunch launches k twice on a fresh differential pair — the second
+// time on warm caches, so diverged residency shows — and requires identical
+// results or errors, identical counters at every level and identical heat.
+// A declared kernel must also compile identically with its declaration
+// dropped. It returns how many warps that declared compile derived.
+func diffLaunch(t *testing.T, ioCoherent bool, k Kernel) int64 {
+	t.Helper()
+	ref, batch := twinPlatforms(ioCoherent)
+	for _, p := range []*twinPlatform{ref, batch} {
+		p.heat = heatmap.New(1<<21, 256)
+		p.g.SetHeat(p.heat)
+	}
+	derived := checkDeclared(t, batch.g, k)
+	for launch := 0; launch < 2; launch++ {
+		want, errRef := ref.g.Launch(k)
+		got, errBatch := batch.g.Launch(k)
+		if (errRef == nil) != (errBatch == nil) || (errRef != nil && errRef.Error() != errBatch.Error()) {
+			t.Fatalf("io-coherent %v: error divergence:\nreference: %v\nbatch:     %v", ioCoherent, errRef, errBatch)
+		}
+		if errRef != nil {
+			return derived
+		}
+		if got != want {
+			t.Fatalf("io-coherent %v launch %d: result divergence:\nreference: %+v\nbatch:     %+v", ioCoherent, launch, want, got)
+		}
+		if rs, bs := ref.state(), batch.state(); !reflect.DeepEqual(rs, bs) {
+			t.Fatalf("io-coherent %v launch %d: counter divergence:\nreference: %+v\nbatch:     %+v", ioCoherent, launch, rs, bs)
+		}
+		if !reflect.DeepEqual(ref.heat, batch.heat) {
+			t.Fatalf("io-coherent %v launch %d: heat divergence", ioCoherent, launch)
+		}
+	}
+	return derived
 }
 
 // fuzzKernel decodes the fuzz payload into a kernel: each 4-byte group is
@@ -216,12 +303,29 @@ func TestDiffStreamsPieces(t *testing.T) {
 	}
 }
 
+// ioSeeds are seeds aimed at the I/O-coherence port's runs into the CPU
+// LLC (2 KiB, 64 B lines, 2 ways); derived is how many warps the declared
+// compile derives from warp 0.
+var ioSeeds = []struct {
+	data    []byte
+	threads int
+	derived int64
+}{
+	{[]byte{1, 192, 251, 3}, 64, 1},                                 // 4-byte lanes: each run crosses into the next line
+	{[]byte{1, 193, 252, 7}, 32, 0},                                 // stride 5, 8-byte lanes: lane 12 straddles two lines
+	{[]byte{2, 192, 8, 3, 1, 192, 251, 3}, 128, 0},                  // dirty-line stores, then read runs whose heads evict dirty victims
+	{[]byte{1, 192, 251, 3, 2, 194, 251, 3, 1, 195, 251, 3}, 96, 2}, // read runs, write-combined writes, read runs
+	{[]byte{1, 192, 251, 3, 1, 192, 251, 7}, 64, 1},                 // 4-byte reads, then 8-byte reads of the same lines
+}
+
 // FuzzBatchVsReference is the batch-vs-reference differential fuzzer: any
 // decodable kernel must produce an identical Result — times, hit/miss
-// deltas, transaction (coalescing) counts, bytes — from the compiled batch
+// deltas, transaction (coalescing) counts, bytes —, identical counters at
+// every cache, port and DRAM, and identical heat from the compiled batch
 // path and the per-access reference path, and the identical error when it
-// is invalid. A declared kernel must also compile identically with its
-// declaration dropped.
+// is invalid, with the pinned path on an uncached port and on an
+// I/O-coherence port. A declared kernel must also compile identically with
+// its declaration dropped.
 func FuzzBatchVsReference(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 3, 0, 0, 0, 0, 2, 10, 2, 7}, uint8(64))
 	f.Add([]byte{1, 200, 0, 3, 2, 220, 1, 7}, uint8(33))  // pinned read + WC write
@@ -231,40 +335,20 @@ func FuzzBatchVsReference(f *testing.F) {
 	for _, s := range declaredSeeds {
 		f.Add(s.data, uint8(s.threads-1))
 	}
+	for _, s := range ioSeeds {
+		f.Add(s.data, uint8(s.threads-1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, nthreads uint8) {
-		threads := int(nthreads)%128 + 1
-		ref, batch := twinGPUs()
-		k := fuzzKernel(data, threads)
-		checkDeclared(t, batch, k)
-
-		want, errRef := ref.Launch(k)
-		got, errBatch := batch.Launch(k)
-		if (errRef == nil) != (errBatch == nil) {
-			t.Fatalf("error divergence: reference %v, batch %v", errRef, errBatch)
-		}
-		if errRef != nil {
-			if errRef.Error() != errBatch.Error() {
-				t.Fatalf("error text divergence:\nreference: %v\nbatch:     %v", errRef, errBatch)
-			}
-			return
-		}
-		if got != want {
-			t.Fatalf("result divergence:\nreference: %+v\nbatch:     %+v", want, got)
-		}
-		// The caches must also end in the same state, not just report the
-		// same deltas — replay a second time and compare again (warm-cache
-		// behaviour diverges if residency differs).
-		want2, _ := ref.Launch(k)
-		got2, _ := batch.Launch(k)
-		if got2 != want2 {
-			t.Fatalf("warm-cache divergence:\nreference: %+v\nbatch:     %+v", want2, got2)
+		k := fuzzKernel(data, int(nthreads)%128+1)
+		for _, io := range []bool{false, true} {
+			diffLaunch(t, io, k)
 		}
 	})
 }
 
 // TestBatchVsReferenceSeeds runs the fuzz seed corpus as a plain test so the
 // differential contract is exercised on every `go test`, not only under
-// -fuzz.
+// -fuzz, and pins how many warps each declared seed derives.
 func TestBatchVsReferenceSeeds(t *testing.T) {
 	seeds := []struct {
 		data    []byte
@@ -279,20 +363,36 @@ func TestBatchVsReferenceSeeds(t *testing.T) {
 		{[]byte{4, 0, 1, 131}, 32, 0},
 	}
 	seeds = append(seeds, declaredSeeds...)
+	seeds = append(seeds, ioSeeds...)
 	for i, s := range seeds {
-		ref, batch := twinGPUs()
 		k := fuzzKernel(s.data, s.threads)
-		if derived := checkDeclared(t, batch, k); derived != s.derived {
-			t.Fatalf("seed %d: declared stride %d derived %d warps, want %d", i, k.Stride, derived, s.derived)
+		for _, io := range []bool{false, true} {
+			if derived := diffLaunch(t, io, k); derived != s.derived {
+				t.Fatalf("seed %d: declared stride %d derived %d warps, want %d", i, k.Stride, derived, s.derived)
+			}
 		}
-		want, errRef := ref.Launch(k)
-		got, errBatch := batch.Launch(k)
-		if (errRef == nil) != (errBatch == nil) || (errRef != nil && errRef.Error() != errBatch.Error()) {
-			t.Fatalf("seed %d: error divergence: %v vs %v", i, errRef, errBatch)
+	}
+}
+
+// TestIOSeedsExerciseRuns requires the I/O-coherence seeds to reach what
+// they aim at: pinned runs that batch lanes, heads that straddle lines and
+// heads whose misses evict dirty CPU-LLC victims.
+func TestIOSeedsExerciseRuns(t *testing.T) {
+	var runs, txns, writebacks int64
+	for _, s := range ioSeeds {
+		_, p := twinPlatforms(true)
+		if _, err := p.g.Launch(fuzzKernel(s.data, s.threads)); err != nil {
+			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("seed %d: result divergence:\nreference: %+v\nbatch:     %+v", i, want, got)
-		}
+		runs += p.g.Work().PinnedRuns
+		txns += p.pinned.Stats().Reads + p.pinned.Stats().Writes
+		writebacks += p.cpuLLC.Stats().Writebacks
+	}
+	if runs == 0 || runs*2 > txns {
+		t.Fatalf("%d pinned runs for %d pinned transactions: the runs barely batch", runs, txns)
+	}
+	if writebacks == 0 {
+		t.Fatal("no run head evicted a dirty CPU-LLC line")
 	}
 }
 

@@ -45,6 +45,15 @@ type MemPath interface {
 	Stats() memdev.Stats
 }
 
+// PinnedPath is the route pinned-range accesses take. The reference
+// executor calls Do per lane; the replay calls DoRun, which services
+// accs[0] and as many accesses after it as it can, exactly as a Do each
+// would, and returns how many, the first one's latency and each later one's.
+type PinnedPath interface {
+	MemPath
+	DoRun(accs []cache.Access) (n int, first, rest units.Latency)
+}
+
 // Config describes the iGPU.
 type Config struct {
 	Name        string
@@ -126,7 +135,7 @@ type GPU struct {
 	sms        []*sm
 	llc        *cache.Cache
 	dramPath   MemPath
-	pinnedPath MemPath
+	pinnedPath PinnedPath
 	pinnedBW   units.BytesPerSecond
 	ranges     []addrRange
 
@@ -134,14 +143,12 @@ type GPU struct {
 	// whole number of cycles.
 	costs isa.CostTable
 
-	// lineShift is log2(cfg.L1.LineSize) — the line size is validated to
-	// be a power of two, so the compile pass maps addresses to lines with
-	// a shift. Addresses are non-negative, making shift and division agree.
+	// lineShift is log2(cfg.L1.LineSize), a validated power of two: the
+	// compile pass maps (non-negative) addresses to lines with a shift.
 	lineShift uint
 
-	// refMode forces Launch through the per-access reference executor —
-	// the differential test harness runs one GPU in each mode and asserts
-	// byte-identical results.
+	// refMode forces Launch through the per-access reference executor, the
+	// differential tests' oracle (see SetReferenceMode).
 	refMode bool
 
 	// pinnedEpoch invalidates compiled kernels when the pinned routing
@@ -259,6 +266,8 @@ type Work struct {
 	KernelsReplayed int64
 	// TxnsReplayed counts the transactions those replays issued.
 	TxnsReplayed int64
+	// PinnedRuns counts the DoRun calls that serviced the pinned ones.
+	PinnedRuns int64
 }
 
 // Work returns the GPU's compile- and replay-work counters.
@@ -266,7 +275,7 @@ func (g *GPU) Work() Work { return g.work }
 
 // SetPinnedPath wires the route pinned-range accesses take, with the
 // sustained bandwidth of that route.
-func (g *GPU) SetPinnedPath(p MemPath, bw units.BytesPerSecond) {
+func (g *GPU) SetPinnedPath(p PinnedPath, bw units.BytesPerSecond) {
 	g.pinnedPath = p
 	g.pinnedBW = bw
 	g.pinnedRoute = p.Name()

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
 	"igpucomm/internal/cache"
 	"igpucomm/internal/isa"
@@ -367,7 +368,7 @@ func (g *GPU) runBatch(k Kernel, s *sm, b *batch, res *Result) error {
 						// buffer: lanes hitting the same 64B WC line merge
 						// into one transaction.
 						wcLine := la.Addr / 64
-						if !containsInt64(wcBuf, wcLine) {
+						if !slices.Contains(wcBuf, wcLine) {
 							wcBuf = append(wcBuf, wcLine)
 							wcBytes += la.Size
 						}
@@ -388,7 +389,7 @@ func (g *GPU) runBatch(k Kernel, s *sm, b *batch, res *Result) error {
 				first := la.Addr / lineSize
 				last := (la.Addr + la.Size - 1) / lineSize
 				for ln := first; ln <= last; ln++ {
-					if !containsInt64(lineBuf, ln) {
+					if !slices.Contains(lineBuf, ln) {
 						lineBuf = append(lineBuf, ln)
 					}
 				}
@@ -446,15 +447,6 @@ func bwTime(bytes int64, bw units.BytesPerSecond) units.Latency {
 		return 0
 	}
 	return units.Latency(float64(bytes) / float64(bw) * 1e9)
-}
-
-func containsInt64(s []int64, v int64) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func deltaCache(now, before cache.Stats) cache.Stats {

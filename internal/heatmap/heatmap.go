@@ -118,6 +118,43 @@ func (a *Accumulator) Record(addr, size int64, write, miss bool) {
 	a.lastTouch[page] = a.clock
 }
 
+// RecordRun notes n demand accesses of size bytes each, at addresses on
+// addr's page, in closed form: the counters, the clock and the reuse
+// summary end exactly as n Record calls leave them.
+//
+//igpu:hot RecordRun runs once per same-page run of pinned transactions on the replay path; it must stay allocation-free.
+func (a *Accumulator) RecordRun(addr, size int64, write, miss bool, n int64) {
+	page := uint64(addr) >> a.pageShift
+	if n <= 0 || page >= uint64(len(a.reads)) {
+		return
+	}
+	if int64(page) > a.hi {
+		a.hi = int64(page)
+	}
+	if write {
+		a.writes[page] += n
+	} else {
+		a.reads[page] += n
+	}
+	a.accessedBytes[page] += size * n
+	if miss {
+		a.misses[page] += n
+		a.movedBytes[page] += size * n
+	}
+	// Each record after the first reuses the page one clock tick later.
+	reuse, cnt := n-1, n-1
+	if last := a.lastTouch[page]; last != 0 {
+		reuse, cnt = reuse+a.clock+1-last, cnt+1
+	}
+	a.reuseSum[page] += reuse
+	a.reuseCnt[page] += cnt
+	a.clock += n
+	a.lastTouch[page] = a.clock
+}
+
+// Page returns the page bucket addr falls in; RecordRun takes a run on one.
+func (a *Accumulator) Page(addr int64) int64 { return int64(uint64(addr) >> a.pageShift) }
+
 // RecordWriteback notes a dirty line leaving the recording level (capacity
 // eviction or explicit flush). Writebacks move bytes but are not program
 // touches, so the reuse clock does not advance.

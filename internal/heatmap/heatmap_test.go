@@ -1,6 +1,7 @@
 package heatmap
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -185,11 +186,54 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	a := New(1<<20, 4096)
 	if n := testing.AllocsPerRun(1000, func() {
 		a.Record(4096, 64, true, true)
+		a.RecordRun(4096, 4, false, true, 16)
 		a.RecordWriteback(4096, 64)
 	}); n != 0 {
 		t.Errorf("record path allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { a.Reset() }); n != 0 {
 		t.Errorf("Reset allocates %v per op, want 0", n)
+	}
+}
+
+// TestRecordRunMatchesRecords holds RecordRun to n Record calls on twin
+// accumulators over a seeded mix: runs on fresh and on touched pages, of
+// reads and writes, hits and misses, empty runs, runs past the extent,
+// interleaved with single records and writebacks that move the clock and
+// the pages' last touches.
+func TestRecordRunMatchesRecords(t *testing.T) {
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	const extent, page = 1 << 16, 1 << 10
+	run, rec := New(extent, page), New(extent, page)
+	for i := 0; i < 2000; i++ {
+		addr := int64(next() % (extent + 4*page))
+		size, write, miss := int64(next()%64)+1, next()%2 == 0, next()%2 == 0
+		switch next() % 4 {
+		case 0:
+			run.Record(addr, size, write, miss)
+			rec.Record(addr, size, write, miss)
+		case 1:
+			run.RecordWriteback(addr, size)
+			rec.RecordWriteback(addr, size)
+		default:
+			n := int64(next() % 20)
+			run.RecordRun(addr, size, write, miss, n)
+			base := addr &^ (page - 1)
+			for k := int64(0); k < n; k++ {
+				rec.Record(base+int64(next()%page), size, write, miss)
+			}
+		}
+		if !reflect.DeepEqual(run, rec) {
+			t.Fatalf("step %d: RecordRun diverged from Record calls", i)
+		}
+	}
+	if rec.Clock() == 0 || rec.Totals().Reads == 0 {
+		t.Fatal("the mix recorded nothing")
 	}
 }

@@ -173,25 +173,43 @@ func (p *UncachedPort) Name() string { return p.name }
 
 // Do services an uncached access.
 func (p *UncachedPort) Do(a cache.Access) cache.Result {
+	return cache.Result{Latency: p.serve(a, 1)}
+}
+
+// DoRun services accs[0] and every following access of the same kind and
+// size: an uncached access's latency and counters depend on nothing else,
+// so the run is serviced in one step. It returns how many accesses it
+// serviced, the first one's latency and each later one's (the same); the
+// port and DRAM counters end exactly as a Do per access leaves them.
+func (p *UncachedPort) DoRun(accs []cache.Access) (n int, first, rest units.Latency) {
+	a := accs[0]
+	n = 1
+	for n < len(accs) && accs[n].Kind == a.Kind && accs[n].Size == a.Size {
+		n++
+	}
+	lat := p.serve(a, int64(n))
+	return n, lat, lat
+}
+
+// serve counts n accesses like a and returns the latency of each.
+func (p *UncachedPort) serve(a cache.Access, n int64) units.Latency {
 	if a.Size <= 0 {
-		return cache.Result{}
+		return 0
 	}
-	switch a.Kind {
-	case cache.Read:
-		p.stats.Reads++
-		p.stats.BytesRead += a.Size
-		p.dram.stats.Reads++
-		p.dram.stats.BytesRead += a.Size
-		return cache.Result{Latency: p.latency}
-	default:
-		// Uncached writes (demand or writeback) go straight to memory
-		// through the write-combining buffer.
-		p.stats.Writes++
-		p.stats.BytesWritten += a.Size
-		p.dram.stats.Writes++
-		p.dram.stats.BytesWritten += a.Size
-		return cache.Result{Latency: p.writeLat}
+	if a.Kind == cache.Read {
+		p.stats.Reads += n
+		p.stats.BytesRead += a.Size * n
+		p.dram.stats.Reads += n
+		p.dram.stats.BytesRead += a.Size * n
+		return p.latency
 	}
+	// Uncached writes (demand or writeback) go straight to memory through
+	// the write-combining buffer.
+	p.stats.Writes += n
+	p.stats.BytesWritten += a.Size * n
+	p.dram.stats.Writes += n
+	p.dram.stats.BytesWritten += a.Size * n
+	return p.writeLat
 }
 
 // Stats returns the port's counters.

@@ -246,3 +246,59 @@ func TestAccessorsAndStatsAdd(t *testing.T) {
 		t.Errorf("Add wrong: %+v", a)
 	}
 }
+
+// TestUncachedPortDoRunMatchesDo drives seeded request groups — runs of
+// equal requests, lone requests of any size, degenerate sizes, every kind —
+// through two uncached ports on separate devices, one a Do per request and
+// one run by run with DoRun: every latency and the port and device
+// counters must match, and the runs must actually batch requests.
+func TestUncachedPortDoRunMatchesDo(t *testing.T) {
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	serialDRAM, runDRAM := newDRAM(), newDRAM()
+	serial := serialDRAM.NewUncachedPortRW("pin", 500.5, 50.25)
+	run := runDRAM.NewUncachedPortRW("pin", 500.5, 50.25)
+	var reqs, runs int
+	for group := 0; group < 300; group++ {
+		var accs []cache.Access
+		for len(accs) < 64 {
+			a := cache.Access{Addr: int64(next() % 65536), Size: int64(next()%6) - 1, Kind: cache.Kind(next() % 3)}
+			for l := next() % 24; l > 0; l-- {
+				accs = append(accs, a)
+				a.Addr += 4
+			}
+		}
+		for j := 0; j < len(accs); runs++ {
+			n, first, rest := run.DoRun(accs[j:])
+			if n < 1 || j+n > len(accs) {
+				t.Fatalf("group %d: DoRun at %d serviced %d of %d requests", group, j, n, len(accs)-j)
+			}
+			for k := 0; k < n; k++ {
+				got := first
+				if k > 0 {
+					got = rest
+				}
+				if want := serial.Do(accs[j+k]).Latency; got != want {
+					t.Fatalf("group %d request %d (%+v, run of %d): DoRun latency %v, Do %v", group, j+k, accs[j+k], n, got, want)
+				}
+			}
+			j += n
+		}
+		reqs += len(accs)
+		if run.Stats() != serial.Stats() || runDRAM.Stats() != serialDRAM.Stats() {
+			t.Fatalf("group %d: DoRun counters port %+v device %+v, Do port %+v device %+v",
+				group, run.Stats(), runDRAM.Stats(), serial.Stats(), serialDRAM.Stats())
+		}
+	}
+	if st := serial.Stats(); st.Reads == 0 || st.Writes == 0 {
+		t.Fatalf("stream exercised only one direction: %+v", st)
+	}
+	if runs*4 > reqs {
+		t.Fatalf("%d DoRun calls for %d requests: the runs barely batch", runs, reqs)
+	}
+}

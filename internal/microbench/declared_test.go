@@ -268,7 +268,8 @@ func TestMB2UndividedStaysUndeclared(t *testing.T) {
 // compilation the same run emitted 104960 thread programs over the same 16
 // compiles (184224 transactions recorded). Derived warps' transactions are
 // not recorded: the 8868 are the 16 warp-0 templates' own; when derived
-// warps were written out in full, 193092 were.
+// warps were written out in full, 193092 were. The 1496 pinned-route calls
+// service 286656 pinned transactions, a run of lanes per call.
 func TestCharacterizeWork(t *testing.T) {
 	s, err := devices.NewSoC(devices.TX2Name)
 	if err != nil {
@@ -278,7 +279,7 @@ func TestCharacterizeWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := gpu.Work{KernelsCompiled: 16, ProgramsEmitted: 512, WarpsDerived: 3264, TxnsRecorded: 8868,
-		KernelsReplayed: 29, TxnsReplayed: 325440}
+		KernelsReplayed: 29, TxnsReplayed: 325440, PinnedRuns: 1496}
 	got := s.GPU.Work()
 	if got != want {
 		t.Fatalf("characterization work %+v, want %+v", got, want)
