@@ -84,7 +84,7 @@ func TestChunkBoundaryDifferential(t *testing.T) {
 			}
 
 			for run := 0; run < 2; run++ { // cold, then warm caches
-				want, err := ref.Launch(k)
+				want, err := ref.launchReference(k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +125,7 @@ func TestReplayScratchBoundedByChunk(t *testing.T) {
 			p.Ld(pinnedBase+(int64(tid)*4+int64(j)*64)%8192, 4)
 		}
 	}}
-	res, err := g.Launch(k)
+	res, err := launch(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +215,8 @@ func TestLaneCheckMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		ref, batch := twinGPUs()
 		k := Kernel{Name: tc.name, Threads: 64, Program: tc.prog}
-		want, errRef := ref.Launch(k)
-		got, errBatch := batch.Launch(k)
+		want, errRef := ref.launchReference(k)
+		got, errBatch := launch(batch, k)
 		if tc.want == "" {
 			if errRef != nil || errBatch != nil {
 				t.Fatalf("%s: valid kernel rejected: reference %v, batch %v", tc.name, errRef, errBatch)

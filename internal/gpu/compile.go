@@ -53,8 +53,8 @@ import (
 //     cost model that is not integral (whole cycles), so bulk-charging a
 //     run of n identical ops as cost*n equals the reference's n sequential
 //     additions bit-for-bit (integer-valued partial sums are exact). The
-//     reference executor is reached only through SetReferenceMode, the
-//     differential tests' oracle switch.
+//     reference executor lives in the package's tests, as the differential
+//     suite's oracle; no binary reaches it.
 //   - Per-SM memory latency is summed per transaction in the original
 //     global order, reading the batch kernels' per-access results, so the
 //     float addition sequence matches the reference exactly — including the
@@ -615,7 +615,7 @@ type compiler struct {
 	// joins the stream, with the issuing warp and its instruction slot. A
 	// compile with it set gives every derived warp-instruction its own op
 	// (no opBatches), so the hook sees each one. VisitTransactions sets it;
-	// Launch leaves it nil.
+	// compiles for a launch leave it nil.
 	onMem func(warp, slot int)
 }
 
@@ -639,8 +639,9 @@ func (c *compiler) ensure(ws, resident int) {
 	}
 }
 
-// Compile builds a fresh compiled form of the kernel (see CompileInto).
-// Model runners cache the result and replay it across iterations.
+// Compile builds a fresh compiled form of the kernel (see CompileInto), for
+// a caller that replays it itself with LaunchCompiled. Model runs go through
+// a Launcher instead, whose compiles the GPU's KernelCache keeps.
 func (g *GPU) Compile(k Kernel) (*CompiledKernel, error) {
 	ck := &CompiledKernel{}
 	if err := g.CompileInto(k, ck); err != nil {
@@ -650,9 +651,9 @@ func (g *GPU) Compile(k Kernel) (*CompiledKernel, error) {
 }
 
 // CompileInto compiles the kernel into ck, reusing its storage. It performs
-// every validation Launch performs (thread count, program validity, SIMT
-// convergence) and reports the same errors; unlike the reference executor it
-// does so before any cache state is touched.
+// every validation a launch needs (thread count, program validity, SIMT
+// convergence) and reports the reference executor's errors, but before any
+// cache state is touched.
 func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 	if k.Threads <= 0 {
 		return fmt.Errorf("kernel %s: thread count %d must be positive", k.Name, k.Threads)
@@ -1107,9 +1108,10 @@ type replayScratch struct {
 // LaunchCompiled replays a compiled kernel: it restores the per-SM compile-
 // time accumulators, drives the recorded transaction stream through the
 // batch cache kernels in original order, and applies the shared interval-
-// model tail. The result is byte-identical to LaunchReference of the source
-// kernel. It is an error to replay a kernel compiled under different pinned
-// routing (see PinnedEpoch) or one whose compile failed.
+// model tail. The result is byte-identical to the per-access reference
+// executor's (the differential tests' oracle) on the source kernel. It is
+// an error to replay a kernel compiled under different pinned routing (see
+// PinnedEpoch) or one whose compile failed.
 func (g *GPU) LaunchCompiled(ck *CompiledKernel) (Result, error) {
 	if !ck.valid {
 		return Result{}, fmt.Errorf("gpu %s: compiled kernel %s is not valid", g.cfg.Name, ck.name)

@@ -2,12 +2,13 @@ package gpu
 
 // Differential harness for the batch-kernel executor: the compiled path
 // (compile once, replay through cache.DoBatch) must be byte-identical to the
-// per-access reference executor for EVERY expressible kernel, and its steady
-// state must not allocate. The fuzzer generates kernels from raw bytes —
-// mixed strides, sizes, pinned and cached lanes, masked slots, partial
-// warps — and fails on the first observable divergence. A decoded kernel
-// whose memory slots all share one per-thread stride is declared affine, so
-// the warp-template compile path is fuzzed against the same oracle.
+// per-access reference executor (reference_test.go) for EVERY expressible
+// kernel, and its steady state must not allocate. The fuzzer generates
+// kernels from raw bytes — mixed strides, sizes, pinned and cached lanes,
+// masked slots, partial warps — and fails on the first observable
+// divergence. A decoded kernel whose memory slots all share one per-thread
+// stride is declared affine, so the warp-template compile path is fuzzed
+// against the same oracle.
 
 import (
 	"reflect"
@@ -28,9 +29,9 @@ import (
 // cacheable working set so the two never alias.
 const pinnedBase = int64(1) << 20
 
-// twinGPUs builds two identically configured GPUs over separate DRAMs, the
-// first forced onto the per-access reference path, both with an uncached
-// pinned port.
+// twinGPUs builds two identically configured GPUs over separate DRAMs, both
+// with an uncached pinned port: the first for the per-access reference
+// executor, the second for the compiled path.
 func twinGPUs() (ref, batch *GPU) {
 	r, b := twinPlatforms(false)
 	return r.g, b.g
@@ -51,8 +52,8 @@ type twinPlatform struct {
 	heat    *heatmap.Accumulator // nil until diffLaunch attaches one
 }
 
-// twinPlatforms builds a differential pair, the first forced onto the
-// per-access reference path.
+// twinPlatforms builds a differential pair: the first for the per-access
+// reference executor, the second for the compiled path.
 func twinPlatforms(ioCoherent bool) (ref, batch *twinPlatform) {
 	build := func() *twinPlatform {
 		p := &twinPlatform{dram: memdev.New(memdev.Config{Name: "dram", Latency: 200.5, Bandwidth: 25 * units.GBps})}
@@ -68,9 +69,7 @@ func twinPlatforms(ioCoherent bool) (ref, batch *twinPlatform) {
 		p.g.AddPinnedRange(pinnedBase, pinnedBase+8192)
 		return p
 	}
-	ref = build()
-	ref.g.SetReferenceMode(true)
-	return ref, build()
+	return build(), build()
 }
 
 // state is every counter a launch moves below the GPU's Result.
@@ -94,6 +93,8 @@ func (p *twinPlatform) state() state {
 // diffLaunch launches k twice on a fresh differential pair — the second
 // time on warm caches, so diverged residency shows — and requires identical
 // results or errors, identical counters at every level and identical heat.
+// The compiled side launches through a Launcher, the production entry: it
+// compiles the first launch and replays the second from its cache.
 // A declared kernel must also compile identically with its declaration
 // dropped. It returns how many warps that declared compile derived.
 func diffLaunch(t *testing.T, ioCoherent bool, k Kernel) int64 {
@@ -104,9 +105,10 @@ func diffLaunch(t *testing.T, ioCoherent bool, k Kernel) int64 {
 		p.g.SetHeat(p.heat)
 	}
 	derived := checkDeclared(t, batch.g, k)
+	lch := NewLauncher(batch.g, "")
 	for launch := 0; launch < 2; launch++ {
-		want, errRef := ref.g.Launch(k)
-		got, errBatch := batch.g.Launch(k)
+		want, errRef := ref.g.launchReference(k)
+		got, errBatch := lch.Launch(0, k)
 		if (errRef == nil) != (errBatch == nil) || (errRef != nil && errRef.Error() != errBatch.Error()) {
 			t.Fatalf("io-coherent %v: error divergence:\nreference: %v\nbatch:     %v", ioCoherent, errRef, errBatch)
 		}
@@ -381,7 +383,7 @@ func TestIOSeedsExerciseRuns(t *testing.T) {
 	var runs, txns, writebacks int64
 	for _, s := range ioSeeds {
 		_, p := twinPlatforms(true)
-		if _, err := p.g.Launch(fuzzKernel(s.data, s.threads)); err != nil {
+		if _, err := launch(p.g, fuzzKernel(s.data, s.threads)); err != nil {
 			t.Fatal(err)
 		}
 		runs += p.g.Work().PinnedRuns
@@ -396,27 +398,31 @@ func TestIOSeedsExerciseRuns(t *testing.T) {
 	}
 }
 
-// TestLaunchSteadyStateZeroAlloc is the allocation gate on the simulate hot
-// path: once warm, a compiled Launch — emission, compile walk, coalescing,
-// batch cache replay — must not allocate at all.
+// TestLaunchSteadyStateZeroAlloc is the allocation gate on the compile
+// pass: once warm, compiling a kernel into a reused artifact — emission,
+// compile walk, coalescing — and replaying it through the batch cache
+// kernels must not allocate at all.
 func TestLaunchSteadyStateZeroAlloc(t *testing.T) {
 	_, g := twinGPUs()
+	var ck CompiledKernel
+	compileReplay := func(k Kernel) {
+		if err := g.CompileInto(k, &ck); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.LaunchCompiled(&ck); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, k := range []Kernel{
 		fuzzKernel([]byte{1, 0, 1, 3, 0, 0, 0, 0, 2, 10, 2, 7, 1, 200, 0, 3}, 128),
 		fuzzKernel(declaredSeeds[1].data, declaredSeeds[1].threads), // warp-template path
 	} {
 		for i := 0; i < 3; i++ { // warm scratch to steady-state capacity
-			if _, err := g.Launch(k); err != nil {
-				t.Fatal(err)
-			}
+			compileReplay(k)
 		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := g.Launch(k); err != nil {
-				t.Fatal(err)
-			}
-		})
+		allocs := testing.AllocsPerRun(50, func() { compileReplay(k) })
 		if allocs != 0 {
-			t.Fatalf("steady-state Launch of stride-%d kernel allocates %v times per run, want 0", k.Stride, allocs)
+			t.Fatalf("steady-state compile and replay of stride-%d kernel allocates %v times per run, want 0", k.Stride, allocs)
 		}
 	}
 }
@@ -564,41 +570,36 @@ func TestLauncherDeclaredScope(t *testing.T) {
 	}
 }
 
-// TestLauncherBypassesMatchLaunch pins the launcher's bypass rules: negative
-// launch indices and reference mode take the uncached paths with identical
-// results.
+// TestLauncherBypassesMatchLaunch pins the launcher's one bypass, the
+// test-only reference seam (UseReference): with it set, a launch runs the
+// per-access reference executor, matches the compiled launch of a twin and
+// leaves the kernel cache empty. Invalid kernels are rejected either way.
 func TestLauncherBypassesMatchLaunch(t *testing.T) {
 	ref, g := twinGPUs()
 	k := fuzzKernel([]byte{1, 0, 1, 3}, 64)
-	lch := NewLauncher(g, "bypass/fuzz")
-	want, err := ref.Launch(k) // reference path
+	want, err := NewLauncher(g, "bypass/fuzz").Launch(0, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lch.Launch(-1, k)
+	UseReference(ref)
+	lch := NewLauncher(ref, "bypass/fuzz")
+	got, err := lch.Launch(0, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("negative-index launch diverged from reference: %+v vs %+v", got, want)
+		t.Fatalf("reference-seam launch diverged from the compiled launch:\nreference: %+v\ncompiled:  %+v", got, want)
 	}
-	g.SetReferenceMode(true)
-	got, err = lch.Launch(0, k)
-	if err != nil {
-		t.Fatal(err)
+	if w := ref.Work(); ref.KernelCache().Stats().Entries != 0 || w.KernelsCompiled != 0 || w.KernelsReplayed != 0 {
+		t.Fatalf("reference-seam launch reached the compiled path: work %+v, cache %+v", w, ref.KernelCache().Stats())
 	}
-	if g.KernelCache().Stats().Entries != 0 {
-		t.Fatal("reference mode populated the kernel cache")
-	}
-	g.SetReferenceMode(false)
-	if got.Transactions != want.Transactions {
-		t.Fatalf("reference-mode launcher diverged: %+v vs %+v", got, want)
-	}
-	if _, err := lch.Launch(0, Kernel{Name: "bad", Threads: 0, Program: func(int, *isa.Program) {}}); err == nil {
-		t.Fatal("launcher accepted zero threads")
-	}
-	if _, err := lch.Launch(0, Kernel{Name: "nil", Threads: 4}); err == nil {
-		t.Fatal("launcher accepted nil program")
+	for _, l := range []*Launcher{lch, NewLauncher(g, "bypass/fuzz")} {
+		if _, err := l.Launch(1, Kernel{Name: "bad", Threads: 0, Program: func(int, *isa.Program) {}}); err == nil {
+			t.Fatal("launcher accepted zero threads")
+		}
+		if _, err := l.Launch(2, Kernel{Name: "nil", Threads: 4}); err == nil {
+			t.Fatal("launcher accepted nil program")
+		}
 	}
 }
 

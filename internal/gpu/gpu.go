@@ -45,10 +45,10 @@ type MemPath interface {
 	Stats() memdev.Stats
 }
 
-// PinnedPath is the route pinned-range accesses take. The reference
-// executor calls Do per lane; the replay calls DoRun, which services
-// accs[0] and as many accesses after it as it can, exactly as a Do each
-// would, and returns how many, the first one's latency and each later one's.
+// PinnedPath is the route pinned-range accesses take. The replay calls
+// DoRun, which services accs[0] and as many accesses after it as it can,
+// exactly as a Do each would, and returns how many, the first one's latency
+// and each later one's.
 type PinnedPath interface {
 	MemPath
 	DoRun(accs []cache.Access) (n int, first, rest units.Latency)
@@ -147,20 +147,21 @@ type GPU struct {
 	// compile pass maps (non-negative) addresses to lines with a shift.
 	lineShift uint
 
-	// refMode forces Launch through the per-access reference executor, the
-	// differential tests' oracle (see SetReferenceMode).
-	refMode bool
+	// oracle, when set, runs every Launcher launch in place of the compiled
+	// path. Only the package's tests set it, to the per-access reference
+	// executor they check the compiled path against; it is nil in every
+	// binary.
+	oracle func(Kernel) (Result, error)
 
 	// pinnedEpoch invalidates compiled kernels when the pinned routing
 	// they were compiled against changes.
 	pinnedEpoch uint64
 
 	laneProgs []isa.Program // reusable per-lane buffers
-	laneIn    [][]isa.Instr // materialized lane views (reference executor)
+	laneIn    [][]isa.Instr // materialized lane views for the lane check
 
-	compileScratch CompiledKernel // reused by Launch's compile-and-replay
-	comp           compiler       // reusable compile-pass scratch
-	replay         replayScratch  // reusable replay buffers
+	comp   compiler      // reusable compile-pass scratch
+	replay replayScratch // reusable replay buffers
 
 	// The compiled-kernel cache behind Launcher, private or shared with
 	// other GPUs of the same Config, and the entries this GPU validated
@@ -261,8 +262,7 @@ type Work struct {
 	// template.
 	TxnsRecorded int64
 	// KernelsReplayed counts compiled kernels driven through the caches:
-	// every Launch, LaunchCompiled and Launcher launch outside reference
-	// mode.
+	// every Launcher launch and every LaunchCompiled.
 	KernelsReplayed int64
 	// TxnsReplayed counts the transactions those replays issued.
 	TxnsReplayed int64
@@ -293,13 +293,6 @@ func (g *GPU) SetHeat(h *heatmap.Accumulator) {
 		s.l1.SetHeatSink(h)
 	}
 }
-
-// SetReferenceMode forces every Launch through the per-access reference
-// executor instead of the compiled batch path. The two are byte-identical by
-// contract; the differential suites run twin platforms in each mode to prove
-// it. Reference mode is the oracle switch for those tests and is slower; no
-// production configuration reaches the reference executor.
-func (g *GPU) SetReferenceMode(on bool) { g.refMode = on }
 
 // PinnedEpoch identifies the current pinned-routing generation. A
 // CompiledKernel is only replayable while the epoch it was compiled under is

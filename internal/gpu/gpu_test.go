@@ -38,6 +38,16 @@ func testGPU(t *testing.T) (*GPU, *memdev.DRAM) {
 	return g, d
 }
 
+// launch compiles k and replays it, as a Launcher's first launch of a
+// kernel does.
+func launch(g *GPU, k Kernel) (Result, error) {
+	ck, err := g.Compile(k)
+	if err != nil {
+		return Result{}, err
+	}
+	return g.LaunchCompiled(ck)
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := testConfig()
 	if err := good.Validate(); err != nil {
@@ -64,42 +74,81 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestLaunchErrors runs each invalid kernel through the production entry,
+// Launcher.Launch, and requires the error before any cache state is
+// touched: no L1, LLC, DRAM or pinned counter moves. Each emission error
+// sits in warp 1, on SM 1, after warp 0 on SM 0 has issued cached and
+// pinned loads, so the per-access reference executor, which executes SM 0
+// before it reaches warp 1, does move them.
 func TestLaunchErrors(t *testing.T) {
-	g, _ := testGPU(t)
-	if _, err := g.Launch(Kernel{Name: "none", Threads: 0, Program: func(int, *isa.Program) {}}); err == nil {
-		t.Error("zero threads accepted")
+	const pinned = int64(1) << 20
+	// valid is the loads every thread issues before its error.
+	valid := func(tid int, p *isa.Program) {
+		p.Ld(int64(tid)*4, 4)
+		p.Ld(pinned+int64(tid)*4, 4)
 	}
-	if _, err := g.Launch(Kernel{Name: "nil", Threads: 32}); err == nil {
-		t.Error("nil program accepted")
+	cases := []struct {
+		k    Kernel
+		want string
+	}{
+		{Kernel{Name: "none", Threads: 0, Program: func(int, *isa.Program) {}}, "must be positive"},
+		{Kernel{Name: "nil", Threads: 32}, "nil program"},
+		{Kernel{Name: "div", Threads: 64, Program: func(tid int, p *isa.Program) {
+			valid(tid, p)
+			if tid >= 32 && tid%2 == 0 {
+				p.Compute(isa.AddS32, 1)
+			} else {
+				p.Compute(isa.FMA, 1)
+			}
+		}}, "diverges"},
+		{Kernel{Name: "lendiv", Threads: 64, Program: func(tid int, p *isa.Program) {
+			valid(tid, p)
+			n := 1
+			if tid >= 32 && tid%2 == 1 {
+				n = 2
+			}
+			p.Compute(isa.FMA, n)
+		}}, "diverges"},
+		{Kernel{Name: "badinstr", Threads: 64, Program: func(tid int, p *isa.Program) {
+			valid(tid, p)
+			if tid >= 32 {
+				p.Ld(-4, 4)
+			}
+		}}, "negative address"},
 	}
-	_, err := g.Launch(Kernel{Name: "div", Threads: 32, Program: func(tid int, p *isa.Program) {
-		if tid%2 == 0 {
-			p.Compute(isa.FMA, 1)
-		} else {
-			p.Compute(isa.AddS32, 1)
+	counters := func(g *GPU) [4]any {
+		return [4]any{g.L1Stats(), g.LLC().Stats(), g.dramPath.Stats(), g.pinnedPath.Stats()}
+	}
+	for i, tc := range cases {
+		g, _ := testGPU(t)
+		g.AddPinnedRange(pinned, pinned+8192)
+		before := counters(g)
+		_, err := NewLauncher(g, "").Launch(i, tc.k)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.k.Name, err, tc.want)
 		}
-	}})
-	if err == nil || !strings.Contains(err.Error(), "diverges") {
-		t.Errorf("opcode divergence not rejected: %v", err)
-	}
-	_, err = g.Launch(Kernel{Name: "lendiv", Threads: 32, Program: func(tid int, p *isa.Program) {
-		p.Compute(isa.FMA, 1+tid%2)
-	}})
-	if err == nil || !strings.Contains(err.Error(), "diverges") {
-		t.Errorf("length divergence not rejected: %v", err)
-	}
-	_, err = g.Launch(Kernel{Name: "badinstr", Threads: 1, Program: func(tid int, p *isa.Program) {
-		p.Ld(-4, 4)
-	}})
-	if err == nil {
-		t.Error("invalid instruction accepted")
+		if after := counters(g); after != before {
+			t.Errorf("%s: rejected launch moved counters:\nbefore %+v\nafter  %+v", tc.k.Name, before, after)
+		}
+		if tc.k.Threads < 64 {
+			continue
+		}
+		ref, _ := testGPU(t)
+		ref.AddPinnedRange(pinned, pinned+8192)
+		before = counters(ref)
+		if _, err := ref.launchReference(tc.k); err == nil {
+			t.Errorf("%s: reference executor accepted the kernel", tc.k.Name)
+		}
+		if counters(ref) == before {
+			t.Errorf("%s: the reference executor found the error before any access; the case proves nothing", tc.k.Name)
+		}
 	}
 }
 
 func TestComputeBoundKernel(t *testing.T) {
 	g, _ := testGPU(t)
 	// 2 warps on 2 SMs, each warp 1000 FMA => 1000 cycles = 1000ns per SM.
-	res, err := g.Launch(Kernel{Name: "fma", Threads: 64, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "fma", Threads: 64, Program: func(tid int, p *isa.Program) {
 		p.Compute(isa.FMA, 1000)
 	}})
 	if err != nil {
@@ -119,7 +168,7 @@ func TestComputeBoundKernel(t *testing.T) {
 func TestCoalescingAdjacentLanes(t *testing.T) {
 	g, _ := testGPU(t)
 	// 32 lanes loading consecutive 4-byte words: 128 bytes = 2 lines of 64.
-	res, err := g.Launch(Kernel{Name: "coalesced", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "coalesced", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Ld(int64(tid)*4, 4)
 	}})
 	if err != nil {
@@ -139,7 +188,7 @@ func TestCoalescingAdjacentLanes(t *testing.T) {
 func TestUncoalescedStride(t *testing.T) {
 	g, _ := testGPU(t)
 	// Each lane hits its own line: 32 transactions.
-	res, err := g.Launch(Kernel{Name: "strided", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "strided", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Ld(int64(tid)*64, 4)
 	}})
 	if err != nil {
@@ -159,7 +208,7 @@ func TestLatencyHidingDividesByInflight(t *testing.T) {
 	// 16 warps, each 1 load to its own line. Per-transaction latency:
 	// 20 (L1) + 80 (LLC) + 200 (DRAM) = 300ns; 16 txns = 4800ns total,
 	// hidden across min(8, 16) = 8 -> 600ns.
-	res, err := g.Launch(Kernel{Name: "lat", Threads: 16 * 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "lat", Threads: 16 * 32, Program: func(tid int, p *isa.Program) {
 		warp := tid / 32
 		p.Ld(int64(warp)*64, 2) // all lanes of a warp share one line
 	}})
@@ -181,7 +230,7 @@ func TestDRAMBandwidthBound(t *testing.T) {
 	g := New(cfg, d.NewPort("p"))
 	// Stream 1 MiB with no reuse: DRAM moves >= 1 MiB -> >= ~1e6 ns.
 	threads := 4096
-	res, err := g.Launch(Kernel{Name: "stream", Threads: threads, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "stream", Threads: threads, Program: func(tid int, p *isa.Program) {
 		for i := 0; i < 4; i++ {
 			p.Ld(int64(tid)*256+int64(i)*64, 64)
 		}
@@ -208,10 +257,10 @@ func TestLLCServesReuse(t *testing.T) {
 			p.Ld(base+i*64, 64)
 		}
 	}}
-	if _, err := g.Launch(kernel); err != nil {
+	if _, err := launch(g, kernel); err != nil {
 		t.Fatal(err)
 	}
-	res, err := g.Launch(kernel)
+	res, err := launch(g, kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +275,7 @@ func TestLLCServesReuse(t *testing.T) {
 func TestPinnedPathBypassesCaches(t *testing.T) {
 	g, _ := testGPU(t)
 	g.AddPinnedRange(0, 1<<20)
-	res, err := g.Launch(Kernel{Name: "zc", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "zc", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Ld(int64(tid)*4, 4)
 	}})
 	if err != nil {
@@ -253,16 +302,16 @@ func TestPinnedSlowerThanCached(t *testing.T) {
 			}
 		}}
 	}
-	warm, err := g.Launch(kernel("warmup"))
+	warm, err := launch(g, kernel("warmup"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := g.Launch(kernel("cached"))
+	cached, err := launch(g, kernel("cached"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.AddPinnedRange(0, 1<<20)
-	pinnedRes, err := g.Launch(kernel("pinned"))
+	pinnedRes, err := launch(g, kernel("pinned"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +323,7 @@ func TestPinnedSlowerThanCached(t *testing.T) {
 
 func TestPartialWarp(t *testing.T) {
 	g, _ := testGPU(t)
-	res, err := g.Launch(Kernel{Name: "partial", Threads: 40, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "partial", Threads: 40, Program: func(tid int, p *isa.Program) {
 		p.Compute(isa.FMA, 1)
 	}})
 	if err != nil {
@@ -293,7 +342,7 @@ func TestLaunchOverheadAdded(t *testing.T) {
 	cfg.LaunchOverhead = 5000
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 25 * units.GBps})
 	g := New(cfg, d.NewPort("p"))
-	res, err := g.Launch(Kernel{Name: "tiny", Threads: 1, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "tiny", Threads: 1, Program: func(tid int, p *isa.Program) {
 		p.Compute(isa.FMA, 1)
 	}})
 	if err != nil {
@@ -322,11 +371,11 @@ func TestResultDeltasIsolatedPerLaunch(t *testing.T) {
 	k := Kernel{Name: "k", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Ld(int64(tid)*4, 4)
 	}}
-	r1, err := g.Launch(k)
+	r1, err := launch(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := g.Launch(k)
+	r2, err := launch(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +394,7 @@ func TestResultDeltasIsolatedPerLaunch(t *testing.T) {
 // contents but keeps counters.
 func TestFlushLLCAndInvalidate(t *testing.T) {
 	g, d := testGPU(t)
-	if _, err := g.Launch(Kernel{Name: "w", Threads: 32, Program: func(tid int, p *isa.Program) {
+	if _, err := launch(g, Kernel{Name: "w", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.St(int64(tid)*64, 4)
 	}}); err != nil {
 		t.Fatal(err)
@@ -394,7 +443,7 @@ func TestPinnedWriteCombining(t *testing.T) {
 	g.AddPinnedRange(0, 1<<20)
 	// 32 lanes storing 4B each into one 64B-aligned region: the WC buffer
 	// merges same-line stores, unlike pinned reads.
-	res, err := g.Launch(Kernel{Name: "wc", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "wc", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.St(int64(tid%16)*4, 4) // all lanes within line 0
 	}})
 	if err != nil {
@@ -404,7 +453,7 @@ func TestPinnedWriteCombining(t *testing.T) {
 		t.Errorf("WC store transactions = %d, want 1 (merged)", res.Transactions)
 	}
 	// Reads of the same addresses stay per-lane.
-	res, err = g.Launch(Kernel{Name: "rd", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err = launch(g, Kernel{Name: "rd", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Ld(int64(tid%16)*4, 4)
 	}})
 	if err != nil {
@@ -419,7 +468,7 @@ func TestPinnedWriteCombiningAcrossLines(t *testing.T) {
 	g, _ := testGPU(t)
 	g.AddPinnedRange(0, 1<<20)
 	// Lanes span two 64B WC lines: two transactions.
-	res, err := g.Launch(Kernel{Name: "wc2", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "wc2", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.St(int64(tid)*4, 4)
 	}})
 	if err != nil {
@@ -442,7 +491,7 @@ func TestResidentBatchThrashesL1(t *testing.T) {
 	g := New(cfg, d.NewPort("p"))
 	// Each warp re-reads its own 1KiB slice twice; 16 warps x 1KiB = 16KiB
 	// footprint >> 4KiB L1.
-	res, err := g.Launch(Kernel{Name: "thrash", Threads: 16 * 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "thrash", Threads: 16 * 32, Program: func(tid int, p *isa.Program) {
 		warp := tid / 32
 		base := int64(warp) * 1024
 		for pass := 0; pass < 2; pass++ {
@@ -467,7 +516,7 @@ func TestSingleResidentWarpKeepsLocality(t *testing.T) {
 	cfg.L1 = cache.Config{Name: "tiny", Size: 4 * units.KiB, LineSize: 64, Ways: 4, HitLatency: 20}
 	d := memdev.New(memdev.Config{Name: "dram", Latency: 200, Bandwidth: 100 * units.GBps})
 	g := New(cfg, d.NewPort("p"))
-	res, err := g.Launch(Kernel{Name: "local", Threads: 16 * 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "local", Threads: 16 * 32, Program: func(tid int, p *isa.Program) {
 		warp := tid / 32
 		base := int64(warp) * 1024
 		for pass := 0; pass < 2; pass++ {
@@ -492,7 +541,7 @@ func TestOccupancyAndIPC(t *testing.T) {
 	g := New(cfg, d.NewPort("p"))
 	// 4 warps over a capacity of 8: half occupancy; pure compute: IPC 1
 	// on the busiest SM, 1.0 overall here because both SMs get 2 warps.
-	res, err := g.Launch(Kernel{Name: "occ", Threads: 4 * 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "occ", Threads: 4 * 32, Program: func(tid int, p *isa.Program) {
 		p.Compute(isa.FMA, 100)
 	}})
 	if err != nil {
@@ -505,7 +554,7 @@ func TestOccupancyAndIPC(t *testing.T) {
 		t.Errorf("compute-bound IPC = %v, want ~1", res.WarpIPC)
 	}
 	// Oversubscription clamps at 1.0.
-	res, err = g.Launch(Kernel{Name: "full", Threads: 64 * 32, Program: func(tid int, p *isa.Program) {
+	res, err = launch(g, Kernel{Name: "full", Threads: 64 * 32, Program: func(tid int, p *isa.Program) {
 		p.Compute(isa.FMA, 10)
 	}})
 	if err != nil {
@@ -516,7 +565,7 @@ func TestOccupancyAndIPC(t *testing.T) {
 	}
 	// A latency-bound kernel stalls: IPC well below 1.
 	g2, _ := testGPU(t)
-	res, err = g2.Launch(Kernel{Name: "stall", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err = launch(g2, Kernel{Name: "stall", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Ld(int64(tid)*64, 4)
 	}})
 	if err != nil {
@@ -529,7 +578,7 @@ func TestOccupancyAndIPC(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	g, _ := testGPU(t)
-	res, err := g.Launch(Kernel{Name: "s", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "s", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Ld(int64(tid)*4, 4)
 	}})
 	if err != nil {
@@ -558,7 +607,7 @@ func TestPropertyLaunchAccounting(t *testing.T) {
 	f := func(sel, threads16 uint16) bool {
 		threads := int(threads16%2048) + 1
 		prog := progs[int(sel)%len(progs)]
-		res, err := g.Launch(Kernel{Name: "prop", Threads: threads, Program: prog})
+		res, err := launch(g, Kernel{Name: "prop", Threads: threads, Program: prog})
 		if err != nil {
 			return false
 		}
@@ -655,16 +704,16 @@ func TestTraceErrors(t *testing.T) {
 		p.Ld(0, 4)
 	}}
 	err := g.TraceTransactions(div, io.Discard)
-	_, launchErr := g.Launch(div)
+	_, launchErr := NewLauncher(g, "").Launch(0, div)
 	if err == nil || launchErr == nil || err.Error() != launchErr.Error() {
-		t.Errorf("divergent kernel: trace error %v, want Launch's %v", err, launchErr)
+		t.Errorf("divergent kernel: trace error %v, want the launch's %v", err, launchErr)
 	}
 }
 
 func TestPadToResolvesDivergence(t *testing.T) {
 	g, _ := testGPU(t)
 	// Without padding this kernel diverges; PadTo makes it legal.
-	_, err := g.Launch(Kernel{Name: "padded", Threads: 32, Program: func(tid int, p *isa.Program) {
+	_, err := launch(g, Kernel{Name: "padded", Threads: 32, Program: func(tid int, p *isa.Program) {
 		if tid%2 == 0 {
 			p.Compute(isa.FMA, 4)
 		} else {
@@ -681,7 +730,7 @@ func TestMaskedMemorySlot(t *testing.T) {
 	// Odd lanes are masked off a load slot: only even lanes contribute
 	// addresses (predicated memory access).
 	g, _ := testGPU(t)
-	res, err := g.Launch(Kernel{Name: "masked", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "masked", Threads: 32, Program: func(tid int, p *isa.Program) {
 		if tid%2 == 0 {
 			p.Ld(int64(tid)*64, 4)
 		}
@@ -707,7 +756,7 @@ func TestAccessorsAndFlushRangeGPU(t *testing.T) {
 		t.Error("config accessor wrong")
 	}
 	// Dirty lines inside and outside the range via a store kernel.
-	if _, err := g.Launch(Kernel{Name: "w", Threads: 32, Program: func(tid int, p *isa.Program) {
+	if _, err := launch(g, Kernel{Name: "w", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.St(int64(tid)*64, 4)
 		p.St(1<<16+int64(tid)*64, 4)
 	}}); err != nil {
@@ -738,7 +787,7 @@ func TestAccessorsAndFlushRangeGPU(t *testing.T) {
 	// ClearPinnedRanges: pinned routing is removable.
 	g.AddPinnedRange(0, 4096)
 	g.ClearPinnedRanges()
-	res, err := g.Launch(Kernel{Name: "r", Threads: 32, Program: func(tid int, p *isa.Program) {
+	res, err := launch(g, Kernel{Name: "r", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Ld(int64(tid)*4, 4)
 	}})
 	if err != nil {

@@ -41,13 +41,21 @@ func NewLauncher(g *GPU, scope string) *Launcher {
 	return &Launcher{g: g, scope: scope}
 }
 
-// Launch executes launch number idx of the scope's sequence. Results are
-// byte-identical to g.Launch(k); reference mode and a negative idx bypass
-// the cache through g.Launch.
+// Launch executes launch number idx of the scope's sequence and returns its
+// timing and traffic. It is the GPU's one production launch path: it
+// compiles the kernel on the first launch of its key and replays the cached
+// artifact through the batch cache kernels after that (see lookupKernel).
+// Warps are distributed round-robin over SMs, and each SM executes its
+// warps in resident batches, interleaved instruction by instruction — the
+// warp-scheduler behaviour that makes per-warp working sets contend for the
+// SM's L1. It is an error, reported before any cache state is touched, for
+// the kernel to have no threads or no program, for lanes of one warp to
+// diverge in opcode sequence or length, or for a program to emit an invalid
+// instruction.
 func (l *Launcher) Launch(idx int, k Kernel) (Result, error) {
 	g := l.g
-	if g.refMode || idx < 0 {
-		return g.Launch(k)
+	if g.oracle != nil {
+		return g.oracle(k)
 	}
 	e, err := g.lookupKernel(l, idx, k)
 	if err != nil {

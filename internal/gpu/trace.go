@@ -34,12 +34,12 @@ func (t Txn) Path() string {
 }
 
 // VisitTransactions runs the compile pass over the kernel — the same
-// validation, coalescing and issue order as Launch — and calls visit once
-// per transaction, in the order Launch issues them: SM by SM, resident batch
-// by batch, slot-major across a batch's warps. It touches no cache and no
-// clock. Each memory warp-instruction is walked, derived ones expanded from
-// the warp template, as soon as it joins the stream, and then cleared, so
-// only one warp-instruction's transactions are kept at a time.
+// validation, coalescing and issue order as a Launcher launch — and calls
+// visit once per transaction, in the order a launch issues them: SM by SM,
+// resident batch by batch, slot-major across a batch's warps. It touches no
+// cache and no clock. Each memory warp-instruction is walked, derived ones
+// expanded from the warp template, as soon as it joins the stream, and then
+// cleared, so only one warp-instruction's transactions are kept at a time.
 func (g *GPU) VisitTransactions(k Kernel, visit func(Txn)) error {
 	var ck CompiledKernel
 	g.comp.onMem = func(warp, slot int) {

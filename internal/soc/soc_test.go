@@ -143,7 +143,7 @@ func TestPinnedRoutingCoherentPlatform(t *testing.T) {
 	if s.IOPort() == nil {
 		t.Fatal("coherent platform missing IO port")
 	}
-	_, err = s.GPU.Launch(gpu.Kernel{Name: "k", Threads: 32, Program: func(tid int, p *isa.Program) {
+	_, err = gpu.NewLauncher(s.GPU, "").Launch(0, gpu.Kernel{Name: "k", Threads: 32, Program: func(tid int, p *isa.Program) {
 		p.Ld(pin.Addr+int64(tid)*4, 4)
 	}})
 	if err != nil {
